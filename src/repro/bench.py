@@ -326,8 +326,8 @@ def bench_solver_step_f32(cfg: BenchConfig) -> dict:
 def bench_solver_step_compiled(cfg: BenchConfig, dtype=np.float64) -> dict:
     """Full solver step through the fused compiled kernels.
 
-    The compiled variant forbids attenuation, so this workload is a
-    sponge-only configuration — a *different shape* from ``solver_step``.
+    The compiled stress half degrades to pooled under attenuation, so this
+    workload is a sponge-only configuration — a *different shape* from ``solver_step``.
     For an honest ``extra.speedup_vs_pooled`` it times an
     identically-configured pooled twin inside the workload (same grid,
     sponge, free surface, initial state) rather than comparing against

@@ -382,8 +382,8 @@ def _cmd_run_quake(args) -> int:
         cfg = SolverConfig(absorbing="pml", pml=PMLConfig(width=pml_width),
                            dtype=np.dtype(args.dtype).type)
     else:
-        # blocked/compiled sweeps and LTS forbid PML (split-field updates
-        # need the per-plane hook); use the sponge taper instead and say so.
+        # blocked/compiled sweeps degrade to pooled under PML and LTS refuses
+        # it (core/schedule.py); use the sponge taper instead and say so.
         why = (f"lts={args.lts}" if lts_on
                else f"kernel_variant={args.kernel_variant}")
         print(f"{why}: using sponge absorbing boundary "

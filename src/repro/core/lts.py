@@ -43,8 +43,12 @@ for the ADER-DG Finite Element Method", arXiv:2202.10313):
 
 Held cells under an absorbing sponge are damped with the slab taper raised
 to the group rate when the group updates — identical to damping them every
-fine substep (damping commutes with holding).  PML and attenuation are not
-supported under LTS and are rejected by :class:`SolverConfig` validation.
+fine substep (damping commutes with holding).
+
+The step sequence itself (what runs around these per-slab updates, and what
+LTS may not be combined with) is :mod:`repro.core.schedule` /
+DESIGN.md §3 "Step schedule"; :class:`LTSScheduler` only supplies the
+per-rate-group pieces of it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import numpy as np
 from .fd import NGHOST, interior
 from .grid import ALL_FIELDS
 from .kernels import RegionUpdater
+from .schedule import StepSchedule
 from .stability import cfl_dt_map, rate_group_histogram
 
 __all__ = [
@@ -306,30 +311,24 @@ class RateGroup:
                 f"rate=x{self.rate})")
 
 
-class LTSScheduler:
-    """Drives a :class:`~repro.core.solver.WaveSolver`'s rate groups.
+class LTSScheduler(StepSchedule):
+    """The rate-group implementation of a solver's step schedule.
 
-    The solver's :meth:`step` advances ONE fine substep of ``dt``; the
-    scheduler decides which groups update (``nstep % rate == 0``), applies
-    interface corrections around each group update, and handles per-group
-    sources, forcings, free-surface hooks and sponge slabs.  The phase split
-    (:meth:`phase_velocity` / :meth:`finish_velocity` / :meth:`phase_stress`)
-    mirrors where the distributed solver inserts halo exchanges.
+    The solver's :meth:`step` advances ONE fine substep of ``dt``: the
+    groups with ``nstep % rate == 0`` update (integrating ``rate * dt``)
+    with interface corrections around each group update, and sources,
+    forcings, free surface and sponge slabs follow their group's cadence.
     """
 
-    def __init__(self, solver, groups_spec=None):
+    def __init__(self, solver):
+        super().__init__(solver)
         cfg = solver.config
-        self.solver = solver
         grid = solver.grid
-        if groups_spec is None:
-            if cfg.lts == "auto":
-                bounds = plane_cfl_bounds(grid.h, solver.medium,
-                                          order=cfg.order)
-                groups_spec = build_rate_groups(solver.dt, bounds)
-            else:
-                groups_spec = normalize_rate_map(cfg.lts, grid.nz)
+        if cfg.lts == "auto":
+            bounds = plane_cfl_bounds(grid.h, solver.medium, order=cfg.order)
+            groups_spec = build_rate_groups(solver.dt, bounds)
         else:
-            groups_spec = normalize_rate_map(groups_spec, grid.nz)
+            groups_spec = normalize_rate_map(cfg.lts, grid.nz)
         self.correction = bool(getattr(cfg, "lts_correction", True))
         self.groups = [
             RateGroup(i, lo, hi, r, grid,
@@ -414,10 +413,15 @@ class LTSScheduler:
             out.append((vmax * g.rate * solver.dt / solver.grid.h, g.rate))
         return out
 
+    def span_attrs(self) -> dict:
+        # surfaced by `repro diagnose` (TraceDiagnosis.lts_headline)
+        return {"lts_map": str(self.rate_map()),
+                "lts_speedup": round(self.speedup(), 4)}
+
     def active(self, i: int) -> list[RateGroup]:
         return [g for g in self.groups if i % g.rate == 0]
 
-    def _group_of(self, source) -> RateGroup:
+    def group_of(self, source) -> RateGroup:
         key = id(source)
         g = self._src_group.get(key)
         if g is None:
@@ -441,94 +445,49 @@ class LTSScheduler:
         return g
 
     # ------------------------------------------------------------------
-    # Phases (one fine substep i = solver.nstep)
+    # Per-group pieces of the schedule (one fine substep i = solver.nstep)
     # ------------------------------------------------------------------
-    def phase_velocity(self, i: int) -> None:
-        """Velocity updates + body forces/forcings of the active groups."""
+    def now(self) -> float:
+        return self.solver.nstep * self.solver.dt
+
+    def update(self, half: str, act) -> None:
+        """Update ``half`` on the active groups, each against neighbour
+        band planes brought to the time level its stencil needs."""
         wf = self.solver.wf
-        dt = self.solver.dt
-        act = self.active(i)
-        # Capture the previous velocity level of every band an updating
-        # group owns, before any update overwrites it in place.
+        i = self.solver.nstep
+        own, read = ((_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS)
+                     if half == "velocity"
+                     else (_STRESS_BAND_FIELDS, _VEL_BAND_FIELDS))
+        # Capture the previous level of every band an updating group owns,
+        # before any update overwrites it in place.
         for g in act:
             for band in g.owned_bands:
-                band.save_prev(wf, _VEL_BAND_FIELDS)
+                band.save_prev(wf, own)
         for g in act:
             applied = []
-            if self.correction:
-                for band, o in g.neighbor_bands:
-                    if i % o.rate:
-                        # Held neighbour: its stress sits at a future level
-                        # j_last + r_o; pull it back to i by interpolation.
-                        j_last = (i // o.rate) * o.rate
-                        w = (i - j_last) / o.rate
-                        band.apply(wf, _STRESS_BAND_FIELDS, w)
-                        applied.append(band)
-            g.updater.step_velocity()
+            for band, o in g.neighbor_bands if self.correction else ():
+                j = (i // o.rate) * o.rate    # neighbour's last update
+                if half == "velocity":
+                    if i == j:
+                        continue    # active neighbour: exact in place
+                    # Held neighbour: its stress sits at a future level
+                    # j + r_o; pull it back to i by interpolation.
+                    w = (i - j) / o.rate
+                else:
+                    if o.rate == g.rate:
+                        continue
+                    # This group's stress interval is centred at (i + r/2);
+                    # the neighbour's velocity lives at j ± r_o/2.
+                    w = (i - j + 0.5 * (g.rate + o.rate)) / o.rate
+                band.apply(wf, read, w)
+                applied.append(band)
+            getattr(g.updater, "step_" + half)()
             for band in applied:
-                band.restore(wf, _STRESS_BAND_FIELDS)
-        t = i * dt
-        for g in act:
-            dt_g = g.rate * dt
-            for src in self.solver.force_sources:
-                if self._group_of(src) is g:
-                    src.inject(wf, t, dt_g)
-            for f in self.solver.forcings:
-                f.apply_velocity(wf, t, dt_g, region=g.forcing_region)
+                band.restore(wf, read)
 
-    def finish_velocity(self, i: int) -> None:
-        """Free-surface velocity ghosts, once the top group's velocities
-        (and, distributed, their exchanged halos) are fresh."""
-        fs = self.solver.free_surface
-        if fs is not None and i % self.groups[-1].rate == 0:
-            fs.apply_velocity(self.solver.wf)
-
-    def phase_stress(self, i: int) -> None:
-        """Stress updates, moment sources, free surface, sponge slabs."""
-        solver = self.solver
-        wf = solver.wf
-        dt = solver.dt
-        act = self.active(i)
-        for g in act:
-            for band in g.owned_bands:
-                band.save_prev(wf, _STRESS_BAND_FIELDS)
-        for g in act:
-            applied = []
-            if self.correction:
-                for band, o in g.neighbor_bands:
-                    if o.rate != g.rate:
-                        # This group's stress interval is centred at
-                        # (i + r/2); the neighbour's velocity lives at
-                        # j_v ± r_o/2 around its last update.
-                        j_v = (i // o.rate) * o.rate
-                        w = (i - j_v + 0.5 * (g.rate + o.rate)) / o.rate
-                        band.apply(wf, _VEL_BAND_FIELDS, w)
-                        applied.append(band)
-            g.updater.step_stress()
-            for band in applied:
-                band.restore(wf, _VEL_BAND_FIELDS)
-        t = i * dt
-        for g in act:
-            dt_g = g.rate * dt
-            for src in solver.moment_sources:
-                if self._group_of(src) is g:
-                    src.inject(wf, t, dt_g)
-        fs = solver.free_surface
-        if fs is not None and i % self.groups[-1].rate == 0:
-            fs.apply_stress(wf)
-        for g in act:
-            for f in solver.forcings:
-                f.apply_stress(wf, t, g.rate * dt, region=g.forcing_region)
-        if solver.sponge is not None:
-            for g in act:
-                solver.sponge.apply_slab(wf, g.k_lo, g.k_hi, g.sponge_taper)
-
-    def substep(self, i: int) -> None:
-        """One serial fine substep (the distributed solver interleaves halo
-        exchanges between these phases instead)."""
-        self.phase_velocity(i)
-        self.finish_velocity(i)
-        self.phase_stress(i)
+    def damp(self, g) -> None:
+        self.solver.sponge.apply_slab(self.solver.wf, g.k_lo, g.k_hi,
+                                      g.sponge_taper)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -1,21 +1,15 @@
 """AWM — the anelastic wave propagation solver ("wave mode", Fig. 6).
 
-:class:`WaveSolver` assembles the pieces of Section II into the explicit
-leapfrog loop:
-
-1. velocity update (4th-order staggered FD; PML split parts in the frame);
-2. free-surface velocity ghosts (FS2);
-3. body-force source injection;
-4. stress update (with the coarse-grained attenuation rate hook and PML);
-5. moment-rate source injection;
-6. free-surface stress imaging;
-7. sponge taper (if configured);
-8. receiver / surface-output recording.
+:class:`WaveSolver` assembles the pieces of Section II (kernels, free
+surface, absorbing boundary, attenuation, sources, receivers) and advances
+them with the explicit leapfrog step of :mod:`repro.core.schedule` — the
+sequence and its composition rules live there and in DESIGN.md §3 ("Step
+schedule"), not here.
 
 The solver is deliberately single-domain: the distributed version
-(:class:`repro.parallel.distributed.DistributedWaveSolver`) runs this exact
-update on each subgrid and exchanges halos, and is tested to reproduce this
-solver bitwise.
+(:class:`repro.parallel.distributed.DistributedWaveSolver`) runs the same
+schedule on each subgrid with halo exchanges between its blocks, and is
+tested to reproduce this solver bitwise.
 """
 
 from __future__ import annotations
@@ -31,8 +25,10 @@ from .boundary import FreeSurfaceFS2, SpongeLayer
 from .fd import NGHOST
 from .grid import FIELD_OFFSETS, Grid3D, WaveField
 from .kernels import VelocityStressKernel
+from .lts import LTSScheduler
 from .medium import Medium
-from .pml import PML, PMLConfig, SHEAR_TERM_AXES
+from .pml import PML, PMLConfig
+from .schedule import SimulationDiverged, StepSchedule, resolve
 from .stability import cfl_dt
 
 __all__ = ["SolverConfig", "Receiver", "SurfaceRecorder", "WaveSolver"]
@@ -51,7 +47,6 @@ class SolverConfig:
     sponge_amp: float = 0.92
     attenuation_band: tuple[float, float] | None = None  #: (f_min, f_max) or None
     n_mechanisms: int = 8
-    cache_blocking: bool = False         #: use the blocked kernel driver
     kblock: int = 16                     #: blocked-driver panel depth (z cells)
     jblock: int = 8                      #: blocked-driver panel width (y cells)
     kernel_variant: str = "pooled"       #: 'pooled' | 'blocked' | 'compiled'
@@ -72,10 +67,6 @@ class SolverConfig:
             raise ValueError(
                 "block sizes must be >= 1 "
                 f"(kblock={self.kblock}, jblock={self.jblock})")
-        if self.kernel_variant == "compiled" and self.order != 4:
-            raise ValueError(
-                "kernel_variant='compiled' implements the 4th-order stencil "
-                f"only (got order={self.order})")
         if isinstance(self.lts, str):
             if self.lts not in ("off", "auto"):
                 raise ValueError(
@@ -89,15 +80,7 @@ class SolverConfig:
                 raise ValueError(
                     f"lts rate map must be (k_lo, k_hi, rate) triples "
                     f"(got {self.lts!r})") from exc
-        if self.lts != "off":
-            if self.absorbing not in ("none", "sponge"):
-                raise ValueError(
-                    "lts supports absorbing='none' or 'sponge' only (PML "
-                    "split parts have no per-group cadence)")
-            if self.attenuation_band is not None:
-                raise ValueError(
-                    "lts does not support attenuation (the memory-variable "
-                    "hook assumes one global dt)")
+        resolve(self)   # composition rules: one table, core/schedule.py
 
 
 @dataclass
@@ -164,10 +147,6 @@ class SurfaceRecorder:
                    for _, vx, vy, vz in self.frames)
 
 
-class SimulationDiverged(RuntimeError):
-    """Raised when the wavefield exceeds the configured stability limit."""
-
-
 class WaveSolver:
     """Single-domain anelastic wave propagation solver (AWM)."""
 
@@ -213,15 +192,11 @@ class WaveSolver:
                     "falling back to kernel_variant='pooled'",
                     RuntimeWarning, stacklevel=2)
                 self.kernel_variant = "pooled"
-        self._blocked = cfg.cache_blocking or self.kernel_variant == "blocked"
         self.free_surface = FreeSurfaceFS2(medium) if cfg.free_surface else None
         self.pml: PML | None = None
         self.sponge: SpongeLayer | None = None
         if cfg.absorbing == "pml":
-            pml_cfg = cfg.pml
-            if cfg.free_surface and pml_cfg.damp_top:
-                raise ValueError("PML damp_top conflicts with a free surface")
-            self.pml = PML(grid, medium, pml_cfg, dtype=cfg.dtype,
+            self.pml = PML(grid, medium, cfg.pml, dtype=cfg.dtype,
                            global_shape=global_shape,
                            index_origin=index_origin,
                            cmax=global_vp_max)
@@ -243,10 +218,9 @@ class WaveSolver:
             # trapezoidal coefficients) can be built once instead of per step.
             self._rate_hook = self.attenuation.rate_hook(self.dt)
         #: repro.core.lts.LTSScheduler when local time stepping is active
-        self.lts = None
-        if cfg.lts != "off":
-            from .lts import LTSScheduler
-            self.lts = LTSScheduler(self)
+        self.lts = LTSScheduler(self) if cfg.lts != "off" else None
+        #: the step this solver executes (the LTS scheduler *is* one)
+        self.schedule = self.lts or StepSchedule(self)
         self.moment_sources: list = []
         self.force_sources: list = []
         #: whole-domain analytic forcings (ManufacturedForcing; repro.verify)
@@ -302,112 +276,19 @@ class WaveSolver:
     # ------------------------------------------------------------------
     # Time stepping
     # ------------------------------------------------------------------
-    def _step_velocity(self) -> None:
-        cfg = self.config
-        if self.pml is None:
-            # PML needs the per-axis terms, which only the pooled kernel
-            # produces; fused/blocked variants degrade to pooled under PML.
-            if self.fused is not None:
-                self.fused.step_velocity()
-                return
-            if self._blocked:
-                # Fused velocity+stress blocking is only possible on the
-                # step() fast path; with sources/forcings between the
-                # half-steps, run the split blocked drivers (bitwise
-                # identical to pooled).
-                self.kernel.step_blocked_velocity(cfg.kblock, cfg.jblock)
-                return
-        for comp in ("vx", "vy", "vz"):
-            terms = self.kernel.update_velocity(comp)
-            if self.pml is not None:
-                self.pml.update(self.wf, comp, terms, self.dt)
-
-    def _step_stress(self) -> None:
-        cfg = self.config
-        if self.pml is None and self.attenuation is None:
-            if self.fused is not None:
-                self.fused.step_stress()
-                return
-            if self._blocked:
-                self.kernel.step_blocked_stress(cfg.kblock, cfg.jblock)
-                return
-        hook = self._rate_hook
-        for comp in ("sxx", "syy", "szz"):
-            terms = self.kernel.update_stress(comp, rate_hook=hook)
-            if self.pml is not None:
-                self.pml.update(self.wf, comp, terms, self.dt)
-        for comp in ("sxy", "sxz", "syz"):
-            terms = self.kernel.update_stress(comp, rate_hook=hook)
-            if self.pml is not None:
-                self.pml.update(self.wf, comp, terms, self.dt,
-                                term_axes=SHEAR_TERM_AXES[comp])
-
     def step(self) -> None:
-        """Advance the wavefield by one time step."""
+        """Advance the wavefield by one time step (A; B; C, no halos)."""
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        cfg = self.config
         with tracer.span("solver.step", category="compute"):
-            if self.lts is not None:
-                # One fine substep: the scheduler updates the rate groups
-                # with nstep % rate == 0 (sponge slabs included).
-                self.lts.substep(self.nstep)
-            # Whole-step fast path: nothing may run between the velocity and
-            # stress halves (the free-surface ghost update included — it must
-            # see the new velocities before stresses are formed).
-            elif (self._blocked or self.fused is not None) \
-                    and self.pml is None \
-                    and self.attenuation is None \
-                    and self.free_surface is None \
-                    and not self.moment_sources and not self.force_sources \
-                    and not self.forcings:
-                if self.fused is not None:
-                    self.fused.step_velocity()
-                    self.fused.step_stress()
-                else:
-                    self.kernel.step_blocked(cfg.kblock, cfg.jblock)
-            else:
-                self._step_velocity()
-                if self.free_surface is not None:
-                    self.free_surface.apply_velocity(self.wf)
-                for src in self.force_sources:
-                    src.inject(self.wf, self.t, self.dt)
-                for f in self.forcings:
-                    f.apply_velocity(self.wf, self.t, self.dt)
-                self._step_stress()
-                for src in self.moment_sources:
-                    src.inject(self.wf, self.t, self.dt)
-                if self.free_surface is not None:
-                    self.free_surface.apply_stress(self.wf)
-                for f in self.forcings:
-                    f.apply_stress(self.wf, self.t, self.dt)
-            if self.sponge is not None and self.lts is None:
-                self.sponge.apply(self.wf)
-        self.t += self.dt
-        self.nstep += 1
-        if self.receivers or self.surface_recorder is not None:
-            with tracer.span("solver.record", category="io"):
-                for r in self.receivers:
-                    r.record(self.wf)
-                if self.surface_recorder is not None:
-                    self.surface_recorder.maybe_record(self.wf, self.t)
-        if (cfg.stability_check_interval
-                and self.nstep % cfg.stability_check_interval == 0):
-            vmax = self.wf.max_velocity()
-            if not np.isfinite(vmax) or vmax > cfg.stability_limit:
-                raise SimulationDiverged(
-                    f"|v|max = {vmax:.3g} at step {self.nstep} (t = {self.t:.3f} s)")
-        if self.health is not None:
-            self.health.on_step(self)
+            self.schedule.substep()
+        self.schedule.block_c(
+            lambda: tracer.span("solver.record", category="io"))
 
     def run(self, nsteps: int, progress=None) -> None:
         """Advance ``nsteps`` steps; ``progress(step, solver)`` if given."""
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        attrs = {}
-        if self.lts is not None:
-            # surfaced by `repro diagnose` (TraceDiagnosis.lts_headline)
-            attrs = {"lts_map": str(self.lts.rate_map()),
-                     "lts_speedup": round(self.lts.speedup(), 4)}
-        with tracer.span("solver.run", category="other", **attrs):
+        with tracer.span("solver.run", category="other",
+                         **self.schedule.span_attrs()):
             for i in range(nsteps):
                 self.step()
                 if progress is not None:

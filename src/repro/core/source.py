@@ -218,7 +218,9 @@ class MomentTensorSource:
         m = self.moment
         scale = float(dt) * rate / vol
         for (a, b), name in _STRESS_OF_INDEX.items():
-            if a > b or m[a, b] == 0.0:
+            # a rank of a distributed run holds only the components whose
+            # staggered cells fall inside its subdomain
+            if a > b or m[a, b] == 0.0 or name not in self._plan:
                 continue
             arr = getattr(wf, name)
             idx, w = self._plan[name]

@@ -1,37 +1,27 @@
 """Distributed AWM solver over SimMPI or real processes (III.A, IV.A, IV.C).
 
-:class:`DistributedWaveSolver` runs the exact serial update of
-:class:`repro.core.solver.WaveSolver` on each subdomain of a 3-D domain
-decomposition and exchanges two-cell halos between neighbours.  Because halo
-exchange is a pure copy and every boundary module (free surface, sponge,
-PML, attenuation) evaluates its coefficients at *global* positions, the
+:class:`DistributedWaveSolver` runs the step schedule of
+:mod:`repro.core.schedule` on each subdomain of a 3-D domain decomposition
+and exchanges two-cell halos between its blocks.  Because halo exchange is
+a pure copy and every boundary module (free surface, sponge, PML,
+attenuation) evaluates its coefficients at *global* positions, the
 decomposed run is **bitwise identical** to the serial run for any processor
 grid — the strongest possible form of the paper's aVal acceptance test, and
 the property the whole performance-optimization story (asynchronous
-messaging, reduced communication, overlap) relies on: optimizations must not
-change the numerics.
+messaging, reduced communication, overlap) relies on: optimizations may
+move *when* work happens, never *what* is computed.
 
-Two execution backends share the same step semantics:
+Two drivers execute the same blocks:
 
 * ``backend="sim"`` — SimMPI's cooperative generator scheduler with virtual
   ``alpha + k*beta`` clocks (the performance-*model* substrate);
 * ``backend="procpool"`` — real forked worker processes with shared-memory
   halo rings (:mod:`repro.parallel.procpool`), the performance-*measurement*
-  substrate.  On this backend the solver also implements the paper's
-  Section IV.C compute/communication overlap: each rank posts its halo
-  faces, advances the interior "core" block while they are in flight, and
-  completes the thin face "shell" slabs after the receive.  The split-region
-  updates replay the kernel's exact per-cell ufunc sequence
-  (:class:`repro.core.kernels.RegionUpdater`), so overlap preserves bitwise
-  identity.  Overlap is only eligible without PML and attenuation — both
-  operate on whole-interior state that cannot be region-split — and the
-  solver silently runs the non-overlapped (still parallel, still bitwise)
-  schedule otherwise.
+  substrate, which also hides the halos behind the schedule's core regions
+  (the paper's Section IV.C overlap).
 
-Constraints inherited from the ordering analysis (asserted at add time):
-
-* body-force sources must sit at least two planes below the free surface so
-  that free-surface ghost filling and force injection commute.
+The sequence, which driver hides what behind which halo, and the table of
+refused or degraded compositions are in DESIGN.md §3 ("Step schedule").
 """
 
 from __future__ import annotations
@@ -39,14 +29,16 @@ from __future__ import annotations
 import copy
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from ..core.fd import NGHOST
 from ..core.grid import Grid3D
-from ..core.kernels import RegionUpdater
 from ..core.medium import Medium
+from ..core.schedule import resolve
 from ..core.solver import Receiver, SolverConfig, SurfaceRecorder, WaveSolver
 from ..core.source import BodyForceSource, FiniteFaultSource, MomentTensorSource
 from ..obs.health import HealthConfig, HealthMonitor
@@ -55,46 +47,12 @@ from ..obs.tracer import get_tracer
 from .decomp import Decomposition3D
 from .halo import HaloExchange, exchange_halos_sync
 from .procpool import ProcPoolUnavailable
-from .simmpi import CommStats, RankContext, SPMDResult, run_spmd
+from .simmpi import CommStats, SPMDResult, run_spmd
 
 __all__ = ["DistributedWaveSolver"]
 
 _AXIS_LO = ("x_lo", "y_lo", "z_lo")
 _AXIS_HI = ("x_hi", "y_hi", "z_hi")
-
-
-def _split_core_shells(grid: Grid3D, excl: list[list[int]]):
-    """Split the interior into a core box and disjoint face shells.
-
-    ``excl[axis] = [lo_planes, hi_planes]`` gives the shell thickness to
-    peel off each face.  Returns ``(core_region, [shell_regions])`` in
-    padded coordinates, or ``None`` when the exclusions leave no core (the
-    subdomain is too thin to overlap; callers fall back to the blocking
-    schedule, which is bitwise identical anyway).
-    """
-    lo = [NGHOST] * 3
-    hi = [NGHOST + n for n in grid.shape]
-    clo = [lo[a] + excl[a][0] for a in range(3)]
-    chi = [hi[a] - excl[a][1] for a in range(3)]
-    if any(chi[a] <= clo[a] for a in range(3)):
-        return None
-    shells: list[tuple[slice, slice, slice]] = []
-
-    def box(x0, x1, y0, y1, z0, z1):
-        if x1 > x0 and y1 > y0 and z1 > z0:
-            shells.append((slice(x0, x1), slice(y0, y1), slice(z0, z1)))
-
-    # disjoint cover: x slabs take full y/z extent, y slabs take core x,
-    # z slabs take core x and core y
-    box(lo[0], clo[0], lo[1], hi[1], lo[2], hi[2])
-    box(chi[0], hi[0], lo[1], hi[1], lo[2], hi[2])
-    box(clo[0], chi[0], lo[1], clo[1], lo[2], hi[2])
-    box(clo[0], chi[0], chi[1], hi[1], lo[2], hi[2])
-    box(clo[0], chi[0], clo[1], chi[1], lo[2], clo[2])
-    box(clo[0], chi[0], clo[1], chi[1], chi[2], hi[2])
-    core = (slice(clo[0], chi[0]), slice(clo[1], chi[1]),
-            slice(clo[2], chi[2]))
-    return core, shells
 
 
 class DistributedWaveSolver:
@@ -127,17 +85,13 @@ class DistributedWaveSolver:
         None (default) — inherit ``config.kernel_variant``; or 'pooled' —
         plain interior updates; 'blocked' — the cache-blocked k/j panel
         driver; 'compiled' — the fused JIT sweeps
-        (:mod:`repro.core.compiled`).  All bitwise identical; 'blocked'
-        and 'compiled' require no PML and no attenuation.  If no compiled
-        provider is available the solver warns once (``RuntimeWarning``)
-        and every rank runs 'pooled'.
+        (:mod:`repro.core.compiled`).  All bitwise identical.  If no
+        compiled provider is available the solver warns once
+        (``RuntimeWarning``) and every rank runs 'pooled'.
     overlap:
         Overlap interior computation with halo transfers on the procpool
-        backend (Section IV.C).  Automatically disabled when PML or
-        attenuation is configured, or the kernel variant is 'blocked'
-        (panel updates are not region-split; the 'compiled' variant *is*,
-        via :class:`~repro.core.compiled.FusedRegionStepper`).  Results
-        are bitwise identical either way.
+        backend (Section IV.C) wherever the schedule can split a step into
+        core and shells.  Results are bitwise identical either way.
     health:
         Optional :class:`~repro.obs.health.HealthConfig`: every rank runs
         its own :class:`~repro.obs.health.HealthMonitor` (sim backend: in
@@ -170,18 +124,12 @@ class DistributedWaveSolver:
         if backend not in ("sim", "procpool"):
             raise ValueError(f"unknown backend {backend!r} "
                              "(expected 'sim' or 'procpool')")
-        if kernel_variant is not None \
-                and kernel_variant not in ("pooled", "blocked", "compiled"):
-            raise ValueError(f"unknown kernel variant {kernel_variant!r} "
-                             "(expected 'pooled', 'blocked' or 'compiled')")
-        if backend == "procpool" and sync_comm:
-            raise ValueError("sync_comm is a SimMPI modelling mode; the "
-                             "procpool backend always uses the ring exchange")
         self.grid = grid
         self.decomp = decomp
         cfg = config or SolverConfig()
-        if kernel_variant is None:
-            kernel_variant = cfg.kernel_variant
+        if kernel_variant is not None:
+            cfg = replace(cfg, kernel_variant=kernel_variant)
+        resolve(cfg, dims=decomp.dims, backend=backend, sync_comm=sync_comm)
         # Convert the *global* medium once, then cut subgrids from it: the
         # serial WaveSolver coerces the same global arrays, and elementwise
         # conversion commutes with the window cut, so serial and distributed
@@ -190,31 +138,18 @@ class DistributedWaveSolver:
         if medium.dtype != np.dtype(cfg.dtype):
             medium = medium.astype(cfg.dtype)
         self.medium = medium
-        if cfg.lts != "off":
-            if decomp.dims[2] != 1:
-                raise ValueError(
-                    "lts requires a pz=1 decomposition (rate groups are "
-                    f"global k-slabs; got dims={decomp.dims})")
-            if cfg.lts == "auto":
-                # Resolve the partition from the GLOBAL medium once and pass
-                # it down as an explicit map: per-rank 'auto' partitions would
-                # be cut from each rank's local vp distribution and diverge
-                # from the serial schedule.
-                from ..core.lts import build_rate_groups, plane_cfl_bounds
-                from ..core.stability import cfl_dt
-                dt0 = (float(cfg.dt) if cfg.dt is not None
-                       else cfl_dt(grid.h, medium.vp_max, order=cfg.order))
-                cfg = replace(cfg, lts=build_rate_groups(
-                    dt0, plane_cfl_bounds(grid.h, medium, order=cfg.order)))
-        if kernel_variant in ("blocked", "compiled"):
-            if cfg.absorbing == "pml":
-                raise ValueError(f"kernel_variant={kernel_variant!r} does "
-                                 "not support PML (use absorbing='sponge' "
-                                 "or 'none')")
-            if cfg.attenuation_band is not None:
-                raise ValueError(f"kernel_variant={kernel_variant!r} does "
-                                 "not support attenuation")
-        if kernel_variant == "compiled":
+        if cfg.lts == "auto":
+            # Resolve the partition from the GLOBAL medium once and pass
+            # it down as an explicit map: per-rank 'auto' partitions would
+            # be cut from each rank's local vp distribution and diverge
+            # from the serial schedule.
+            from ..core.lts import build_rate_groups, plane_cfl_bounds
+            from ..core.stability import cfl_dt
+            dt0 = (float(cfg.dt) if cfg.dt is not None
+                   else cfl_dt(grid.h, medium.vp_max, order=cfg.order))
+            cfg = replace(cfg, lts=build_rate_groups(
+                dt0, plane_cfl_bounds(grid.h, medium, order=cfg.order)))
+        if cfg.kernel_variant == "compiled":
             # Resolve availability ONCE here (get_kernels is memoized), so
             # the fallback warns a single time instead of once per rank
             # sub-solver, mirroring the procpool->SimMPI contract.
@@ -227,24 +162,17 @@ class DistributedWaveSolver:
                     f"compiled kernel backend unavailable ({exc}); "
                     "falling back to kernel_variant='pooled'",
                     RuntimeWarning, stacklevel=2)
-                kernel_variant = "pooled"
-        # Sub-solvers inherit the *resolved* variant through their config
-        # (so they never re-warn), and cfg reflects what actually runs.
-        cfg = replace(cfg, kernel_variant=kernel_variant)
+                # sub-solvers inherit the *resolved* variant through their
+                # config, so they never re-warn
+                cfg = replace(cfg, kernel_variant="pooled")
         self.config = cfg
         self.halo_mode = halo_mode
         self.sync_comm = sync_comm
         self.machine = machine
         self.backend = backend
-        self.kernel_variant = kernel_variant
+        self.kernel_variant = cfg.kernel_variant
         self.overlap = overlap
-        self.health_config = health
         self.stall_timeout = stall_timeout
-        #: one watchdog per rank (sim backend runs them in-process; procpool
-        #: workers inherit them through fork and trip inside the worker)
-        self._health_monitors: list[HealthMonitor] | None = (
-            [HealthMonitor(health, rank=r) for r in range(decomp.nranks)]
-            if health is not None else None)
         self.topology = machine.topology(decomp.nranks) if machine else None
         global_vp = medium.vp_max
         pz = decomp.dims[2]
@@ -258,6 +186,11 @@ class DistributedWaveSolver:
                              index_origin=sub.origin_index,
                              global_shape=grid.shape,
                              global_vp_max=global_vp)
+            if health is not None:
+                # one watchdog per rank (sim backend runs them in-process;
+                # procpool workers inherit them through fork and trip
+                # inside the worker)
+                sol.health = HealthMonitor(health, rank=len(self.solvers))
             self.solvers.append(sol)
         self.dt = self.solvers[0].dt
         self._receiver_map: list[tuple[Receiver, str, int, Receiver]] = []
@@ -276,27 +209,15 @@ class DistributedWaveSolver:
         #: at run time (the null tracer unless one is installed)
         self.tracer = None
         self.surface_recorder: SurfaceRecorder | None = None
-        self._surface_local: dict[int, SurfaceRecorder] = {}
-        self._overlap_plans: list[dict | None] | None = None
+        #: per rank: did the schedule split into core + shells (None until
+        #: the first procpool run asks)
+        self._split: list[bool] | None = None
         self._fallback_warned = False
 
     @property
     def overlap_eligible(self) -> bool:
-        """Whether the IV.C overlap schedule can preserve bitwise identity
-        with this configuration (no PML, no attenuation, region-splittable
-        kernels — pooled or compiled).  Local time stepping runs the
-        blocking schedule: group activity varies per substep, so a static
-        core/shell split cannot hide the exchanges."""
-        return (self.config.absorbing != "pml"
-                and self.config.attenuation_band is None
-                and self.config.lts == "off"
-                and self.kernel_variant in ("pooled", "compiled"))
-
-    @property
-    def overlap_active(self) -> bool:
-        """Whether the next procpool run will use the overlap schedule."""
-        return (self.backend == "procpool" and self.overlap
-                and self.overlap_eligible)
+        """Whether the schedule may split a step into core and shells."""
+        return self.solvers[0].schedule.plan.split
 
     @property
     def lts(self):
@@ -343,12 +264,8 @@ class DistributedWaveSolver:
                     local._lts_kplane = rep_k
                     self.solvers[rank].moment_sources.append(local)
         elif isinstance(source, BodyForceSource):
-            i, j, k = self.grid.index_of(*source.position)
-            if k >= self.grid.nz - 2:
-                raise ValueError("body-force sources must lie at least two "
-                                 "planes below the free surface in a "
-                                 "distributed run")
-            rank = self.decomp.owner_of_cell(i, j, k)
+            rank = self.decomp.owner_of_cell(
+                *self.grid.index_of(*source.position))
             sub = self.decomp.subdomain(rank)
             local = copy.copy(source)
             local._cell = None
@@ -371,6 +288,7 @@ class DistributedWaveSolver:
             local._cells = {comp: tuple(g - o + NGHOST for g, o
                                         in zip(gi, sub.origin_index))}
             local.data = {comp: []}
+            self.solvers[rank].receivers.append(local)
             self._receiver_map.append((receiver, comp, rank, local))
         return receiver
 
@@ -388,147 +306,82 @@ class DistributedWaveSolver:
             raise ValueError("distributed surface recording requires "
                              "dec_space=1")
         pz = self.decomp.dims[2]
-        self._surface_local = {
-            rank: SurfaceRecorder(dec_space, dec_time)
-            for rank, sub in enumerate(self.decomp.subdomains())
-            if sub.coords[2] == pz - 1}
+        for rank, sub in enumerate(self.decomp.subdomains()):
+            if sub.coords[2] == pz - 1:
+                self.solvers[rank].surface_recorder = SurfaceRecorder(
+                    dec_space, dec_time)
         self.surface_recorder = SurfaceRecorder(dec_space, dec_time)
         return self.surface_recorder
 
     def _merge_surface(self) -> None:
-        if not self._surface_local:
+        local = {rank: sol.surface_recorder
+                 for rank, sol in enumerate(self.solvers)
+                 if sol.surface_recorder is not None}
+        if not local:
             return
-        nframes = min(len(r.frames) for r in self._surface_local.values())
+        nframes = min(len(r.frames) for r in local.values())
         nx, ny = self.grid.nx, self.grid.ny
         dtype = self.solvers[0].wf.dtype
         for fi in range(nframes):
             t = 0.0
             planes = [np.zeros((nx, ny), dtype=dtype) for _ in range(3)]
-            for rank, rec in self._surface_local.items():
+            for rank, rec in local.items():
                 sub = self.decomp.subdomain(rank)
                 (a, b), (c, d), _ = sub.ranges
                 t, lvx, lvy, lvz = rec.frames[fi]
                 for dst, src in zip(planes, (lvx, lvy, lvz)):
                     dst[a:b, c:d] = src
             self.surface_recorder.frames.append((t, *planes))
-        for rec in self._surface_local.values():
+        for rec in local.values():
             rec.frames.clear()
-
-    # ------------------------------------------------------------------
-    # Kernel variant dispatch (shared by both backends)
-    # ------------------------------------------------------------------
-    def _update_velocity(self, sol: WaveSolver) -> None:
-        if self.kernel_variant == "blocked":
-            sol.kernel.step_blocked_velocity(self.config.kblock,
-                                             self.config.jblock)
-        else:
-            sol._step_velocity()
-
-    def _update_stress(self, sol: WaveSolver) -> None:
-        if self.kernel_variant == "blocked":
-            sol.kernel.step_blocked_stress(self.config.kblock,
-                                           self.config.jblock)
-        else:
-            sol._step_stress()
 
     # ------------------------------------------------------------------
     # Execution: SimMPI backend
     # ------------------------------------------------------------------
-    def _rank_program(self, comm: RankContext, nsteps: int):
-        rank = comm.rank
-        sol = self.solvers[rank]
-        decomp = self.decomp
-        if self.sync_comm:
-            def exchange(group):
-                return exchange_halos_sync(comm, decomp, rank, sol.wf,
-                                           group=group, mode=self.halo_mode)
-        else:
-            hx = self._halo_exchanges[rank]
+    def rank_steps(self, rank: int, nsteps: int, halo, tracer):
+        """One rank's time loop as a generator: A; halo v; B; halo sigma; C.
 
-            def exchange(group):
-                return hx.exchange(comm, group)
-        locals_ = [loc for (_, _, r, loc) in self._receiver_map if r == rank]
-        srec = self._surface_local.get(rank)
-        monitor = (self._health_monitors[rank]
-                   if self._health_monitors is not None else None)
-        tracer = comm.tracer
-        for _ in range(nsteps):
-            # compute spans are wall-clock (wall=True): SimMPI virtual clocks
-            # only advance on communication, so measured numpy time is the
-            # honest compute cost — the paper's Eq. 7 hybrid of measured
-            # kernel time plus modelled alpha + k*beta communication.
-            if sol.lts is not None:
-                # LTS substep: the scheduler owns sources, forcings, free
-                # surface and sponge slabs; the halo exchanges slot between
-                # its phases exactly where the serial substep falls through
-                # them.  Held planes re-send unchanged values (idempotent),
-                # so the plain full-round exchange stays bitwise-correct.
-                i = sol.nstep
-                with tracer.span("step.velocity", category="compute",
-                                 wall=True):
-                    sol.lts.phase_velocity(i)
-                yield from exchange("velocity")
-                with tracer.span("step.stress", category="compute",
-                                 wall=True):
-                    sol.lts.finish_velocity(i)
-                    sol.lts.phase_stress(i)
-                yield from exchange("stress")
-                sol.t += sol.dt
-                sol.nstep += 1
-                if locals_:
-                    with tracer.span("step.record", category="io", wall=True):
-                        for loc in locals_:
-                            loc.record(sol.wf)
-                if srec is not None:
-                    srec.maybe_record(sol.wf, sol.t)
-                if monitor is not None:
-                    monitor.on_step(sol)
-                continue
-            with tracer.span("step.velocity", category="compute", wall=True):
-                self._update_velocity(sol)
-                for src in sol.force_sources:
-                    src.inject(sol.wf, sol.t, sol.dt)
-            yield from exchange("velocity")
-            with tracer.span("step.stress", category="compute", wall=True):
-                if sol.free_surface is not None:
-                    sol.free_surface.apply_velocity(sol.wf)
-                self._update_stress(sol)
-                for src in sol.moment_sources:
-                    src.inject(sol.wf, sol.t, sol.dt)
-                # Serial semantics: image the free surface from *undamped*
-                # values, damp the interior, and only then publish stresses to
-                # neighbours so their ghost copies carry this step's damped
-                # values.
-                if sol.free_surface is not None:
-                    sol.free_surface.apply_stress(sol.wf)
-                if sol.sponge is not None:
-                    sol.sponge.apply(sol.wf)
-            yield from exchange("stress")
-            sol.t += sol.dt
-            sol.nstep += 1
-            if locals_:
-                with tracer.span("step.record", category="io", wall=True):
-                    for loc in locals_:
-                        loc.record(sol.wf)
-            if srec is not None:
-                srec.maybe_record(sol.wf, sol.t)
-            if monitor is not None:
-                monitor.on_step(sol)
-
-    def _lts_attrs(self) -> dict:
-        """Span attributes surfacing the LTS partition in `repro diagnose`.
-
-        pz = 1 (enforced), so rank 0's local rate map IS the global map.
+        ``halo(group)`` returns the SimMPI requests to yield for that
+        exchange — or nothing when the halo arrives some other way (the
+        resilience replay applies a logged rim instead).
         """
-        if self.lts is None:
-            return {}
-        return {"lts_map": str(self.lts.rate_map()),
-                "lts_speedup": round(self.lts.speedup(), 4)}
+        sched = self.solvers[rank].schedule
+
+        def span(name, category="compute"):
+            # compute spans are wall-clock (wall=True): SimMPI virtual
+            # clocks only advance on communication, so measured numpy time
+            # is the honest compute cost — the paper's Eq. 7 hybrid of
+            # measured kernel time plus modelled alpha + k*beta
+            # communication.
+            return tracer.span(name, category=category, wall=True)
+
+        for _ in range(nsteps):
+            with span("step.velocity"):
+                sched.block_a()
+            yield from halo("velocity")
+            with span("step.stress"):
+                sched.block_b()
+            yield from halo("stress")
+            sched.block_c(lambda: span("step.record", "io"))
+
+    def _rank_program(self, comm, nsteps: int):
+        rank = comm.rank
+        if self.sync_comm:
+            exchange = partial(exchange_halos_sync, comm, self.decomp, rank,
+                               self.solvers[rank].wf, mode=self.halo_mode)
+        else:
+            exchange = partial(self._halo_exchanges[rank].exchange, comm)
+        yield from self.rank_steps(rank, nsteps, exchange, comm.tracer)
+
+    def _span_attrs(self) -> dict:
+        # every rank holds the same schedule-level attributes (an LTS rate
+        # map is global under pz = 1), so rank 0 speaks for the run
+        return self.solvers[0].schedule.span_attrs()
 
     def _run_sim(self, nsteps: int, tracer) -> SPMDResult:
         with tracer.span("distributed.run", category="other",
                          backend="sim", nranks=self.decomp.nranks,
-                         nsteps=nsteps, **self._lts_attrs()):
+                         nsteps=nsteps, **self._span_attrs()):
             return run_spmd(self.decomp.nranks, self._rank_program,
                             machine=self.machine, topology=self.topology,
                             args=(nsteps,), tracer=tracer)
@@ -536,213 +389,73 @@ class DistributedWaveSolver:
     # ------------------------------------------------------------------
     # Execution: procpool backend (real processes, IV.C overlap)
     # ------------------------------------------------------------------
-    def _overlap_plan(self, rank: int) -> dict | None:
-        """Region updaters for one rank's core/shell split (None = rank too
-        thin to overlap; it runs the blocking schedule instead)."""
-        sol = self.solvers[rank]
-        nb = self.decomp.neighbors(rank)
-        excl = [[0, 0], [0, 0], [0, 0]]
-        for axis in range(3):
-            if nb[_AXIS_LO[axis]] is not None:
-                excl[axis][0] = NGHOST
-            if nb[_AXIS_HI[axis]] is not None:
-                excl[axis][1] = NGHOST
-        v = _split_core_shells(sol.wf.grid, excl)
-        sexcl = [list(e) for e in excl]
-        if sol.free_surface is not None:
-            # the top two stress planes read the free-surface velocity ghost
-            # written only after the velocity exchange completes
-            sexcl[2][1] = max(sexcl[2][1], NGHOST)
-        s = _split_core_shells(sol.wf.grid, sexcl)
-        if v is None or s is None:
-            return None
-        (vcore, vshells) = v
-        (score, sshells) = s
-        if self.kernel_variant == "compiled" and sol.fused is not None:
-            from ..core.compiled import FusedRegionStepper
-            fused = sol.fused
-
-            def mk(region):
-                return FusedRegionStepper(fused, region)
-        else:
-            kern = sol.kernel
-
-            def mk(region):
-                return RegionUpdater(kern, region)
-        return {
-            "v_core": mk(vcore),
-            "v_shells": [mk(r) for r in vshells],
-            "s_core": mk(score),
-            "s_shells": [mk(r) for r in sshells],
-        }
-
     def _procpool_worker(self, rank: int, endpoint, nsteps: int,
                          collect_spans: bool) -> dict:
-        """One rank's run loop (executes inside a forked worker process)."""
+        """One rank's run loop (executes inside a forked worker process).
+
+        The SimMPI sequence with each halo opened into post/complete, and
+        the schedule's core regions run inside the open windows: the stress
+        core while the velocity faces fly, the *next* step's velocity core
+        while the stress faces fly (this step's outputs are already
+        recorded).  An unsplit rank has no cores and degenerates to the
+        blocking schedule.
+        """
         sol = self.solvers[rank]
         wf = sol.wf
-        plan = (self._overlap_plans[rank]
-                if self._overlap_plans is not None else None)
+        sched = sol.schedule
+        split = self._split[rank]
         locals_ = [(i, comp, loc) for i, (_, comp, r, loc)
                    in enumerate(self._receiver_map) if r == rank]
-        srec = self._surface_local.get(rank)
-        monitor = (self._health_monitors[rank]
-                   if self._health_monitors is not None else None)
         spans: list | None = [] if collect_spans else None
-        pack = wait = unpack = hidden = compute_s = 0.0
+        acc = dict.fromkeys(("pack_s", "wait_s", "unpack_s", "hidden_s",
+                             "compute_s"), 0.0)
         t_start = time.perf_counter()
 
-        def span(name, t0, t1, category="compute", **attrs):
+        def compute(name, op, *args, hidden=False):
+            t0 = time.perf_counter()
+            op(*args)
+            t1 = time.perf_counter()
+            acc["compute_s"] += t1 - t0
+            if hidden:
+                acc["hidden_s"] += t1 - t0
             if spans is not None:
-                spans.append((name, t0, t1, category, attrs))
+                spans.append((name, t0, t1, "compute",
+                              {"hidden": True} if hidden else {}))
 
-        def record_outputs():
-            for _, _, loc in locals_:
-                loc.record(wf)
-            if srec is not None:
-                srec.maybe_record(wf, sol.t)
+        def halo(phase, group):
+            t0 = time.perf_counter()
+            if phase == "post":
+                p, w = endpoint.post(group, wf)
+                acc["pack_s"] += p
+            else:
+                w, u = endpoint.complete(group, wf)
+                acc["unpack_s"] += u
+            acc["wait_s"] += w
+            if spans is not None:
+                spans.append((f"halo.{phase}.{group}", t0,
+                              time.perf_counter(), "halo", {"wait_s": w}))
 
-        if plan is None:
-            # Blocking schedule: identical ordering to the SimMPI program.
-            # Under LTS the scheduler phases replace the velocity/stress
-            # halves (it owns sources, free surface and sponge slabs); the
-            # full-face exchange every substep re-sends held planes
-            # unchanged, which is idempotent and keeps bitwise identity.
-            for _ in range(nsteps):
-                t0 = time.perf_counter()
-                if sol.lts is not None:
-                    sol.lts.phase_velocity(sol.nstep)
-                else:
-                    self._update_velocity(sol)
-                    for src in sol.force_sources:
-                        src.inject(wf, sol.t, sol.dt)
-                t1 = time.perf_counter()
-                compute_s += t1 - t0
-                span("step.velocity", t0, t1)
-                t0 = time.perf_counter()
-                p, w = endpoint.post("velocity", wf)
-                pack += p
-                wait += w
-                w2, u = endpoint.complete("velocity", wf)
-                wait += w2
-                unpack += u
-                span("halo.velocity", t0, time.perf_counter(),
-                     category="halo", wait_s=w + w2)
-                t0 = time.perf_counter()
-                if sol.lts is not None:
-                    sol.lts.finish_velocity(sol.nstep)
-                    sol.lts.phase_stress(sol.nstep)
-                else:
-                    if sol.free_surface is not None:
-                        sol.free_surface.apply_velocity(wf)
-                    self._update_stress(sol)
-                    for src in sol.moment_sources:
-                        src.inject(wf, sol.t, sol.dt)
-                    if sol.free_surface is not None:
-                        sol.free_surface.apply_stress(wf)
-                    if sol.sponge is not None:
-                        sol.sponge.apply(wf)
-                t1 = time.perf_counter()
-                compute_s += t1 - t0
-                span("step.stress", t0, t1)
-                t0 = time.perf_counter()
-                p, w = endpoint.post("stress", wf)
-                pack += p
-                wait += w
-                w2, u = endpoint.complete("stress", wf)
-                wait += w2
-                unpack += u
-                span("halo.stress", t0, time.perf_counter(),
-                     category="halo", wait_s=w + w2)
-                sol.t += sol.dt
-                sol.nstep += 1
-                record_outputs()
-                if monitor is not None:
-                    monitor.on_step(sol)
-        else:
-            # IV.C overlap schedule.  Per-cell update order matches the
-            # serial step exactly; only whole-region scheduling moves:
-            #  - the stress core (cells ≥2 planes from any exchanged face,
-            #    and below the free-surface-coupled planes) runs while the
-            #    velocity faces are in flight — it reads no velocity ghosts;
-            #  - the *next* step's velocity core runs while the stress faces
-            #    are in flight — it reads no stress ghosts, and this step's
-            #    outputs were already recorded.
-            v_core, v_shells = plan["v_core"], plan["v_shells"]
-            s_core, s_shells = plan["s_core"], plan["s_shells"]
-            vel_core_done = False
-            for istep in range(nsteps):
-                t0 = time.perf_counter()
-                if not vel_core_done:
-                    v_core.step_velocity()
-                for r in v_shells:
-                    r.step_velocity()
-                for src in sol.force_sources:
-                    src.inject(wf, sol.t, sol.dt)
-                t1 = time.perf_counter()
-                compute_s += t1 - t0
-                span("step.velocity.shell" if vel_core_done
-                     else "step.velocity", t0, t1)
-                vel_core_done = False
-                t0 = time.perf_counter()
-                p, w = endpoint.post("velocity", wf)
-                pack += p
-                wait += w
-                span("halo.post.velocity", t0, time.perf_counter(),
-                     category="halo", wait_s=w)
-                t0 = time.perf_counter()
-                s_core.step_stress()
-                t1 = time.perf_counter()
-                compute_s += t1 - t0
-                hidden += t1 - t0
-                span("step.stress.core", t0, t1, hidden=True)
-                t0 = time.perf_counter()
-                w, u = endpoint.complete("velocity", wf)
-                wait += w
-                unpack += u
-                span("halo.complete.velocity", t0, time.perf_counter(),
-                     category="halo", wait_s=w)
-                t0 = time.perf_counter()
-                if sol.free_surface is not None:
-                    sol.free_surface.apply_velocity(wf)
-                for r in s_shells:
-                    r.step_stress()
-                for src in sol.moment_sources:
-                    src.inject(wf, sol.t, sol.dt)
-                if sol.free_surface is not None:
-                    sol.free_surface.apply_stress(wf)
-                if sol.sponge is not None:
-                    sol.sponge.apply(wf)
-                t1 = time.perf_counter()
-                compute_s += t1 - t0
-                span("step.stress.shell", t0, t1)
-                t0 = time.perf_counter()
-                p, w = endpoint.post("stress", wf)
-                pack += p
-                wait += w
-                span("halo.post.stress", t0, time.perf_counter(),
-                     category="halo", wait_s=w)
-                sol.t += sol.dt
-                sol.nstep += 1
-                record_outputs()
-                if monitor is not None:
-                    monitor.on_step(sol)
-                if istep < nsteps - 1:
-                    t0 = time.perf_counter()
-                    v_core.step_velocity()
-                    vel_core_done = True
-                    t1 = time.perf_counter()
-                    compute_s += t1 - t0
-                    hidden += t1 - t0
-                    span("step.velocity.core", t0, t1, hidden=True)
-                t0 = time.perf_counter()
-                w, u = endpoint.complete("stress", wf)
-                wait += w
-                unpack += u
-                span("halo.complete.stress", t0, time.perf_counter(),
-                     category="halo", wait_s=w)
+        ahead = False    # did the velocity core already run, hidden?
+        for istep in range(nsteps):
+            compute("step.velocity.shell" if ahead else "step.velocity",
+                    sched.block_a)
+            halo("post", "velocity")
+            if split:
+                compute("step.stress.core", sched.core_ahead, "stress",
+                        hidden=True)
+            halo("complete", "velocity")
+            compute("step.stress.shell" if split else "step.stress",
+                    sched.block_b)
+            halo("post", "stress")
+            sched.block_c(nullcontext)
+            ahead = split and istep < nsteps - 1
+            if ahead:
+                compute("step.velocity.core", sched.core_ahead, "velocity",
+                        hidden=True)
+            halo("complete", "stress")
 
         wall = time.perf_counter() - t_start
+        srec = sol.surface_recorder
         pool = endpoint.pool
         msgs = nbytes = 0
         for group in ("velocity", "stress"):
@@ -753,8 +466,9 @@ class DistributedWaveSolver:
                           bytes_sent=nbytes * nsteps,
                           messages_received=msgs * nsteps,
                           bytes_received=nbytes * nsteps,
-                          compute_time=compute_s,
-                          comm_time=wait + pack + unpack)
+                          compute_time=acc["compute_s"],
+                          comm_time=(acc["wait_s"] + acc["pack_s"]
+                                     + acc["unpack_s"]))
         return {
             "state": sol.state(),
             "receivers": [(i, comp, loc.data[comp])
@@ -763,20 +477,23 @@ class DistributedWaveSolver:
                         else {"frames": srec.frames, "step": srec._step}),
             "stats": stats,
             "wall": wall,
-            "pack_s": pack,
-            "wait_s": wait,
-            "unpack_s": unpack,
-            "hidden_s": hidden,
-            "compute_s": compute_s,
+            **acc,
             "spans": spans,
         }
 
     def _run_procpool(self, nsteps: int, tracer) -> SPMDResult:
         from . import procpool
         procpool.ensure_available()
-        if self.overlap_active and self._overlap_plans is None:
-            self._overlap_plans = [self._overlap_plan(r)
-                                   for r in range(self.decomp.nranks)]
+        if self._split is None:
+            # split once, in the parent: region scratch buffers persist
+            # across run() calls and reach the workers through fork
+            self._split = []
+            for rank, sol in enumerate(self.solvers):
+                nb = self.decomp.neighbors(rank)
+                self._split.append(
+                    self.overlap and sol.schedule.split(
+                        [(nb[lo] is not None, nb[hi] is not None)
+                         for lo, hi in zip(_AXIS_LO, _AXIS_HI)]))
         collect_spans = bool(tracer.enabled)
         pool = procpool.FaceRingPool(self.decomp, mode=self.halo_mode,
                                      dtype=self.config.dtype,
@@ -791,7 +508,7 @@ class DistributedWaveSolver:
 
             with tracer.span("distributed.run", category="other",
                              backend="procpool", nranks=self.decomp.nranks,
-                             nsteps=nsteps, **self._lts_attrs()):
+                             nsteps=nsteps, **self._span_attrs()):
                 payloads = procpool.run_workers(self.decomp.nranks, target)
         finally:
             pool.close()
@@ -806,7 +523,7 @@ class DistributedWaveSolver:
                 _, _, _, local = self._receiver_map[idx]
                 local.data[comp].extend(data)
             if pl["surface"] is not None:
-                srec = self._surface_local[rank]
+                srec = self.solvers[rank].surface_recorder
                 srec.frames.extend(pl["surface"]["frames"])
                 srec._step = pl["surface"]["step"]
             clocks.append(pl["wall"])
@@ -823,8 +540,7 @@ class DistributedWaveSolver:
                 for name, t0, t1, category, attrs in pl["spans"]:
                     tracer.record(name, t0, t1, category=category,
                                   rank=rank, domain="wall", **attrs)
-        overlap_on = self._overlap_plans is not None and any(
-            p is not None for p in self._overlap_plans)
+        overlap_on = any(self._split)
         window = agg["hidden_s"] + agg["wait_s"]
         eff = (agg["hidden_s"] / window) if (overlap_on and window > 0) \
             else None

@@ -19,6 +19,10 @@ the classic *message-logging + local rollback* recipe:
   no global rollback, no aborted survivors;
 * recovery is exact: the run's final state is bitwise identical to a
   failure-free run (asserted by tests).
+
+Live steps and replay both run :meth:`DistributedWaveSolver.rank_steps` —
+the one step sequence of DESIGN.md §3 ("Step schedule") — and differ only
+in what "halo" means: exchange-then-log, or apply the logged rim.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 
 from ..core.fd import NGHOST
 from ..core.grid import ALL_FIELDS, WaveField
+from ..obs.tracer import get_tracer
 from .distributed import DistributedWaveSolver
+from .halo import exchange_halos
 from .simmpi import run_spmd
 
 __all__ = ["GhostRim", "extract_ghost_rim", "apply_ghost_rim",
@@ -123,36 +129,21 @@ class ResilientDistributedSolver:
     def _step_once(self) -> None:
         """Advance every rank one step, logging received ghost rims."""
         sol = self.solver
-        decomp = sol.decomp
-        from .halo import exchange_halos
 
         def program(comm, _nsteps):
             rank = comm.rank
-            s = sol.solvers[rank]
-            s._step_velocity()
-            for src in s.force_sources:
-                src.inject(s.wf, s.t, s.dt)
-            yield from exchange_halos(comm, decomp, rank, s.wf,
-                                      group="velocity", mode=sol.halo_mode)
-            rim_v = extract_ghost_rim(s.wf)
-            if s.free_surface is not None:
-                s.free_surface.apply_velocity(s.wf)
-            s._step_stress()
-            for src in s.moment_sources:
-                src.inject(s.wf, s.t, s.dt)
-            if s.free_surface is not None:
-                s.free_surface.apply_stress(s.wf)
-            if s.sponge is not None:
-                s.sponge.apply(s.wf)
-            yield from exchange_halos(comm, decomp, rank, s.wf,
-                                      group="stress", mode=sol.halo_mode)
-            rim_s = extract_ghost_rim(s.wf)
-            s.t += s.dt
-            s.nstep += 1
-            self.logs[rank].rims.append((rim_v, rim_s))
-            return None
+            wf = sol.solvers[rank].wf
+            rims = []
 
-        run_spmd(decomp.nranks, program, args=(1,))
+            def halo(group):
+                yield from exchange_halos(comm, sol.decomp, rank, wf, group,
+                                          mode=sol.halo_mode)
+                rims.append(extract_ghost_rim(wf))
+
+            yield from sol.rank_steps(rank, 1, halo, comm.tracer)
+            self.logs[rank].rims.append(tuple(rims))
+
+        run_spmd(sol.decomp.nranks, program, args=(1,))
 
     def _replay_rank(self, rank: int) -> int:
         """Restore ``rank`` from its checkpoint and replay lost steps from
@@ -162,23 +153,15 @@ class ResilientDistributedSolver:
             raise RuntimeError("no checkpoint available for recovery")
         s = self.solver.solvers[rank]
         s.load_state(log.checkpoint)
-        for rim_v, rim_s in log.rims:
-            s._step_velocity()
-            for src in s.force_sources:
-                src.inject(s.wf, s.t, s.dt)
-            apply_ghost_rim(s.wf, rim_v)
-            if s.free_surface is not None:
-                s.free_surface.apply_velocity(s.wf)
-            s._step_stress()
-            for src in s.moment_sources:
-                src.inject(s.wf, s.t, s.dt)
-            if s.free_surface is not None:
-                s.free_surface.apply_stress(s.wf)
-            if s.sponge is not None:
-                s.sponge.apply(s.wf)
-            apply_ghost_rim(s.wf, rim_s)
-            s.t += s.dt
-            s.nstep += 1
+        rims = (rim for step in log.rims for rim in step)
+
+        def halo(_group):
+            apply_ghost_rim(s.wf, next(rims))
+            return ()
+
+        for _ in self.solver.rank_steps(rank, len(log.rims), halo,
+                                        get_tracer()):
+            pass
         return len(log.rims)
 
     def _wipe_rank(self, rank: int) -> None:

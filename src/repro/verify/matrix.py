@@ -160,8 +160,8 @@ class MatrixProblem:
     """The shared reference scenario every matrix cell runs.
 
     Heterogeneous medium (seeded), off-centre moment source, sponge
-    absorber (the blocked and compiled kernel variants forbid
-    PML/attenuation), one receiver.  Dimensions (22, 20, 18) make the
+    absorber (under PML/attenuation the blocked and compiled variants
+    degrade to pooled, which would make their cells vacuous), one receiver.  Dimensions (22, 20, 18) make the
     (4, 1, 1) decomposition uneven: x widths 6, 6, 5, 5.
     """
 
@@ -200,14 +200,13 @@ class MatrixProblem:
         g = self.grid()
         return 0.5 * cfl_dt(self.h, float(self.medium(g).vp_max))
 
-    def config(self, dtype: str, *, cache_blocking: bool = False,
-               lts: str = "off") -> SolverConfig:
+    def config(self, dtype: str, *, lts: str = "off") -> SolverConfig:
         kw = {}
         if lts != "off":
             kw = {"lts": self.LTS_MAP, "dt": self.lts_dt()}
         return SolverConfig(absorbing="sponge", sponge_width=6,
                             free_surface=True, dtype=np.dtype(dtype).type,
-                            cache_blocking=cache_blocking, **kw)
+                            **kw)
 
     # -- runs ----------------------------------------------------------
 

@@ -70,14 +70,3 @@ class TestBlockSizeEdgeCases:
         sol = _solver(kernel_variant="blocked", kblock=1, jblock=1)
         panels = sol.kernel._panels(sol.config.kblock, sol.config.jblock)
         assert len(panels) == _SHAPE[1] * _SHAPE[2]
-
-    def test_cache_blocking_flag_still_works(self):
-        """The legacy boolean (cache_blocking=True) and the variant spelling
-        (kernel_variant='blocked') drive the same code path."""
-        a = _solver(cache_blocking=True, kblock=5, jblock=4)
-        b = _solver(kernel_variant="blocked", kblock=5, jblock=4)
-        a.run(3)
-        b.run(3)
-        for comp in ALL_FIELDS:
-            assert np.array_equal(a.wf.interior(comp),
-                                  b.wf.interior(comp)), comp

@@ -175,9 +175,9 @@ class TestCacheBlockedSolver:
         g = Grid3D(18, 18, 14, h=100.0)
         med = Medium.homogeneous(g)
         results = []
-        for blocked in (False, True):
+        for variant in ("pooled", "blocked"):
             cfg = SolverConfig(absorbing="none", free_surface=False,
-                               cache_blocking=blocked, kblock=5, jblock=4)
+                               kernel_variant=variant, kblock=5, jblock=4)
             s = WaveSolver(g, med, cfg)
             s.wf.interior("vx")[...] = np.random.default_rng(7).standard_normal(g.shape)
             s.run(10)

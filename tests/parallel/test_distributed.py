@@ -112,6 +112,38 @@ class TestSourcesAcrossBoundaries:
         dist.run(5)
         assert np.array_equal(ser.wf.interior("sxx"), dist.gather_field("sxx"))
 
+    @pytest.mark.parametrize("backend", ["sim", "procpool"])
+    def test_split_plane_cuts_source_components(self, backend):
+        """A point source whose staggered cells fall either side of the
+        split plane leaves each rank a *partial* plan (rank 0 holds only
+        sxy/sxz, rank 1 the rest); a rank injects what it holds."""
+        from repro.parallel import procpool
+        if backend == "procpool" and not procpool.procpool_available():
+            pytest.skip("fork/shared_memory unavailable")
+        g = Grid3D(24, 16, 14, h=100.0)
+        med = Medium.homogeneous(g, vp=3000.0, vs=1700.0, rho=2400.0)
+        cfg = SolverConfig(absorbing="none", free_surface=False)
+
+        def source():
+            # x = 11.7 cells: the cell-centred components round to cell 12
+            # (rank 1), the x-staggered ones (offset 0.5) to cell 11 (rank 0)
+            return MomentTensorSource(
+                position=(1170.0, 800.0, 700.0),
+                moment=np.full((3, 3), 1e13), stf=lambda t: 1.0)
+        ser = WaveSolver(g, med, cfg)
+        ser.add_source(source())
+        ser.run(5)
+        dist = DistributedWaveSolver(g, med,
+                                     decomp=Decomposition3D(g, 2, 1, 1),
+                                     config=cfg, backend=backend)
+        dist.add_source(source())
+        plans = [set(sol.moment_sources[0]._plan) for sol in dist.solvers]
+        assert plans[0] and plans[1] and plans[0].isdisjoint(plans[1])
+        dist.run(5)
+        for name in ("vx", "sxx", "syy", "szz", "sxy", "sxz", "syz"):
+            assert np.array_equal(ser.wf.interior(name),
+                                  dist.gather_field(name)), name
+
     def test_body_force_source(self):
         g = Grid3D(20, 16, 14, h=100.0)
         med = Medium.homogeneous(g)
@@ -129,13 +161,30 @@ class TestSourcesAcrossBoundaries:
         dist.run(10)
         assert np.array_equal(ser.wf.interior("vz"), dist.gather_field("vz"))
 
-    def test_force_near_surface_rejected(self):
+    def test_force_in_top_plane_bitwise(self):
+        """Every driver fills the free-surface velocity ghosts after force
+        injection (and after the velocity halo), so a body force in the top
+        plane needs no distributed-only refusal."""
         g = Grid3D(16, 16, 12, h=100.0)
-        dist = DistributedWaveSolver(g, Medium.homogeneous(g), nranks=2,
-                                     config=SolverConfig(absorbing="none"))
-        with pytest.raises(ValueError, match="below the free surface"):
-            dist.add_source(BodyForceSource(position=(800.0, 800.0, 1150.0),
-                                            component="vz", stf=lambda t: 1.0))
+        med = Medium.homogeneous(g)
+        cfg = SolverConfig(absorbing="none", free_surface=True)
+
+        def force():
+            return BodyForceSource(position=(800.0, 800.0, 1150.0),
+                                   component="vz", stf=lambda t: 1.0,
+                                   amplitude=1e9)
+        assert g.index_of(*force().position)[2] == g.nz - 1
+        ser = WaveSolver(g, med, cfg)
+        ser.add_source(force())
+        ser.run(10)
+        assert np.abs(ser.wf.interior("vz")).max() > 0
+        for nranks in (2, 4):
+            dist = DistributedWaveSolver(g, med, nranks=nranks, config=cfg)
+            dist.add_source(force())
+            dist.run(10)
+            for name in ("vx", "vy", "vz", "sxx", "szz", "sxz"):
+                assert np.array_equal(ser.wf.interior(name),
+                                      dist.gather_field(name)), name
 
     def test_unsupported_source(self):
         g = Grid3D(16, 16, 12, h=100.0)

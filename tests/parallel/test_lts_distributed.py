@@ -1,10 +1,9 @@
 """Distributed LTS == serial LTS, bitwise — plus the LTS-specific rules.
 
-The phase-split halo schedule (velocity exchange between
-``phase_velocity`` and ``finish_velocity``/``phase_stress``, stress
-exchange after) re-sends held planes unchanged, so ghost columns always
-hold the same values the serial scheduler reads in place — bitwise
-equality is the contract, not a tolerance.
+The halo points of the step schedule (velocity exchange between blocks A
+and B, stress exchange after B) re-send held planes unchanged, so ghost
+columns always hold the same values the serial scheduler reads in place —
+bitwise equality is the contract, not a tolerance.
 """
 
 import numpy as np
@@ -68,11 +67,11 @@ class TestDistributedLTSBitwise:
         dist.add_source(_source())
         ser = WaveSolver(g, med, cfg)
         ser.add_source(_source())
-        k_ser = ser.lts._group_of(ser.moment_sources[0]).index
+        k_ser = ser.lts.group_of(ser.moment_sources[0]).index
         for sol in dist.solvers:
             for src in sol.moment_sources:
                 assert hasattr(src, "_lts_kplane")
-                assert sol.lts._group_of(src).index == k_ser
+                assert sol.lts.group_of(src).index == k_ser
 
 
 class TestDistributedLTSRules:

@@ -141,6 +141,24 @@ class TestBitwiseEquivalence:
         assert d.last_procpool["overlap"] is False
         assert not d.overlap_eligible
 
+    @pytest.mark.parametrize("backend", ["sim", "procpool"])
+    @pytest.mark.parametrize("cfg_kw", [
+        dict(absorbing="pml", pml=PMLConfig(width=4), free_surface=True),
+        dict(SPONGE_CFG, attenuation_band=(0.3, 3.0))], ids=["pml", "atten"])
+    def test_compiled_composes_with_pml_and_attenuation(self, backend,
+                                                        cfg_kw):
+        """Distributed inherits serial's per-half degrade (compiled velocity
+        half + pooled stress half under attenuation; both pooled under PML)
+        instead of refusing the composition."""
+        from repro.core import compiled
+        if not compiled.compiled_available():
+            pytest.skip("no compiled provider (numba or C compiler)")
+        cfg_kw = dict(cfg_kw, kernel_variant="compiled")
+        ser, r_ser = _serial(cfg_kw, nsteps=6)
+        d, r = _distributed((2, 2, 1), cfg_kw, nsteps=6, backend=backend)
+        _assert_bitwise(d, r, ser, r_ser)
+        assert not d.overlap_eligible
+
     def test_blocked_kernel_variant(self, serial_sponge):
         ser, r_ser = serial_sponge
         for backend in ("sim", "procpool"):
@@ -333,13 +351,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="variant"):
             DistributedWaveSolver(g, _medium(g), nranks=2,
                                   kernel_variant="simd")
-
-    def test_blocked_rejects_pml(self):
-        g = _grid()
-        with pytest.raises(ValueError, match="PML"):
-            DistributedWaveSolver(g, _medium(g), nranks=2,
-                                  config=SolverConfig(**PML_CFG),
-                                  kernel_variant="blocked")
 
     def test_procpool_rejects_sync_comm(self):
         g = _grid()

@@ -57,13 +57,13 @@ class TestForcingHook:
         assert np.allclose(wf.vx, want, rtol=1e-12)
 
     def test_forcing_disables_blocked_fast_path(self):
-        """The solver must not take the blocked fast path when a forcing is
-        attached (the hooks run between velocity and stress updates)."""
+        """A forcing attached to a blocked-variant solver still runs between
+        the velocity and stress halves."""
         g = Grid3D(8, 8, 8, h=100.0)
         med = Medium.homogeneous(g)
         s = WaveSolver(g, med, SolverConfig(
             dt=0.005, absorbing="none", free_surface=False,
-            cache_blocking=True, stability_check_interval=0))
+            kernel_variant="blocked", stability_check_interval=0))
         forcing = ManufacturedForcing(
             velocity_forcing={"vx": lambda x, y, z, t: 1.0 + 0.0 * x},
             domain="padded")
