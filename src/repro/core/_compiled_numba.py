@@ -1,4 +1,4 @@
-"""Numba implementations of the fused stencil sweeps.
+"""Numba implementations of the fused sweeps and per-step operators.
 
 Imported lazily by :mod:`repro.core.compiled` — importing this module
 requires numba.  The kernels live in a real source file (not exec-generated
@@ -6,10 +6,12 @@ code) because ``@njit(cache=True)`` needs one to key its on-disk cache.
 
 Bitwise contract (same as the cbuild provider): every per-cell expression
 replays the pooled numpy ufunc sequence with fixed association order, and
-the constants ``c1``/``c2``/``h``/``dt`` arrive pre-cast to the array dtype
-(numba promotes ``float32 array * float64 scalar`` to float64, unlike
-NEP-50 numpy, so the cast must happen in the python wrapper).  fastmath is
-left off, so LLVM emits strict IEEE ops with no FMA contraction.
+every scalar (``c1``/``c2``/``h``/``dt``, the band weights, even the
+``zero``/``two`` of the free-surface fill) arrives pre-cast to the array
+dtype: numba promotes ``float32 array * float64 scalar`` to float64, unlike
+NEP-50 numpy, so the cast must happen in the python wrapper and no float
+literal may appear in an expression here.  fastmath is left off, so LLVM
+emits strict IEEE ops with no FMA contraction.
 
 ``prange`` is a plain ``range`` alias under the serial dispatchers and a
 thread-parallel loop under ``parallel=True``; rows are independent within
@@ -19,6 +21,8 @@ a half-step, so the split is bitwise-safe.
 from __future__ import annotations
 
 from numba import njit, prange
+
+from .fd import NGHOST as G
 
 
 def _velocity_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
@@ -139,7 +143,121 @@ def _stress_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
                 syz[i, j, k] = syz[i, j, k] + ((t + u) * dt)
 
 
-velocity_serial = njit(cache=True)(_velocity_impl)
-stress_serial = njit(cache=True)(_stress_impl)
-velocity_parallel = njit(cache=True, parallel=True)(_velocity_impl)
-stress_parallel = njit(cache=True, parallel=True)(_stress_impl)
+def _damp_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
+               taper, rowfull, k0, ka, kb):
+    nx, ny, nk = taper.shape
+    for i in prange(nx):
+        for j in range(ny):
+            p = i + G
+            q = j + G
+            # frame rows run every plane, the others only the z frame
+            # [0, ka) + [kb, nk): x * 1.0 == x, so skipping is exact
+            full = rowfull[i, j] != 0
+            for seg in range(2):
+                if seg == 0:
+                    lo = 0
+                    hi = nk if full else ka
+                else:
+                    lo = nk if full else kb
+                    hi = nk
+                for k in range(lo, hi):
+                    t = taper[i, j, k]
+                    r = k0 + k
+                    vx[p, q, r] = vx[p, q, r] * t
+                    vy[p, q, r] = vy[p, q, r] * t
+                    vz[p, q, r] = vz[p, q, r] * t
+                    sxx[p, q, r] = sxx[p, q, r] * t
+                    syy[p, q, r] = syy[p, q, r] * t
+                    szz[p, q, r] = szz[p, q, r] * t
+                    sxy[p, q, r] = sxy[p, q, r] * t
+                    sxz[p, q, r] = sxz[p, q, r] * t
+                    syz[p, q, r] = syz[p, q, r] * t
+
+
+def _fs_velocity_impl(vx, vy, vz, lam, lam2mu, zero, two, kt):
+    npx, npy, _ = vx.shape
+    # horizontal ghosts first: the vz ghost below differences them
+    for i in prange(npx):
+        for j in range(npy):
+            dzx = zero
+            if i + 1 < npx:
+                dzx = vz[i + 1, j, kt] - vz[i, j, kt]
+            dzy = zero
+            if j + 1 < npy:
+                dzy = vz[i, j + 1, kt] - vz[i, j, kt]
+            vx[i, j, kt + 1] = vx[i, j, kt] - dzx
+            vy[i, j, kt + 1] = vy[i, j, kt] - dzy
+    for i in prange(npx):
+        for j in range(npy):
+            # horiz_div(kt+1), horiz_div(kt): zeros, then `+=` per axis
+            d1 = zero
+            d0 = zero
+            if i > 0:
+                d1 = d1 + (vx[i, j, kt + 1] - vx[i - 1, j, kt + 1])
+                d0 = d0 + (vx[i, j, kt] - vx[i - 1, j, kt])
+            if j > 0:
+                d1 = d1 + (vy[i, j, kt + 1] - vy[i, j - 1, kt + 1])
+                d0 = d0 + (vy[i, j, kt] - vy[i, j - 1, kt])
+            ratio = lam[i, j, kt] / lam2mu[i, j, kt]
+            vz[i, j, kt + 1] = (((two * vz[i, j, kt]) - vz[i, j, kt - 1])
+                                - (ratio * (d1 + d0)))
+
+
+def _fs_stress_impl(sxz, syz, szz, zero, kt):
+    npx, npy, _ = sxz.shape
+    for i in prange(npx):
+        for j in range(npy):
+            sxz[i, j, kt] = zero
+            syz[i, j, kt] = zero
+            sxz[i, j, kt + 1] = -sxz[i, j, kt - 1]
+            syz[i, j, kt + 1] = -syz[i, j, kt - 1]
+            sxz[i, j, kt + 2] = -sxz[i, j, kt - 2]
+            syz[i, j, kt + 2] = -syz[i, j, kt - 2]
+            szz[i, j, kt + 1] = -szz[i, j, kt]
+            szz[i, j, kt + 2] = -szz[i, j, kt - 1]
+
+
+def _band_gather_impl(f0, f1, f2, b0, b1, b2, k0):
+    npx, npy, nb = b0.shape
+    for i in prange(npx):
+        for j in range(npy):
+            for b in range(nb):
+                b0[i, j, b] = f0[i, j, k0 + b]
+                b1[i, j, b] = f1[i, j, k0 + b]
+                b2[i, j, b] = f2[i, j, k0 + b]
+
+
+def _band_scatter_impl(f0, f1, f2, b0, b1, b2, k0):
+    npx, npy, nb = b0.shape
+    for i in prange(npx):
+        for j in range(npy):
+            for b in range(nb):
+                f0[i, j, k0 + b] = b0[i, j, b]
+                f1[i, j, k0 + b] = b1[i, j, b]
+                f2[i, j, k0 + b] = b2[i, j, b]
+
+
+def _band_blend_impl(f0, f1, f2, p0, p1, p2, s0, s1, s2, k0, w, omw):
+    npx, npy, nb = p0.shape
+    for i in prange(npx):
+        for j in range(npy):
+            for b in range(nb):
+                s0[i, j, b] = f0[i, j, k0 + b]
+                f0[i, j, k0 + b] = (s0[i, j, b] * w) + (p0[i, j, b] * omw)
+                s1[i, j, b] = f1[i, j, k0 + b]
+                f1[i, j, k0 + b] = (s1[i, j, b] * w) + (p1[i, j, b] * omw)
+                s2[i, j, b] = f2[i, j, k0 + b]
+                f2[i, j, k0 + b] = (s2[i, j, b] * w) + (p2[i, j, b] * omw)
+
+
+_IMPLS = {"velocity": _velocity_impl, "stress": _stress_impl,
+          "damp": _damp_impl,
+          "fs_velocity": _fs_velocity_impl, "fs_stress": _fs_stress_impl,
+          "band_gather": _band_gather_impl,
+          "band_scatter": _band_scatter_impl,
+          "band_blend": _band_blend_impl}
+
+#: op name -> dispatcher, single-threaded and ``prange``-threaded builds
+SERIAL = {name: njit(cache=True)(fn) for name, fn in _IMPLS.items()}
+PARALLEL = {name: njit(cache=True, parallel=True)(fn)
+            for name, fn in _IMPLS.items()}

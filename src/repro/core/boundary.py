@@ -12,9 +12,16 @@
   wavefield inside frame regions.  Poorer absorption than PML but never
   unstable — exactly the trade-off described in the paper, which falls back
   to sponge layers when strong medium gradients destabilise split PMLs.
+
+Both operators take an optional ``kernels`` (a resolved
+:class:`repro.core.compiled.KernelSet`): with one, their public methods run
+the compiled operators — bitwise identical to the numpy bodies here, which
+stay the reference the pooled/blocked variants execute (DESIGN.md §3).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +29,8 @@ from .fd import NGHOST, interior
 from .grid import ALL_FIELDS, WaveField
 from .medium import Medium
 
-__all__ = ["FreeSurfaceFS2", "SpongeLayer", "sponge_profile"]
+__all__ = ["FreeSurfaceFS2", "SpongeFrame", "SpongeLayer", "sponge_frame",
+           "sponge_profile"]
 
 
 class FreeSurfaceFS2:
@@ -34,11 +42,28 @@ class FreeSurfaceFS2:
     :meth:`apply_velocity` after each velocity update.
     """
 
-    def __init__(self, medium: Medium):
+    def __init__(self, medium: Medium, kernels=None):
         self.medium = medium
+        self.kernels = kernels
+        self._wf = None     # the wavefield ``_bound`` is bound to
+
+    def _compiled(self, wf: WaveField):
+        """(ghost fill, imaging) bound to ``wf``; rebound when it changes."""
+        if wf is not self._wf:
+            kt = NGHOST + wf.grid.nz - 1
+            self._bound = (
+                self.kernels.fs_velocity(wf.vx, wf.vy, wf.vz, self.medium.lam,
+                                         self.medium.lam2mu, kt),
+                self.kernels.fs_stress(wf.sxz, wf.syz, wf.szz, kt))
+            self._wf = wf
+        return self._bound
 
     def apply_stress(self, wf: WaveField) -> None:
         """Zero surface shear tractions and image stresses antisymmetrically."""
+        if self.kernels is not None:
+            _, image = self._compiled(wf)
+            image()
+            return
         kt = NGHOST + wf.grid.nz - 1  # padded index of top interior plane
         # sxz, syz live on the surface plane itself: traction-free.
         wf.sxz[:, :, kt] = 0.0
@@ -61,6 +86,10 @@ class FreeSurfaceFS2:
         gives the vertical ghost (2nd-order one-sided, the usual reduction of
         order at the boundary).
         """
+        if self.kernels is not None:
+            fill, _ = self._compiled(wf)
+            fill()
+            return
         kt = NGHOST + wf.grid.nz - 1
         lam = self.medium.lam
         lam2mu = self.medium.lam2mu
@@ -106,6 +135,38 @@ def sponge_profile(width: int, amp: float = 0.92) -> np.ndarray:
     return np.exp(-(a * (width - d) / width) ** 2)
 
 
+class SpongeFrame(NamedTuple):
+    """The cells of a taper slab a damping pass must visit.
+
+    Row ``(i, j)`` is visited on every plane when ``rowfull[i, j]``, and on
+    planes ``[0, ka)`` and ``[kb, nk)`` otherwise.
+    """
+
+    rowfull: np.ndarray     #: uint8 (nx, ny), C-contiguous
+    ka: int
+    kb: int
+
+
+def sponge_frame(taper: np.ndarray) -> SpongeFrame:
+    """The frame of a 3-D ``taper``: a cover of ``{taper != 1}``.
+
+    ``x * 1.0 == x`` for every float (signed zeros, infinities and quiet-NaN
+    payloads included), so a pass that skips the cells outside the frame
+    equals the whole-slab multiply bit for bit.  The frame is read off the
+    taper itself, never off the profiles it was built from, so rounding in
+    the profile product (or a ``taper**rate``) cannot drop a cell: planes
+    damped on every row form the z frame ``[0, ka) + [kb, nk)``, and any row
+    damped anywhere else is visited in full.
+    """
+    damped = taper != 1
+    nk = taper.shape[2]
+    plane = damped.all(axis=(0, 1))
+    ka = nk if plane.all() else int(np.argmin(plane))
+    kb = nk - (0 if ka == nk else int(np.argmin(plane[::-1])))
+    rowfull = damped[:, :, ka:kb].any(axis=2)
+    return SpongeFrame(np.ascontiguousarray(rowfull, dtype=np.uint8), ka, kb)
+
+
 class SpongeLayer:
     """Cerjan sponge frame on x/y sides and the bottom (top = free surface).
 
@@ -118,7 +179,7 @@ class SpongeLayer:
                  damp_top: bool = False,
                  global_shape: tuple[int, int, int] | None = None,
                  index_origin: tuple[int, int, int] = (0, 0, 0),
-                 dtype=np.float64):
+                 dtype=np.float64, kernels=None):
         gshape = global_shape if global_shape is not None else grid.shape
         if width >= min(gshape):
             raise ValueError("sponge width must be smaller than the grid")
@@ -152,10 +213,20 @@ class SpongeLayer:
         gz = gz[oz:oz + grid.nz].astype(dtype)
         self.gx, self.gy, self.gz = gx, gy, gz
         self._g3 = (gx[:, None, None] * gy[None, :, None] * gz[None, None, :])
+        self.kernels = kernels
+        self._wf = None     # the wavefield ``_bound`` is bound to
+        #: id(taper) -> (taper, its frame) for the tapers this layer made;
+        #: empty without kernels (the numpy multiply needs no frame)
+        self._frames: dict[int, tuple[np.ndarray, SpongeFrame]] = {}
+        self._framed(self._g3)
+
+    def _framed(self, taper: np.ndarray) -> np.ndarray:
+        if self.kernels is not None:
+            self._frames[id(taper)] = (taper, sponge_frame(taper))
+        return taper
 
     def apply(self, wf: WaveField) -> None:
-        for name in ALL_FIELDS:
-            interior(getattr(wf, name))[...] *= self._g3
+        self._damp(wf, 0, self.grid.nz, self._g3)
 
     def slab_taper(self, k_lo: int, k_hi: int, power: int = 1) -> np.ndarray:
         """Taper for interior k-planes ``[k_lo, k_hi)``, raised to ``power``.
@@ -164,12 +235,38 @@ class SpongeLayer:
         ``power=rate`` — identical to damping the held slab every fine
         substep, since the multiplier commutes with holding.
         """
-        return self._g3[:, :, k_lo:k_hi] ** power
+        return self._framed(
+            np.ascontiguousarray(self._g3[:, :, k_lo:k_hi] ** power))
 
     def apply_slab(self, wf: WaveField, k_lo: int, k_hi: int,
                    taper: np.ndarray) -> None:
-        for name in ALL_FIELDS:
-            interior(getattr(wf, name))[:, :, k_lo:k_hi] *= taper
+        """Damp interior planes ``[k_lo, k_hi)`` by ``taper``.
+
+        With kernels and a taper from :meth:`slab_taper` (whose frame is
+        known) only the frame is visited; any other taper takes the numpy
+        whole-slab multiply.
+        """
+        self._damp(wf, k_lo, k_hi, taper)
+
+    def _damp(self, wf: WaveField, k_lo: int, k_hi: int,
+              taper: np.ndarray) -> None:
+        if wf is not self._wf:
+            self._wf, self._bound = wf, {}
+        call = self._bound.get((id(taper), k_lo))
+        if call is None:
+            entry = self._frames.get(id(taper))
+            if entry is None:
+                for name in ALL_FIELDS:
+                    interior(getattr(wf, name))[:, :, k_lo:k_hi] *= taper
+                return
+            if taper.shape[2] != k_hi - k_lo:
+                raise ValueError(f"taper has {taper.shape[2]} planes, slab "
+                                 f"[{k_lo}, {k_hi}) has {k_hi - k_lo}")
+            frame = entry[1]
+            call = self._bound[id(taper), k_lo] = self.kernels.damp(
+                wf.fields().values(), taper, frame.rowfull, NGHOST + k_lo,
+                frame.ka, frame.kb)
+        call()
 
     def reflection_estimate(self) -> float:
         """Crude two-way amplitude multiplier through the layer (diagnostic)."""

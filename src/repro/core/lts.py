@@ -245,8 +245,9 @@ class _Band:
     disturbing the owner's in-place state.
     """
 
-    def __init__(self, wf, owner: "RateGroup", k_slice: slice):
+    def __init__(self, wf, owner: "RateGroup", k_slice: slice, kernels=None):
         self.owner = owner
+        self.wf = wf
         self.sl = (slice(None), slice(None), k_slice)
         shape = wf.vx[self.sl].shape
         names = _VEL_BAND_FIELDS + _STRESS_BAND_FIELDS
@@ -254,25 +255,50 @@ class _Band:
                      for c in names}
         self._saved = {c: np.empty(shape, wf.dtype) for c in names}
         self._tmp = np.empty(shape, wf.dtype)
+        #: field family -> compiled (save_prev, apply, restore) bound to
+        #: ``wf``: one gather/scatter loop per call.  Empty without a
+        #: compiled.KernelSet — the numpy bodies below are the reference.
+        self._compiled = {}
+        if kernels is not None:
+            for fam in (_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS):
+                fields = [getattr(wf, c) for c in fam]
+                prev = [self.prev[c] for c in fam]
+                saved = [self._saved[c] for c in fam]
+                k0 = k_slice.start
+                self._compiled[fam] = (
+                    kernels.band_gather(fields, prev, k0),
+                    kernels.band_blend(fields, prev, saved, k0),
+                    kernels.band_scatter(fields, saved, k0))
 
-    def save_prev(self, wf, fields) -> None:
+    def save_prev(self, fields) -> None:
+        if self._compiled:
+            gather, _, _ = self._compiled[fields]
+            gather()
+            return
         for c in fields:
-            np.copyto(self.prev[c], getattr(wf, c)[self.sl])
+            np.copyto(self.prev[c], getattr(self.wf, c)[self.sl])
 
-    def apply(self, wf, fields, w: float) -> None:
+    def apply(self, fields, w: float) -> None:
         """Overwrite the band with ``(1-w)*prev + w*current`` (w may exceed
         1: a half-interval extrapolation, still 2nd-order accurate)."""
+        if self._compiled:
+            _, blend, _ = self._compiled[fields]
+            blend(w)
+            return
         for c in fields:
-            arr = getattr(wf, c)
+            arr = getattr(self.wf, c)
             np.copyto(self._saved[c], arr[self.sl])
             np.multiply(self.prev[c], 1.0 - w, out=self._tmp)
             np.multiply(self._saved[c], w, out=arr[self.sl])
             arr[self.sl] += self._tmp
 
-    def restore(self, wf, fields) -> None:
+    def restore(self, fields) -> None:
+        if self._compiled:
+            _, _, scatter = self._compiled[fields]
+            scatter()
+            return
         for c in fields:
-            arr = getattr(wf, c)
-            np.copyto(arr[self.sl], self._saved[c])
+            np.copyto(getattr(self.wf, c)[self.sl], self._saved[c])
 
 
 class RateGroup:
@@ -336,7 +362,7 @@ class LTSScheduler(StepSchedule):
             for i, (lo, hi, r) in enumerate(groups_spec)]
         self.max_rate = max(g.rate for g in self.groups)
         self._build_updaters(solver)
-        self._build_bands(solver.wf)
+        self._build_bands(solver)
         self._build_sponge(solver)
         self._src_group: dict[int, RateGroup] = {}
         #: plane -> group lookup for source assignment
@@ -365,13 +391,16 @@ class LTSScheduler(StepSchedule):
                 g.updater = RegionUpdater(solver.kernel, g.region,
                                           dt=g.rate * solver.dt)
 
-    def _build_bands(self, wf) -> None:
+    def _build_bands(self, solver) -> None:
+        wf = solver.wf
+        kernels = solver.fused.kernels if solver.fused is not None else None
         for below, above in zip(self.groups, self.groups[1:]):
             k_if = below.k_hi
             low = _Band(wf, below, slice(NGHOST + k_if - BAND_PLANES,
-                                         NGHOST + k_if))
+                                         NGHOST + k_if), kernels)
             high = _Band(wf, above, slice(NGHOST + k_if,
-                                          NGHOST + k_if + BAND_PLANES))
+                                          NGHOST + k_if + BAND_PLANES),
+                         kernels)
             below.owned_bands.append(low)
             above.owned_bands.append(high)
             below.neighbor_bands.append((high, above))
@@ -453,7 +482,6 @@ class LTSScheduler(StepSchedule):
     def update(self, half: str, act) -> None:
         """Update ``half`` on the active groups, each against neighbour
         band planes brought to the time level its stencil needs."""
-        wf = self.solver.wf
         i = self.solver.nstep
         own, read = ((_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS)
                      if half == "velocity"
@@ -462,7 +490,7 @@ class LTSScheduler(StepSchedule):
         # before any update overwrites it in place.
         for g in act:
             for band in g.owned_bands:
-                band.save_prev(wf, own)
+                band.save_prev(own)
         for g in act:
             applied = []
             for band, o in g.neighbor_bands if self.correction else ():
@@ -479,11 +507,11 @@ class LTSScheduler(StepSchedule):
                     # This group's stress interval is centred at (i + r/2);
                     # the neighbour's velocity lives at j ± r_o/2.
                     w = (i - j + 0.5 * (g.rate + o.rate)) / o.rate
-                band.apply(wf, read, w)
+                band.apply(read, w)
                 applied.append(band)
             getattr(g.updater, "step_" + half)()
             for band in applied:
-                band.restore(wf, read)
+                band.restore(read)
 
     def damp(self, g) -> None:
         self.solver.sponge.apply_slab(self.solver.wf, g.k_lo, g.k_hi,

@@ -192,7 +192,11 @@ class WaveSolver:
                     "falling back to kernel_variant='pooled'",
                     RuntimeWarning, stacklevel=2)
                 self.kernel_variant = "pooled"
-        self.free_surface = FreeSurfaceFS2(medium) if cfg.free_surface else None
+        #: the compiled operators the sponge, free surface and LTS bands run
+        #: next to the fused sweeps (None: their numpy bodies)
+        kernels = self.fused.kernels if self.fused is not None else None
+        self.free_surface = (FreeSurfaceFS2(medium, kernels=kernels)
+                             if cfg.free_surface else None)
         self.pml: PML | None = None
         self.sponge: SpongeLayer | None = None
         if cfg.absorbing == "pml":
@@ -205,7 +209,7 @@ class WaveSolver:
                                       damp_top=False,
                                       global_shape=global_shape,
                                       index_origin=index_origin,
-                                      dtype=cfg.dtype)
+                                      dtype=cfg.dtype, kernels=kernels)
         elif cfg.absorbing != "none":
             raise ValueError(f"unknown absorbing boundary: {cfg.absorbing!r}")
         self.attenuation: CoarseGrainedAttenuation | None = None

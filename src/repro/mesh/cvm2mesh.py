@@ -130,7 +130,8 @@ def mesh_to_medium(mesh: MeshFile) -> Medium:
     vol = mesh.as_volume().astype(np.float64)   # (nz_depth, ny, nx, 3)
     # depth-major -> z-up: reverse depth, then transpose to (x, y, z)
     vol = vol[::-1]                              # now index 0 = deepest
-    vp = np.transpose(vol[..., 0], (2, 1, 0))
-    vs = np.transpose(vol[..., 1], (2, 1, 0))
-    rho = np.transpose(vol[..., 2], (2, 1, 0))
+    # C-contiguous copies: np.pad keeps a transposed view's memory order, and
+    # the compiled kernels (fixed strides) refuse the medium it would build
+    vp, vs, rho = (np.ascontiguousarray(np.transpose(vol[..., c], (2, 1, 0)))
+                   for c in range(3))
     return Medium.from_velocity_model(mesh.grid, vp, vs, rho)

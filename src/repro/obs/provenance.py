@@ -20,8 +20,10 @@ a solver config hash with a scenario hash into one address.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import time
@@ -100,10 +102,20 @@ def cache_key(config, scenario=None) -> str:
 
 
 def git_revision() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
+    """Short git revision of the working tree, or ``"unknown"``.
+
+    Memoised per process and working directory: a farm or a store stamps
+    one manifest per product, and each used to fork ``git rev-parse``.
+    """
+    return _git_revision(os.getcwd())
+
+
+@functools.lru_cache(maxsize=8)
+def _git_revision(cwd: str) -> str:
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=cwd)
     except OSError:
         return "unknown"
     rev = out.stdout.strip()

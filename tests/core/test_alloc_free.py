@@ -19,6 +19,7 @@ Two properties the PERFORMANCE.md contract promises:
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core.attenuation import CoarseGrainedAttenuation
 from repro.core import fd
@@ -95,6 +96,25 @@ class TestSteadyStateAllocationFree:
         k = VelocityStressKernel(wf, med, 1e-3)
         peak = _peak_transient(lambda: k.step_blocked(kblock=8, jblock=8))
         assert peak < 512 * 1024
+
+    def test_compiled_step_with_sponge_and_free_surface(self):
+        """The whole compiled step (sweeps + damp + ghost fill + imaging)
+        allocates no arrays: the bound operators hold every pointer."""
+        from repro.core import compiled
+        from repro.core.solver import SolverConfig, WaveSolver
+        if not compiled.compiled_available():
+            pytest.skip("no compiled provider (numba or C compiler)")
+        peaks = {}
+        for n in (16, 40):
+            g, med, _ = _fixture(n)
+            sol = WaveSolver(g, med, SolverConfig(
+                absorbing="sponge", sponge_width=4, free_surface=True,
+                stability_check_interval=0, kernel_variant="compiled"))
+            sol.wf.vx[...] = 1e-3
+            peaks[n] = _peak_transient(sol.step)
+        # python frames and span bookkeeping only: far below one k-plane
+        assert peaks[40] < 16 * 1024
+        assert peaks[40] < max(2 * peaks[16], 4 * 1024)
 
     def test_scratch_pool_accounting(self):
         g, med, wf = _fixture(16)

@@ -127,6 +127,26 @@ class TestSolverCompiledVariant:
         b.run(5)
         _assert_fields_equal(a.wf, b.wf)
 
+    @pytest.mark.parametrize("lts", ["off", ((0, 8, 1), (8, 16, 2))])
+    def test_threaded_operators_stay_bitwise(self, lts):
+        """compiled_parallel threads the sweeps AND the sponge, free
+        surface and LTS band operators; rows are independent."""
+        a = self._solver("pooled", lts=lts)
+        b = self._solver("compiled", lts=lts, compiled_parallel=True)
+        assert b.sponge.kernels.parallel and b.free_surface.kernels.parallel
+        a.run(6)
+        b.run(6)
+        _assert_fields_equal(a.wf, b.wf)
+
+    def test_operators_share_the_steppers_kernel_set(self):
+        b = self._solver("compiled", lts=((0, 8, 1), (8, 16, 2)))
+        ks = b.fused.kernels
+        assert b.sponge.kernels is ks and b.free_surface.kernels is ks
+        assert all(band._compiled for g in b.lts.groups
+                   for band in g.owned_bands)
+        p = self._solver("pooled")
+        assert p.sponge.kernels is None and p.free_surface.kernels is None
+
     def test_blocked_matches_pooled_via_config(self):
         a = self._solver("pooled")
         b = self._solver("blocked", kblock=5, jblock=3)
@@ -174,6 +194,129 @@ class TestSolverCompiledVariant:
         for comp in ("vx", "vy", "vz"):
             assert np.array_equal(dist.gather_field(comp),
                                   serial.wf.interior(comp)), comp
+
+
+class TestFallbackRunsNumpyOperators:
+    def test_disabled_provider_warns_once_and_degrades_every_operator(
+            self, monkeypatch):
+        """No provider: ONE warning, pooled sweeps, and the sponge, free
+        surface and LTS bands on their numpy bodies — never half compiled."""
+        from repro.bench import seed_solver_fields
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "none")
+        g = Grid3D(14, 12, 16, h=100.0)
+        med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0)
+
+        def build(variant):
+            sol = WaveSolver(g, med, SolverConfig(
+                absorbing="sponge", sponge_width=3, free_surface=True,
+                stability_check_interval=0, kernel_variant=variant,
+                lts=((0, 8, 1), (8, 16, 2))))
+            seed_solver_fields(sol.wf)
+            return sol
+
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            sol = build("compiled")
+            sol.run(4)
+        assert len(caught) == 1
+        assert sol.kernel_variant == "pooled" and sol.fused is None
+        assert sol.sponge.kernels is None
+        assert sol.free_surface.kernels is None
+        assert not any(band._compiled for grp in sol.lts.groups
+                       for band in grp.owned_bands)
+        ref = build("pooled")
+        ref.run(4)
+        _assert_fields_equal(sol.wf, ref.wf)
+
+
+class TestNumbaSourceRunsAsPython:
+    """The numba provider's loops, executed as plain Python.
+
+    Hosts without numba never run ``_compiled_numba``; with ``njit`` stubbed
+    to the identity its functions are ordinary (slow) Python over numpy
+    scalars, which pins their indexing and association order — not numba's
+    typing — against the numpy references on a tiny solver.
+    """
+
+    def test_numba_loops_match_pooled(self, monkeypatch):
+        import sys
+        import types
+        if compiled._numba_present():
+            pytest.skip("numba is installed: the real provider is tested")
+        from repro.bench import seed_solver_fields
+        stub = types.ModuleType("numba")
+        stub.njit = lambda *a, **k: (lambda fn: fn)
+        stub.prange = range
+        monkeypatch.setitem(sys.modules, "numba", stub)
+        monkeypatch.delitem(sys.modules, "repro.core._compiled_numba",
+                            raising=False)
+        monkeypatch.setattr(compiled, "_numba_present", lambda: True)
+        monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "numba")
+        try:
+            g = Grid3D(6, 5, 12, h=100.0)
+            med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
+                                     dtype=np.float32)
+            sols = []
+            for variant in ("pooled", "compiled"):
+                sol = WaveSolver(g, med, SolverConfig(
+                    absorbing="sponge", sponge_width=2, free_surface=True,
+                    stability_check_interval=0, dtype=np.float32,
+                    kernel_variant=variant, lts=((0, 6, 1), (6, 12, 2))))
+                seed_solver_fields(sol.wf)
+                sol.run(3)
+                sols.append(sol)
+            assert sols[1].fused.provider == "numba"
+            _assert_fields_equal(sols[0].wf, sols[1].wf)
+        finally:
+            # the stub-built module must not outlive the test
+            sys.modules.pop("repro.core._compiled_numba", None)
+            vars(sys.modules["repro.core"]).pop("_compiled_numba", None)
+
+
+class TestKernelSetValidation:
+    """Binding refuses what the raw-pointer operators cannot take."""
+
+    def test_rejects_non_contiguous_and_foreign_dtype(self, kernels):
+        g, med, wf = _random_state(8, dtype=np.dtype(kernels.dtype).type)
+        fields = list(wf.fields().values())
+        medium = [med.bx, med.by, med.bz]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.vel([fields[0].transpose(2, 1, 0).copy().transpose(2, 1, 0),
+                         *fields[1:], *medium], 25.0, 1e-3)
+        other = np.float32 if kernels.dtype == "float64" else np.float64
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.vel([fields[0].astype(other), *fields[1:], *medium],
+                        25.0, 1e-3)
+
+    def test_rejects_planes_outside_the_array(self, kernels):
+        g, med, wf = _random_state(9, dtype=np.dtype(kernels.dtype).type)
+        npz = g.padded_shape[2]
+        with pytest.raises(ValueError, match="surface plane"):
+            kernels.fs_stress(wf.sxz, wf.syz, wf.szz, npz - 2)
+        with pytest.raises(ValueError, match="surface plane"):
+            kernels.fs_velocity(wf.vx, wf.vy, wf.vz, med.lam, med.lam2mu, 0)
+        bufs = [np.zeros(g.padded_shape[:2] + (2,), dtype=kernels.dtype)
+                for _ in range(3)]
+        with pytest.raises(ValueError, match="band"):
+            kernels.band_gather([wf.vx, wf.vy, wf.vz], bufs, npz - 1)
+
+
+@needs_provider
+def test_provider_lacking_an_operator_is_unavailable_as_a_whole(monkeypatch):
+    """No half-compiled step: a provider without (say) ``damp`` fails
+    resolution, which the solver turns into the loud pooled fallback."""
+    provider = compiled.ensure_available()
+    real = compiled._BUILDERS[provider]
+
+    def lacking(dt, parallel):
+        binders, secs, hit = real(dt, parallel)
+        del binders["damp"]
+        return binders, secs, hit
+
+    monkeypatch.setitem(compiled._BUILDERS, provider, lacking)
+    monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
+    with pytest.raises(compiled.CompiledUnavailable, match="damp"):
+        compiled.get_kernels(np.float64, provider=provider)
 
 
 class TestConfigValidation:

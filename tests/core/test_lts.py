@@ -13,7 +13,10 @@ import pytest
 
 from repro.bench import seed_solver_fields
 from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
-from repro.core.lts import (BAND_PLANES, MIN_GROUP_PLANES, RATES,
+from repro.core.fd import NGHOST
+from repro.core.grid import ALL_FIELDS, WaveField
+from repro.core.lts import (_STRESS_BAND_FIELDS, _VEL_BAND_FIELDS,
+                            BAND_PLANES, MIN_GROUP_PLANES, RATES, _Band,
                             build_rate_groups, local_cfl_map,
                             normalize_rate_map, plane_cfl_bounds,
                             theoretical_speedup)
@@ -202,16 +205,63 @@ class TestScheduler:
                 assert k.stop - k.start == BAND_PLANES
 
     def test_compiled_matches_pooled(self):
+        """Sweeps, slab damping, free surface and band corrections all
+        compiled: fields AND band history equal the numpy run bit for bit."""
         from repro.core import compiled
         if not compiled.compiled_available():
             pytest.skip("no compiled provider (numba or C compiler)")
-        pooled = _make_solver("auto")
-        comp = _make_solver("auto", kernel_variant="compiled")
-        pooled.run(4)
-        comp.run(4)
-        for name, arr in pooled.wf.fields().items():
-            np.testing.assert_allclose(getattr(comp.wf, name), arr,
-                                       rtol=0, atol=1e-13, err_msg=name)
+        lts = ((0, 4, 1), (4, 8, 2), (8, 16, 4))
+        for dtype in (np.float64, np.float32):
+            pooled = _make_solver(lts, dtype=dtype)
+            comp = _make_solver(lts, dtype=dtype, kernel_variant="compiled")
+            assert all(band._compiled for g in comp.lts.groups
+                       for band in g.owned_bands)
+            pooled.run(7)
+            comp.run(7)
+            for name, arr in pooled.wf.fields().items():
+                np.testing.assert_array_equal(getattr(comp.wf, name), arr,
+                                              err_msg=name)
+            for key, arr in pooled.state()["lts"].items():
+                np.testing.assert_array_equal(comp.state()["lts"][key], arr,
+                                              err_msg=key)
+
+
+class TestCompiledBand:
+    """kernels.band_* == _Band's numpy bodies (atol=0)."""
+
+    @pytest.mark.parametrize("w", [0.25, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("fields", [_VEL_BAND_FIELDS,
+                                        _STRESS_BAND_FIELDS])
+    def test_save_blend_restore(self, kernels, w, fields):
+        g = Grid3D(7, 6, 10, h=1.0)
+        rng = np.random.default_rng(11)
+        a = WaveField(g, dtype=np.dtype(kernels.dtype))
+        for name in ALL_FIELDS:
+            getattr(a, name)[...] = rng.standard_normal(g.padded_shape)
+        b = a.copy()
+        k = slice(NGHOST + 4, NGHOST + 4 + BAND_PLANES)
+        ref, fast = _Band(a, None, k), _Band(b, None, k, kernels)
+
+        def same():
+            for name in ALL_FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            for c in fields:
+                assert np.array_equal(ref.prev[c], fast.prev[c])
+
+        for band in (ref, fast):
+            band.save_prev(fields)
+        for wf in (a, b):       # the owner moves on; prev keeps the old level
+            for c in fields:
+                getattr(wf, c)[...] *= 1.75
+        held = {c: getattr(a, c).copy() for c in fields}
+        for band in (ref, fast):
+            band.apply(fields, w)
+        same()
+        for band in (ref, fast):
+            band.restore(fields)
+        same()
+        for c in fields:
+            assert np.array_equal(getattr(b, c), held[c])
 
 
 class TestConfigValidation:

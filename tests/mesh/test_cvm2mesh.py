@@ -80,3 +80,18 @@ class TestMeshToMedium:
         med = mesh_to_medium(extract_mesh_serial(cvm, grid))
         assert med.vs_min >= 390.0  # the CVM floor survives float32
         assert med.vp_max < 9000.0
+
+    def test_medium_feeds_the_compiled_solver(self, setup):
+        """Regression: the depth-major -> z-up transpose used to leave every
+        array non-C-contiguous, which kernel_variant="compiled" refused."""
+        from repro.core import SolverConfig, WaveSolver, compiled
+        cvm, grid = setup
+        med = mesh_to_medium(extract_mesh_serial(cvm, grid))
+        for name in ("lam", "mu", "rho", "lam2mu", "mu_xy", "bx", "bz"):
+            assert getattr(med, name).flags.c_contiguous, name
+        if not compiled.compiled_available():
+            pytest.skip("no compiled provider (numba or C compiler)")
+        solver = WaveSolver(grid, med, SolverConfig(
+            kernel_variant="compiled", absorbing="sponge", sponge_width=2))
+        assert solver.fused is not None
+        solver.run(2)

@@ -124,3 +124,29 @@ class TestRunManifest:
     def test_git_revision_shape(self):
         rev = git_revision()
         assert isinstance(rev, str) and rev
+
+    def test_manifests_fork_git_once_per_process(self, monkeypatch):
+        """A farm stamps one manifest per product: one ``git rev-parse``
+        for all of them, not one each."""
+        from repro.obs import provenance
+        provenance._git_revision.cache_clear()
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            calls.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(provenance.subprocess, "run", counting_run)
+        revs = {RunManifest.collect(config={"job": i}).git_rev
+                for i in range(5)}
+        assert len(calls) == 1 and calls[0][0] == "git"
+        assert len(revs) == 1
+
+    def test_non_repo_cwd_is_unknown_even_after_a_memoised_hit(
+            self, monkeypatch, tmp_path):
+        git_revision()                      # memoise the repo's answer
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert git_revision() == "unknown"
+        assert RunManifest.collect(config={}).git_rev == "unknown"

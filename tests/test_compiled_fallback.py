@@ -58,6 +58,8 @@ runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
 out["n_runtime_warnings"] = len(runtime)
 out["warning_text"] = str(runtime[0].message) if runtime else ""
 out["effective_variant"] = sol.kernel_variant
+out["numpy_operators"] = (sol.sponge.kernels is None
+                          and sol.free_surface.kernels is None)
 
 ref = build("pooled")
 ref.run(4)
@@ -111,6 +113,7 @@ class TestFallbackContract:
 
     def test_results_equal_pooled(self, fallback_report):
         assert fallback_report["effective_variant"] == "pooled"
+        assert fallback_report["numpy_operators"] is True
         assert fallback_report["pooled_equal"] is True
 
     def test_matrix_skips_compiled_cells(self, fallback_report):
