@@ -20,127 +20,209 @@ a half-step, so the split is bitwise-safe.
 
 from __future__ import annotations
 
+import numpy as np
 from numba import njit, prange
 
 from .fd import NGHOST as G
 
 
+@njit(cache=True)
+def _save_bands(hrow, o0, o1, o2, tab, nslab, nsave):
+    """Copy the saved bands' planes of one row's own band trio ``o0..o2``
+    into its history ``hrow`` (slots x planes)."""
+    for s in range(nsave):
+        slot = tab[2 * nslab + 2 * s]
+        k0 = tab[2 * nslab + 2 * s + 1]
+        for b in range(hrow.shape[1]):
+            hrow[slot, b] = o0[k0 + b]
+            hrow[slot + 1, b] = o1[k0 + b]
+            hrow[slot + 2, b] = o2[k0 + b]
+
+
+@njit(cache=True)
+def _blend_columns(hrow, r0, r1, r2, col, tab, wts, nslab, nsave, nblend,
+                   s, z0, z1):
+    """If slab ``s`` has blended bands, fill ``col`` with the row's read
+    band trio ``r0..r2`` over the slab's z-tap range, the band planes
+    holding ``(now*w) + (history*(1-w))``, and return True."""
+    blended = False
+    for m in range(nblend):
+        at = 2 * nslab + 2 * nsave + 3 * m
+        if tab[at] != s:
+            continue
+        if not blended:
+            blended = True
+            for k in range(z0 - G, z1 + G):
+                col[0, k] = r0[k]
+                col[1, k] = r1[k]
+                col[2, k] = r2[k]
+        slot = tab[at + 1]
+        k0 = tab[at + 2]
+        w = wts[nslab + 2 * m]
+        omw = wts[nslab + 2 * m + 1]
+        for b in range(hrow.shape[1]):
+            col[0, k0 + b] = (r0[k0 + b] * w) + (hrow[slot, b] * omw)
+            col[1, k0 + b] = (r1[k0 + b] * w) + (hrow[slot + 1, b] * omw)
+            col[2, k0 + b] = (r2[k0 + b] * w) + (hrow[slot + 2, b] * omw)
+    return blended
+
+
 def _velocity_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
-                   bx, by, bz, c1, c2, h, dt,
-                   x0, x1, y0, y1, z0, z1):
+                   bx, by, bz, hist, tab, wts, c1, c2, h,
+                   x0, x1, y0, y1, nslab, nsave, nblend):
+    # One visit per (i, j) row: save the owned band levels, then update each
+    # slab of the table with its own dt against z columns that are the row
+    # itself or a private copy with time-interpolated band planes (same
+    # loop as compiled._c_sweep; table layout: compiled._sweep_tables).
+    # A sweep without bands gets a one-row stand-in for ``hist``.
+    bands = nsave + nblend > 0
     for i in prange(x0, x1):
+        col = np.empty((3, vx.shape[2]), vx.dtype)
         for j in range(y0, y1):
-            for k in range(z0, z1):
-                # vx: fwd d/dx sxx, bwd d/dy sxy, bwd d/dz sxz
-                v = vx[i, j, k]
-                t = ((((sxx[i + 1, j, k] * c1) - (sxx[i, j, k] * c1))
-                      + (sxx[i + 2, j, k] * c2))
-                     - (sxx[i - 1, j, k] * c2)) / h
-                t = t * bx[i, j, k]
-                v = v + (t * dt)
-                t = ((((sxy[i, j, k] * c1) - (sxy[i, j - 1, k] * c1))
-                      + (sxy[i, j + 1, k] * c2))
-                     - (sxy[i, j - 2, k] * c2)) / h
-                t = t * bx[i, j, k]
-                v = v + (t * dt)
-                t = ((((sxz[i, j, k] * c1) - (sxz[i, j, k - 1] * c1))
-                      + (sxz[i, j, k + 1] * c2))
-                     - (sxz[i, j, k - 2] * c2)) / h
-                t = t * bx[i, j, k]
-                v = v + (t * dt)
-                vx[i, j, k] = v
-                # vy: bwd d/dx sxy, fwd d/dy syy, bwd d/dz syz
-                v = vy[i, j, k]
-                t = ((((sxy[i, j, k] * c1) - (sxy[i - 1, j, k] * c1))
-                      + (sxy[i + 1, j, k] * c2))
-                     - (sxy[i - 2, j, k] * c2)) / h
-                t = t * by[i, j, k]
-                v = v + (t * dt)
-                t = ((((syy[i, j + 1, k] * c1) - (syy[i, j, k] * c1))
-                      + (syy[i, j + 2, k] * c2))
-                     - (syy[i, j - 1, k] * c2)) / h
-                t = t * by[i, j, k]
-                v = v + (t * dt)
-                t = ((((syz[i, j, k] * c1) - (syz[i, j, k - 1] * c1))
-                      + (syz[i, j, k + 1] * c2))
-                     - (syz[i, j, k - 2] * c2)) / h
-                t = t * by[i, j, k]
-                v = v + (t * dt)
-                vy[i, j, k] = v
-                # vz: bwd d/dx sxz, bwd d/dy syz, fwd d/dz szz
-                v = vz[i, j, k]
-                t = ((((sxz[i, j, k] * c1) - (sxz[i - 1, j, k] * c1))
-                      + (sxz[i + 1, j, k] * c2))
-                     - (sxz[i - 2, j, k] * c2)) / h
-                t = t * bz[i, j, k]
-                v = v + (t * dt)
-                t = ((((syz[i, j, k] * c1) - (syz[i, j - 1, k] * c1))
-                      + (syz[i, j + 1, k] * c2))
-                     - (syz[i, j - 2, k] * c2)) / h
-                t = t * bz[i, j, k]
-                v = v + (t * dt)
-                t = ((((szz[i, j, k + 1] * c1) - (szz[i, j, k] * c1))
-                      + (szz[i, j, k + 2] * c2))
-                     - (szz[i, j, k - 1] * c2)) / h
-                t = t * bz[i, j, k]
-                v = v + (t * dt)
-                vz[i, j, k] = v
+            hrow = hist[i - G, j - G] if bands else hist[0, 0]
+            _save_bands(hrow, vx[i, j], vy[i, j], vz[i, j], tab, nslab, nsave)
+            for s in range(nslab):
+                z0 = tab[2 * s]
+                z1 = tab[2 * s + 1]
+                dt = wts[s]
+                zsxz = sxz[i, j]
+                zsyz = syz[i, j]
+                zszz = szz[i, j]
+                if _blend_columns(hrow, zsxz, zsyz, zszz, col, tab, wts,
+                                  nslab, nsave, nblend, s, z0, z1):
+                    zsxz = col[0]
+                    zsyz = col[1]
+                    zszz = col[2]
+                for k in range(z0, z1):
+                    # vx: fwd d/dx sxx, bwd d/dy sxy, bwd d/dz sxz
+                    v = vx[i, j, k]
+                    t = ((((sxx[i + 1, j, k] * c1) - (sxx[i, j, k] * c1))
+                          + (sxx[i + 2, j, k] * c2))
+                         - (sxx[i - 1, j, k] * c2)) / h
+                    t = t * bx[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((sxy[i, j, k] * c1) - (sxy[i, j - 1, k] * c1))
+                          + (sxy[i, j + 1, k] * c2))
+                         - (sxy[i, j - 2, k] * c2)) / h
+                    t = t * bx[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((zsxz[k] * c1) - (zsxz[k - 1] * c1))
+                          + (zsxz[k + 1] * c2))
+                         - (zsxz[k - 2] * c2)) / h
+                    t = t * bx[i, j, k]
+                    v = v + (t * dt)
+                    vx[i, j, k] = v
+                    # vy: bwd d/dx sxy, fwd d/dy syy, bwd d/dz syz
+                    v = vy[i, j, k]
+                    t = ((((sxy[i, j, k] * c1) - (sxy[i - 1, j, k] * c1))
+                          + (sxy[i + 1, j, k] * c2))
+                         - (sxy[i - 2, j, k] * c2)) / h
+                    t = t * by[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((syy[i, j + 1, k] * c1) - (syy[i, j, k] * c1))
+                          + (syy[i, j + 2, k] * c2))
+                         - (syy[i, j - 1, k] * c2)) / h
+                    t = t * by[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((zsyz[k] * c1) - (zsyz[k - 1] * c1))
+                          + (zsyz[k + 1] * c2))
+                         - (zsyz[k - 2] * c2)) / h
+                    t = t * by[i, j, k]
+                    v = v + (t * dt)
+                    vy[i, j, k] = v
+                    # vz: bwd d/dx sxz, bwd d/dy syz, fwd d/dz szz
+                    v = vz[i, j, k]
+                    t = ((((sxz[i, j, k] * c1) - (sxz[i - 1, j, k] * c1))
+                          + (sxz[i + 1, j, k] * c2))
+                         - (sxz[i - 2, j, k] * c2)) / h
+                    t = t * bz[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((syz[i, j, k] * c1) - (syz[i, j - 1, k] * c1))
+                          + (syz[i, j + 1, k] * c2))
+                         - (syz[i, j - 2, k] * c2)) / h
+                    t = t * bz[i, j, k]
+                    v = v + (t * dt)
+                    t = ((((zszz[k + 1] * c1) - (zszz[k] * c1))
+                          + (zszz[k + 2] * c2))
+                         - (zszz[k - 1] * c2)) / h
+                    t = t * bz[i, j, k]
+                    v = v + (t * dt)
+                    vz[i, j, k] = v
 
 
 def _stress_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
-                 lam, lam2mu, mu_xy, mu_xz, mu_yz, c1, c2, h, dt,
-                 x0, x1, y0, y1, z0, z1):
+                 lam, lam2mu, mu_xy, mu_xz, mu_yz, hist, tab, wts, c1, c2, h,
+                 x0, x1, y0, y1, nslab, nsave, nblend):
+    # as _velocity_impl with the roles swapped: saves sxz/syz/szz, reads
+    # vx/vy/vz through the z columns
+    bands = nsave + nblend > 0
     for i in prange(x0, x1):
+        col = np.empty((3, vx.shape[2]), vx.dtype)
         for j in range(y0, y1):
-            for k in range(z0, z1):
-                # Normal stresses share bwd d/dx vx, d/dy vy, d/dz vz.
-                dvx = ((((vx[i, j, k] * c1) - (vx[i - 1, j, k] * c1))
-                        + (vx[i + 1, j, k] * c2))
-                       - (vx[i - 2, j, k] * c2)) / h
-                dvy = ((((vy[i, j, k] * c1) - (vy[i, j - 1, k] * c1))
-                        + (vy[i, j + 1, k] * c2))
-                       - (vy[i, j - 2, k] * c2)) / h
-                dvz = ((((vz[i, j, k] * c1) - (vz[i, j, k - 1] * c1))
-                        + (vz[i, j, k + 1] * c2))
-                       - (vz[i, j, k - 2] * c2)) / h
-                l2m = lam2mu[i, j, k]
-                lm = lam[i, j, k]
-                sxx[i, j, k] = sxx[i, j, k] + (
-                    (((dvx * l2m) + (dvy * lm)) + (dvz * lm)) * dt)
-                syy[i, j, k] = syy[i, j, k] + (
-                    (((dvx * lm) + (dvy * l2m)) + (dvz * lm)) * dt)
-                szz[i, j, k] = szz[i, j, k] + (
-                    (((dvx * lm) + (dvy * lm)) + (dvz * l2m)) * dt)
-                # sxy: fwd d/dx vy + fwd d/dy vx, scaled by mu_xy
-                t = ((((vy[i + 1, j, k] * c1) - (vy[i, j, k] * c1))
-                      + (vy[i + 2, j, k] * c2))
-                     - (vy[i - 1, j, k] * c2)) / h
-                t = t * mu_xy[i, j, k]
-                u = ((((vx[i, j + 1, k] * c1) - (vx[i, j, k] * c1))
-                      + (vx[i, j + 2, k] * c2))
-                     - (vx[i, j - 1, k] * c2)) / h
-                u = u * mu_xy[i, j, k]
-                sxy[i, j, k] = sxy[i, j, k] + ((t + u) * dt)
-                # sxz: fwd d/dx vz + fwd d/dz vx, scaled by mu_xz
-                t = ((((vz[i + 1, j, k] * c1) - (vz[i, j, k] * c1))
-                      + (vz[i + 2, j, k] * c2))
-                     - (vz[i - 1, j, k] * c2)) / h
-                t = t * mu_xz[i, j, k]
-                u = ((((vx[i, j, k + 1] * c1) - (vx[i, j, k] * c1))
-                      + (vx[i, j, k + 2] * c2))
-                     - (vx[i, j, k - 1] * c2)) / h
-                u = u * mu_xz[i, j, k]
-                sxz[i, j, k] = sxz[i, j, k] + ((t + u) * dt)
-                # syz: fwd d/dy vz + fwd d/dz vy, scaled by mu_yz
-                t = ((((vz[i, j + 1, k] * c1) - (vz[i, j, k] * c1))
-                      + (vz[i, j + 2, k] * c2))
-                     - (vz[i, j - 1, k] * c2)) / h
-                t = t * mu_yz[i, j, k]
-                u = ((((vy[i, j, k + 1] * c1) - (vy[i, j, k] * c1))
-                      + (vy[i, j, k + 2] * c2))
-                     - (vy[i, j, k - 1] * c2)) / h
-                u = u * mu_yz[i, j, k]
-                syz[i, j, k] = syz[i, j, k] + ((t + u) * dt)
+            hrow = hist[i - G, j - G] if bands else hist[0, 0]
+            _save_bands(hrow, sxz[i, j], syz[i, j], szz[i, j], tab, nslab,
+                        nsave)
+            for s in range(nslab):
+                z0 = tab[2 * s]
+                z1 = tab[2 * s + 1]
+                dt = wts[s]
+                zvx = vx[i, j]
+                zvy = vy[i, j]
+                zvz = vz[i, j]
+                if _blend_columns(hrow, zvx, zvy, zvz, col, tab, wts,
+                                  nslab, nsave, nblend, s, z0, z1):
+                    zvx = col[0]
+                    zvy = col[1]
+                    zvz = col[2]
+                for k in range(z0, z1):
+                    # Normal stresses share bwd d/dx vx, d/dy vy, d/dz vz.
+                    dvx = ((((vx[i, j, k] * c1) - (vx[i - 1, j, k] * c1))
+                            + (vx[i + 1, j, k] * c2))
+                           - (vx[i - 2, j, k] * c2)) / h
+                    dvy = ((((vy[i, j, k] * c1) - (vy[i, j - 1, k] * c1))
+                            + (vy[i, j + 1, k] * c2))
+                           - (vy[i, j - 2, k] * c2)) / h
+                    dvz = ((((zvz[k] * c1) - (zvz[k - 1] * c1))
+                            + (zvz[k + 1] * c2))
+                           - (zvz[k - 2] * c2)) / h
+                    l2m = lam2mu[i, j, k]
+                    lm = lam[i, j, k]
+                    sxx[i, j, k] = sxx[i, j, k] + (
+                        (((dvx * l2m) + (dvy * lm)) + (dvz * lm)) * dt)
+                    syy[i, j, k] = syy[i, j, k] + (
+                        (((dvx * lm) + (dvy * l2m)) + (dvz * lm)) * dt)
+                    szz[i, j, k] = szz[i, j, k] + (
+                        (((dvx * lm) + (dvy * lm)) + (dvz * l2m)) * dt)
+                    # sxy: fwd d/dx vy + fwd d/dy vx, scaled by mu_xy
+                    t = ((((vy[i + 1, j, k] * c1) - (vy[i, j, k] * c1))
+                          + (vy[i + 2, j, k] * c2))
+                         - (vy[i - 1, j, k] * c2)) / h
+                    t = t * mu_xy[i, j, k]
+                    u = ((((vx[i, j + 1, k] * c1) - (vx[i, j, k] * c1))
+                          + (vx[i, j + 2, k] * c2))
+                         - (vx[i, j - 1, k] * c2)) / h
+                    u = u * mu_xy[i, j, k]
+                    sxy[i, j, k] = sxy[i, j, k] + ((t + u) * dt)
+                    # sxz: fwd d/dx vz + fwd d/dz vx, scaled by mu_xz
+                    t = ((((vz[i + 1, j, k] * c1) - (vz[i, j, k] * c1))
+                          + (vz[i + 2, j, k] * c2))
+                         - (vz[i - 1, j, k] * c2)) / h
+                    t = t * mu_xz[i, j, k]
+                    u = ((((zvx[k + 1] * c1) - (zvx[k] * c1))
+                          + (zvx[k + 2] * c2))
+                         - (zvx[k - 1] * c2)) / h
+                    u = u * mu_xz[i, j, k]
+                    sxz[i, j, k] = sxz[i, j, k] + ((t + u) * dt)
+                    # syz: fwd d/dy vz + fwd d/dz vy, scaled by mu_yz
+                    t = ((((vz[i, j + 1, k] * c1) - (vz[i, j, k] * c1))
+                          + (vz[i, j + 2, k] * c2))
+                         - (vz[i, j - 1, k] * c2)) / h
+                    t = t * mu_yz[i, j, k]
+                    u = ((((zvy[k + 1] * c1) - (zvy[k] * c1))
+                          + (zvy[k + 2] * c2))
+                         - (zvy[k - 1] * c2)) / h
+                    u = u * mu_yz[i, j, k]
+                    syz[i, j, k] = syz[i, j, k] + ((t + u) * dt)
 
 
 def _damp_impl(vx, vy, vz, sxx, syy, szz, sxy, sxz, syz,
@@ -217,45 +299,9 @@ def _fs_stress_impl(sxz, syz, szz, zero, kt):
             szz[i, j, kt + 2] = -szz[i, j, kt - 1]
 
 
-def _band_gather_impl(f0, f1, f2, b0, b1, b2, k0):
-    npx, npy, nb = b0.shape
-    for i in prange(npx):
-        for j in range(npy):
-            for b in range(nb):
-                b0[i, j, b] = f0[i, j, k0 + b]
-                b1[i, j, b] = f1[i, j, k0 + b]
-                b2[i, j, b] = f2[i, j, k0 + b]
-
-
-def _band_scatter_impl(f0, f1, f2, b0, b1, b2, k0):
-    npx, npy, nb = b0.shape
-    for i in prange(npx):
-        for j in range(npy):
-            for b in range(nb):
-                f0[i, j, k0 + b] = b0[i, j, b]
-                f1[i, j, k0 + b] = b1[i, j, b]
-                f2[i, j, k0 + b] = b2[i, j, b]
-
-
-def _band_blend_impl(f0, f1, f2, p0, p1, p2, s0, s1, s2, k0, w, omw):
-    npx, npy, nb = p0.shape
-    for i in prange(npx):
-        for j in range(npy):
-            for b in range(nb):
-                s0[i, j, b] = f0[i, j, k0 + b]
-                f0[i, j, k0 + b] = (s0[i, j, b] * w) + (p0[i, j, b] * omw)
-                s1[i, j, b] = f1[i, j, k0 + b]
-                f1[i, j, k0 + b] = (s1[i, j, b] * w) + (p1[i, j, b] * omw)
-                s2[i, j, b] = f2[i, j, k0 + b]
-                f2[i, j, k0 + b] = (s2[i, j, b] * w) + (p2[i, j, b] * omw)
-
-
 _IMPLS = {"velocity": _velocity_impl, "stress": _stress_impl,
           "damp": _damp_impl,
-          "fs_velocity": _fs_velocity_impl, "fs_stress": _fs_stress_impl,
-          "band_gather": _band_gather_impl,
-          "band_scatter": _band_scatter_impl,
-          "band_blend": _band_blend_impl}
+          "fs_velocity": _fs_velocity_impl, "fs_stress": _fs_stress_impl}
 
 #: op name -> dispatcher, single-threaded and ``prange``-threaded builds
 SERIAL = {name: njit(cache=True)(fn) for name, fn in _IMPLS.items()}

@@ -228,15 +228,22 @@ class SpongeLayer:
     def apply(self, wf: WaveField) -> None:
         self._damp(wf, 0, self.grid.nz, self._g3)
 
-    def slab_taper(self, k_lo: int, k_hi: int, power: int = 1) -> np.ndarray:
-        """Taper for interior k-planes ``[k_lo, k_hi)``, raised to ``power``.
+    def slab_taper(self, k_lo: int, k_hi: int, power=1) -> np.ndarray:
+        """Taper for interior k-planes ``[k_lo, k_hi)``, raised to ``power``
+        (an int, or one int per plane).
 
         An LTS rate group damped once per ``rate`` substeps uses
         ``power=rate`` — identical to damping the held slab every fine
-        substep, since the multiplier commutes with holding.
+        substep, since the multiplier commutes with holding; a run of
+        adjacent groups damped in one pass carries each group's rate on
+        that group's planes.
         """
-        return self._framed(
-            np.ascontiguousarray(self._g3[:, :, k_lo:k_hi] ** power))
+        powers = np.broadcast_to(power, (k_hi - k_lo,))
+        cuts = [0, *(np.flatnonzero(np.diff(powers)) + 1), len(powers)]
+        # one scalar power per piece: ``x ** 2`` must stay numpy's square
+        return self._framed(np.concatenate(
+            [self._g3[:, :, k_lo + a:k_lo + b] ** int(powers[a])
+             for a, b in zip(cuts, cuts[1:])], axis=2))
 
     def apply_slab(self, wf: WaveField, k_lo: int, k_hi: int,
                    taper: np.ndarray) -> None:

@@ -27,6 +27,36 @@ optimization layer holds.  Velocity updates read only stresses and stress
 updates read only velocities, so fusing all components into one pass (and
 splitting the pass over threads or regions) cannot change any cell's result.
 
+Each half has ONE entry point and ONE loop nest, driven by a *slab table*:
+``KernelSet.vel``/``.stress`` bind a padded x/y box and a list of k-slabs
+``(z0, z1, dt)`` and return the callable that visits every (i, j) row of the
+box once, updating each slab's k-range with that slab's ``dt``.  Global dt
+and the IV.C core/shell region boxes are the one-slab, no-band case — the
+same per-row k-loop, its single table entry read once ahead of the row loops
+(re-reading it per row cost 4 % of a 64x64x32 sweep) — so there is no
+second, "plain" sweep to keep in step.  Clustered LTS
+(:mod:`repro.core.lts`) is the many-slab case: one call per half-step covers
+every active rate group, and the interface correction happens *inside the
+row visit* instead of as whole-plane gather / blend / scatter passes around
+per-group sweeps (k is the contiguous axis, so each of those passes paid a
+cache line of every array on every row for two planes of work):
+
+* the band planes an updating group owns are copied into the band history
+  (``lts._Band.save_prev``) before the row is updated;
+* a slab whose neighbour is at another time level reads its z taps from a
+  row-private copy of the three band fields' z columns, in which the
+  neighbour's two band planes hold ``(now*w) + (history*(1-w))``
+  (``_Band.apply``; both weights cast to the field dtype first — what NEP-50
+  numpy does with a python float).
+
+Per-row correction is exactly the whole-plane one because a band plane lies
+in the *neighbour's* slab and is reached only through z taps, which stay in
+the row; the x/y taps of an update read planes of its own slab.  The blend
+goes into the private column rather than the field because other rows'
+x/y taps (the neighbour group's own update, possibly on another thread)
+read those very planes un-interpolated — nothing is written to a field the
+half reads, so there is nothing to restore and rows stay independent.
+
 The same :class:`KernelSet` carries the per-step operators that run between
 the sweeps, so a compiled step leaves no whole-array numpy pass behind.  Each
 is bitwise identical to the numpy body it stands in for (which stays in
@@ -43,14 +73,12 @@ operator:
     parenthesised in numpy's evaluation order — including the ``0.0 + d``
     of ``zeros(); d[1:] += ...`` that turns a ``-0.0`` difference positive.
     The horizontal ghosts are finished before the vertical one reads them.
-``band_gather`` / ``band_blend`` / ``band_scatter`` (:class:`repro.core.lts._Band`)
-    Pure copies, and ``(saved*w) + (prev*(1-w))`` with both weights cast to
-    the field dtype first — what NEP-50 numpy does with a python float.
 
 Rows are independent in all of them, so the threaded (``compiled_parallel``)
 builds stay bitwise too.  Operators are *bound*: ``kernels.damp(...)`` checks
 its arrays once and returns the callable to run each step, with every
-pointer already extracted.
+pointer (and, for a sweep, the whole plan: slab table, band slots, weights)
+already extracted.
 
 Fallback contract: when no provider is available, solvers warn **once**
 (``RuntimeWarning``) and run ``pooled`` — which the equivalence matrix runs
@@ -85,7 +113,7 @@ from functools import partial
 import numpy as np
 
 from .fd import C1, C2, NGHOST
-from .grid import ALL_FIELDS, WaveField
+from .grid import ALL_FIELDS, STRESS_FIELDS, VELOCITY_FIELDS, WaveField
 from .kernels import (_SHEAR_MOD, _SHEAR_TERMS, _VEL_BUOYANCY, _VEL_TERMS,
                       VelocityStressKernel)
 from .medium import Medium
@@ -213,18 +241,24 @@ def provider_info() -> dict:
 # the compiler fusing `a*b + c` into an FMA (gcc defaults to contract=fast,
 # which would change low-order bits).
 
-_STRIDES = ("si", "sj", "1")
+_STRIDES = ("si", "sj")
 
 
-def _c_off(axis: int, d: int) -> str:
-    """Index expression ``q ± d*stride`` for a tap ``d`` cells along axis."""
+def _c_tap(field: str, axis: int, d: int) -> str:
+    """The value ``d`` cells from the current one along ``axis``.
+
+    x/y taps index the field itself at ``q +- d*stride``; z taps index the
+    row's z column ``z<field>`` at plane ``k +- d`` — the field's own row, or
+    a row-private copy carrying time-interpolated band planes.
+    """
+    name, at, stride = ((f"z{field}", "k", "1") if axis == 2
+                        else (field, "q", _STRIDES[axis]))
     if d == 0:
-        return "q"
-    stride = _STRIDES[axis]
+        return f"{name}[{at}]"
     mag = abs(d)
     term = str(mag) if stride == "1" else \
         (stride if mag == 1 else f"{mag}*{stride}")
-    return f"q {'+' if d > 0 else '-'} {term}"
+    return f"{name}[{at} {'+' if d > 0 else '-'} {term}]"
 
 
 def _c_deriv(field: str, axis: int, dirn: str) -> str:
@@ -234,7 +268,7 @@ def _c_deriv(field: str, axis: int, dirn: str) -> str:
     ``(((p_a*c1 - p_b*c1) + p_c*c2) - p_d*c2) / h``.
     """
     taps = (1, 0, 2, -1) if dirn == "f" else (0, -1, 1, -2)
-    a, b, c, d = (f"{field}[{_c_off(axis, t)}]" for t in taps)
+    a, b, c, d = (_c_tap(field, axis, t) for t in taps)
     return (f"(((({a} * c1) - ({b} * c1)) + ({c} * c2)) - ({d} * c2)) / h")
 
 
@@ -248,7 +282,7 @@ def _c_velocity_body() -> str:
             lines.append(f"t = t * {buoy}[q];")
             lines.append("v = v + (t * dt);")
         lines.append(f"{comp}[q] = v;")
-    return "\n                ".join(lines)
+    return "\n        ".join(lines)
 
 
 def _c_stress_body() -> str:
@@ -272,68 +306,131 @@ def _c_stress_body() -> str:
             f"u = u * {mod}[q];",
             f"{comp}[q] = {comp}[q] + ((t + u) * dt);",
         ]
-    return "\n                ".join(lines)
+    return "\n        ".join(lines)
 
 
-_C_TEMPLATE = """\
-void fused_velocity_{suf}(
-    {real} *restrict vx, {real} *restrict vy, {real} *restrict vz,
-    const {real} *restrict sxx, const {real} *restrict syy,
-    const {real} *restrict szz, const {real} *restrict sxy,
-    const {real} *restrict sxz, const {real} *restrict syz,
-    const {real} *restrict bx, const {real} *restrict by,
-    const {real} *restrict bz,
-    const double h_in, const double dt_in,
-    const long npy, const long npz,
-    const long x0, const long x1, const long y0, const long y1,
-    const long z0, const long z1)
+def _c_ptrs(names, const: bool = False) -> str:
+    """``real *restrict a, real *restrict b, ...`` parameter list."""
+    qual = "const {real} *restrict " if const else "{real} *restrict "
+    return ", ".join(qual + n for n in names)
+
+
+#: the fields whose z taps cross a rate-group interface (the band trios of
+#: :mod:`repro.core.lts`), in band-history slot order
+_BAND_TRIO = {VELOCITY_FIELDS: VELOCITY_FIELDS,
+              STRESS_FIELDS: ("sxz", "syz", "szz")}
+
+
+def _c_lines(indent: int, template: str, names) -> str:
+    """``template`` once per name (``{n}`` index, ``{f}`` name), indented."""
+    return "\n".join(" " * indent + template.format(n=n, f=f)
+                     for n, f in enumerate(names))
+
+
+def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
+             real: str, suf: str) -> str:
+    """One half-step: the ``own`` fields advanced from the ``read`` fields.
+
+    Each (i, j) row of the box is visited once.  Inside the visit the band
+    planes listed in ``save`` are copied into the history, then every slab's
+    k-range is updated with that slab's ``dt`` against the z columns
+    ``z<field>`` of the read band trio — the field's own row, or, for a slab
+    with ``blend`` entries, a row-private copy whose band planes hold
+    ``(now*w) + (history*(1-w))``.  The read fields themselves are never
+    written: other rows' x/y taps read those very planes.
+    """
+    zread = _BAND_TRIO[read]
+    zcols = ["z" + f for f in zread]
+    ptrs = lambda names, const=False: _c_ptrs(names, const).format(real=real)
+    row_params = ",\n    ".join([
+        ptrs(own), ptrs((*read, *coeffs), const=True),
+        ptrs(zcols, const=True),
+        f"const {real} c1, const {real} c2, const {real} h, "
+        f"const {real} dt",
+        "const long si, const long sj, const long row, "
+        "const long z0, const long z1"])
+    params = ",\n    ".join([
+        ptrs(VELOCITY_FIELDS, const=own is not VELOCITY_FIELDS),
+        ptrs(STRESS_FIELDS, const=own is not STRESS_FIELDS),
+        ptrs(coeffs, const=True),
+        f"{real} *restrict hist, const long *restrict tab, "
+        "const double *restrict wts",
+        "const double h_in, const long npy, const long npz",
+        "const long hny, const long nslot, const long nb",
+        "const long x0, const long x1, const long y0, const long y1",
+        "const long nslab, const long nsave, const long nblend"])
+    return f"""\
+static inline void {name}_row_{suf}(
+    {row_params})
 {{
-    const {real} c1 = ({real})({c1});
-    const {real} c2 = ({real})({c2});
-    const {real} h = ({real})h_in;
-    const {real} dt = ({real})dt_in;
-    const long si = npy * npz;
-    const long sj = npz;
-#pragma omp parallel for schedule(static)
-    for (long i = x0; i < x1; ++i) {{
-        for (long j = y0; j < y1; ++j) {{
-            const long row = i * si + j * sj;
-            for (long k = z0; k < z1; ++k) {{
-                const long q = row + k;
-                {real} t, v;
-                {vel_body}
-            }}
-        }}
+    for (long k = z0; k < z1; ++k) {{
+        const long q = row + k;
+        {real} {temps};
+        {body}
     }}
 }}
 
-void fused_stress_{suf}(
-    const {real} *restrict vx, const {real} *restrict vy,
-    const {real} *restrict vz,
-    {real} *restrict sxx, {real} *restrict syy, {real} *restrict szz,
-    {real} *restrict sxy, {real} *restrict sxz, {real} *restrict syz,
-    const {real} *restrict lam, const {real} *restrict lam2mu,
-    const {real} *restrict mu_xy, const {real} *restrict mu_xz,
-    const {real} *restrict mu_yz,
-    const double h_in, const double dt_in,
-    const long npy, const long npz,
-    const long x0, const long x1, const long y0, const long y1,
-    const long z0, const long z1)
+void fused_{name}_{suf}(
+    {params})
 {{
-    const {real} c1 = ({real})({c1});
-    const {real} c2 = ({real})({c2});
+    const {real} c1 = ({real})({C1!r});
+    const {real} c2 = ({real})({C2!r});
     const {real} h = ({real})h_in;
-    const {real} dt = ({real})dt_in;
     const long si = npy * npz;
     const long sj = npz;
+    const long *saves = tab + 2 * nslab;
+    const long *blends = saves + 2 * nsave;
+    const double *bw = wts + nslab;
+    /* global dt / a region box: one slab, no bands.  Its table entries are
+       read here, once, so that case looks nothing up per row. */
+    const int plain = nslab == 1 && nsave + nblend == 0;
+    const long pz0 = plain ? tab[0] : 0, pz1 = plain ? tab[1] : 0;
+    const {real} pdt = plain ? ({real})wts[0] : 0;
 #pragma omp parallel for schedule(static)
     for (long i = x0; i < x1; ++i) {{
+        {real} col[3 * npz];        /* this thread's blended z columns */
         for (long j = y0; j < y1; ++j) {{
             const long row = i * si + j * sj;
-            for (long k = z0; k < z1; ++k) {{
-                const long q = row + k;
-                {real} t, u, dvx, dvy, dvz, l, l2m;
-                {stress_body}
+            if (plain) {{
+                {name}_row_{suf}(
+                    {", ".join((*own, *read, *coeffs))},
+                    {", ".join(f + " + row" for f in zread)},
+                    c1, c2, h, pdt, si, sj, row, pz0, pz1);
+                continue;
+            }}
+            {real} *hrow = hist ? hist + ((i - {NGHOST}) * hny
+                                        + (j - {NGHOST})) * nslot * nb : 0;
+            for (long s = 0; s < nsave; ++s) {{
+                {real} *p = hrow + saves[2 * s] * nb;
+                const long q = row + saves[2 * s + 1];
+                for (long b = 0; b < nb; ++b) {{
+{_c_lines(20, "p[{n} * nb + b] = {f}[q + b];", _BAND_TRIO[own])}
+                }}
+            }}
+            for (long s = 0; s < nslab; ++s) {{
+                const long z0 = tab[2 * s], z1 = tab[2 * s + 1];
+{_c_lines(16, f"const {real} *z{{f}} = {{f}} + row;", zread)}
+                for (long m = 0; m < nblend; ++m) {{
+                    if (blends[3 * m] != s)
+                        continue;
+                    if ({zcols[0]} != col) {{
+                        for (long k = z0 - {NGHOST}; k < z1 + {NGHOST}; ++k) {{
+{_c_lines(28, "col[{n} * npz + k] = {f}[row + k];", zread)}
+                        }}
+{_c_lines(24, "z{f} = col + {n} * npz;", zread)}
+                    }}
+                    const {real} *p = hrow + blends[3 * m + 1] * nb;
+                    const long k0 = blends[3 * m + 2];
+                    const {real} w = ({real})bw[2 * m];
+                    const {real} omw = ({real})bw[2 * m + 1];
+                    for (long b = 0; b < nb; ++b) {{
+{_c_lines(24, "col[{n} * npz + k0 + b] = ({f}[row + k0 + b] * w)"
+              " + (p[{n} * nb + b] * omw);", zread)}
+                    }}
+                }}
+                {name}_row_{suf}(
+                    {", ".join((*own, *read, *coeffs, *zcols))},
+                    c1, c2, h, ({real})wts[s], si, sj, row, z0, z1);
             }}
         }}
     }}
@@ -341,7 +438,17 @@ void fused_stress_{suf}(
 """
 
 
-# The plane and band operators walk one k-plane: consecutive rows sit a whole
+def _c_sweeps(real: str, suf: str) -> str:
+    """Both half-step sweeps at one precision."""
+    return "\n".join([
+        _c_sweep("velocity", VELOCITY_FIELDS, STRESS_FIELDS,
+                 ("bx", "by", "bz"), "t, v", _c_velocity_body(), real, suf),
+        _c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS,
+                 ("lam", "lam2mu", "mu_xy", "mu_xz", "mu_yz"),
+                 "t, u, dvx, dvy, dvz, l, l2m", _c_stress_body(), real, suf)])
+
+
+# The plane operators walk one k-plane: consecutive rows sit a whole
 # k-column apart, a stride the hardware prefetcher follows poorly, so they
 # ask for the cache line PF_ROWS rows ahead (a hint: running past the end of
 # an array cannot fault).
@@ -358,46 +465,8 @@ _C_PREAMBLE = """\
 """
 
 
-def _c_ptrs(names, const: bool = False) -> str:
-    """``real *restrict a, real *restrict b, ...`` parameter list."""
-    qual = "const {real} *restrict " if const else "{real} *restrict "
-    return ", ".join(qual + n for n in names)
-
-
-def _c_band(name: str, fconst: str, bconst: str, body, extra_ptrs: str = "",
-            extra_args: str = "", prologue: str = "") -> str:
-    """One LTS band operator: a walk over planes ``[k0, k0+nb)`` of three
-    fields ``f0..f2`` and three contiguous buffers ``b0..b2``, running
-    ``body`` (``{c}`` = 0, 1, 2; ``q``/``m`` index field/buffer) per cell."""
-    cells = "\n".join("            " + line.format(c=c)
-                      for c in range(3) for line in body)
-    hint = "R" if fconst else "W"
-    return (
-        f"void {name}_{{suf}}(\n"
-        f"    {_c_ptrs(('f0', 'f1', 'f2'), const=bool(fconst))},\n"
-        f"    {_c_ptrs(('b0', 'b1', 'b2'), const=bool(bconst))},\n"
-        f"    {extra_ptrs}"
-        "const long rows, const long npz, const long k0, const long nb"
-        f"{extra_args})\n"
-        "{{\n"
-        f"{prologue}"
-        "#pragma omp parallel for schedule(static)\n"
-        "    for (long r = 0; r < rows; ++r) {{\n"
-        "        const long ahead = (r + PF_ROWS) * npz + k0;\n"
-        f"        PREFETCH_{hint}(f0 + ahead);\n"
-        f"        PREFETCH_{hint}(f1 + ahead);\n"
-        f"        PREFETCH_{hint}(f2 + ahead);\n"
-        "        for (long b = 0; b < nb; ++b) {{\n"
-        "            const long q = r * npz + k0 + b;\n"
-        "            const long m = r * nb + b;\n"
-        f"{cells}\n"
-        "        }}\n"
-        "    }}\n"
-        "}}\n")
-
-
 # The per-step operators around the sweeps.  Each replays its numpy
-# reference (boundary.SpongeLayer / FreeSurfaceFS2, lts._Band) cell by cell
+# reference (boundary.SpongeLayer / FreeSurfaceFS2) cell by cell
 # in the same association order; see the module docstring for why the
 # frame-only damp is exact.
 _C_OPS_TEMPLATE = """\
@@ -506,27 +575,14 @@ void fs_stress_{suf}(
     }}
 }}
 
-""" + _c_band("band_gather", "const ", "", ["b{c}[m] = f{c}[q];"]) + """
-""" + _c_band("band_scatter", "", "const ", ["f{c}[q] = b{c}[m];"]) + """
-""" + _c_band(
-    "band_blend", "", "const ",
-    ["s{c}[m] = f{c}[q];", "f{c}[q] = (s{c}[m] * w) + (b{c}[m] * omw);"],
-    extra_ptrs="{real} *restrict s0, {real} *restrict s1, "
-               "{real} *restrict s2,\n    ",
-    extra_args=",\n    const double w_in, const double omw_in",
-    prologue="    const {real} w = ({real})w_in;\n"
-             "    const {real} omw = ({real})omw_in;\n")
+"""
 
 
 def _c_source() -> str:
     """The full generated C translation unit (both dtypes)."""
-    vel_body = _c_velocity_body()
-    stress_body = _c_stress_body()
-    units = []
-    for real, suf in (("double", "f64"), ("float", "f32")):
-        units.append((_C_TEMPLATE + "\n" + _C_OPS_TEMPLATE).format(
-            real=real, suf=suf, c1=repr(C1), c2=repr(C2), g=NGHOST,
-            vel_body=vel_body, stress_body=stress_body))
+    units = [_c_sweeps(real, suf)
+             + "\n" + _C_OPS_TEMPLATE.format(real=real, suf=suf, g=NGHOST)
+             for real, suf in (("double", "f64"), ("float", "f32"))]
     return ("/* generated by repro.core.compiled — fused velocity/stress\n"
             "   sweeps and per-step operators replaying the numpy ufunc\n"
             "   order exactly. */\n\n" + _C_PREAMBLE + "\n".join(units))
@@ -572,17 +628,32 @@ def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
 #: ctypes signatures of the generated entry points, in C parameter order:
 #: ``p`` array pointer, ``d`` double, ``l`` long.
 _C_SIGNATURES = {
-    "fused_velocity": "p" * 12 + "dd" + "l" * 8,
-    "fused_stress": "p" * 14 + "dd" + "l" * 8,
+    "fused_velocity": "p" * 15 + "d" + "l" * 12,
+    "fused_stress": "p" * 17 + "d" + "l" * 12,
     "damp": "p" * (len(ALL_FIELDS) + 2) + "l" * 8,
     "fs_velocity": "p" * 5 + "l" * 4,
     "fs_stress": "p" * 3 + "l" * 4,
-    "band_gather": "p" * 6 + "l" * 4,
-    "band_scatter": "p" * 6 + "l" * 4,
-    "band_blend": "p" * 9 + "l" * 4 + "dd",
 }
 
 _C_TYPES = {"p": ctypes.c_void_p, "d": ctypes.c_double, "l": ctypes.c_long}
+
+
+def _sweep_tables(slabs, save, blend):
+    """A sweep plan flattened for the providers: ``(tab, wts, counts)``.
+
+    ``tab`` (C long): ``z0, z1`` per slab, ``slot, k0`` per saved band,
+    ``slab, slot, k0`` per blended band; ``wts`` (double): ``dt`` per slab,
+    then ``w, 1-w`` per blended band — cast to the field dtype by the kernel,
+    which is what NEP-50 numpy does with a python float.
+    """
+    tab = [z for z0, z1, _ in slabs for z in (z0, z1)]
+    tab += [v for band in save for v in band]
+    tab += [v for s, slot, k0, _ in blend for v in (s, slot, k0)]
+    wts = [dt for _, _, dt in slabs]
+    wts += [v for *_, w in blend for v in (w, 1.0 - w)]
+    return (np.array(tab, dtype=ctypes.c_long),
+            np.array(wts, dtype=np.float64),
+            (len(slabs), len(save), len(blend)))
 
 
 def _cbuild_kernels(dtype: np.dtype, parallel: bool):
@@ -598,14 +669,17 @@ def _cbuild_kernels(dtype: np.dtype, parallel: bool):
     def frozen(cfn, arrays, *tail):
         """``cfn`` with its leading pointers (and ``tail``) bound once:
         ``ndarray.ctypes`` costs ~1 us per array per call otherwise."""
-        call = partial(cfn, *(a.ctypes.data for a in arrays), *tail)
+        call = partial(cfn, *(None if a is None else a.ctypes.data
+                              for a in arrays), *tail)
         call.arrays = arrays    # the pointers must not outlive their arrays
         return call
 
     def sweep(name):
-        def bind(arrays, h, dt):
+        def bind(arrays, h, box, hist, tab, wts, counts):
             _, npy, npz = arrays[0].shape
-            return frozen(fn[name], arrays, h, dt, npy, npz)
+            hshape = (0, 0, 0) if hist is None else hist.shape[1:]
+            return frozen(fn[name], (*arrays, hist, tab, wts),
+                          h, npy, npz, *hshape, *box, *counts)
         return bind
 
     def damp(fields, taper, rowfull, k0, ka, kb):
@@ -618,26 +692,11 @@ def _cbuild_kernels(dtype: np.dtype, parallel: bool):
             return frozen(fn[name], arrays, *arrays[0].shape, kt)
         return bind
 
-    def band(name):
-        def bind(fields, *bufs, k0):
-            npx, npy, npz = fields[0].shape
-            arrays = (*fields, *(a for buf in bufs for a in buf))
-            return frozen(fn[name], arrays, npx * npy, npz, k0,
-                          bufs[0][0].shape[2])
-        return bind
-
-    def band_blend(fields, prev, saved, k0):
-        call = band("band_blend")(fields, prev, saved, k0=k0)
-        return lambda w: call(w, 1.0 - w)
-
     binders = {"vel": sweep("fused_velocity"),
                "stress": sweep("fused_stress"),
                "damp": damp,
                "fs_velocity": plane("fs_velocity"),
-               "fs_stress": plane("fs_stress"),
-               "band_gather": band("band_gather"),
-               "band_scatter": band("band_scatter"),
-               "band_blend": band_blend}
+               "fs_stress": plane("fs_stress")}
     return binders, compile_s, cache_hit
 
 
@@ -653,9 +712,13 @@ def _numba_kernels(dtype: np.dtype, parallel: bool):
     cast = dtype.type
     c1, c2, zero, two = cast(C1), cast(C2), cast(0.0), cast(2.0)
 
+    no_hist = np.zeros((1, 1, 3, 1), dtype=dtype)   # typed stand-in for None
+
     def sweep(name):
-        def bind(arrays, h, dt):
-            return partial(jit[name], *arrays, c1, c2, cast(h), cast(dt))
+        def bind(arrays, h, box, hist, tab, wts, counts):
+            return partial(jit[name], *arrays,
+                           no_hist if hist is None else hist, tab,
+                           wts.astype(dtype), c1, c2, cast(h), *box, *counts)
         return bind
 
     def damp(fields, taper, rowfull, k0, ka, kb):
@@ -667,38 +730,22 @@ def _numba_kernels(dtype: np.dtype, parallel: bool):
     def fs_stress(arrays, kt):
         return partial(jit["fs_stress"], *arrays, zero, kt)
 
-    def band(name):
-        def bind(fields, *bufs, k0):
-            return partial(jit[name], *fields,
-                           *(a for buf in bufs for a in buf), k0)
-        return bind
-
-    def band_blend(fields, prev, saved, k0):
-        call = band("band_blend")(fields, prev, saved, k0=k0)
-        return lambda w: call(cast(w), cast(1.0 - w))
-
     binders = {"vel": sweep("velocity"), "stress": sweep("stress"),
                "damp": damp,
-               "fs_velocity": fs_velocity, "fs_stress": fs_stress,
-               "band_gather": band("band_gather"),
-               "band_scatter": band("band_scatter"),
-               "band_blend": band_blend}
+               "fs_velocity": fs_velocity, "fs_stress": fs_stress}
 
     # Warm the dispatchers on a minimal fixture so the one-time JIT (or the
     # on-disk cache load) is accounted here, not inside a timed step.
     t0 = time.perf_counter()
     tiny = [np.zeros((5, 5, 5), dtype=dtype) for _ in range(14)]
-    bufs = [np.zeros((5, 5, 1), dtype=dtype) for _ in range(6)]
-    binders["vel"](tiny[:12], 1.0, 0.0)(2, 3, 2, 3, 2, 3)
-    binders["stress"](tiny, 1.0, 0.0)(2, 3, 2, 3, 2, 3)
+    one_cell = ((2, 3, 2, 3), None, *_sweep_tables([(2, 3, 0.0)], (), ()))
+    binders["vel"](tiny[:12], 1.0, *one_cell)()
+    binders["stress"](tiny, 1.0, *one_cell)()
     binders["damp"](tiny[:9], np.ones((1, 1, 1), dtype=dtype),
                     np.zeros((1, 1), dtype=np.uint8), 2, 0, 1)()
     tiny[4][...] = 1.0      # lam2mu: the vz ghost divides by it
     binders["fs_velocity"](tiny[:5], 2)()
     binders["fs_stress"](tiny[:3], 2)()
-    binders["band_gather"](tiny[:3], bufs[:3], k0=2)()
-    binders["band_blend"](tiny[:3], bufs[:3], bufs[3:], k0=2)(0.5)
-    binders["band_scatter"](tiny[:3], bufs[3:], k0=2)()
     compile_s = time.perf_counter() - t0
 
     def _hits(fn) -> int:
@@ -732,8 +779,7 @@ class KernelSet:
     def __init__(self, binders: dict, provider: str, dtype: str,
                  parallel: bool, compile_seconds: float, cache_hit: bool):
         self._bind = {op: binders[op] for op in (
-            "vel", "stress", "damp", "fs_velocity", "fs_stress",
-            "band_gather", "band_scatter", "band_blend")}
+            "vel", "stress", "damp", "fs_velocity", "fs_stress")}
         self.provider = provider
         self.dtype = dtype
         self.parallel = parallel
@@ -754,15 +800,69 @@ class KernelSet:
                     f"{a.shape})")
         return arrays
 
-    def vel(self, arrays, h: float, dt: float):
-        """``call(x0, x1, y0, y1, z0, z1)``: the fused velocity sweep of
-        ``arrays = (vx..syz, bx, by, bz)`` over a half-open padded box."""
-        return self._bind["vel"](self._fields(arrays), h, dt)
+    def _sweep(self, op: str, arrays, h, box, slabs, hist, save, blend):
+        arrays = self._fields(arrays)
+        npx, npy, npz = arrays[0].shape
+        g = NGHOST
+        x0, x1, y0, y1 = box = tuple(int(v) for v in box)
+        if not (g <= x0 <= x1 <= npx - g and g <= y0 <= y1 <= npy - g):
+            raise ValueError(f"sweep box {box} reaches into the ghost rim of "
+                             f"shape {arrays[0].shape}")
+        slabs = [(int(z0), int(z1), float(dt)) for z0, z1, dt in slabs]
+        top = g
+        for z0, z1, _ in slabs:
+            if not top <= z0 < z1 <= npz - g:
+                raise ValueError(
+                    f"slabs {[s[:2] for s in slabs]} must be non-empty, "
+                    f"ascending, disjoint and inside [{g}, {npz - g})")
+            top = z1
+        save = [(int(slot), int(k0)) for slot, k0 in save]
+        blend = [(int(s), int(slot), int(k0), float(w))
+                 for s, slot, k0, w in blend]
+        if hist is not None:
+            if (hist.ndim != 4 or hist.dtype.name != self.dtype
+                    or not hist.flags.c_contiguous
+                    or hist.shape[:2] != (npx - 2 * g, npy - 2 * g)):
+                raise ValueError(
+                    f"band history must be a C-contiguous {self.dtype} "
+                    f"(nx, ny, slots, planes) array over the interior rows "
+                    f"(got {hist.dtype.name} {hist.shape})")
+        elif save or blend:
+            raise ValueError("band entries need a history array")
+        for slot, k0 in save + [b[1:3] for b in blend]:
+            if not (0 <= slot <= hist.shape[2] - 3
+                    and 0 <= k0 <= npz - hist.shape[3]):
+                raise ValueError(
+                    f"band (slot {slot}, planes from {k0}) lies outside "
+                    f"history {hist.shape} / padded range [0, {npz})")
+        if any(not 0 <= s < len(slabs) for s, *_ in blend):
+            raise ValueError("blended band names a slab outside the table")
+        return self._bind[op](arrays, float(h), box, hist,
+                              *_sweep_tables(slabs, save, blend))
 
-    def stress(self, arrays, h: float, dt: float):
-        """``call(x0..z1)``: the fused stress sweep of ``arrays =
-        (vx..syz, lam, lam2mu, mu_xy, mu_xz, mu_yz)``."""
-        return self._bind["stress"](self._fields(arrays), h, dt)
+    def vel(self, arrays, h: float, box, slabs, hist=None, save=(),
+            blend=()):
+        """``call()``: the fused velocity sweep of ``arrays = (vx..syz, bx,
+        by, bz)``: one visit per (i, j) row of the padded x/y ``box =
+        (x0, x1, y0, y1)`` that updates every k-slab of ``slabs = ((z0, z1,
+        dt), ...)`` (ascending, disjoint) with its own ``dt``.
+
+        ``hist`` is the LTS band history ``(nx, ny, slots, planes)`` over
+        the interior rows, a band = three consecutive slots.  Inside the
+        row visit each ``save = ((slot, k0), ...)`` band first copies planes
+        ``[k0, k0+planes)`` of vx/vy/vz into slots ``slot..slot+2``; each
+        ``blend = ((slab, slot, k0, w), ...)`` band makes that slab's z taps
+        read ``(now*w) + (history*(1-w))`` on planes ``[k0, k0+planes)`` of
+        sxz/syz/szz instead of the field (which is not written).
+        """
+        return self._sweep("vel", arrays, h, box, slabs, hist, save, blend)
+
+    def stress(self, arrays, h: float, box, slabs, hist=None, save=(),
+               blend=()):
+        """``call()``: the fused stress sweep of ``arrays = (vx..syz, lam,
+        lam2mu, mu_xy, mu_xz, mu_yz)``; as :meth:`vel` with the roles
+        swapped (saves sxz/syz/szz, blends vx/vy/vz)."""
+        return self._sweep("stress", arrays, h, box, slabs, hist, save, blend)
 
     def damp(self, fields, taper, rowfull, k0: int, ka: int, kb: int):
         """``call()``: multiply the nine ``fields`` by the interior-shaped
@@ -801,31 +901,6 @@ class KernelSet:
         """``call()``: FS2 stress imaging about plane ``kt``
         (:meth:`FreeSurfaceFS2.apply_stress`)."""
         return self._plane("fs_stress", (sxz, syz, szz), kt, 2, 2)
-
-    def _band(self, op: str, fields, bufs, k0: int):
-        fields = self._fields(fields)
-        npx, npy, npz = fields[0].shape
-        nb = bufs[0][0].shape[2]
-        bufs = [self._fields(buf, (npx, npy, nb)) for buf in bufs]
-        if len(fields) != 3 or any(len(buf) != 3 for buf in bufs) \
-                or not 0 <= k0 <= npz - nb:
-            raise ValueError(f"band [{k0}, {k0 + nb}) of three fields does "
-                             f"not fit shape {fields[0].shape}")
-        return self._bind[op](fields, *bufs, k0=k0)
-
-    def band_gather(self, fields, bufs, k0: int):
-        """``call()``: copy planes ``[k0, k0+nb)`` of three ``fields`` into
-        three contiguous ``(npx, npy, nb)`` buffers."""
-        return self._band("band_gather", fields, (bufs,), k0)
-
-    def band_scatter(self, fields, bufs, k0: int):
-        """``call()``: copy three buffers back into the band planes."""
-        return self._band("band_scatter", fields, (bufs,), k0)
-
-    def band_blend(self, fields, prev, saved, k0: int):
-        """``call(w)``: ``saved = band; band = (saved*w) + (prev*(1-w))``,
-        both weights cast to ``dtype`` first."""
-        return self._band("band_blend", fields, (prev, saved), k0)
 
 
 _KERNEL_CACHE: dict[tuple[str, bool, str], KernelSet] = {}
@@ -907,8 +982,8 @@ class FusedStepper:
         self.medium = medium
         self.dt = float(dt)
         self.h = float(wf.grid.h)
-        #: the resolved :class:`KernelSet` (the solver hands it to its sponge,
-        #: free surface and LTS bands)
+        #: the resolved :class:`KernelSet` (the solver hands it to its sponge
+        #: and free surface)
         self.kernels = get_kernels(wf.dtype, parallel=parallel,
                                    provider=provider)
         self.provider = self.kernels.provider
@@ -919,11 +994,17 @@ class FusedStepper:
         self._interior = (NGHOST, NGHOST + g.nx, NGHOST, NGHOST + g.ny,
                           NGHOST, NGHOST + g.nz)
         fields = tuple(wf.fields().values())
-        self._vel = self.kernels.vel(
-            (*fields, medium.bx, medium.by, medium.bz), self.h, self.dt)
-        self._stress = self.kernels.stress(
-            (*fields, medium.lam, medium.lam2mu,
-             medium.mu_xy, medium.mu_xz, medium.mu_yz), self.h, self.dt)
+        #: half -> (KernelSet binder, its arrays)
+        self._halves = {
+            "velocity": (self.kernels.vel,
+                         (*fields, medium.bx, medium.by, medium.bz)),
+            "stress": (self.kernels.stress,
+                       (*fields, medium.lam, medium.lam2mu,
+                        medium.mu_xy, medium.mu_xz, medium.mu_yz))}
+        #: (half, x0, x1, y0, y1, z0, z1) -> bound one-slab sweep
+        self._boxes: dict[tuple, object] = {}
+        for half in self._halves:   # refuse unusable arrays now, not mid-run
+            self._box(half, None)
         from ..obs.metrics import default_registry
         default_registry().gauge("compiled.jit_compile_s").set(
             self.compile_seconds)
@@ -947,13 +1028,30 @@ class FusedStepper:
             out += [s.start, s.stop]
         return tuple(out)
 
+    def bind(self, half: str, box, slabs, hist=None, save=(), blend=()):
+        """The zero-argument ``half`` ('velocity' | 'stress') sweep of this
+        wavefield for one plan — see :meth:`KernelSet.vel`.  Global dt and
+        a region box are its one-slab, no-band case; an LTS substep is one
+        plan over every active rate group."""
+        binder, arrays = self._halves[half]
+        return binder(arrays, self.h, box, slabs, hist, save, blend)
+
+    def _box(self, half: str, region):
+        key = (half, *self._bounds(region))
+        call = self._boxes.get(key)
+        if call is None:
+            _, x0, x1, y0, y1, z0, z1 = key
+            call = self._boxes[key] = self.bind(
+                half, (x0, x1, y0, y1), ((z0, z1, self.dt),))
+        return call
+
     def step_velocity(self, region=None) -> None:
         """Advance vx/vy/vz over the interior (or one region box)."""
-        self._vel(*self._bounds(region))
+        self._box("velocity", region)()
 
     def step_stress(self, region=None) -> None:
         """Advance the six stresses over the interior (or one region box)."""
-        self._stress(*self._bounds(region))
+        self._box("stress", region)()
 
 
 class FusedRegionStepper:

@@ -89,6 +89,9 @@ BAND_PLANES = 2
 #: interface; stress updates only take z-derivatives of vx/vy/vz.
 _VEL_BAND_FIELDS = ("vx", "vy", "vz")
 _STRESS_BAND_FIELDS = ("sxz", "syz", "szz")
+#: half -> (band fields its update writes, band fields its z taps read)
+_BANDS = {"velocity": (_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS),
+          "stress": (_STRESS_BAND_FIELDS, _VEL_BAND_FIELDS)}
 
 
 # ----------------------------------------------------------------------
@@ -240,65 +243,53 @@ class _Band:
     """One owner-side two-plane correction band at a group interface.
 
     Holds the owner's *previous* time level of the band fields (captured at
-    the start of each owner update) plus save/restore scratch so a reader's
-    update can run against time-interpolated neighbour values without
-    disturbing the owner's in-place state.
+    the start of each owner update): ``prev[c]`` are views of six
+    consecutive slots of the scheduler's stacked history array, which is
+    what the compiled sweep reads and writes in its row visit.  The numpy
+    bodies below are the reference the pooled/blocked variants run: they
+    blend the band in place around a reader's update, with save/restore
+    scratch so the owner's state is undisturbed.  Only interior x/y rows
+    are kept — no update reads a band through a ghost row.
     """
 
-    def __init__(self, wf, owner: "RateGroup", k_slice: slice, kernels=None):
+    def __init__(self, wf, owner: "RateGroup", k_slice: slice,
+                 history: np.ndarray, slot: int):
         self.owner = owner
         self.wf = wf
-        self.sl = (slice(None), slice(None), k_slice)
-        shape = wf.vx[self.sl].shape
-        names = _VEL_BAND_FIELDS + _STRESS_BAND_FIELDS
-        self.prev = {c: np.ascontiguousarray(getattr(wf, c)[self.sl])
-                     for c in names}
-        self._saved = {c: np.empty(shape, wf.dtype) for c in names}
-        self._tmp = np.empty(shape, wf.dtype)
-        #: field family -> compiled (save_prev, apply, restore) bound to
-        #: ``wf``: one gather/scatter loop per call.  Empty without a
-        #: compiled.KernelSet — the numpy bodies below are the reference.
-        self._compiled = {}
-        if kernels is not None:
-            for fam in (_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS):
-                fields = [getattr(wf, c) for c in fam]
-                prev = [self.prev[c] for c in fam]
-                saved = [self._saved[c] for c in fam]
-                k0 = k_slice.start
-                self._compiled[fam] = (
-                    kernels.band_gather(fields, prev, k0),
-                    kernels.band_blend(fields, prev, saved, k0),
-                    kernels.band_scatter(fields, saved, k0))
+        self.sl = (slice(NGHOST, -NGHOST), slice(NGHOST, -NGHOST), k_slice)
+        #: band trio -> first of its three slots in ``history``
+        self.slots = {_VEL_BAND_FIELDS: slot,
+                      _STRESS_BAND_FIELDS: slot + len(_VEL_BAND_FIELDS)}
+        self.prev = {c: history[:, :, first + n]
+                     for trio, first in self.slots.items()
+                     for n, c in enumerate(trio)}
+        for c, arr in self.prev.items():
+            arr[...] = getattr(wf, c)[self.sl]
+        self._scratch = None    # numpy blend only: allocated on first apply
 
     def save_prev(self, fields) -> None:
-        if self._compiled:
-            gather, _, _ = self._compiled[fields]
-            gather()
-            return
         for c in fields:
             np.copyto(self.prev[c], getattr(self.wf, c)[self.sl])
 
     def apply(self, fields, w: float) -> None:
         """Overwrite the band with ``(1-w)*prev + w*current`` (w may exceed
         1: a half-interval extrapolation, still 2nd-order accurate)."""
-        if self._compiled:
-            _, blend, _ = self._compiled[fields]
-            blend(w)
-            return
+        if self._scratch is None:
+            shape = self.wf.vx[self.sl].shape
+            self._scratch = ({c: np.empty(shape, self.wf.dtype)
+                              for c in self.prev},
+                             np.empty(shape, self.wf.dtype))
+        saved, tmp = self._scratch
         for c in fields:
-            arr = getattr(self.wf, c)
-            np.copyto(self._saved[c], arr[self.sl])
-            np.multiply(self.prev[c], 1.0 - w, out=self._tmp)
-            np.multiply(self._saved[c], w, out=arr[self.sl])
-            arr[self.sl] += self._tmp
+            band = getattr(self.wf, c)[self.sl]
+            np.copyto(saved[c], band)
+            np.multiply(self.prev[c], 1.0 - w, out=tmp)
+            np.multiply(saved[c], w, out=band)
+            band += tmp
 
     def restore(self, fields) -> None:
-        if self._compiled:
-            _, _, scatter = self._compiled[fields]
-            scatter()
-            return
         for c in fields:
-            np.copyto(getattr(self.wf, c)[self.sl], self._saved[c])
+            np.copyto(getattr(self.wf, c)[self.sl], self._scratch[0][c])
 
 
 class RateGroup:
@@ -322,11 +313,10 @@ class RateGroup:
             slice(None), slice(None),
             slice(0 if first else NGHOST + k_lo,
                   nzp if last else NGHOST + k_hi))
-        self.updater = None          # set by the scheduler
+        self.updater = None          # numpy variants: set by the scheduler
         self.owned_bands: list[_Band] = []
         #: (band, neighbour_group) pairs this group reads through
         self.neighbor_bands: list[tuple[_Band, "RateGroup"]] = []
-        self.sponge_taper = None
 
     @property
     def nplanes(self) -> int:
@@ -361,9 +351,10 @@ class LTSScheduler(StepSchedule):
                       first=(i == 0), last=(i == len(groups_spec) - 1))
             for i, (lo, hi, r) in enumerate(groups_spec)]
         self.max_rate = max(g.rate for g in self.groups)
-        self._build_updaters(solver)
         self._build_bands(solver)
-        self._build_sponge(solver)
+        self._build_updaters(solver)
+        #: active group indices -> [(k_lo, k_hi, taper)] per contiguous run
+        self._tapers: dict[tuple[int, ...], list] = {}
         self._src_group: dict[int, RateGroup] = {}
         #: plane -> group lookup for source assignment
         self._plane_group = np.empty(grid.nz, dtype=np.int64)
@@ -373,47 +364,73 @@ class LTSScheduler(StepSchedule):
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _build_updaters(self, solver) -> None:
-        if solver.kernel_variant == "compiled":
-            from .compiled import FusedRegionStepper, FusedStepper
-            steppers: dict[int, FusedStepper] = {}
-            for g in self.groups:
-                if g.rate not in steppers:
-                    steppers[g.rate] = FusedStepper(
-                        solver.wf, solver.medium, g.rate * solver.dt,
-                        order=solver.config.order,
-                        parallel=solver.config.compiled_parallel)
-                g.updater = FusedRegionStepper(steppers[g.rate], g.region)
-        else:
-            # pooled and blocked variants both run the region driver; the
-            # blocked panel split is a cache optimization of the same sweep.
-            for g in self.groups:
-                g.updater = RegionUpdater(solver.kernel, g.region,
-                                          dt=g.rate * solver.dt)
-
     def _build_bands(self, solver) -> None:
         wf = solver.wf
-        kernels = solver.fused.kernels if solver.fused is not None else None
-        for below, above in zip(self.groups, self.groups[1:]):
-            k_if = below.k_hi
-            low = _Band(wf, below, slice(NGHOST + k_if - BAND_PLANES,
-                                         NGHOST + k_if), kernels)
-            high = _Band(wf, above, slice(NGHOST + k_if,
-                                          NGHOST + k_if + BAND_PLANES),
-                         kernels)
+        nslots = len(_VEL_BAND_FIELDS + _STRESS_BAND_FIELDS)
+        interfaces = list(zip(self.groups, self.groups[1:]))
+        #: previous band levels, stacked ``(nx, ny, slot, plane)`` so one
+        #: row's history is one contiguous run (checkpointed per band)
+        self.history = np.empty(
+            (solver.grid.nx, solver.grid.ny, 2 * nslots * len(interfaces),
+             BAND_PLANES), dtype=wf.dtype)
+        for n, (below, above) in enumerate(interfaces):
+            k_if = NGHOST + below.k_hi
+            low = _Band(wf, below, slice(k_if - BAND_PLANES, k_if),
+                        self.history, 2 * nslots * n)
+            high = _Band(wf, above, slice(k_if, k_if + BAND_PLANES),
+                         self.history, 2 * nslots * n + nslots)
             below.owned_bands.append(low)
             above.owned_bands.append(high)
             below.neighbor_bands.append((high, above))
             above.neighbor_bands.append((low, below))
 
-    def _build_sponge(self, solver) -> None:
-        if solver.sponge is None:
+    def _build_updaters(self, solver) -> None:
+        #: compiled: (half, nstep % max_rate) -> the substep's one sweep
+        #: (active set and weights are periodic in it, so a substep does no
+        #: per-band python); None on the numpy variants
+        self.plans = None
+        if solver.fused is not None:
+            self.plans = {(half, phase): self._bind_plan(half, phase)
+                          for half in _BANDS for phase in range(self.max_rate)}
             return
+        # pooled and blocked variants both run the region driver; the
+        # blocked panel split is a cache optimization of the same sweep.
         for g in self.groups:
-            # Damping a held slab once with taper**rate equals damping it
-            # every fine substep: the multiplier commutes with holding.
-            g.sponge_taper = solver.sponge.slab_taper(g.k_lo, g.k_hi,
-                                                      power=g.rate)
+            g.updater = RegionUpdater(solver.kernel, g.region,
+                                      dt=g.rate * solver.dt)
+
+    def _corrections(self, half: str, i: int, g: RateGroup):
+        """``(band, w)`` per neighbour band ``g``'s ``half`` update at fine
+        substep ``i`` must read time-interpolated with weight ``w``."""
+        for band, o in g.neighbor_bands if self.correction else ():
+            j = (i // o.rate) * o.rate    # neighbour's last update
+            if half == "velocity":
+                if i == j:
+                    continue    # active neighbour: exact in place
+                # Held neighbour: its stress sits at a future level
+                # j + r_o; pull it back to i by interpolation.
+                yield band, (i - j) / o.rate
+            elif o.rate != g.rate:
+                # This group's stress interval is centred at (i + r/2);
+                # the neighbour's velocity lives at j ± r_o/2.
+                yield band, (i - j + 0.5 * (g.rate + o.rate)) / o.rate
+
+    def _bind_plan(self, half: str, phase: int):
+        """The compiled sweep of substeps ``i % max_rate == phase``: every
+        active group's slab, the bands they own (saved) and read (blended)."""
+        s = self.solver
+        act = self.active(phase)
+        own, read = _BANDS[half]
+        grid = s.grid
+        return s.fused.bind(
+            half, (NGHOST, NGHOST + grid.nx, NGHOST, NGHOST + grid.ny),
+            [(NGHOST + g.k_lo, NGHOST + g.k_hi, g.rate * s.dt) for g in act],
+            self.history,
+            save=[(band.slots[own], band.sl[2].start)
+                  for g in act for band in g.owned_bands],
+            blend=[(n, band.slots[read], band.sl[2].start, w)
+                   for n, g in enumerate(act)
+                   for band, w in self._corrections(half, phase, g)])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -483,9 +500,10 @@ class LTSScheduler(StepSchedule):
         """Update ``half`` on the active groups, each against neighbour
         band planes brought to the time level its stencil needs."""
         i = self.solver.nstep
-        own, read = ((_VEL_BAND_FIELDS, _STRESS_BAND_FIELDS)
-                     if half == "velocity"
-                     else (_STRESS_BAND_FIELDS, _VEL_BAND_FIELDS))
+        if self.plans is not None:
+            self.plans[half, i % self.max_rate]()
+            return
+        own, read = _BANDS[half]
         # Capture the previous level of every band an updating group owns,
         # before any update overwrites it in place.
         for g in act:
@@ -493,29 +511,38 @@ class LTSScheduler(StepSchedule):
                 band.save_prev(own)
         for g in act:
             applied = []
-            for band, o in g.neighbor_bands if self.correction else ():
-                j = (i // o.rate) * o.rate    # neighbour's last update
-                if half == "velocity":
-                    if i == j:
-                        continue    # active neighbour: exact in place
-                    # Held neighbour: its stress sits at a future level
-                    # j + r_o; pull it back to i by interpolation.
-                    w = (i - j) / o.rate
-                else:
-                    if o.rate == g.rate:
-                        continue
-                    # This group's stress interval is centred at (i + r/2);
-                    # the neighbour's velocity lives at j ± r_o/2.
-                    w = (i - j + 0.5 * (g.rate + o.rate)) / o.rate
+            for band, w in self._corrections(half, i, g):
                 band.apply(read, w)
                 applied.append(band)
             getattr(g.updater, "step_" + half)()
             for band in applied:
                 band.restore(read)
 
-    def damp(self, g) -> None:
-        self.solver.sponge.apply_slab(self.solver.wf, g.k_lo, g.k_hi,
-                                      g.sponge_taper)
+    def damp(self, act) -> None:
+        """One damping pass per contiguous run of active groups.
+
+        Damping a held slab once with ``taper**rate`` equals damping it
+        every fine substep (the multiplier commutes with holding), so a
+        run's taper carries each group's own power on that group's planes.
+        """
+        sponge = self.solver.sponge
+        key = tuple(g.index for g in act)
+        tapers = self._tapers.get(key)
+        if tapers is None:
+            runs: list[list[RateGroup]] = []
+            for g in act:
+                if runs and runs[-1][-1].index + 1 == g.index:
+                    runs[-1].append(g)
+                else:
+                    runs.append([g])
+            tapers = self._tapers[key] = [
+                (run[0].k_lo, run[-1].k_hi, sponge.slab_taper(
+                    run[0].k_lo, run[-1].k_hi,
+                    power=np.repeat([g.rate for g in run],
+                                    [g.nplanes for g in run])))
+                for run in runs]
+        for k_lo, k_hi, taper in tapers:
+            sponge.apply_slab(self.solver.wf, k_lo, k_hi, taper)
 
     # ------------------------------------------------------------------
     # Checkpointing

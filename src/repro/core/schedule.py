@@ -168,7 +168,8 @@ class StepSchedule:
         for op in rest:
             op()
 
-    def damp(self, g) -> None:
+    def damp(self, act) -> None:
+        """Sponge-damp the planes of the active groups."""
         self.solver.sponge.apply(self.solver.wf)
 
     def span_attrs(self) -> dict:
@@ -292,8 +293,7 @@ class StepSchedule:
             for f in s.forcings:
                 f.apply_stress(wf, t, g.rate * s.dt, region=g.forcing_region)
         if s.sponge is not None:
-            for g in act:
-                self.damp(g)
+            self.damp(act)
 
     def substep(self) -> None:
         """A; B with no halo between them (the serial driver)."""

@@ -116,9 +116,13 @@ class SurfaceRecorder:
     surface velocity vector every 20th step on an 80 m grid, i.e. every 2nd
     point of the 40 m mesh)."""
 
-    def __init__(self, dec_space: int = 1, dec_time: int = 1):
+    def __init__(self, dec_space: int = 1, dec_time: int = 1,
+                 offset: tuple[int, int] = (0, 0)):
         self.dec_space = dec_space
         self.dec_time = dec_time
+        #: first sampled interior (x, y) row: non-zero on a subdomain whose
+        #: origin is off the global sampling lattice
+        self.offset = offset
         self.frames: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
         self._step = 0
 
@@ -127,9 +131,10 @@ class SurfaceRecorder:
             kt = NGHOST + wf.grid.nz - 1
             g = NGHOST
             d = self.dec_space
-            vx = wf.vx[g:-g:d, g:-g:d, kt].copy()
-            vy = wf.vy[g:-g:d, g:-g:d, kt].copy()
-            vz = wf.vz[g:-g:d, g:-g:d, kt].copy()
+            ox, oy = self.offset
+            vx = wf.vx[g + ox:-g:d, g + oy:-g:d, kt].copy()
+            vy = wf.vy[g + ox:-g:d, g + oy:-g:d, kt].copy()
+            vz = wf.vz[g + ox:-g:d, g + oy:-g:d, kt].copy()
             self.frames.append((t, vx, vy, vz))
         self._step += 1
 
@@ -192,8 +197,8 @@ class WaveSolver:
                     "falling back to kernel_variant='pooled'",
                     RuntimeWarning, stacklevel=2)
                 self.kernel_variant = "pooled"
-        #: the compiled operators the sponge, free surface and LTS bands run
-        #: next to the fused sweeps (None: their numpy bodies)
+        #: the compiled operators the sponge and free surface run next to
+        #: the fused sweeps (None: their numpy bodies)
         kernels = self.fused.kernels if self.fused is not None else None
         self.free_surface = (FreeSurfaceFS2(medium, kernels=kernels)
                              if cfg.free_surface else None)

@@ -296,20 +296,19 @@ class DistributedWaveSolver:
                        dec_time: int = 1) -> SurfaceRecorder:
         """Record the decimated free-surface velocity (merged globally).
 
-        Each top-layer rank records its local top plane; frames are stitched
-        into global arrays after every :meth:`run`, bitwise equal to the
-        serial :class:`SurfaceRecorder` output.  Spatial decimation across
-        uneven subdomain splits would de-align the sampling grid, so only
-        ``dec_space=1`` is supported distributed.
+        Each top-layer rank samples the *global* lattice (every
+        ``dec_space``-th point counted from the global origin, whatever its
+        own origin) on its local top plane; frames are stitched into global
+        arrays after every :meth:`run`, bitwise equal to the serial
+        :class:`SurfaceRecorder` output for even and uneven splits.
         """
-        if dec_space != 1:
-            raise ValueError("distributed surface recording requires "
-                             "dec_space=1")
         pz = self.decomp.dims[2]
         for rank, sub in enumerate(self.decomp.subdomains()):
             if sub.coords[2] == pz - 1:
                 self.solvers[rank].surface_recorder = SurfaceRecorder(
-                    dec_space, dec_time)
+                    dec_space, dec_time,
+                    offset=tuple(-o % dec_space
+                                 for o in sub.origin_index[:2]))
         self.surface_recorder = SurfaceRecorder(dec_space, dec_time)
         return self.surface_recorder
 
@@ -320,17 +319,19 @@ class DistributedWaveSolver:
         if not local:
             return
         nframes = min(len(r.frames) for r in local.values())
-        nx, ny = self.grid.nx, self.grid.ny
+        d = self.surface_recorder.dec_space
+        shape = tuple(len(range(0, n, d)) for n in self.grid.shape[:2])
         dtype = self.solvers[0].wf.dtype
         for fi in range(nframes):
             t = 0.0
-            planes = [np.zeros((nx, ny), dtype=dtype) for _ in range(3)]
+            planes = [np.zeros(shape, dtype=dtype) for _ in range(3)]
             for rank, rec in local.items():
-                sub = self.decomp.subdomain(rank)
-                (a, b), (c, d), _ = sub.ranges
-                t, lvx, lvy, lvz = rec.frames[fi]
-                for dst, src in zip(planes, (lvx, lvy, lvz)):
-                    dst[a:b, c:d] = src
+                (a, _), (c, _), _ = self.decomp.subdomain(rank).ranges
+                # lattice index of this rank's first sample: ceil(origin / d)
+                ia, ic = -(-a // d), -(-c // d)
+                t, *lplanes = rec.frames[fi]
+                for dst, src in zip(planes, lplanes):
+                    dst[ia:ia + src.shape[0], ic:ic + src.shape[1]] = src
             self.surface_recorder.frames.append((t, *planes))
         for rec in local.values():
             rec.frames.clear()

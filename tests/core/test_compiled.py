@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core import compiled
+from repro.core.fd import NGHOST
 from repro.core.grid import ALL_FIELDS, Grid3D, WaveField
-from repro.core.kernels import VelocityStressKernel
+from repro.core.kernels import RegionUpdater, VelocityStressKernel
 from repro.core.medium import Medium
+from repro.core.schedule import _split_core_shells
 from repro.core.solver import SolverConfig, WaveSolver
 
 needs_provider = pytest.mark.skipif(
@@ -105,9 +107,9 @@ class TestFusedBitwise:
 
 @needs_provider
 class TestSolverCompiledVariant:
-    def _solver(self, variant, dtype=np.float64, **kw):
+    def _solver(self, variant, dtype=np.float64, shape=(20, 20, 16), **kw):
         from repro.bench import seed_solver_fields
-        g = Grid3D(20, 20, 16, h=100.0)
+        g = Grid3D(*shape, h=100.0)
         med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
                                  dtype=dtype)
         cfg = SolverConfig(absorbing="sponge", sponge_width=4,
@@ -127,25 +129,46 @@ class TestSolverCompiledVariant:
         b.run(5)
         _assert_fields_equal(a.wf, b.wf)
 
-    @pytest.mark.parametrize("lts", ["off", ((0, 8, 1), (8, 16, 2))])
+    @pytest.mark.parametrize("lts", ["off", ((0, 8, 1), (8, 16, 2)),
+                                     ((0, 4, 1), (4, 8, 2), (8, 16, 4))])
     def test_threaded_operators_stay_bitwise(self, lts):
-        """compiled_parallel threads the sweeps AND the sponge, free
-        surface and LTS band operators; rows are independent."""
-        a = self._solver("pooled", lts=lts)
-        b = self._solver("compiled", lts=lts, compiled_parallel=True)
-        assert b.sponge.kernels.parallel and b.free_surface.kernels.parallel
+        """compiled_parallel threads the sweeps (with their in-row band
+        corrections) AND the sponge and free surface; rows are independent
+        because the sweep never writes the fields it reads.  Three rates on
+        512 rows (>= 64 per thread up to 8 threads), 20 times over: a blend
+        written into the read fields would race with the neighbour rows'
+        x/y taps and show up here."""
+        shape = (32, 16, 16) if len(lts) == 3 else (20, 20, 16)
+        a = self._solver("pooled", shape=shape, lts=lts)
+        serial = self._solver("compiled", shape=shape, lts=lts)
         a.run(6)
-        b.run(6)
-        _assert_fields_equal(a.wf, b.wf)
+        serial.run(6)
+        _assert_fields_equal(a.wf, serial.wf)
+        for _ in range(20 if len(lts) == 3 else 1):
+            b = self._solver("compiled", shape=shape, lts=lts,
+                             compiled_parallel=True)
+            assert b.fused.kernels.parallel
+            assert b.sponge.kernels.parallel
+            assert b.free_surface.kernels.parallel
+            b.run(6)
+            for name, arr in serial.wf.fields().items():
+                assert np.array_equal(getattr(b.wf, name), arr), name
+            if b.lts is not None:
+                assert np.array_equal(b.lts.history, serial.lts.history)
 
     def test_operators_share_the_steppers_kernel_set(self):
         b = self._solver("compiled", lts=((0, 8, 1), (8, 16, 2)))
         ks = b.fused.kernels
         assert b.sponge.kernels is ks and b.free_surface.kernels is ks
-        assert all(band._compiled for g in b.lts.groups
-                   for band in g.owned_bands)
-        p = self._solver("pooled")
+        # one bound sweep per (half, phase of the macro cycle), no per-rate
+        # steppers or per-group updaters next to solver.fused
+        assert set(b.lts.plans) == {(half, phase)
+                                    for half in ("velocity", "stress")
+                                    for phase in range(b.lts.max_rate)}
+        assert all(g.updater is None for g in b.lts.groups)
+        p = self._solver("pooled", lts=((0, 8, 1), (8, 16, 2)))
         assert p.sponge.kernels is None and p.free_surface.kernels is None
+        assert p.lts.plans is None
 
     def test_blocked_matches_pooled_via_config(self):
         a = self._solver("pooled")
@@ -221,8 +244,7 @@ class TestFallbackRunsNumpyOperators:
         assert sol.kernel_variant == "pooled" and sol.fused is None
         assert sol.sponge.kernels is None
         assert sol.free_surface.kernels is None
-        assert not any(band._compiled for grp in sol.lts.groups
-                       for band in grp.owned_bands)
+        assert sol.lts.plans is None
         ref = build("pooled")
         ref.run(4)
         _assert_fields_equal(sol.wf, ref.wf)
@@ -256,17 +278,23 @@ class TestNumbaSourceRunsAsPython:
             g = Grid3D(6, 5, 12, h=100.0)
             med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
                                      dtype=np.float32)
-            sols = []
-            for variant in ("pooled", "compiled"):
-                sol = WaveSolver(g, med, SolverConfig(
-                    absorbing="sponge", sponge_width=2, free_surface=True,
-                    stability_check_interval=0, dtype=np.float32,
-                    kernel_variant=variant, lts=((0, 6, 1), (6, 12, 2))))
-                seed_solver_fields(sol.wf)
-                sol.run(3)
-                sols.append(sol)
-            assert sols[1].fused.provider == "numba"
-            _assert_fields_equal(sols[0].wf, sols[1].wf)
+            # the one-slab case (global dt) and the slab table with bands
+            for lts in ("off", ((0, 4, 1), (4, 8, 2), (8, 12, 4))):
+                sols = []
+                for variant in ("pooled", "compiled"):
+                    sol = WaveSolver(g, med, SolverConfig(
+                        absorbing="sponge", sponge_width=2, free_surface=True,
+                        stability_check_interval=0, dtype=np.float32,
+                        kernel_variant=variant, lts=lts))
+                    seed_solver_fields(sol.wf)
+                    sol.run(5)
+                    sols.append(sol)
+                assert sols[1].fused.provider == "numba"
+                _assert_fields_equal(sols[0].wf, sols[1].wf)
+                if lts != "off":
+                    assert sols[1].lts.plans
+                    assert np.array_equal(sols[0].lts.history,
+                                          sols[1].lts.history)
         finally:
             # the stub-built module must not outlive the test
             sys.modules.pop("repro.core._compiled_numba", None)
@@ -276,17 +304,22 @@ class TestNumbaSourceRunsAsPython:
 class TestKernelSetValidation:
     """Binding refuses what the raw-pointer operators cannot take."""
 
+    @staticmethod
+    def _vel_arrays(kernels, seed):
+        g, med, wf = _random_state(seed, dtype=np.dtype(kernels.dtype).type)
+        box = (NGHOST, NGHOST + g.nx, NGHOST, NGHOST + g.ny)
+        return g, wf, [*wf.fields().values(), med.bx, med.by, med.bz], box
+
     def test_rejects_non_contiguous_and_foreign_dtype(self, kernels):
-        g, med, wf = _random_state(8, dtype=np.dtype(kernels.dtype).type)
-        fields = list(wf.fields().values())
-        medium = [med.bx, med.by, med.bz]
+        g, wf, arrays, box = self._vel_arrays(kernels, 8)
+        slabs = [(NGHOST, NGHOST + g.nz, 1e-3)]
+        strided = arrays[0].transpose(2, 1, 0).copy().transpose(2, 1, 0)
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernels.vel([fields[0].transpose(2, 1, 0).copy().transpose(2, 1, 0),
-                         *fields[1:], *medium], 25.0, 1e-3)
+            kernels.vel([strided, *arrays[1:]], 25.0, box, slabs)
         other = np.float32 if kernels.dtype == "float64" else np.float64
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernels.vel([fields[0].astype(other), *fields[1:], *medium],
-                        25.0, 1e-3)
+            kernels.vel([arrays[0].astype(other), *arrays[1:]], 25.0, box,
+                        slabs)
 
     def test_rejects_planes_outside_the_array(self, kernels):
         g, med, wf = _random_state(9, dtype=np.dtype(kernels.dtype).type)
@@ -295,10 +328,93 @@ class TestKernelSetValidation:
             kernels.fs_stress(wf.sxz, wf.syz, wf.szz, npz - 2)
         with pytest.raises(ValueError, match="surface plane"):
             kernels.fs_velocity(wf.vx, wf.vy, wf.vz, med.lam, med.lam2mu, 0)
-        bufs = [np.zeros(g.padded_shape[:2] + (2,), dtype=kernels.dtype)
-                for _ in range(3)]
-        with pytest.raises(ValueError, match="band"):
-            kernels.band_gather([wf.vx, wf.vy, wf.vz], bufs, npz - 1)
+
+    @pytest.mark.parametrize("slabs", [
+        [(2, 6, 1e-3), (5, 9, 1e-3)],       # overlapping
+        [(6, 9, 1e-3), (2, 6, 1e-3)],       # unordered
+        [(2, 2, 1e-3)],                     # empty
+        [(1, 6, 1e-3)],                     # into the bottom ghost planes
+        [(2, 14, 1e-3)],                    # into the top ghost planes
+    ])
+    def test_rejects_bad_slab_tables(self, kernels, slabs):
+        g, wf, arrays, box = self._vel_arrays(kernels, 10)
+        assert g.padded_shape[2] == 15
+        with pytest.raises(ValueError, match="slabs"):
+            kernels.vel(arrays, 25.0, box, slabs)
+
+    def test_rejects_boxes_and_bands_outside_the_arrays(self, kernels):
+        g, wf, arrays, box = self._vel_arrays(kernels, 11)
+        npz = g.padded_shape[2]
+        slabs = [(2, 6, 1e-3), (6, 13, 2e-3)]
+        with pytest.raises(ValueError, match="ghost rim"):
+            kernels.vel(arrays, 25.0, (1, *box[1:]), slabs)
+        with pytest.raises(ValueError, match="ghost rim"):
+            kernels.vel(arrays, 25.0, (*box[:3], box[3] + 1), slabs)
+        hist = np.zeros((g.nx, g.ny, 12, 2), dtype=kernels.dtype)
+        kernels.vel(arrays, 25.0, box, slabs, hist, save=[(0, 4), (6, 6)],
+                    blend=[(0, 9, 6, 0.5), (1, 3, 4, 1.5)])  # a valid plan
+        with pytest.raises(ValueError, match="history array"):
+            kernels.vel(arrays, 25.0, box, slabs, save=[(0, 4)])
+        with pytest.raises(ValueError, match="band"):            # planes
+            kernels.vel(arrays, 25.0, box, slabs, hist, save=[(0, npz - 1)])
+        with pytest.raises(ValueError, match="band"):            # slots
+            kernels.vel(arrays, 25.0, box, slabs, hist,
+                        blend=[(0, 10, 6, 0.5)])
+        with pytest.raises(ValueError, match="outside the table"):
+            kernels.vel(arrays, 25.0, box, slabs, hist,
+                        blend=[(2, 3, 6, 0.5)])
+        padded = np.zeros((*g.padded_shape[:2], 12, 2), dtype=kernels.dtype)
+        with pytest.raises(ValueError, match="interior rows"):
+            kernels.vel(arrays, 25.0, box, slabs, padded, save=[(0, 4)])
+
+
+class TestSlabTableSweep:
+    """The one entry point per half: global dt and region boxes are its
+    one-slab case, several slabs with their own dt its LTS case."""
+
+    @staticmethod
+    def _pair(kernels, seed):
+        dtype = np.dtype(kernels.dtype).type
+        g, med, wf = _random_state(seed, dtype=dtype)
+        wf2 = wf.copy()
+        return (g, VelocityStressKernel(wf, med, 1e-3), wf,
+                compiled.FusedStepper(wf2, med, 1e-3,
+                                      parallel=kernels.parallel,
+                                      provider=kernels.provider), wf2)
+
+    def test_one_slab_is_the_pooled_kernel(self, kernels):
+        g, pooled, wf, fused, wf2 = self._pair(kernels, 21)
+        assert fused.kernels is kernels
+        for _ in range(2):
+            pooled.step_velocity()
+            pooled.step_stress()
+            fused.step_velocity()
+            fused.step_stress()
+        _assert_fields_equal(wf, wf2)
+
+    @pytest.mark.parametrize("excl", [[[2, 2], [2, 2], [2, 2]],
+                                      [[2, 0], [0, 2], [0, 3]]])
+    def test_any_core_shell_cover_is_the_pooled_kernel(self, kernels, excl):
+        g, pooled, wf, fused, wf2 = self._pair(kernels, 22)
+        core, shells = _split_core_shells(g, excl)
+        for half in ("step_velocity", "step_stress"):
+            getattr(pooled, half)()
+            for region in (*shells[::-1], core):    # any order: disjoint
+                getattr(compiled.FusedRegionStepper(fused, region), half)()
+        _assert_fields_equal(wf, wf2)
+
+    def test_slabs_carry_their_own_dt(self, kernels):
+        """One call over three slabs == three pooled region updates."""
+        g, pooled, wf, fused, wf2 = self._pair(kernels, 23)
+        x = (slice(NGHOST, NGHOST + g.nx), slice(NGHOST, NGHOST + g.ny))
+        cuts = [(2, 5, 1e-3), (5, 9, 2e-3), (9, 13, 4e-3)]
+        for half in ("velocity", "stress"):
+            for z0, z1, dt in cuts:
+                getattr(RegionUpdater(pooled, (*x, slice(z0, z1)), dt=dt),
+                        "step_" + half)()
+            fused.bind(half, (x[0].start, x[0].stop, x[1].start, x[1].stop),
+                       cuts)()
+        _assert_fields_equal(wf, wf2)
 
 
 @needs_provider
@@ -307,16 +423,16 @@ def test_provider_lacking_an_operator_is_unavailable_as_a_whole(monkeypatch):
     resolution, which the solver turns into the loud pooled fallback."""
     provider = compiled.ensure_available()
     real = compiled._BUILDERS[provider]
+    for op in ("damp", "vel"):      # a per-step operator, the sweep itself
+        def lacking(dt, parallel, op=op):
+            binders, secs, hit = real(dt, parallel)
+            del binders[op]
+            return binders, secs, hit
 
-    def lacking(dt, parallel):
-        binders, secs, hit = real(dt, parallel)
-        del binders["damp"]
-        return binders, secs, hit
-
-    monkeypatch.setitem(compiled._BUILDERS, provider, lacking)
-    monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
-    with pytest.raises(compiled.CompiledUnavailable, match="damp"):
-        compiled.get_kernels(np.float64, provider=provider)
+        monkeypatch.setitem(compiled._BUILDERS, provider, lacking)
+        monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
+        with pytest.raises(compiled.CompiledUnavailable, match=op):
+            compiled.get_kernels(np.float64, provider=provider)
 
 
 class TestConfigValidation:

@@ -10,17 +10,25 @@ round-trips, and the single-group degenerate case.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import seed_solver_fields
-from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
+from repro.core import (Grid3D, Medium, Receiver, SolverConfig, WaveSolver,
+                        compiled)
 from repro.core.fd import NGHOST
 from repro.core.grid import ALL_FIELDS, WaveField
-from repro.core.lts import (_STRESS_BAND_FIELDS, _VEL_BAND_FIELDS,
+from repro.core.kernels import RegionUpdater, VelocityStressKernel
+from repro.core.lts import (_BANDS, _STRESS_BAND_FIELDS, _VEL_BAND_FIELDS,
                             BAND_PLANES, MIN_GROUP_PLANES, RATES, _Band,
                             build_rate_groups, local_cfl_map,
                             normalize_rate_map, plane_cfl_bounds,
                             theoretical_speedup)
 from repro.scenarios import basin_two_layer
+
+needs_provider = pytest.mark.skipif(
+    not compiled.compiled_available(),
+    reason="no compiled provider (numba or C compiler)")
 
 
 def _bounds(*plane_dts):
@@ -78,6 +86,28 @@ class TestBuildRateGroups:
             assert r in RATES
             # demotions only: every plane's assigned rate is stable
             assert r * 1.0 <= b[lo:hi].min() + 1e-12
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1.0, 9.0), min_size=1, max_size=64),
+           st.floats(0.1, 1.0))
+    def test_partition_invariants(self, factors, dt):
+        """What the scheduler (and the in-row band correction, whose two
+        bands per group must not overlap) relies on, for any medium."""
+        bounds = dt * np.asarray(factors)
+        nz = bounds.size
+        groups = build_rate_groups(dt, bounds)
+        assert groups[0][0] == 0 and groups[-1][1] == nz
+        for (_, hi, _), (lo, _, _) in zip(groups, groups[1:]):
+            assert hi == lo                         # tiles [0, nz)
+        for lo, hi, r in groups:
+            assert r in RATES and lo < hi
+            assert r * dt <= bounds[lo:hi].min()    # CFL-safe
+            if len(groups) > 1:
+                assert hi - lo >= MIN_GROUP_PLANES
+        for (_, _, ra), (_, _, rb) in zip(groups, groups[1:]):
+            assert ra != rb and max(ra, rb) <= 2 * min(ra, rb)
+        assert normalize_rate_map(groups, nz) == groups
 
 
 class TestNormalizeRateMap:
@@ -180,22 +210,35 @@ class TestScheduler:
         assert ref > 0
         assert np.abs(on.wf.vx - off.wf.vx).max() <= 0.05 * ref
 
-    def test_state_roundtrip_bitwise(self):
-        # restart mid macro-cycle: band history must survive the round-trip
-        a = _make_solver("auto")
-        a.run(3)                      # odd step: x2/x4 groups mid-hold
-        st = a.state()
-        assert "lts" in st and st["lts"]
-        a.run(5)
-        end = {k: v.copy() for k, v in a.wf.fields().items()}
-
-        b = _make_solver("auto")
-        b.load_state(st)
-        b.run(5)
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["pooled", "compiled"])
+    def test_state_roundtrip_bitwise(self, variant, step):
+        # restart mid macro-cycle (x2/x4 groups mid-hold): band history must
+        # survive the round-trip, on the numpy bodies and the bound plans
+        if variant == "compiled" and not compiled.compiled_available():
+            pytest.skip("no compiled provider (numba or C compiler)")
+        a = _make_solver("auto", kernel_variant=variant)
+        assert a.lts.max_rate == 4
+        a.run(step)
+        st_ = a.state()
+        assert "lts" in st_ and st_["lts"]
+        a.run(7)
+        b = _make_solver("auto", kernel_variant=variant)
+        b.load_state(st_)
+        b.run(7)
         assert b.nstep == a.nstep
-        for name, arr in end.items():
-            np.testing.assert_array_equal(arr, getattr(b.wf, name),
-                                          err_msg=name)
+        _assert_same_run(a, b)
+
+    @needs_provider
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_state_written_by_pooled_resumes_on_compiled(self, step):
+        a = _make_solver("auto")
+        a.run(step)
+        b = _make_solver("auto", kernel_variant="compiled")
+        b.load_state(a.state())
+        a.run(7)
+        b.run(7)
+        _assert_same_run(a, b)
 
     def test_band_planes_cover_stencil(self):
         s = _make_solver(((0, 8, 1), (8, 16, 2)))
@@ -207,61 +250,133 @@ class TestScheduler:
     def test_compiled_matches_pooled(self):
         """Sweeps, slab damping, free surface and band corrections all
         compiled: fields AND band history equal the numpy run bit for bit."""
-        from repro.core import compiled
         if not compiled.compiled_available():
             pytest.skip("no compiled provider (numba or C compiler)")
         lts = ((0, 4, 1), (4, 8, 2), (8, 16, 4))
         for dtype in (np.float64, np.float32):
             pooled = _make_solver(lts, dtype=dtype)
             comp = _make_solver(lts, dtype=dtype, kernel_variant="compiled")
-            assert all(band._compiled for g in comp.lts.groups
-                       for band in g.owned_bands)
+            assert comp.lts.plans and pooled.lts.plans is None
             pooled.run(7)
             comp.run(7)
-            for name, arr in pooled.wf.fields().items():
-                np.testing.assert_array_equal(getattr(comp.wf, name), arr,
-                                              err_msg=name)
-            for key, arr in pooled.state()["lts"].items():
-                np.testing.assert_array_equal(comp.state()["lts"][key], arr,
-                                              err_msg=key)
+            _assert_same_run(pooled, comp)
+
+    def test_one_damping_pass_per_run_of_active_groups(self):
+        """Stiff-soft-stiff: at odd substeps the two x1 groups are separate
+        runs (two passes), at even ones the whole column is one."""
+        s = _make_solver(((0, 6, 1), (6, 10, 2), (10, 16, 1)))
+        calls = []
+        apply_slab = s.sponge.apply_slab
+        s.sponge.apply_slab = lambda wf, lo, hi, taper: (
+            calls.append((lo, hi)), apply_slab(wf, lo, hi, taper))
+        s.run(2)
+        assert calls == [(0, 16), (0, 6), (10, 16)]
+        s.run(2)
+        assert len(s.lts._tapers) == 2      # built once per active set
+
+
+def _assert_same_run(a, b):
+    """Nine fields (ghosts included), band history and waveforms, atol=0."""
+    for name, arr in a.wf.fields().items():
+        np.testing.assert_array_equal(getattr(b.wf, name), arr, err_msg=name)
+    lts_a, lts_b = a.state()["lts"], b.state()["lts"]
+    assert lts_a.keys() == lts_b.keys()
+    for key, arr in lts_a.items():
+        np.testing.assert_array_equal(lts_b[key], arr, err_msg=key)
+    for ra, rb in zip(a.receivers, b.receivers):
+        assert ra.data == rb.data
+
+
+#: name -> (rate map, nz, extra SolverConfig fields)
+_COMPILED_CASES = {
+    "basin-x1-x2-x4": (((0, 13, 1), (13, 17, 2), (17, 32, 4)), 32, {}),
+    # two non-contiguous active runs in one substep
+    "sandwich-x1-x2-x1": (((0, 6, 1), (6, 10, 2), (10, 16, 1)), 16, {}),
+    # groups of exactly MIN_GROUP_PLANES: the two bands of a group touch
+    "thin-groups": (((0, 4, 1), (4, 8, 2), (8, 12, 4), (12, 16, 2)), 16, {}),
+    "no-correction": (((0, 4, 1), (4, 8, 2), (8, 16, 4)), 16,
+                      {"lts_correction": False}),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPILED_CASES))
+def test_compiled_lts_equals_pooled_lts(kernels, case, monkeypatch):
+    """One row visit per substep == per-group sweeps between whole-plane
+    band passes: fields, band history and waveforms, every provider."""
+    monkeypatch.setenv("REPRO_COMPILED_PROVIDER", kernels.provider)
+    lts, nz, extra = _COMPILED_CASES[case]
+    assert all(hi - lo >= MIN_GROUP_PLANES for lo, hi, _ in lts)
+    runs = []
+    for variant in ("pooled", "compiled"):
+        s = _make_solver(lts, n=10, nz=nz, dtype=np.dtype(kernels.dtype).type,
+                         kernel_variant=variant, **extra)
+        for k in (1.5, nz / 2, nz - 1.5):
+            s.add_receiver(Receiver(position=(450.0, 550.0, k * s.grid.h)))
+        s.run(9)
+        runs.append(s)
+    assert runs[1].fused.kernels is kernels and runs[1].lts.plans
+    _assert_same_run(*runs)
 
 
 class TestCompiledBand:
-    """kernels.band_* == _Band's numpy bodies (atol=0)."""
+    """The sweep's in-row band correction == _Band's numpy bodies around a
+    pooled region update (atol=0): fields, and the history it saves."""
 
     @pytest.mark.parametrize("w", [0.25, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("fields", [_VEL_BAND_FIELDS,
                                         _STRESS_BAND_FIELDS])
     def test_save_blend_restore(self, kernels, w, fields):
-        g = Grid3D(7, 6, 10, h=1.0)
+        # ``fields`` is the band trio the update *reads*
+        half = next(h for h, (_, read) in _BANDS.items() if read == fields)
+        own = _BANDS[half][0]
+        dtype = np.dtype(kernels.dtype)
+        g = Grid3D(7, 6, 10, h=100.0)
+        med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
+                                 dtype=dtype)
         rng = np.random.default_rng(11)
-        a = WaveField(g, dtype=np.dtype(kernels.dtype))
+        a = WaveField(g, dtype=dtype)
         for name in ALL_FIELDS:
             getattr(a, name)[...] = rng.standard_normal(g.padded_shape)
         b = a.copy()
-        k = slice(NGHOST + 4, NGHOST + 4 + BAND_PLANES)
-        ref, fast = _Band(a, None, k), _Band(b, None, k, kernels)
-
-        def same():
-            for name in ALL_FIELDS:
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            for c in fields:
-                assert np.array_equal(ref.prev[c], fast.prev[c])
-
-        for band in (ref, fast):
-            band.save_prev(fields)
-        for wf in (a, b):       # the owner moves on; prev keeps the old level
-            for c in fields:
-                getattr(wf, c)[...] *= 1.75
+        # a group on planes [0, 4): it owns the band below the interface
+        # at k=4 and reads the neighbour's band above it
+        k_if = NGHOST + 4
+        bands = []
+        for wf in (a, b):
+            hist = np.zeros((g.nx, g.ny, 12, BAND_PLANES), dtype=dtype)
+            bands.append((
+                hist,
+                _Band(wf, None, slice(k_if - BAND_PLANES, k_if), hist, 0),
+                _Band(wf, None, slice(k_if, k_if + BAND_PLANES), hist, 6)))
+            for name in ALL_FIELDS:     # everyone moves on; the history
+                getattr(wf, name)[...] *= 1.75      # keeps the old level
+        region = (slice(NGHOST, NGHOST + g.nx), slice(NGHOST, NGHOST + g.ny),
+                  slice(NGHOST, k_if))
+        dt = 2e-3
+        # numpy reference: save, blend in place, update, restore
+        hist_a, owned, neighbour = bands[0]
         held = {c: getattr(a, c).copy() for c in fields}
-        for band in (ref, fast):
-            band.apply(fields, w)
-        same()
-        for band in (ref, fast):
-            band.restore(fields)
-        same()
+        owned.save_prev(own)
+        neighbour.apply(fields, w)
+        getattr(RegionUpdater(VelocityStressKernel(a, med, dt), region),
+                "step_" + half)()
+        neighbour.restore(fields)
         for c in fields:
-            assert np.array_equal(getattr(b, c), held[c])
+            assert np.array_equal(getattr(a, c), held[c])
+        # compiled: the same thing inside one row visit
+        hist_b, owned, neighbour = bands[1]
+        compiled.FusedStepper(
+            b, med, dt, parallel=kernels.parallel, provider=kernels.provider
+        ).bind(half, (region[0].start, region[0].stop, region[1].start,
+                      region[1].stop), [(NGHOST, k_if, dt)], hist_b,
+               save=[(owned.slots[own], owned.sl[2].start)],
+               blend=[(0, neighbour.slots[fields], neighbour.sl[2].start,
+                       w)])()
+        for name in ALL_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(hist_a, hist_b)
+        assert not np.array_equal(neighbour.prev[fields[0]],
+                                  getattr(b, fields[0])[neighbour.sl])
 
 
 class TestConfigValidation:
