@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["ba08_pgv", "cb08_pgv", "GmpeResult", "probability_of_exceedance"]
 
@@ -48,6 +47,7 @@ class GmpeResult:
         """Probability of exceeding ``value`` under the log-normal model."""
         z = (np.log(np.asarray(value, dtype=float)) - np.log(self.median)) \
             / self.sigma_ln
+        from scipy.stats import norm   # deferred: slow import
         return 1.0 - norm.cdf(z)
 
 

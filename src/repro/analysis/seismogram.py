@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 __all__ = ["bandpass", "lowpass", "amplitude_spectrum", "dominant_period",
            "pick_arrival", "l2_misfit"]
@@ -15,8 +14,9 @@ def lowpass(series: np.ndarray, dt: float, f_cut: float, order: int = 4
     nyq = 0.5 / dt
     if f_cut >= nyq:
         return np.asarray(series, dtype=np.float64).copy()
-    b, a = scipy.signal.butter(order, f_cut / nyq)
-    return scipy.signal.filtfilt(b, a, series)
+    from scipy.signal import butter, filtfilt   # deferred: slow import
+    b, a = butter(order, f_cut / nyq)
+    return filtfilt(b, a, series)
 
 
 def bandpass(series: np.ndarray, dt: float, f_lo: float, f_hi: float,
@@ -26,8 +26,9 @@ def bandpass(series: np.ndarray, dt: float, f_lo: float, f_hi: float,
     if not 0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
     hi = min(f_hi / nyq, 0.99)
-    b, a = scipy.signal.butter(order, [f_lo / nyq, hi], btype="band")
-    return scipy.signal.filtfilt(b, a, series)
+    from scipy.signal import butter, filtfilt   # deferred: slow import
+    b, a = butter(order, [f_lo / nyq, hi], btype="band")
+    return filtfilt(b, a, series)
 
 
 def amplitude_spectrum(series: np.ndarray, dt: float

@@ -221,8 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--kernel-variant",
                     choices=("pooled", "blocked", "compiled"), default=None,
                     help="override the spec's stencil backend for every "
-                         "job; backends are bitwise-equal so cached "
-                         "products from other variants still count as hits")
+                         "job (spec default: compiled where the host can "
+                         "build it, else pooled); backends are "
+                         "bitwise-equal so cached products from other "
+                         "variants still count as hits")
     fm.add_argument("--metrics", action="store_true",
                     help="also print the repro.obs metrics registry report")
 
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     qy.add_argument("--store", type=str, default="products", metavar="DIR",
                     help="product store root (default: products/)")
     qy.add_argument("--workers", type=int, default=2, metavar="N",
-                    help="service worker threads (default 2)")
+                    help="service worker processes running the store "
+                         "misses (default 2)")
     qy.add_argument("--max-retries", type=int, default=2, metavar="K",
                     help="retries per failing job before the query is "
                          "reported failed (default 2)")
@@ -259,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--store", type=str, default="products", metavar="DIR",
                     help="product store root (default: products/)")
     sv.add_argument("--workers", type=int, default=2, metavar="N",
-                    help="service worker threads (default 2)")
+                    help="service worker processes running the store "
+                         "misses (default 2)")
     sv.add_argument("--max-retries", type=int, default=2, metavar="K",
                     help="retries per failing job before a query is "
                          "reported failed (default 2)")

@@ -33,7 +33,6 @@ medium's default Q model is used.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .fd import NGHOST, interior
 from .grid import Grid3D
@@ -71,7 +70,8 @@ def fit_q_weights(f_min: float, f_max: float, n_mech: int = 8
                                            n_mech)[::-1])
     om = 2.0 * np.pi * np.logspace(np.log10(f_min), np.log10(f_max), 16 * n_mech)
     phi = (om[:, None] * tau) / (1.0 + (om[:, None] * tau) ** 2)
-    weights, _ = scipy.optimize.nnls(phi, np.ones_like(om))
+    from scipy.optimize import nnls   # deferred: ~0.3 s of import
+    weights, _ = nnls(phi, np.ones_like(om))
     return tau, weights
 
 

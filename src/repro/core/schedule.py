@@ -176,6 +176,17 @@ class StepSchedule:
         """Attributes a driver puts on its run span."""
         return {}
 
+    def close(self) -> None:
+        """Cut the reference cycles between a finished solver and its
+        schedule (``solver.schedule`` <-> ``self.solver``, and this
+        object's own bound-method table), so the wavefield is freed by
+        reference count the moment the driver drops the solver instead of
+        at some later generation-2 collection.  The solver cannot step
+        afterwards."""
+        self._ops.clear()
+        self.solver.schedule = self.solver.lts = None
+        self.solver = None
+
     # ------------------------------------------------------------------
     # Whole-interior operators (global dt, unsplit)
     # ------------------------------------------------------------------

@@ -5,7 +5,8 @@ across ranks) with whole-simulation parallelism: independent jobs fanned
 over OS worker processes, each writing its products straight into the
 content-addressed :class:`~repro.farm.store.ProductStore`.
 
-Behaviour:
+Behaviour (jobs run through the one :class:`JobExecutor`, which the
+hazard service shares):
 
 * **resume** — jobs whose key is already in the store are cache hits
   (counted and reported, never recomputed); a farm killed mid-run picks
@@ -14,9 +15,12 @@ Behaviour:
   ``max_retries`` times, each retry logged to the structured event log
   (:mod:`repro.obs.events`); exhausted jobs are reported failed without
   sinking the rest of the farm;
-* **graceful degradation** — if worker processes are unavailable (no
-  fork/spawn) the engine falls back to in-process execution with a
-  single warning, mirroring the procpool -> SimMPI fallback;
+* **worker death** — a killed worker process costs the jobs that were
+  in flight one attempt each; the pool is rebuilt and the rest of the
+  farm carries on;
+* **graceful degradation** — on a host that cannot fork the jobs run on
+  threads in this process, with a single warning, mirroring the
+  procpool -> SimMPI fallback;
 * **telemetry** — jobs/hour, hit rate, p50/p95 job wall time land in
   the ``farm.*`` metrics (:mod:`repro.obs.metrics`) and the schema'd
   ``repro-farm/1`` report.
@@ -27,10 +31,18 @@ See ``docs/farm.md`` for the report schema and a worked example.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor, as_completed)
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +51,12 @@ from ..obs.events import get_event_log
 from ..obs.metrics import default_registry
 from ..obs.provenance import RunManifest
 from ..obs.tracer import get_tracer
-from .job import FarmJobError, run_job
+from .job import run_job
 from .spec import FarmJob, FarmSpec
 from .store import ProductStore
 
-__all__ = ["FARM_REPORT_SCHEMA", "JobResult", "FarmReport", "execute_job",
-           "run_farm"]
+__all__ = ["FARM_REPORT_SCHEMA", "JobResult", "FarmReport", "JobExecutor",
+           "execute_job", "run_farm"]
 
 #: Schema identifier of the farm report (``repro farm --json``).
 FARM_REPORT_SCHEMA = "repro-farm/1"
@@ -181,152 +193,243 @@ class FarmReport:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# One attempt (runs in a pool worker)
 # ----------------------------------------------------------------------
 
-def _worker_run(job_dict: dict, attempt: int, store_root: str) -> dict:
-    """Run one job in a worker process and land its products.
+def _failure(error: str, wall_s: float = 0.0) -> dict:
+    return {"ok": False, "wall_s": wall_s, "error": error}
 
-    Returns a plain-data outcome (never raises) so scheduling failures
-    are always distinguishable from job failures.
+
+def _attempt(runner, job: FarmJob, attempt: int, store: ProductStore,
+             delay_s: float) -> dict:
+    """Run one attempt of ``job`` and land its products.
+
+    Sleeps the retry backoff first (in the worker, so a backing-off job
+    occupies its slot), then returns a plain-data outcome — never raises
+    — so scheduling failures stay distinguishable from job failures.
+    ``wall_s`` is the job body alone, excluding the store write.
     """
-    job = FarmJob.from_dict(job_dict)
+    if delay_s > 0:
+        time.sleep(delay_s)
     t0 = time.perf_counter()
     try:
-        arrays = run_job(job, attempt=attempt)
+        with get_tracer().span(f"farm.job[{job.index}]",
+                               category="workflow"):
+            arrays = runner(job, attempt=attempt)
         wall = time.perf_counter() - t0
-        ProductStore(store_root).put(job, arrays, wall_s=wall,
-                                     attempts=attempt)
-        return {"ok": True, "key": job.key(), "wall_s": wall}
+        store.put(job, arrays, wall_s=wall, attempts=attempt)
+        return {"ok": True, "wall_s": wall, "error": None}
     except Exception as exc:  # noqa: BLE001 - reported to the scheduler
-        return {"ok": False, "key": job.key(),
-                "wall_s": time.perf_counter() - t0,
-                "error": f"{type(exc).__name__}: {exc}"}
+        return _failure(f"{type(exc).__name__}: {exc}",
+                        time.perf_counter() - t0)
+
+
+def _worker_run(job_dict: dict, attempt: int, store_root: str,
+                delay_s: float = 0.0) -> dict:
+    """The worker-process entry point: one real attempt, products written
+    by the worker itself, only the plain outcome pickled back."""
+    return _attempt(run_job, FarmJob.from_dict(job_dict), attempt,
+                    ProductStore(store_root), delay_s)
 
 
 # ----------------------------------------------------------------------
-# Scheduler
+# The one job executor
 # ----------------------------------------------------------------------
 
-def execute_job(job, store: ProductStore, max_retries: int = 2,
+class _Handle:
+    """One submitted job: its result record and the future it completes."""
+
+    __slots__ = ("job", "res", "future", "delay_s", "pool")
+
+    def __init__(self, job: FarmJob):
+        self.job = job
+        self.res = JobResult(key=job.key(), index=job.index,
+                             label=job.label(), status="pending", attempts=1)
+        self.future: Future = Future()
+        self.delay_s = 0.0
+        self.pool = None
+
+
+class JobExecutor:
+    """Jobs in, :class:`JobResult` futures out — the farm's and the hazard
+    service's one way of running a job (docs/farm.md, "The job executor").
+
+    A ``concurrent.futures`` pool plus the single retry policy
+    (:meth:`_retire`).  Real jobs (``runner=None``) go to ``workers``
+    processes forked here, in the constructor — so a caller that starts
+    threads later never forks with them alive — each running
+    :func:`_worker_run`.  An injected ``runner`` (the
+    :func:`~repro.farm.job.run_job` signature: the test seam, and how a
+    one-worker farm stays in-process) runs on a thread pool through the
+    same submit/retire path, as do real jobs on a host that cannot fork
+    (one ``RuntimeWarning``).
+
+    At most ``workers`` attempts are inside the pool at once, so the
+    attempts a dead worker's broken pool fails are exactly the jobs that
+    were in flight: the pool is replaced (``<prefix>.worker.died``),
+    they are charged the attempt and retried, waiting jobs are untouched.
+    Every submitted job's future completes with its :class:`JobResult`;
+    it never raises.
+    """
+
+    def __init__(self, store: ProductStore, workers: int = 2,
+                 max_retries: int = 2, backoff_s: float = 0.0, events=None,
+                 event_prefix: str = "farm", runner=None):
+        self.store = store
+        self.workers = workers
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self.events = events if events is not None else get_event_log()
+        self.event_prefix = event_prefix
+        self._runner = runner
+        self._lock = threading.Lock()
+        self._waiting: deque[_Handle] = deque()
+        self._running: set[_Handle] = set()   # attempts inside the pool
+        self._open: set[Future] = set()       # futures of unfinished jobs
+        self._closed = False
+        self._broken_pools: list[ProcessPoolExecutor] = []
+        self._pool = self._start_pool()
+
+    def _start_pool(self):
+        if self._runner is None:
+            pool = None
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("fork"))
+                pool.submit(int).result()    # forks every worker now
+                return pool
+            except (ValueError, OSError) as exc:
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                warnings.warn(
+                    f"{self.event_prefix}: worker processes unavailable "
+                    f"({exc}); running jobs on threads in this process",
+                    RuntimeWarning, stacklevel=4)
+                self._runner = run_job
+        return ThreadPoolExecutor(
+            max_workers=self.workers,
+            thread_name_prefix=f"{self.event_prefix}-job")
+
+    def close(self) -> None:
+        """Refuse new jobs, drain every accepted one to ``done`` or
+        ``failed``, then stop the pool and reap its processes."""
+        with self._lock:
+            self._closed = True
+            pending = list(self._open)
+        futures_wait(pending)
+        self._pool.shutdown(wait=True)
+        for pool in self._broken_pools:
+            pool.shutdown(wait=True)
+
+    # -- submit / retire -----------------------------------------------
+    def submit(self, job: FarmJob) -> Future:
+        """Schedule ``job``; the future's result is its :class:`JobResult`."""
+        h = _Handle(job)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("job executor is closed")
+            self._waiting.append(h)
+            self._open.add(h.future)
+        self._pump()
+        return h.future
+
+    def _pump(self) -> None:
+        """Move waiting jobs into the pool while a worker is free."""
+        while True:
+            with self._lock:
+                if not self._waiting or len(self._running) >= self.workers:
+                    return
+                h = self._waiting.popleft()
+                h.pool = self._pool
+                self._running.add(h)
+            # outside the lock: the pool's own lock is also held around
+            # the done-callbacks of a broken pool, which take ours
+            try:
+                if self._runner is None:
+                    fut = h.pool.submit(
+                        _worker_run, h.job.to_dict(), h.res.attempts,
+                        str(self.store.root), h.delay_s)
+                else:
+                    fut = h.pool.submit(
+                        _attempt, self._runner, h.job, h.res.attempts,
+                        self.store, h.delay_s)
+            except Exception as exc:  # noqa: BLE001 - broken or shut pool
+                fut = Future()
+                fut.set_exception(exc)
+            fut.add_done_callback(partial(self._attempt_done, h))
+
+    def _attempt_done(self, h: _Handle, fut: Future) -> None:
+        try:
+            out = fut.result()
+        except BrokenProcessPool as exc:
+            self._replace_pool(h, exc)
+            out = _failure(f"worker process died: {exc}")
+        except Exception as exc:  # noqa: BLE001 - e.g. unpicklable outcome
+            out = _failure(f"{type(exc).__name__}: {exc}")
+        final = self._retire(h, out)
+        with self._lock:
+            self._running.discard(h)
+            if final:
+                self._open.discard(h.future)
+            else:
+                self._waiting.append(h)
+        if final:
+            h.future.set_result(h.res)
+        self._pump()
+
+    def _retire(self, h: _Handle, out: dict) -> bool:
+        """The retry policy: apply one attempt's outcome to the job's
+        record; True when the job is final, False when it goes round
+        again (``h.delay_s`` then holds its backoff)."""
+        res, prefix = h.res, self.event_prefix
+        res.wall_s = out["wall_s"]
+        if out["ok"]:
+            res.status = "done"
+            return True
+        res.error = out["error"]
+        if res.attempts <= self.max_retries:
+            h.delay_s = self.backoff_s * (2.0 ** (res.attempts - 1))
+            self.events.warn(f"{prefix}.job.retry", key=res.key,
+                             index=res.index, attempt=res.attempts,
+                             backoff_s=h.delay_s, error=res.error)
+            res.attempts += 1
+            return False
+        res.status = "failed"
+        self.events.error(f"{prefix}.job.failed", key=res.key,
+                          index=res.index, attempts=res.attempts,
+                          error=res.error)
+        return True
+
+    def _replace_pool(self, h: _Handle, exc: BaseException) -> None:
+        """First casualty of a broken pool swaps in a fresh one (its
+        workers fork on the next submit)."""
+        with self._lock:
+            if self._pool is not h.pool:
+                return
+            keys = [o.res.key for o in self._running if o.pool is h.pool]
+            self._broken_pools.append(h.pool)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"))
+        self.events.warn(f"{self.event_prefix}.worker.died", keys=keys,
+                         error=str(exc))
+
+
+def execute_job(job: FarmJob, store: ProductStore, max_retries: int = 2,
                 backoff_s: float = 0.0, events=None,
                 event_prefix: str = "farm", runner=None) -> JobResult:
-    """Run one job to completion with bounded retries; return its handle.
+    """Run one job to completion in this process; return its record.
 
-    This is the shared job-handle return path: the farm's in-process
-    scheduler and the hazard service's background workers
-    (:mod:`repro.service.service`) both execute jobs through it, so retry
-    accounting, event names (``<prefix>.job.retry`` / ``.failed``), span
-    labels, and store writes stay identical across the two front ends.
-
-    ``backoff_s`` is the base of an exponential backoff slept between
-    failing attempts (attempt *k* waits ``backoff_s * 2**(k-1)``); the
-    farm scheduler keeps it at 0 (its jobs fail deterministically, so
-    waiting buys nothing), the service defaults it on.  ``runner``
-    substitutes the job body (signature of :func:`~repro.farm.job.
-    run_job`) — the seam the service's test harness uses to count and
-    fault-inject executions without running real simulations.
+    A one-worker in-process :class:`JobExecutor` around a single submit:
+    ``runner`` (default :func:`~repro.farm.job.run_job`) is the job body,
+    ``store.put`` is called on the instance passed in.
     """
-    events = events if events is not None else get_event_log()
-    runner = runner if runner is not None else run_job
-    tracer = get_tracer()
-    res = JobResult(key=job.key(), index=job.index, label=job.label(),
-                    status="pending")
-    for attempt in range(1, max_retries + 2):
-        res.attempts = attempt
-        t0 = time.perf_counter()
-        try:
-            with tracer.span(f"{event_prefix}.job[{job.index}]",
-                             category="workflow"):
-                arrays = runner(job, attempt=attempt)
-            res.wall_s = time.perf_counter() - t0
-            store.put(job, arrays, wall_s=res.wall_s, attempts=attempt)
-            res.status = "done"
-            break
-        except FarmJobError as exc:
-            res.wall_s = time.perf_counter() - t0
-            res.error = str(exc)
-            if attempt <= max_retries:
-                delay = backoff_s * (2.0 ** (attempt - 1))
-                events.warn(f"{event_prefix}.job.retry", key=res.key,
-                            index=job.index, attempt=attempt,
-                            backoff_s=delay, error=res.error)
-                if delay > 0:
-                    time.sleep(delay)
-            else:
-                res.status = "failed"
-                events.error(f"{event_prefix}.job.failed", key=res.key,
-                             index=job.index, attempts=attempt,
-                             error=res.error)
-    return res
-
-
-def _run_serial(todo, results, store, max_retries, events, progress) -> None:
-    for job in todo:
-        results[job.index] = res = execute_job(
-            job, store, max_retries=max_retries, events=events)
-        if progress:
-            progress(res)
-
-
-def _run_pool(todo, results, store, workers, max_retries, events,
-              progress) -> bool:
-    """Schedule over a process pool; returns False if no pool available."""
-    import multiprocessing as mp
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:          # pragma: no cover - non-fork platforms
-        try:
-            ctx = mp.get_context("spawn")
-        except ValueError:
-            return False
-    by_index = {j.index: j for j in todo}
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            pending = {}
-            for job in todo:
-                results[job.index].attempts = 1
-                pending[pool.submit(_worker_run, job.to_dict(), 1,
-                                    str(store.root))] = job.index
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index = pending.pop(fut)
-                    job, res = by_index[index], results[index]
-                    try:
-                        out = fut.result()
-                    except Exception as exc:  # worker process died
-                        out = {"ok": False, "key": res.key, "wall_s": 0.0,
-                               "error": f"worker crashed: {exc}"}
-                    res.wall_s = out["wall_s"]
-                    if out["ok"]:
-                        res.status = "done"
-                        if progress:
-                            progress(res)
-                        continue
-                    res.error = out["error"]
-                    if res.attempts <= max_retries:
-                        events.warn("farm.job.retry", key=res.key,
-                                    index=index, attempt=res.attempts,
-                                    error=res.error)
-                        res.attempts += 1
-                        pending[pool.submit(
-                            _worker_run, job.to_dict(), res.attempts,
-                            str(store.root))] = index
-                    else:
-                        res.status = "failed"
-                        events.error("farm.job.failed", key=res.key,
-                                     index=index, attempts=res.attempts,
-                                     error=res.error)
-                        if progress:
-                            progress(res)
-    except (OSError, PermissionError) as exc:  # pragma: no cover
-        warnings.warn(f"farm: worker processes unavailable ({exc}); "
-                      f"falling back to in-process execution",
-                      RuntimeWarning, stacklevel=3)
-        return False
-    return True
+    with closing(JobExecutor(
+            store, workers=1, max_retries=max_retries, backoff_s=backoff_s,
+            events=events, event_prefix=event_prefix,
+            runner=runner if runner is not None else run_job)) as ex:
+        return ex.submit(job).result()
 
 
 def run_farm(spec: FarmSpec, store: ProductStore | str | Path,
@@ -336,9 +439,10 @@ def run_farm(spec: FarmSpec, store: ProductStore | str | Path,
 
     ``resume=True`` (the default) treats jobs already present in the
     store as cache hits; ``resume=False`` recomputes everything
-    (overwriting in place).  ``workers <= 1`` runs in-process — also the
-    automatic fallback when the host cannot start worker processes.
-    ``progress`` is called with each finished :class:`JobResult`.
+    (overwriting in place).  ``workers == 1`` runs in-process; more run
+    on forked worker processes (threads in this process, with a
+    warning, when the host cannot fork).  ``progress`` is called with
+    each finished :class:`JobResult`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -347,15 +451,15 @@ def run_farm(spec: FarmSpec, store: ProductStore | str | Path,
     store = store if isinstance(store, ProductStore) else ProductStore(store)
     events = get_event_log()
     jobs = spec.expand()
-    results = {j.index: JobResult(key=j.key(), index=j.index,
-                                  label=j.label(), status="pending")
-               for j in jobs}
+    results: dict[int, JobResult] = {}
     todo: list[FarmJob] = []
     for job in jobs:
         if resume and store.has(job.key()):
-            results[job.index].status = "cached"
+            results[job.index] = res = JobResult(
+                key=job.key(), index=job.index, label=job.label(),
+                status="cached")
             if progress:
-                progress(results[job.index])
+                progress(res)
         else:
             todo.append(job)
     events.info("farm.start", njobs=len(jobs), cached=len(jobs) - len(todo),
@@ -364,15 +468,15 @@ def run_farm(spec: FarmSpec, store: ProductStore | str | Path,
     t0 = time.perf_counter()
     with get_tracer().span("farm.run", category="workflow"):
         if todo:
-            pooled = workers > 1 and _run_pool(
-                todo, results, store, workers, max_retries, events, progress)
-            if not pooled and workers > 1:
-                workers = 1
-            if workers == 1 and any(results[j.index].status == "pending"
-                                    for j in todo):
-                _run_serial([j for j in todo
-                             if results[j.index].status == "pending"],
-                            results, store, max_retries, events, progress)
+            with closing(JobExecutor(
+                    store, workers=workers, max_retries=max_retries,
+                    events=events,
+                    runner=run_job if workers == 1 else None)) as ex:
+                for fut in as_completed([ex.submit(j) for j in todo]):
+                    res = fut.result()
+                    results[res.index] = res
+                    if progress:
+                        progress(res)
     wall = time.perf_counter() - t0
 
     report = FarmReport(

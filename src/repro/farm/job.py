@@ -31,6 +31,8 @@ See ``docs/farm.md`` for the product schema and a worked example.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..analysis.gmpe import ba08_pgv, cb08_pgv
@@ -40,7 +42,7 @@ from ..rupture.kinematic import KinematicRupture, denali_like_slip
 from ..scenarios.catalog import scenario
 from .spec import FarmJob
 
-__all__ = ["FarmJobError", "run_job", "job_products"]
+__all__ = ["FarmJobError", "run_job", "job_products", "resolve_variant"]
 
 #: Fixed material for the scaled farm medium (homogeneous half-space).
 _VP, _VS, _RHO = 5600.0, 3200.0, 2700.0
@@ -52,6 +54,18 @@ class FarmJobError(RuntimeError):
     """A job failed (includes injected teeth-test failures)."""
 
 
+@functools.cache
+def resolve_variant(kernel_variant: str) -> str:
+    """The stencil backend a job runs: ``auto`` is the compiled kernel
+    where this host has a provider, else pooled — probed once per
+    process and silent either way (an *explicit* ``compiled`` without a
+    provider still warns); any other name is taken as given."""
+    if kernel_variant != "auto":
+        return kernel_variant
+    from ..core.compiled import compiled_available
+    return "compiled" if compiled_available() else "pooled"
+
+
 def _build_problem(job: FarmJob):
     """Grid, solver, rupture and receivers for one job (deterministic)."""
     sc = scenario(job.scenario)
@@ -61,7 +75,7 @@ def _build_problem(job: FarmJob):
     cfg = SolverConfig(dt=dt, absorbing="sponge", sponge_width=3,
                        free_surface=True, stability_check_interval=0,
                        dtype=np.dtype(job.dtype).type,
-                       kernel_variant=job.kernel_variant,
+                       kernel_variant=resolve_variant(job.kernel_variant),
                        lts=job.lts)
     solver = WaveSolver(grid, med, cfg)
 
@@ -124,7 +138,12 @@ def _gmpe_residual(job: FarmJob, pgv_gm: np.ndarray, grid_h: float,
 def job_products(job: FarmJob) -> dict[str, np.ndarray]:
     """Run the job's simulation; return its product arrays by name."""
     solver, rupture, recs, recorder, trace = _build_problem(job)
-    solver.run(job.nsteps)
+    try:
+        solver.run(job.nsteps)
+    finally:
+        # a long-lived service worker must not carry each job's wavefield
+        # (~10 MB) until the garbage collector happens to run
+        solver.schedule.close()
     pgvh = recorder.peak_horizontal()
     pgv_gm = geometric_mean_pgv(recorder.frames)
     peak_vz = None

@@ -42,6 +42,9 @@ AXES = ("magnitude", "hypocenter", "rupture_seed", "dtype", "gmpe", "lts")
 _DTYPES = ("float32", "float64")
 _GMPES = ("ba08", "cb08")
 _LTS = ("off", "auto")
+#: ``auto`` (the default) = compiled where a provider exists, else pooled;
+#: resolved where the job runs (:func:`repro.farm.job.resolve_variant`).
+_VARIANTS = ("auto", "pooled", "blocked", "compiled")
 
 
 class FarmSpecError(ValueError):
@@ -64,8 +67,9 @@ class FarmJob:
     surface, no PML/attenuation) — the equivalence-matrix cells in
     :mod:`repro.verify.matrix` gate that claim at atol=0, so the same
     spec lands the same product addresses whichever backend computed
-    them.  A variant that ever broke bitwise equality would have to
-    move into :meth:`config`.  ``lts`` sits between the two regimes:
+    them; the default ``auto`` takes the compiled one wherever the host
+    can build it.  A variant that ever broke bitwise equality would have
+    to move into :meth:`config`.  ``lts`` sits between the two regimes:
     excluded from the key only while the measured LTS-vs-global-dt
     misfit passes the PrecisionGate bound (see
     :func:`repro.farm.gate.lts_identity_exempt`), included otherwise.
@@ -81,7 +85,7 @@ class FarmJob:
     gmpe: str
     index: int = 0
     inject_failures: int = 0
-    kernel_variant: str = "pooled"
+    kernel_variant: str = "auto"
     lts: str = "off"
 
     def config(self) -> dict:
@@ -143,7 +147,7 @@ class FarmJob:
                    dtype=d["dtype"], gmpe=d["gmpe"],
                    index=int(d.get("index", 0)),
                    inject_failures=int(d.get("inject_failures", 0)),
-                   kernel_variant=d.get("kernel_variant", "pooled"),
+                   kernel_variant=d.get("kernel_variant", "auto"),
                    lts=d.get("lts", "off"))
 
 
@@ -155,8 +159,10 @@ class FarmSpec:
     default to a single element.  ``inject_failures`` maps job *index*
     (in expansion order) to a number of initially-failing attempts — a
     test/teeth knob, not part of any job's identity.  ``kernel_variant``
-    picks the stencil backend for every job (it is not an axis: backends
-    are bitwise-equal, so fanning over them would duplicate products).
+    picks the stencil backend for every job — by default the compiled
+    one where the host has a provider, else pooled (it is not an axis:
+    backends are bitwise-equal, so fanning over them would duplicate
+    products).
     """
 
     scenario: str
@@ -164,7 +170,7 @@ class FarmSpec:
     nsteps: int = 48
     axes: dict = field(default_factory=dict)
     inject_failures: dict = field(default_factory=dict)
-    kernel_variant: str = "pooled"
+    kernel_variant: str = "auto"
 
     #: per-axis defaults used when an axis is omitted from the spec
     _DEFAULTS = {
@@ -185,9 +191,9 @@ class FarmSpec:
             raise FarmSpecError(f"nx must be >= 8 (got {self.nx})")
         if self.nsteps < 1:
             raise FarmSpecError(f"nsteps must be >= 1 (got {self.nsteps})")
-        if self.kernel_variant not in ("pooled", "blocked", "compiled"):
+        if self.kernel_variant not in _VARIANTS:
             raise FarmSpecError(
-                f"kernel_variant must be 'pooled', 'blocked' or 'compiled' "
+                f"kernel_variant must be one of {_VARIANTS} "
                 f"(got {self.kernel_variant!r})")
         unknown = sorted(set(self.axes) - set(AXES))
         if unknown:
@@ -268,7 +274,7 @@ class FarmSpec:
                    nsteps=int(d.get("nsteps", 48)),
                    axes=dict(d.get("axes") or {}),
                    inject_failures=inject,
-                   kernel_variant=d.get("kernel_variant", "pooled"))
+                   kernel_variant=d.get("kernel_variant", "auto"))
 
     @classmethod
     def load(cls, path: str | Path) -> "FarmSpec":

@@ -117,7 +117,9 @@ class ProductStore:
         """Load (arrays, meta) for ``key``; validates schema and address.
 
         A file whose meta hash does not match its address is refused —
-        content addressing is only worth anything if it is checked.
+        content addressing is only worth anything if it is checked — and
+        every way a torn or bit-flipped file can fail to load surfaces
+        as :class:`ProductError` (each member is CRC-checked on read).
         """
         path = self.path_for(key)
         if not path.exists():
@@ -128,8 +130,12 @@ class ProductStore:
                     raise ProductError(f"product {path} lacks __meta__")
                 meta = json.loads(str(z["__meta__"]))
                 arrays = {k: z[k] for k in z.files if k != "__meta__"}
-        except (OSError, ValueError) as exc:
-            raise ProductError(f"cannot read product {path}: {exc}") from None
+        except ProductError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - torn or flipped bytes can
+            # raise anything (BadZipFile, zlib.error, KeyError, ...)
+            raise ProductError(f"cannot read product {path}: "
+                               f"{type(exc).__name__}: {exc}") from None
         if meta.get("schema") != PRODUCT_SCHEMA:
             raise ProductError(f"product {path} has schema "
                                f"{meta.get('schema')!r}, expected "

@@ -11,21 +11,25 @@ cache-first discipline inside one lock:
    simulation);
 2. **hit** — the :class:`~repro.farm.store.ProductStore` already holds
    the address: answer immediately;
-3. **miss** — register a new in-flight job and schedule it into a
-   *bounded* background queue drained by daemon worker threads.
+3. **miss** — register a new in-flight job and hand it to the farm's
+   :class:`~repro.farm.engine.JobExecutor`; its done-callback retires
+   the in-flight entry under the same lock.
 
 The lock covers only the dict/store checks; the potentially blocking
-``queue.put`` (backpressure when ``queue_depth`` jobs are waiting)
-happens after release, so a full queue can never deadlock workers that
-need the lock to retire finished jobs.
+slot acquire (backpressure once ``queue_depth`` jobs are waiting behind
+the running ones) happens after release, so a full service can never
+deadlock the callbacks that need the lock to retire finished jobs.
 
-Workers execute jobs through the farm's own
-:func:`~repro.farm.engine.execute_job` with ``event_prefix="service"``,
-so failures retry with exponential backoff and emit
-``service.job.retry`` / ``service.job.failed`` into the flight
-recorder exactly like farm jobs do.  Query latency (submit → result
-available) lands in the ``service.query.latency_s`` histogram; scalar
-state is mirrored to ``service.*`` gauges after every transition.
+The service owns no thread, queue or worker loop.  Real jobs run on the
+executor's forked worker processes (forked in the constructor, before
+any client thread exists, reaped by :meth:`HazardService.close`), which
+solve and ``put`` the product themselves; retries, backoff and the
+``service.job.retry`` / ``service.job.failed`` / ``service.worker.died``
+events are the executor's, identical to the farm's.  A stored product
+that cannot be loaded is quarantined and recomputed once
+(``service.store.corrupt``).  Query latency (submit → result available)
+lands in the ``service.query.latency_s`` histogram; scalar state is
+mirrored to ``service.*`` gauges after every transition.
 
 Lifecycle: ``submit() -> QueryTicket``, ``poll(ticket)``,
 ``fetch(ticket) -> QueryResult`` (or ``request()`` for the synchronous
@@ -34,13 +38,12 @@ round trip).  See docs/service.md.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..farm.engine import JobResult, execute_job
-from ..farm.store import ProductStore
+from ..farm.engine import JobExecutor, JobResult
+from ..farm.store import ProductError, ProductStore
 from ..obs.events import get_event_log
 from ..obs.metrics import MetricsRegistry, default_registry
 from .query import Query
@@ -79,14 +82,12 @@ class ServiceConfig:
 class _InflightJob:
     """One scheduled simulation plus everyone waiting on it."""
 
-    __slots__ = ("key", "farm_job", "done", "status", "attempts", "error",
-                 "waiters")
+    __slots__ = ("key", "done", "status", "attempts", "error", "waiters")
 
-    def __init__(self, key: str, farm_job):
+    def __init__(self, key: str):
         self.key = key
-        self.farm_job = farm_job
         self.done = threading.Event()
-        self.status = "queued"          # queued | running | done | failed
+        self.status = "pending"         # pending | done | failed
         self.attempts = 0
         self.error: str | None = None
         self.waiters: list[float] = []  # submit-time perf_counter stamps
@@ -162,8 +163,9 @@ class HazardService:
     ``runner`` substitutes the per-attempt job body (the
     :func:`~repro.farm.job.run_job` signature) — the stress/fault test
     harness injects counting and failing runners here without paying
-    for real simulations.  Use as a context manager or call
-    :meth:`close`; workers are daemon threads either way.
+    for real simulations; such a runner runs on threads in this process,
+    real jobs on worker processes forked by the constructor.  Use as a
+    context manager or call :meth:`close`, which reaps the workers.
     """
 
     def __init__(self, store: ProductStore | str, config: ServiceConfig
@@ -174,12 +176,13 @@ class HazardService:
         self.config = config if config is not None else ServiceConfig()
         self.registry = registry if registry is not None \
             else default_registry()
-        self._runner = runner
         self._events = get_event_log()
         self._lock = threading.Lock()
         self._inflight: dict[str, _InflightJob] = {}
-        self._queue: queue.Queue = queue.Queue(
-            maxsize=self.config.queue_depth)
+        # jobs accepted and unfinished: `workers` running + `queue_depth`
+        # waiting; the next miss blocks in submit()
+        self._slots = threading.BoundedSemaphore(
+            self.config.queue_depth + self.config.workers)
         self._closed = False
         self._latency = self.registry.histogram("service.query.latency_s")
         self._queries = 0
@@ -189,12 +192,11 @@ class HazardService:
         self._completed = 0
         self._failed = 0
         self._retries = 0
-        self._threads = [
-            threading.Thread(target=self._worker,
-                             name=f"hazard-service-{i}", daemon=True)
-            for i in range(self.config.workers)]
-        for t in self._threads:
-            t.start()
+        self._executor = JobExecutor(
+            self.store, workers=self.config.workers,
+            max_retries=self.config.max_retries,
+            backoff_s=self.config.backoff_s, events=self._events,
+            event_prefix="service", runner=runner)
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "HazardService":
@@ -203,17 +205,14 @@ class HazardService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting queries and (by default) drain the workers."""
+    def close(self) -> None:
+        """Stop accepting queries, drain every accepted job, then stop
+        and reap the workers (no child process outlives this call)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for _ in self._threads:
-            self._queue.put(None)
-        if wait:
-            for t in self._threads:
-                t.join()
+        self._executor.close()
 
     # -- submit --------------------------------------------------------
     def submit(self, query: Query, inject_failures: int = 0) -> QueryTicket:
@@ -243,7 +242,7 @@ class HazardService:
                 ticket = QueryTicket(query=query, key=key, source="hit",
                                      t0=t0, job=None)
             else:
-                job = _InflightJob(key, farm_job)
+                job = _InflightJob(key)
                 job.waiters.append(t0)
                 self._inflight[key] = job
                 self._scheduled += 1
@@ -253,7 +252,16 @@ class HazardService:
         if enqueue is not None:
             self._events.info("service.query.miss", key=key,
                               product=query.product)
-            self._queue.put(enqueue)    # may block: bounded backpressure
+            self._slots.acquire()       # may block: bounded backpressure
+            try:
+                fut = self._executor.submit(farm_job)
+            except RuntimeError as exc:     # closed since the lock dropped
+                self._retire(enqueue, JobResult(
+                    key=key, index=farm_job.index, label=farm_job.label(),
+                    status="failed", error=str(exc)))
+                raise ServiceError("service is closed") from None
+            fut.add_done_callback(
+                lambda f: self._retire(enqueue, f.result()))
         elif ticket.source == "hit":
             self._latency.observe(time.perf_counter() - t0)
             self._events.info("service.query.hit", key=key,
@@ -269,8 +277,7 @@ class HazardService:
         """``hit`` | ``pending`` | ``done`` | ``failed`` (non-blocking)."""
         if ticket.job is None:
             return "hit"
-        status = ticket.job.status
-        return "pending" if status in ("queued", "running") else status
+        return ticket.job.status
 
     def fetch(self, ticket: QueryTicket, timeout: float | None = None) \
             -> QueryResult:
@@ -282,25 +289,56 @@ class HazardService:
         not an answer.
         """
         timeout = self.config.fetch_timeout_s if timeout is None else timeout
-        job = ticket.job
-        if job is not None:
-            if not job.done.wait(timeout):
-                raise ServiceError(
-                    f"query {ticket.key}: no result after {timeout:g} s "
-                    f"(job status {job.status!r})")
-            if job.status == "failed":
-                return QueryResult(
-                    query=ticket.query, key=ticket.key, status="failed",
-                    source=ticket.source, data=None,
-                    latency_s=time.perf_counter() - ticket.t0,
-                    attempts=job.attempts, error=job.error)
-        arrays, _meta = self.store.get(ticket.key)
+        for recovered in (False, True):
+            job = ticket.job
+            if job is not None:
+                if not job.done.wait(timeout):
+                    raise ServiceError(
+                        f"query {ticket.key}: no result after {timeout:g} s "
+                        f"(job status {job.status!r})")
+                if job.status == "failed":
+                    return QueryResult(
+                        query=ticket.query, key=ticket.key, status="failed",
+                        source=ticket.source, data=None,
+                        latency_s=time.perf_counter() - ticket.t0,
+                        attempts=job.attempts, error=job.error)
+            try:
+                arrays, _meta = self.store.get(ticket.key)
+                break
+            except ProductError as exc:
+                if recovered:
+                    raise ServiceError(
+                        f"query {ticket.key}: product unreadable after "
+                        f"recompute: {exc}") from None
+                self._quarantine(ticket.key, exc)
+                ticket = replace(self.submit(ticket.query), t0=ticket.t0)
         data = ticket.query.extract(arrays)
         return QueryResult(
             query=ticket.query, key=ticket.key, status="ok",
             source=ticket.source, data=data,
             latency_s=time.perf_counter() - ticket.t0,
             attempts=job.attempts if job is not None else 0)
+
+    def _quarantine(self, key: str, exc: ProductError) -> None:
+        """Move an unreadable product aside so the key is a miss again.
+
+        Checked again under the lock: a concurrent fetch may already have
+        quarantined the file, and by now even landed its replacement.
+        """
+        with self._lock:
+            if key in self._inflight:
+                return
+            try:
+                self.store.get(key)
+                return
+            except ProductError:
+                pass
+            path = self.store.path_for(key)
+            try:
+                path.replace(path.with_name(path.name + ".corrupt"))
+            except FileNotFoundError:
+                return
+        self._events.error("service.store.corrupt", key=key, error=str(exc))
 
     def request(self, query: Query, inject_failures: int = 0,
                 timeout: float | None = None) -> QueryResult:
@@ -340,40 +378,24 @@ class HazardService:
         g("service.retries").set(s.retries)
         g("service.hit_rate").set(s.hit_rate)
 
-    # -- worker loop ---------------------------------------------------
-    def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            job.status = "running"
-            try:
-                res = execute_job(
-                    job.farm_job, self.store,
-                    max_retries=self.config.max_retries,
-                    backoff_s=self.config.backoff_s,
-                    events=self._events, event_prefix="service",
-                    runner=self._runner)
-            except Exception as exc:   # store I/O etc. — never hang waiters
-                res = JobResult(
-                    key=job.key, index=job.farm_job.index,
-                    label=job.farm_job.label(), status="failed", attempts=1,
-                    error=f"{type(exc).__name__}: {exc}")
-                self._events.error("service.job.failed", key=job.key,
-                                   error=res.error)
-            now = time.perf_counter()
-            with self._lock:
-                self._inflight.pop(job.key, None)
-                job.attempts = res.attempts
-                self._retries += max(0, res.attempts - 1)
-                if res.status == "done":
-                    job.status = "done"
-                    self._completed += 1
-                    for t0 in job.waiters:
-                        self._latency.observe(now - t0)
-                else:
-                    job.status = "failed"
-                    job.error = res.error
-                    self._failed += 1
-            job.done.set()
-            self._publish()
+    # -- retire (the executor's done-callback) --------------------------
+    def _retire(self, job: _InflightJob, res: JobResult) -> None:
+        """Close an in-flight entry with its job's outcome and wake
+        everyone waiting on it."""
+        now = time.perf_counter()
+        with self._lock:
+            self._inflight.pop(job.key, None)
+            job.attempts = res.attempts
+            self._retries += max(0, res.attempts - 1)
+            if res.status == "done":
+                job.status = "done"
+                self._completed += 1
+                for t0 in job.waiters:
+                    self._latency.observe(now - t0)
+            else:
+                job.status = "failed"
+                job.error = res.error
+                self._failed += 1
+        self._slots.release()
+        job.done.set()
+        self._publish()

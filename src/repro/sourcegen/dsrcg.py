@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from ..core.fd import interior
 from ..core.source import FiniteFaultSource, SubFault
@@ -90,8 +89,9 @@ def lowpass_resample(t: np.ndarray, series: np.ndarray, dt_out: float,
     nyq = 0.5 / dt_out
     if f_cut >= nyq:
         return t_out, resampled
-    b, a = scipy.signal.butter(order, f_cut / nyq)
-    return t_out, scipy.signal.filtfilt(b, a, resampled)
+    from scipy.signal import butter, filtfilt   # deferred: slow import
+    b, a = butter(order, f_cut / nyq)
+    return t_out, filtfilt(b, a, resampled)
 
 
 def dynamic_source_from_rupture(rupture: RuptureSolver, block: int = 4,

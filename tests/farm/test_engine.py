@@ -178,3 +178,114 @@ class TestMultiprocess:
         statuses = {r.index: r.status for r in report.results}
         assert statuses[0] == "failed"
         assert statuses[1] == "done"
+
+    def test_no_fork_runs_on_threads_with_one_warning(self, tmp_path,
+                                                      monkeypatch):
+        from repro.farm import engine
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(engine.multiprocessing, "get_context", no_fork)
+        spec = mini_spec(axes={"rupture_seed": [1, 2, 3]})
+        with pytest.warns(RuntimeWarning,
+                          match="worker processes unavailable") as caught:
+            report = run_farm(spec, tmp_path / "store", workers=2,
+                              registry=MetricsRegistry())
+        assert len(caught) == 1
+        assert report.passed and report.completed == 3
+
+
+class TestDefaultVariant:
+    """``kernel_variant="auto"`` (the default): compiled where the host has
+    a provider, pooled where it has none — silently either way."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_probe(self):
+        from repro.farm.job import resolve_variant
+        resolve_variant.cache_clear()
+        yield
+        resolve_variant.cache_clear()
+
+    def test_spec_and_query_default_to_auto(self):
+        from repro.service import Query
+        assert mini_spec().kernel_variant == "auto"
+        assert mini_spec().expand()[0].kernel_variant == "auto"
+        assert Query(scenario="ShakeOut-K").to_job().kernel_variant == "auto"
+
+    def test_auto_is_compiled_where_a_provider_exists(self):
+        from repro.core.compiled import compiled_available
+        from repro.farm.job import resolve_variant
+        if not compiled_available():
+            pytest.skip("no compiled provider")
+        assert resolve_variant("auto") == "compiled"
+        assert resolve_variant("pooled") == "pooled"
+
+    def test_no_compiler_means_pooled_without_a_warning(self, tmp_path,
+                                                        monkeypatch):
+        import warnings
+
+        from repro.farm.job import resolve_variant
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "none")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_variant("auto") == "pooled"
+            report = run_farm(mini_spec(), tmp_path / "store", workers=1,
+                              registry=MetricsRegistry())
+        assert report.passed
+
+
+class TestExecutorStress:
+    def test_many_submitters_every_future_completes_window_holds(
+            self, tmp_path):
+        """8 threads x 12 jobs whose first attempt fails, on 3 pool
+        threads with a 10 us switch interval: every future completes
+        `done` on attempt 2 and the pool never held more than `workers`
+        attempts (the invariant the worker-death accounting rests on)."""
+        import sys
+        import threading
+        from contextlib import closing
+
+        from repro.farm import FarmJobError
+        from repro.farm.engine import JobExecutor
+
+        lock = threading.Lock()
+        inside = peak = 0
+
+        def runner(job, attempt=1):
+            nonlocal inside, peak
+            with lock:
+                inside += 1
+                peak = max(peak, inside)
+            try:
+                if attempt == 1:
+                    raise FarmJobError("first attempt always fails")
+                return {"pgvh": np.zeros((2, 2))}
+            finally:
+                with lock:
+                    inside -= 1
+
+        jobs = mini_spec(axes={"rupture_seed": list(range(96))}).expand()
+        results, old = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with closing(JobExecutor(ProductStore(tmp_path), workers=3,
+                                     runner=runner)) as ex:
+                def client(mine):
+                    futs = [ex.submit(j) for j in mine]
+                    results.extend(f.result(timeout=60) for f in futs)
+
+                threads = [threading.Thread(target=client,
+                                            args=(jobs[i::8],))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(results) == 96
+        assert all(r.status == "done" and r.attempts == 2 for r in results)
+        assert 1 <= peak <= 3
+        assert ProductStore(tmp_path).count() == 96

@@ -272,7 +272,7 @@ class TestKernelVariant:
         if not compiled.compiled_available():
             pytest.skip("no compiled provider")
         from repro.farm import ProductStore, run_farm
-        spec = mini_spec()
+        spec = mini_spec(kernel_variant="pooled")
         store = ProductStore(tmp_path / "store")
         first = run_farm(spec, store, workers=1)
         assert first.passed

@@ -110,3 +110,35 @@ class TestIntegrity:
         store = ProductStore(tmp_path)
         store.put(one_job(), toy_arrays())
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def damage(path, how: str) -> None:
+    """Tear (``truncated``) or flip one byte inside the largest member's
+    compressed data (``bitflip``) of a stored npz."""
+    import zipfile
+    raw = bytearray(path.read_bytes())
+    if how == "truncated":
+        raw = raw[:len(raw) // 2]
+    else:
+        with zipfile.ZipFile(path) as z:
+            info = max(z.infolist(), key=lambda i: i.compress_size)
+        raw[info.header_offset + 30 + len(info.filename)
+            + info.compress_size // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+class TestCorruptFile:
+    @pytest.mark.parametrize("how", ["truncated", "bitflip"])
+    def test_get_raises_product_error(self, tmp_path, how):
+        """Whatever a damaged file makes numpy/zipfile/zlib raise, the
+        store reports it as ProductError — and has() stays a cheap
+        existence check that still says yes."""
+        store = ProductStore(tmp_path)
+        job = one_job()
+        rng = np.random.default_rng(0)
+        path = store.put(job, {"pgvh": rng.random((32, 32)),
+                               "pgv_gm": rng.random((8, 8))})
+        damage(path, how)
+        assert store.has(job.key())
+        with pytest.raises(ProductError, match="cannot read product"):
+            store.get(job.key())

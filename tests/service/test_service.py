@@ -10,6 +10,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service import (HazardService, Query, ServiceConfig,
                            ServiceError)
 
+from ..farm.test_store import damage
 from .conftest import make_fake_runner, mini_query
 
 FAST = ServiceConfig(backoff_s=0.0)
@@ -165,6 +166,73 @@ class TestFaultInjection:
             res = svc.request(mini_query())
         assert res.status == "failed"
         assert "disk on fire" in res.error
+
+
+class TestCorruptProduct:
+    @pytest.mark.parametrize("how", ["truncated", "bitflip"])
+    def test_unreadable_hit_is_quarantined_and_recomputed(
+            self, tmp_path, registry, how):
+        runner = make_fake_runner()
+        q = mini_query()
+        with use_event_log(EventLog()) as log, \
+                HazardService(tmp_path, FAST, registry=registry,
+                              runner=runner) as svc:
+            good = svc.request(q).data
+            path = svc.store.path_for(q.key())
+            damage(path, how)
+            ticket = svc.submit(q)
+            assert ticket.source == "hit"       # has() is exists()
+            res = svc.fetch(ticket)
+            assert res.ok and res.source == "miss"
+            np.testing.assert_array_equal(res.data, good)
+            assert path.with_name(path.name + ".corrupt").exists()
+            assert svc.store.keys() == [q.key()]
+            assert svc.request(q).source == "hit"   # and stays recovered
+        assert [e.name for e in log.events].count(
+            "service.store.corrupt") == 1
+        assert runner.counts == {q.key(): 2}
+
+    def test_still_unreadable_after_recompute_raises_service_error(
+            self, tmp_path, registry):
+        """The recompute happens once; a store that keeps handing back
+        garbage is an operational failure, never an answer."""
+        q = mini_query()
+        with HazardService(tmp_path, FAST, registry=registry,
+                           runner=make_fake_runner()) as svc:
+            svc.request(q)
+            real_put = svc.store.put
+
+            def torn_put(job, arrays, **kw):
+                path = real_put(job, arrays, **kw)
+                damage(path, "truncated")
+                return path
+
+            svc.store.put = torn_put
+            damage(svc.store.path_for(q.key()), "truncated")
+            with pytest.raises(ServiceError, match="unreadable after"):
+                svc.request(q)
+
+
+class TestBackpressure:
+    def test_submit_blocks_once_queue_depth_jobs_wait(self, tmp_path,
+                                                      registry):
+        gate = threading.Event()
+        cfg = ServiceConfig(workers=1, queue_depth=1, backoff_s=0.0)
+        with HazardService(tmp_path, cfg, registry=registry,
+                           runner=make_fake_runner(gate=gate)) as svc:
+            tickets = [svc.submit(mini_query(rupture_seed=s))
+                       for s in (1, 2)]            # one running, one waiting
+            third = threading.Thread(
+                target=lambda: tickets.append(
+                    svc.submit(mini_query(rupture_seed=3))))
+            third.start()
+            third.join(timeout=0.2)
+            assert third.is_alive()                 # no slot: blocked
+            assert svc.stats().jobs_scheduled == 3  # but already in flight
+            gate.set()
+            third.join(timeout=30)
+            assert not third.is_alive()
+            assert all(svc.fetch(t).ok for t in tickets)
 
 
 class TestObservability:
