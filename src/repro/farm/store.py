@@ -113,13 +113,18 @@ class ProductStore:
             raise
         return path
 
-    def get(self, key: str) -> tuple[dict[str, np.ndarray], dict]:
+    def get(self, key: str, names=None) -> tuple[dict[str, np.ndarray], dict]:
         """Load (arrays, meta) for ``key``; validates schema and address.
 
-        A file whose meta hash does not match its address is refused —
-        content addressing is only worth anything if it is checked — and
-        every way a torn or bit-flipped file can fail to load surfaces
-        as :class:`ProductError` (each member is CRC-checked on read).
+        ``names`` restricts which arrays are decompressed (a name the
+        bundle lacks is simply absent from the result); ``None`` reads
+        them all.  Whatever is asked for, ``__meta__`` is read and a file
+        whose meta hash does not match its address is refused — content
+        addressing is only worth anything if it is checked — and every
+        way a torn or bit-flipped file can fail to load surfaces as
+        :class:`ProductError`.  Each member read is CRC-checked, so a
+        call verifies every byte it returns; damage inside a member it
+        did not read is found by the call that reads it.
         """
         path = self.path_for(key)
         if not path.exists():
@@ -129,7 +134,9 @@ class ProductStore:
                 if "__meta__" not in z:
                     raise ProductError(f"product {path} lacks __meta__")
                 meta = json.loads(str(z["__meta__"]))
-                arrays = {k: z[k] for k in z.files if k != "__meta__"}
+                wanted = z.files if names is None else \
+                    [k for k in names if k in z.files]
+                arrays = {k: z[k] for k in wanted if k != "__meta__"}
         except ProductError:
             raise
         except Exception as exc:  # noqa: BLE001 - torn or flipped bytes can

@@ -122,33 +122,49 @@ class Histogram:
     def max(self) -> float:
         return max(self._values) if self._values else 0.0
 
-    def percentile(self, q: float) -> float:
-        """The q-th percentile (0 <= q <= 100) of the observed samples."""
+    def _ordered(self) -> list[float]:
+        """One locked snapshot of the samples, sorted."""
+        with self._lock:
+            return sorted(self._values)
+
+    @staticmethod
+    def _interpolate(ordered: list[float], q: float) -> float:
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        with self._lock:
-            if not self._values:
-                return 0.0
-            ordered = sorted(self._values)
+        if not ordered:
+            return 0.0
         pos = (len(ordered) - 1) * q / 100.0
         lo = int(pos)
         hi = min(lo + 1, len(ordered) - 1)
         frac = pos - lo
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
+    def percentile(self, q: float) -> float:
+        """The q-th percentile (0 <= q <= 100) of the observed samples."""
+        return self._interpolate(self._ordered(), q)
+
     def percentiles(self, qs=(50, 90, 95, 99)) -> dict[str, float]:
-        """``{"p50": ..., ...}`` for each requested percentile.
+        """``{"p50": ..., ...}`` for each requested percentile, all from
+        one sorted snapshot.
 
         Empty histograms report 0.0 everywhere, matching
         :meth:`percentile`.
         """
-        return {f"p{q:g}": self.percentile(q) for q in qs}
+        ordered = self._ordered()
+        return {f"p{q:g}": self._interpolate(ordered, q) for q in qs}
 
     def summary(self) -> dict[str, float]:
-        return {"count": float(self.count), "mean": self.mean,
-                "min": self.min, "max": self.max,
-                "p50": self.percentile(50), "p90": self.percentile(90),
-                "p95": self.percentile(95), "p99": self.percentile(99)}
+        with self._lock:
+            values = list(self._values)
+        ordered = sorted(values)
+        n = len(ordered)
+        # summed in arrival order, like the ``mean`` property
+        out = {"count": float(n), "mean": sum(values) / n if n else 0.0,
+               "min": ordered[0] if n else 0.0,
+               "max": ordered[-1] if n else 0.0}
+        out.update((f"p{q}", self._interpolate(ordered, q))
+                   for q in (50, 90, 95, 99))
+        return out
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count})"

@@ -111,29 +111,27 @@ class Query:
             object.__setattr__(self, "site", site)
         # Physics validation is the farm's job: building the one-job spec
         # surfaces unknown scenarios, bad dtypes/gmpes, out-of-range
-        # hypocenters with the farm's own messages.
+        # hypocenters with the farm's own messages.  The job it expands to
+        # is this query's identity, resolved here once and kept.
         try:
-            self._spec()
+            job = FarmSpec(
+                scenario=self.scenario, nx=self.nx, nsteps=self.nsteps,
+                axes={"magnitude": [self.magnitude],
+                      "hypocenter": [list(self.hypocenter)],
+                      "rupture_seed": [self.rupture_seed],
+                      "dtype": [self.dtype],
+                      "gmpe": [self.gmpe],
+                      "lts": [self.lts]}).expand()[0]
         except FarmSpecError as exc:
             raise QueryError(str(exc)) from None
+        object.__setattr__(self, "_job", job)
 
     # -- identity ------------------------------------------------------
-    def _spec(self) -> FarmSpec:
-        return FarmSpec(
-            scenario=self.scenario, nx=self.nx, nsteps=self.nsteps,
-            axes={"magnitude": [self.magnitude],
-                  "hypocenter": [list(self.hypocenter)],
-                  "rupture_seed": [self.rupture_seed],
-                  "dtype": [self.dtype],
-                  "gmpe": [self.gmpe],
-                  "lts": [self.lts]})
-
     def to_job(self, inject_failures: int = 0) -> FarmJob:
         """The single farm job this query schedules on a store miss."""
-        job = self._spec().expand()[0]
         if inject_failures:
-            job = replace(job, inject_failures=int(inject_failures))
-        return job
+            return replace(self._job, inject_failures=int(inject_failures))
+        return self._job
 
     def key(self) -> str:
         """Content address (the farm job's key — product/site excluded)."""

@@ -27,9 +27,13 @@ solve and ``put`` the product themselves; retries, backoff and the
 ``service.job.retry`` / ``service.job.failed`` / ``service.worker.died``
 events are the executor's, identical to the farm's.  A stored product
 that cannot be loaded is quarantined and recomputed once
-(``service.store.corrupt``).  Query latency (submit → result available)
-lands in the ``service.query.latency_s`` histogram; scalar state is
-mirrored to ``service.*`` gauges after every transition.
+(``service.store.corrupt``).  A fetch reads the one bundle member it
+answers from (plus ``__meta__``), so it verifies every byte it returns
+and the bundle's schema and address; damage to a member it does not read
+is found by the query that reads it.  Query latency (submit → answer in
+hand, the value in ``QueryResult.latency_s``) lands in the
+``service.query.latency_s`` histogram at fetch; the counters are mirrored
+to ``service.*`` gauges after every transition.
 
 Lifecycle: ``submit() -> QueryTicket``, ``poll(ticket)``,
 ``fetch(ticket) -> QueryResult`` (or ``request()`` for the synchronous
@@ -82,7 +86,7 @@ class ServiceConfig:
 class _InflightJob:
     """One scheduled simulation plus everyone waiting on it."""
 
-    __slots__ = ("key", "done", "status", "attempts", "error", "waiters")
+    __slots__ = ("key", "done", "status", "attempts", "error")
 
     def __init__(self, key: str):
         self.key = key
@@ -90,7 +94,6 @@ class _InflightJob:
         self.status = "pending"         # pending | done | failed
         self.attempts = 0
         self.error: str | None = None
-        self.waiters: list[float] = []  # submit-time perf_counter stamps
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,6 @@ class HazardService:
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self._coalesced += 1
-                inflight.waiters.append(t0)
                 ticket = QueryTicket(query=query, key=key,
                                      source="coalesced", t0=t0, job=inflight)
             elif self.store.has(key):
@@ -243,7 +245,6 @@ class HazardService:
                                      t0=t0, job=None)
             else:
                 job = _InflightJob(key)
-                job.waiters.append(t0)
                 self._inflight[key] = job
                 self._scheduled += 1
                 enqueue = job
@@ -263,7 +264,6 @@ class HazardService:
             fut.add_done_callback(
                 lambda f: self._retire(enqueue, f.result()))
         elif ticket.source == "hit":
-            self._latency.observe(time.perf_counter() - t0)
             self._events.info("service.query.hit", key=key,
                               product=query.product)
         else:
@@ -281,7 +281,9 @@ class HazardService:
 
     def fetch(self, ticket: QueryTicket, timeout: float | None = None) \
             -> QueryResult:
-        """Block until the ticket's job lands, then serve from the store.
+        """Block until the ticket's job lands, then serve from the store:
+        read the one member the query answers from, and observe the
+        latency the result reports.
 
         Failed jobs yield ``status="failed"`` results (never raise) so a
         batch can report every row; only a *timeout* raises
@@ -303,7 +305,8 @@ class HazardService:
                         latency_s=time.perf_counter() - ticket.t0,
                         attempts=job.attempts, error=job.error)
             try:
-                arrays, _meta = self.store.get(ticket.key)
+                arrays, _meta = self.store.get(
+                    ticket.key, names=(ticket.query.product,))
                 break
             except ProductError as exc:
                 if recovered:
@@ -313,10 +316,11 @@ class HazardService:
                 self._quarantine(ticket.key, exc)
                 ticket = replace(self.submit(ticket.query), t0=ticket.t0)
         data = ticket.query.extract(arrays)
+        latency = time.perf_counter() - ticket.t0
+        self._latency.observe(latency)
         return QueryResult(
             query=ticket.query, key=ticket.key, status="ok",
-            source=ticket.source, data=data,
-            latency_s=time.perf_counter() - ticket.t0,
+            source=ticket.source, data=data, latency_s=latency,
             attempts=job.attempts if job is not None else 0)
 
     def _quarantine(self, key: str, exc: ProductError) -> None:
@@ -351,38 +355,41 @@ class HazardService:
     def hit_rate(self) -> float:
         """Served-without-new-compute fraction: (hits + coalesced)/queries."""
         with self._lock:
-            return ((self._store_hits + self._coalesced) / self._queries
-                    if self._queries else 0.0)
+            return self._hit_rate()
+
+    def _hit_rate(self) -> float:       # caller holds the lock
+        return ((self._store_hits + self._coalesced) / self._queries
+                if self._queries else 0.0)
 
     def stats(self) -> ServiceStats:
         pct = self._latency.percentiles((50, 95, 99))
         with self._lock:
-            served = self._store_hits + self._coalesced
             return ServiceStats(
                 queries=self._queries, store_hits=self._store_hits,
                 coalesced=self._coalesced, jobs_scheduled=self._scheduled,
                 jobs_completed=self._completed, jobs_failed=self._failed,
                 retries=self._retries,
-                hit_rate=served / self._queries if self._queries else 0.0,
+                hit_rate=self._hit_rate(),
                 latency_p50_s=pct["p50"], latency_p95_s=pct["p95"],
                 latency_p99_s=pct["p99"])
 
     def _publish(self) -> None:
-        s = self.stats()
+        """Mirror the counters to gauges (set under the lock, so a gauge
+        never steps backwards); percentiles are :meth:`stats`' business."""
         g = self.registry.gauge
-        g("service.queries").set(s.queries)
-        g("service.store_hits").set(s.store_hits)
-        g("service.coalesced").set(s.coalesced)
-        g("service.jobs_scheduled").set(s.jobs_scheduled)
-        g("service.jobs_failed").set(s.jobs_failed)
-        g("service.retries").set(s.retries)
-        g("service.hit_rate").set(s.hit_rate)
+        with self._lock:
+            g("service.queries").set(self._queries)
+            g("service.store_hits").set(self._store_hits)
+            g("service.coalesced").set(self._coalesced)
+            g("service.jobs_scheduled").set(self._scheduled)
+            g("service.jobs_failed").set(self._failed)
+            g("service.retries").set(self._retries)
+            g("service.hit_rate").set(self._hit_rate())
 
     # -- retire (the executor's done-callback) --------------------------
     def _retire(self, job: _InflightJob, res: JobResult) -> None:
         """Close an in-flight entry with its job's outcome and wake
         everyone waiting on it."""
-        now = time.perf_counter()
         with self._lock:
             self._inflight.pop(job.key, None)
             job.attempts = res.attempts
@@ -390,8 +397,6 @@ class HazardService:
             if res.status == "done":
                 job.status = "done"
                 self._completed += 1
-                for t0 in job.waiters:
-                    self._latency.observe(now - t0)
             else:
                 job.status = "failed"
                 job.error = res.error

@@ -6,6 +6,8 @@ import pytest
 from repro.farm import (FARM_REPORT_SCHEMA, FarmSpec, ProductStore, run_farm)
 from repro.obs.metrics import MetricsRegistry
 
+from .test_store import disk_full
+
 
 def mini_spec(**kw):
     kw.setdefault("scenario", "ShakeOut-K")
@@ -289,3 +291,48 @@ class TestExecutorStress:
         assert all(r.status == "done" and r.attempts == 2 for r in results)
         assert 1 <= peak <= 3
         assert ProductStore(tmp_path).count() == 96
+
+
+class TestStoreFailureModes:
+    def test_two_farms_racing_one_store(self, tmp_path):
+        """Both farms compute and ``put`` every key (``resume=False``, so
+        neither can step aside as a cache hit): atomic replace means both
+        finish, and what is left is one verified product per job."""
+        import threading
+
+        spec = mini_spec(axes={"rupture_seed": [1, 2, 3]})
+        store = ProductStore(tmp_path)
+        start = threading.Barrier(2)
+        reports = []
+
+        def farm():
+            start.wait(timeout=30)
+            reports.append(run_farm(spec, store, workers=1, resume=False,
+                                    registry=MetricsRegistry()))
+
+        threads = [threading.Thread(target=farm) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert len(reports) == 2
+        for report in reports:
+            assert [r.status for r in report.results] == ["done"] * 3
+        keys = sorted(j.key() for j in spec.expand())
+        assert store.keys() == keys
+        for key in keys:
+            assert store.get(key)[1]["key"] == key
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_full_disk_fails_the_job_with_the_error_text(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        report = run_farm(mini_spec(), tmp_path, workers=1, max_retries=0,
+                          registry=MetricsRegistry())
+        monkeypatch.undo()
+        (res,) = report.results
+        assert res.status == "failed"
+        assert "No space left on device" in res.error
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert not ProductStore(tmp_path).has(res.key)

@@ -112,19 +112,43 @@ class TestIntegrity:
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def damage(path, how: str) -> None:
-    """Tear (``truncated``) or flip one byte inside the largest member's
-    compressed data (``bitflip``) of a stored npz."""
+def damage(path, how: str, member: str | None = None) -> None:
+    """Tear a stored npz (``truncated``) or flip one byte inside the
+    compressed data of one array (``bitflip``: ``member`` by name, the
+    largest member when not given)."""
     import zipfile
     raw = bytearray(path.read_bytes())
     if how == "truncated":
         raw = raw[:len(raw) // 2]
     else:
         with zipfile.ZipFile(path) as z:
-            info = max(z.infolist(), key=lambda i: i.compress_size)
+            info = (z.getinfo(member + ".npy") if member is not None else
+                    max(z.infolist(), key=lambda i: i.compress_size))
         raw[info.header_offset + 30 + len(info.filename)
             + info.compress_size // 2] ^= 0x01
     path.write_bytes(bytes(raw))
+
+
+def disk_full(*args, **kwargs):
+    """Stand-in for a write that hits ENOSPC — after a few bytes landed,
+    when it is handed the open file."""
+    import errno
+    if args and hasattr(args[0], "write"):
+        args[0].write(b"PK torn")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def record_member_reads(monkeypatch, path) -> list:
+    """Wrap ``NpzFile.__getitem__`` with a recorder; returns the list the
+    member names read from now on are appended to."""
+    with np.load(path) as z:
+        NpzFile = type(z)
+    read = []
+    real = NpzFile.__getitem__
+    monkeypatch.setattr(
+        NpzFile, "__getitem__",
+        lambda self, k: (read.append(k), real(self, k))[1])
+    return read
 
 
 class TestCorruptFile:
@@ -142,3 +166,95 @@ class TestCorruptFile:
         assert store.has(job.key())
         with pytest.raises(ProductError, match="cannot read product"):
             store.get(job.key())
+
+
+class TestPartialRead:
+    """``get(key, names=...)`` decompresses only what it is asked for and
+    verifies every byte it returns plus the schema and the address."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        store = ProductStore(tmp_path)
+        job = one_job()
+        rng = np.random.default_rng(0)
+        path = store.put(job, {"pgvh": rng.random((32, 32)),
+                               "pgv_gm": rng.random((8, 8)),
+                               "peak_vz": rng.random((8, 8))})
+        return store, job.key(), path
+
+    def test_named_member_equals_the_full_read(self, stored):
+        store, key, _ = stored
+        full, meta = store.get(key)
+        part, part_meta = store.get(key, names=("pgvh",))
+        assert list(part) == ["pgvh"]
+        assert np.array_equal(part["pgvh"], full["pgvh"])
+        assert part_meta == meta
+
+    def test_reads_exactly_the_members_asked_for(self, stored, monkeypatch):
+        store, key, path = stored
+        read = record_member_reads(monkeypatch, path)
+        store.get(key, names=("pgv_gm",))
+        assert sorted(read) == ["__meta__", "pgv_gm"]
+        del read[:]
+        store.get(key)
+        assert sorted(read) == ["__meta__", "peak_vz", "pgv_gm", "pgvh"]
+
+    def test_unknown_name_is_absent_not_an_error(self, stored):
+        store, key, path = stored
+        before = sorted(p.name for p in path.parent.iterdir())
+        arrays, meta = store.get(key, names=("nope",))
+        assert arrays == {} and meta["key"] == key
+        assert sorted(p.name for p in path.parent.iterdir()) == before
+
+    def test_damage_is_found_by_the_read_that_touches_it(self, stored):
+        store, key, path = stored
+        good = store.get(key)[0]
+        damage(path, "bitflip", member="pgvh")
+        for name in ("pgv_gm", "peak_vz"):
+            assert np.array_equal(store.get(key, names=(name,))[0][name],
+                                  good[name])
+        with pytest.raises(ProductError, match="cannot read product"):
+            store.get(key, names=("pgvh",))
+        with pytest.raises(ProductError, match="cannot read product"):
+            store.get(key)              # no names: every member verified
+
+    def test_truncated_file_fails_every_read(self, stored):
+        store, key, path = stored
+        damage(path, "truncated")
+        with pytest.raises(ProductError, match="cannot read product"):
+            store.get(key, names=("pgv_gm",))
+
+    def test_schema_and_address_checked_whatever_is_read(self, stored):
+        store, key, path = stored
+        fake = "ff" * 16
+        dst = store.path_for(fake)
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        dst.write_bytes(path.read_bytes())
+        with pytest.raises(ProductError, match="not its address"):
+            store.get(fake, names=("pgv_gm",))
+        with np.load(path, allow_pickle=False) as z:
+            meta = json.loads(str(z["__meta__"]))
+            arrays = {k: z[k] for k in z.files if k != "__meta__"}
+        meta["schema"] = "repro-product/99"
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ProductError, match="schema"):
+            store.get(key, names=())
+
+
+class TestDiskFull:
+    @pytest.mark.parametrize("where", ["savez_compressed", "replace"])
+    def test_enospc_in_put_leaves_nothing_behind(self, tmp_path,
+                                                 monkeypatch, where):
+        import os
+
+        store = ProductStore(tmp_path)
+        job = one_job()
+        monkeypatch.setattr(np if where == "savez_compressed" else os,
+                            where, disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            store.put(job, toy_arrays())
+        monkeypatch.undo()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert not store.has(job.key())
+        assert store.keys() == []

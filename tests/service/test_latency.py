@@ -84,3 +84,88 @@ class TestServiceStatsPercentiles:
             assert isinstance(doc["stats"][col], float)
         assert doc["stats"]["latency_p99_s"] >= doc["stats"]["latency_p50_s"]
         assert all(isinstance(r["latency_s"], float) for r in doc["results"])
+
+
+class TestHistogramCoversTheWait:
+    def test_warm_stats_are_the_percentiles_of_the_results(self, tmp_path):
+        """The histogram is observed at fetch with the value the result
+        carries — store read included — not at submit."""
+        from repro.service import HazardService, ServiceConfig
+
+        cfg = ServiceConfig(backoff_s=0.0)
+        with HazardService(tmp_path, cfg, registry=MetricsRegistry(),
+                           runner=make_fake_runner()) as svc:
+            svc.request(mini_query())                   # fill the store
+        registry = MetricsRegistry()
+        with HazardService(tmp_path, cfg, registry=registry,
+                           runner=make_fake_runner()) as svc:
+            results = [svc.request(mini_query(product=p))
+                       for p in ("pgvh", "pgv_gm", "peak_vz", "pgvh",
+                                 "rupture_times", "gmpe_r_km")]
+            stats = svc.stats()
+        assert all(r.source == "hit" for r in results)
+        seen = [r.latency_s for r in results]
+        assert registry.get("service.query.latency_s").count == len(seen)
+        for q, got in ((50, stats.latency_p50_s), (95, stats.latency_p95_s),
+                       (99, stats.latency_p99_s)):
+            assert got == pytest.approx(np.percentile(seen, q),
+                                        rel=0, abs=1e-15)
+
+    def test_one_observation_per_answered_ticket(self, tmp_path):
+        """Miss and coalesced tickets are observed like hits; a failed
+        result is not."""
+        import threading
+        from repro.service import HazardService, ServiceConfig
+
+        registry = MetricsRegistry()
+        gate = threading.Event()
+        cfg = ServiceConfig(max_retries=0, backoff_s=0.0)
+        with HazardService(tmp_path, cfg, registry=registry,
+                           runner=make_fake_runner(gate=gate)) as svc:
+            tickets = [svc.submit(mini_query()) for _ in range(3)]
+            bad = svc.submit(mini_query(rupture_seed=9), inject_failures=1)
+            assert [t.source for t in tickets] == ["miss", "coalesced",
+                                                   "coalesced"]
+            gate.set()
+            results = [svc.fetch(t) for t in tickets]
+            assert svc.fetch(bad).status == "failed"
+            stats = svc.stats()
+        assert registry.get("service.query.latency_s").count == 3
+        assert stats.latency_p50_s == pytest.approx(
+            np.percentile([r.latency_s for r in results], 50),
+            rel=0, abs=1e-15)
+
+
+class TestSubmitComputesNoPercentile:
+    def test_warm_submits_never_sort_the_histogram(self, tmp_path,
+                                                   monkeypatch):
+        from repro.service import HazardService, ServiceConfig
+
+        registry = MetricsRegistry()
+        rng = np.random.default_rng(3)
+        seeded = rng.random(50_000).tolist()
+        with HazardService(tmp_path, ServiceConfig(backoff_s=0.0),
+                           registry=registry,
+                           runner=make_fake_runner()) as svc:
+            svc.request(mini_query())
+            hist = registry.get("service.query.latency_s")
+            for v in seeded[1:]:            # the miss was sample one
+                hist.observe(v)
+            calls = []
+            for name in ("percentile", "percentiles", "summary"):
+                real = getattr(Histogram, name)
+                monkeypatch.setattr(
+                    Histogram, name,
+                    lambda self, *a, _real=real, _name=name, **kw:
+                        (calls.append(_name), _real(self, *a, **kw))[1])
+            tickets = [svc.submit(mini_query()) for _ in range(200)]
+            assert all(t.source == "hit" for t in tickets)
+            assert calls == []
+            assert registry.gauge("service.queries").value == 201
+            assert registry.gauge("service.store_hits").value == 200
+            stats = svc.stats()
+        assert calls == ["percentiles"]
+        for q, got in ((50, stats.latency_p50_s), (95, stats.latency_p95_s),
+                       (99, stats.latency_p99_s)):
+            assert got == pytest.approx(np.percentile(seeded, q),
+                                        rel=0, abs=1e-15)

@@ -46,6 +46,28 @@ class TestIdentity:
         q = mini_query()
         assert q.to_job(inject_failures=3).key() == q.key()
 
+    def test_job_is_resolved_once_per_query(self, monkeypatch):
+        expands = []
+        real = FarmSpec.expand
+        monkeypatch.setattr(
+            FarmSpec, "expand",
+            lambda self: (expands.append(1), real(self))[1])
+        q = mini_query(magnitude=7.0)
+        for _ in range(5):
+            q.key(), q.label(), q.to_job(), q.to_job(inject_failures=2)
+        assert len(expands) == 1
+        assert q.to_job(inject_failures=2).inject_failures == 2
+        assert q.to_job().inject_failures == 0      # the kept job is intact
+
+    def test_resolved_job_survives_copy_and_pickle(self):
+        import pickle
+        from dataclasses import replace
+        q = mini_query(magnitude=7.0)
+        assert pickle.loads(pickle.dumps(q)).key() == q.key()
+        moved = replace(q, rupture_seed=5)
+        assert moved.key() == mini_query(magnitude=7.0, rupture_seed=5).key()
+        assert moved.key() != q.key()
+
 
 class TestValidation:
     def test_unknown_scenario_rejected_with_farm_message(self):

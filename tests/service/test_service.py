@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.farm import ProductError
 from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (HazardService, Query, ServiceConfig,
                            ServiceError)
 
-from ..farm.test_store import damage
+from ..farm.test_store import damage, disk_full, record_member_reads
 from .conftest import make_fake_runner, mini_query
 
 FAST = ServiceConfig(backoff_s=0.0)
@@ -167,11 +168,26 @@ class TestFaultInjection:
         assert res.status == "failed"
         assert "disk on fire" in res.error
 
+    def test_full_disk_is_a_failed_result_not_a_hang(self, tmp_path,
+                                                     registry, monkeypatch):
+        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        cfg = ServiceConfig(max_retries=0, backoff_s=0.0)
+        with HazardService(tmp_path, cfg, registry=registry,
+                           runner=make_fake_runner()) as svc:
+            q = mini_query()
+            res = svc.request(q, timeout=30)
+            assert res.status == "failed" and res.data is None
+            assert "No space left on device" in res.error
+            assert not svc.store.has(q.key())
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
 
 class TestCorruptProduct:
     @pytest.mark.parametrize("how", ["truncated", "bitflip"])
     def test_unreadable_hit_is_quarantined_and_recomputed(
             self, tmp_path, registry, how):
+        """Damage a fetch runs into — a torn file, or a flipped byte in
+        the member the query reads."""
         runner = make_fake_runner()
         q = mini_query()
         with use_event_log(EventLog()) as log, \
@@ -179,7 +195,7 @@ class TestCorruptProduct:
                               runner=runner) as svc:
             good = svc.request(q).data
             path = svc.store.path_for(q.key())
-            damage(path, how)
+            damage(path, how, member=q.product)
             ticket = svc.submit(q)
             assert ticket.source == "hit"       # has() is exists()
             res = svc.fetch(ticket)
@@ -188,6 +204,35 @@ class TestCorruptProduct:
             assert path.with_name(path.name + ".corrupt").exists()
             assert svc.store.keys() == [q.key()]
             assert svc.request(q).source == "hit"   # and stays recovered
+        assert [e.name for e in log.events].count(
+            "service.store.corrupt") == 1
+        assert runner.counts == {q.key(): 2}
+
+    def test_damage_outside_the_member_read_waits_for_its_reader(
+            self, tmp_path, registry):
+        """A fetch verifies what it returns: a flipped byte in another
+        member neither fails nor quarantines this query; the query that
+        reads the damaged member finds it and recomputes once."""
+        runner = make_fake_runner()
+        q, other = mini_query(), mini_query(product="peak_vz")
+        with use_event_log(EventLog()) as log, \
+                HazardService(tmp_path, FAST, registry=registry,
+                              runner=runner) as svc:
+            good, good_other = svc.request(q).data, svc.request(other).data
+            path = svc.store.path_for(q.key())
+            damage(path, "bitflip", member=other.product)
+            res = svc.request(q)
+            assert res.ok and res.source == "hit"
+            assert np.array_equal(res.data, good)
+            assert not path.with_name(path.name + ".corrupt").exists()
+            assert runner.counts == {q.key(): 1}
+            assert "service.store.corrupt" not in [e.name for e in log.events]
+            with pytest.raises(ProductError):
+                svc.store.get(q.key())      # the full read does see it
+            res = svc.request(other)
+            assert res.ok and res.source == "miss"
+            assert np.array_equal(res.data, good_other)
+            assert path.with_name(path.name + ".corrupt").exists()
         assert [e.name for e in log.events].count(
             "service.store.corrupt") == 1
         assert runner.counts == {q.key(): 2}
@@ -256,6 +301,32 @@ class TestObservability:
             names = [e.name for e in log.events]
         assert "service.query.miss" in names
         assert "service.query.hit" in names
+
+    def test_warm_fetch_reads_the_one_member_it_answers_from(
+            self, tmp_path, registry, monkeypatch):
+        q = mini_query(product="gmpe_residual", site=(0.5, 0.5))
+        with HazardService(tmp_path, FAST, registry=registry,
+                           runner=make_fake_runner()) as svc:
+            svc.request(q)
+            read = record_member_reads(monkeypatch,
+                                       svc.store.path_for(q.key()))
+            ticket = svc.submit(q)
+            assert ticket.source == "hit" and read == []
+            assert svc.fetch(ticket).ok
+        assert sorted(read) == ["__meta__", "gmpe_residual"]
+
+    def test_fetch_answers_equal_the_full_bundle(self, tmp_path, registry):
+        """Every product name, map and site: the one-member read returns
+        what ``extract`` takes from the whole bundle."""
+        with HazardService(tmp_path, FAST, registry=registry,
+                           runner=make_fake_runner()) as svc:
+            key = svc.request(mini_query()).key
+            bundle = svc.store.get(key)[0]
+            for name in bundle:
+                q = mini_query(product=name)
+                assert np.array_equal(svc.request(q).data, q.extract(bundle))
+            site = mini_query(product="pgv_gm", site=(0.25, 0.75))
+            assert svc.request(site).data == site.extract(bundle)
 
     def test_latency_histogram_counts_every_query(self, tmp_path, registry):
         with HazardService(tmp_path, FAST, registry=registry,
