@@ -37,15 +37,13 @@ def iter_solver_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:
     Covers the wavefield, kernel scratch pool, medium (base and derived),
     and whichever boundary/attenuation modules the configuration enabled.
     Lazy caches (PML coefficients) are forced so a pre-step audit still sees
-    everything the step will read.
+    everything the step will read; the kernel's span buffers exist only once
+    the pooled kernel has run, and are covered from then on.
     """
     for name, arr in solver.wf.fields().items():
         yield f"wf.{name}", arr
-    kern = solver.kernel
-    for i, s in enumerate(kern._scratch):
-        yield f"kernel.scratch[{i}]", s
-    for name in ("_rate", "_incr", "_work", "_full_rate", "_full_incr"):
-        yield f"kernel.{name}", getattr(kern, name)
+    for name, buf in solver.kernel.buffers().items():
+        yield f"kernel.{name}", buf
     for name in _MEDIUM_ARRAYS:
         yield f"medium.{name}", getattr(solver.medium, name)
     if solver.sponge is not None:
@@ -58,6 +56,8 @@ def iter_solver_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:
         for (bi, comp), parts in pml.parts.items():
             for axis, part in enumerate(parts):
                 yield f"pml.parts[{bi},{comp}][{axis}]", part
+        for bi, tmp in enumerate(pml._tmp):
+            yield f"pml.tmp[{bi}]", tmp
         for bi in range(len(pml.boxes)):
             for comp in ("vx", "sxx", "sxy"):
                 for axis, (decay, gain) in enumerate(

@@ -27,6 +27,15 @@ interior region only; ghost cells of the output are left untouched.
 Second-order variants (``c1 = 1, c2 = 0``) are provided for the independent
 verification solver and for the reduced-accuracy stencils used adjacent to the
 fault plane by the SGSN scheme (Eq. 4b/4c).
+
+The ``diff*`` operators above are the reference formulation.  The production
+kernel evaluates the same stencil with :func:`diff_span`: one unit-stride
+pass over the flat C-order *span* of a padded array, from its first to its
+last interior cell, with the axis shift as a flat offset (``nyp*nzp``,
+``nzp`` or ``1``).  Per interior cell it performs the same operations in the
+same order, so interior values are bit-identical; the span also covers the
+y/z ghost cells between interior rows, where it writes finite values that
+mean nothing (see :func:`diff_span`).
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
     "diff_bwd",
     "diff_fwd_region",
     "diff_bwd_region",
+    "interior_span",
+    "diff_span",
 ]
 
 #: 4th-order staggered-grid coefficients of Eq. (3).
@@ -312,3 +323,68 @@ def diff_bwd_region(f: np.ndarray, axis: int, h: float,
     if order == 2:
         return diff2_bwd_region(f, axis, h, region, out, work)
     raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
+
+
+# ---------------------------------------------------------------------------
+# Flat-span variant (the production kernel's unit-stride form)
+# ---------------------------------------------------------------------------
+
+
+def interior_span(shape: tuple[int, ...]) -> tuple[int, int]:
+    """Flat C-order bounds ``[lo, hi)`` from the first to the last interior
+    cell of a padded array of ``shape``.
+
+    Every interior cell lies in the span; so do the y/z ghost cells between
+    interior rows, but no cell of the low/high x ghost planes.  Stencil reads
+    reach at most ``NGHOST`` flat strides outward, which stays in bounds.
+    """
+    lo = hi = 0
+    stride = 1
+    for n in reversed(shape):
+        lo += NGHOST * stride
+        hi += (n - NGHOST - 1) * stride
+        stride *= n
+    return lo, hi + 1
+
+
+def diff_span(f: np.ndarray, lo: int, hi: int, stride: int, h: float,
+              order: int = 4, fwd: bool = True, *, out: np.ndarray,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Staggered derivative as one unit-stride pass over the span ``[lo, hi)``.
+
+    ``f`` is the flat C-order view of a padded array, ``stride`` the flat
+    distance of one cell along the differentiated axis, and ``out``/``work``
+    are span-length buffers (``work`` only for ``order=4``).  ``out[p]`` is
+    the ``fwd`` (:func:`diff_fwd`) or backward (:func:`diff_bwd`) derivative
+    at flat position ``lo + p``, evaluated with the same operations in the
+    same order as the ``diff4_*``/``diff2_*`` work-buffer path, so it is
+    bit-identical to them at every interior cell.
+
+    Positions of the span that are y/z ghost cells get the stencil applied
+    across the row seam: finite values (the field is finite) that are not a
+    derivative.  Only kernel-private scratch may receive them, and no reader
+    may look at them — consumers take interior views.
+    """
+    if not fwd:
+        lo -= stride
+        hi -= stride
+    if lo - stride < 0 or hi + 2 * stride > f.size:
+        raise ValueError("span stencil reads outside the array")
+
+    def at(d: int) -> np.ndarray:
+        return f[lo + d * stride:hi + d * stride]
+
+    if order == 4:
+        np.multiply(at(1), C1, out=out)
+        np.multiply(at(0), C1, out=work)
+        out -= work
+        np.multiply(at(2), C2, out=work)
+        out += work
+        np.multiply(at(-1), C2, out=work)
+        out -= work
+    elif order == 2:
+        np.subtract(at(1), at(0), out=out)
+    else:
+        raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
+    out /= h
+    return out

@@ -18,7 +18,9 @@ optimization study (Section IV.B):
 
 * :class:`VelocityStressKernel` — the production kernel: reciprocal
   (buoyancy) arrays and pre-averaged moduli, multiplication-only inner
-  loops, and a preallocated scratch pool that makes the steady-state step
+  loops that each run as one unit-stride pass over the padded array, one
+  set of velocity derivatives shared by the three normal stresses, and a
+  preallocated scratch pool that makes the steady-state step
   allocation-free (all hot-loop arithmetic runs through in-place ufuncs;
   see PERFORMANCE.md and ``tests/core/test_alloc_free.py``).
 * :func:`baseline_velocity_update` / :func:`baseline_stress_update` — the
@@ -68,6 +70,9 @@ _SHEAR_TERMS: dict[str, tuple[tuple[int, str, str], ...]] = {
 
 _SHEAR_MOD = {"sxy": "mu_xy", "sxz": "mu_xz", "syz": "mu_yz"}
 
+# Normal stress -> the one whose terms may reuse its velocity derivatives.
+_NORMAL_NEXT = {"sxx": "syy", "syy": "szz", "szz": None}
+
 
 class VelocityStressKernel:
     """Optimized elastic update kernel bound to one wavefield and medium.
@@ -83,6 +88,26 @@ class VelocityStressKernel:
     arithmetic is ordered exactly as the expression forms it replaced, so
     results are bit-identical to the allocating formulation — the same
     invariant the paper's IV.B optimizations had to preserve (aVal).
+
+    Every stencil and pointwise operation (derivatives, buoyancy and moduli
+    multiplies, rate sums, ``dt`` scaling) runs as one unit-stride ufunc over
+    the flat span of the padded arrays (:func:`repro.core.fd.diff_span`).
+    Span positions that are y/z ghost cells of the kernel's scratch hold
+    finite garbage that nothing reads: the field update adds the *interior*
+    of the increment (strided, so field ghosts are never written), the
+    attenuation hook receives the interior of the rate, PML reads frame boxes
+    inside the interior and the blocked driver reads scratch interiors.
+
+    In one stress pass the three normal stresses share one set of velocity
+    derivatives: they are computed when ``sxx`` is requested, or ``syy``/
+    ``szz`` without its in-pass predecessor, and dropped after ``szz`` and by
+    any velocity update.  A caller that edits velocities by hand between the
+    normal components must restart the pass at ``sxx``.
+
+    The span bindings — flat field and medium views, C-contiguous copies of
+    any non-contiguous medium array, and the shared-derivative buffers — are
+    made on the first pooled call, so a solver that only steps the compiled
+    sweeps never creates them.
     """
 
     def __init__(self, wf: WaveField, medium: Medium, dt: float, order: int = 4):
@@ -92,54 +117,89 @@ class VelocityStressKernel:
         self.medium = medium
         self.dt = float(dt)
         self.order = order
+        self.h = wf.grid.h
         shape = wf.grid.padded_shape
+        # Axis-term scratch plus the pooled stress rate, dt-scaled increment
+        # and stencil work buffer, all padded-shape so each has a flat span.
         self._scratch = [np.zeros(shape, dtype=wf.dtype) for _ in range(3)]
-        # Pooled hot-loop temporaries: the summed stress rate and the
-        # dt-scaled increment (interior-shaped), and their padded-shape
-        # counterparts for the cache-blocked driver.
-        self._rate = np.zeros(wf.grid.shape, dtype=wf.dtype)
-        self._incr = np.zeros(wf.grid.shape, dtype=wf.dtype)
-        self._work = np.zeros(wf.grid.shape, dtype=wf.dtype)
-        self._full_rate = np.zeros(shape, dtype=wf.dtype)
-        self._full_incr = np.zeros(shape, dtype=wf.dtype)
+        self._rate = np.zeros(shape, dtype=wf.dtype)
+        self._incr = np.zeros(shape, dtype=wf.dtype)
+        self._work = np.zeros(shape, dtype=wf.dtype)
+        self._lo, self._hi = fd.interior_span(shape)
+        self._strides = (shape[1] * shape[2], shape[2], 1)
         # Interior views resolved once (slicing in the component loop would
         # churn small view objects; the data is shared either way).
         self._scratch_int = [interior(s) for s in self._scratch]
-        self._med_int = {
-            name: interior(getattr(medium, name))
-            for name in ("bx", "by", "bz", "lam", "mu", "lam2mu",
-                         "mu_xy", "mu_xz", "mu_yz")
-            if hasattr(medium, name)
-        }
+        self._rate_int = interior(self._rate)
+        self._incr_int = interior(self._incr)
         self._wf_int = {name: interior(getattr(wf, name))
                         for name in self.wf.fields()}
-        self.h = wf.grid.h
+        # Span bindings, made by _bind_spans() on the first pooled call.
+        self._med_span: dict[str, np.ndarray] | None = None
+        self._med_copies: dict[str, np.ndarray] = {}
+        self._dv: list[np.ndarray] | None = None
+        self._dv_next: str | None = None
+
+    def _span(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1)[self._lo:self._hi]
+
+    def _bind_spans(self) -> None:
+        """Resolve flat span views and the lazily created buffers."""
+        self._wf_flat = {}
+        for name, arr in self.wf.fields().items():
+            if not arr.flags.c_contiguous:
+                raise ValueError(f"wavefield array {name} is not C-contiguous")
+            self._wf_flat[name] = arr.reshape(-1)
+        med = {}
+        for name in ("bx", "by", "bz", "lam", "lam2mu",
+                     "mu_xy", "mu_xz", "mu_yz"):
+            a = getattr(self.medium, name)
+            if not a.flags.c_contiguous:
+                # a view would not be flat: read a C-order copy instead
+                a = self._med_copies[name] = np.ascontiguousarray(a)
+            med[name] = self._span(a)
+        self._dv = [np.zeros_like(s) for s in self._scratch]
+        self._dv_span = [self._span(d) for d in self._dv]
+        self._scratch_span = [self._span(s) for s in self._scratch]
+        self._rate_span = self._span(self._rate)
+        self._incr_span = self._span(self._incr)
+        self._work_span = self._span(self._work)
+        self._med_span = med
+
+    def _diff(self, fname: str, axis: int, fwd: bool,
+              out: np.ndarray) -> np.ndarray:
+        return fd.diff_span(self._wf_flat[fname], self._lo, self._hi,
+                            self._strides[axis], self.h, self.order, fwd,
+                            out=out, work=self._work_span)
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        """Every buffer the kernel holds (span buffers once they exist)."""
+        bufs = {f"scratch[{i}]": s for i, s in enumerate(self._scratch)}
+        bufs.update(rate=self._rate, incr=self._incr, work=self._work)
+        for i, d in enumerate(self._dv or ()):
+            bufs[f"dv[{i}]"] = d
+        for name, a in self._med_copies.items():
+            bufs[f"medium_copy.{name}"] = a
+        return bufs
 
     def scratch_nbytes(self) -> int:
         """Total bytes held by the preallocated scratch/temporary pool."""
-        bufs = [*self._scratch, self._rate, self._incr, self._work,
-                self._full_rate, self._full_incr]
-        return sum(b.nbytes for b in bufs)
+        return sum(b.nbytes for b in self.buffers().values())
 
     # ------------------------------------------------------------------
     # Axis-term computation
     # ------------------------------------------------------------------
     def velocity_terms(self, comp: str) -> list[np.ndarray]:
         """Per-axis contributions to ``d(comp)/dt`` (buoyancy included)."""
-        b_int = self._med_int[_VEL_BUOYANCY[comp]]
-        out: list[np.ndarray] = []
-        for (axis, sname, dirn), scr, scr_int in zip(
-                _VEL_TERMS[comp], self._scratch, self._scratch_int):
-            s = getattr(self.wf, sname)
-            if dirn == "f":
-                fd.diff_fwd(s, axis, self.h, order=self.order, out=scr,
-                            work=self._work)
-            else:
-                fd.diff_bwd(s, axis, self.h, order=self.order, out=scr,
-                            work=self._work)
-            scr_int *= b_int
-            out.append(scr)
-        return out
+        if self._med_span is None:
+            self._bind_spans()
+        self._dv_next = None
+        b = self._med_span[_VEL_BUOYANCY[comp]]
+        for (axis, sname, dirn), t in zip(_VEL_TERMS[comp],
+                                          self._scratch_span):
+            self._diff(sname, axis, dirn == "f", t)
+            t *= b
+        return self._scratch[:]
 
     def stress_terms(self, comp: str) -> list[np.ndarray]:
         """Per-axis contributions to ``d(comp)/dt`` (moduli included).
@@ -147,30 +207,26 @@ class VelocityStressKernel:
         Normal components produce three terms (x, y, z strain-rate parts);
         shear components produce two (the third axis does not contribute).
         """
-        wf = self.wf
-        if comp in ("sxx", "syy", "szz"):
-            dvx = fd.diff_bwd(wf.vx, 0, self.h, order=self.order,
-                              out=self._scratch[0], work=self._work)
-            dvy = fd.diff_bwd(wf.vy, 1, self.h, order=self.order,
-                              out=self._scratch[1], work=self._work)
-            dvz = fd.diff_bwd(wf.vz, 2, self.h, order=self.order,
-                              out=self._scratch[2], work=self._work)
-            own = {"sxx": dvx, "syy": dvy, "szz": dvz}[comp]
-            lam2mu_int = self._med_int["lam2mu"]
-            lam_int = self._med_int["lam"]
-            for t, t_int in zip((dvx, dvy, dvz), self._scratch_int):
-                t_int *= lam2mu_int if t is own else lam_int
-            return [dvx, dvy, dvz]
-        mod_int = self._med_int[_SHEAR_MOD[comp]]
-        out = []
-        for (axis, vname, _), scr, scr_int in zip(
-                _SHEAR_TERMS[comp], self._scratch, self._scratch_int):
-            v = getattr(wf, vname)
-            fd.diff_fwd(v, axis, self.h, order=self.order, out=scr,
-                        work=self._work)
-            scr_int *= mod_int
-            out.append(scr)
-        return out
+        if self._med_span is None:
+            self._bind_spans()
+        med = self._med_span
+        if comp in _NORMAL_NEXT:
+            if comp == "sxx" or self._dv_next != comp:
+                for axis, (vname, dv) in enumerate(
+                        zip(("vx", "vy", "vz"), self._dv_span)):
+                    self._diff(vname, axis, False, dv)
+            self._dv_next = _NORMAL_NEXT[comp]
+            own = "xyz".index(comp[1])
+            for axis, (dv, t) in enumerate(zip(self._dv_span,
+                                               self._scratch_span)):
+                np.multiply(dv, med["lam2mu" if axis == own else "lam"],
+                            out=t)
+            return self._scratch[:]
+        mod = med[_SHEAR_MOD[comp]]
+        for (axis, vname, _), t in zip(_SHEAR_TERMS[comp], self._scratch_span):
+            self._diff(vname, axis, True, t)
+            t *= mod
+        return self._scratch[:2]
 
     # ------------------------------------------------------------------
     # Plain interior updates
@@ -182,10 +238,9 @@ class VelocityStressKernel:
         """
         terms = self.velocity_terms(comp)
         dst = self._wf_int[comp]
-        incr = self._incr
-        for t_int in self._scratch_int[:len(terms)]:
-            np.multiply(t_int, self.dt, out=incr)
-            dst += incr
+        for t in self._scratch_span[:len(terms)]:
+            np.multiply(t, self.dt, out=self._incr_span)
+            dst += self._incr_int
         return terms
 
     def update_stress(self, comp: str,
@@ -200,14 +255,17 @@ class VelocityStressKernel:
         axis terms.
         """
         terms = self.stress_terms(comp)
-        rate = self._rate
-        np.copyto(rate, self._scratch_int[0])
-        for t_int in self._scratch_int[1:len(terms)]:
-            rate += t_int
-        if rate_hook is not None:
-            rate = rate_hook(comp, rate)
-        np.multiply(rate, self.dt, out=self._incr)
-        self._wf_int[comp] += self._incr
+        t = self._scratch_span
+        rate = self._rate_span
+        np.add(t[0], t[1], out=rate)
+        if len(terms) == 3:
+            rate += t[2]
+        if rate_hook is None:
+            np.multiply(rate, self.dt, out=self._incr_span)
+        else:
+            np.multiply(rate_hook(comp, self._rate_int), self.dt,
+                        out=self._incr_int)
+        self._wf_int[comp] += self._incr_int
         return terms
 
     def step_velocity(self) -> None:
@@ -240,12 +298,12 @@ class VelocityStressKernel:
         blocked kernel variant too.
         """
         panels = self._panels(kblock, jblock)
-        incr = self._full_incr
+        incr = self._incr
         for comp in ("vx", "vy", "vz"):
             terms = self.velocity_terms(comp)
             arr = getattr(self.wf, comp)
-            for t in terms:
-                np.multiply(t, self.dt, out=incr)
+            for t_int in self._scratch_int[:len(terms)]:
+                np.multiply(t_int, self.dt, out=self._incr_int)
                 for sl in panels:
                     arr[sl] += incr[sl]
 
@@ -253,18 +311,18 @@ class VelocityStressKernel:
         """The stress half of :meth:`step_blocked` (no rate hook: the blocked
         driver is only selectable without attenuation/PML)."""
         panels = self._panels(kblock, jblock)
-        incr = self._full_incr
+        incr = self._incr
         for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):
             terms = self.stress_terms(comp)
             # Sum the rate exactly as update_stress does, so blocked and
-            # unblocked stepping are bitwise identical (ghost regions of the
-            # scratch arrays are zero and never read through the panels).
-            rate = self._full_rate
-            np.copyto(rate, terms[0])
-            for t in terms[1:]:
-                rate += t
+            # unblocked stepping are bitwise identical; only scratch
+            # interiors are read (their span ghosts hold garbage).
+            rate = self._rate_int
+            np.add(self._scratch_int[0], self._scratch_int[1], out=rate)
+            if len(terms) == 3:
+                rate += self._scratch_int[2]
             arr = getattr(self.wf, comp)
-            np.multiply(rate, self.dt, out=incr)
+            np.multiply(rate, self.dt, out=self._incr_int)
             for sl in panels:
                 arr[sl] += incr[sl]
 

@@ -142,12 +142,16 @@ class PML:
             if not empty:
                 self.boxes.append(tuple(local))
         # Split-part storage: parts[(box_index, comp)] -> (px, py, pz).
+        # One pooled box-shaped temporary per box keeps update() free of
+        # per-call allocations.
         self.parts: dict[tuple[int, str], list[np.ndarray]] = {}
+        self._tmp: list[np.ndarray] = []
         for bi, box in enumerate(self.boxes):
             bshape = tuple(s.stop - s.start for s in box)
             for comp in ALL_FIELDS:
                 self.parts[(bi, comp)] = [np.zeros(bshape, dtype=dtype)
                                           for _ in range(3)]
+            self._tmp.append(np.zeros(bshape, dtype=dtype))
         self._coeff_cache: dict[tuple[int, str, float], list[tuple]] = {}
 
     # ------------------------------------------------------------------
@@ -232,16 +236,17 @@ class PML:
             psl = tuple(slice(s.start + NGHOST, s.stop + NGHOST) for s in box)
             coeffs = self._coefficients(bi, comp, dt)
             parts = self.parts[(bi, comp)]
-            total = None
+            tmp = self._tmp[bi]
             for axis in range(3):
                 decay, gain = coeffs[axis]
                 part = parts[axis]
                 part *= decay
                 t = axis_term.get(axis)
                 if t is not None:
-                    part += gain * t[psl]
-                total = part.copy() if total is None else total + part
-            arr[psl] = total
+                    np.multiply(gain, t[psl], out=tmp)
+                    part += tmp
+            np.add(parts[0], parts[1], out=tmp)
+            np.add(tmp, parts[2], out=arr[psl])
 
     def memory_bytes(self) -> int:
         """Split-part storage footprint (diagnostic)."""

@@ -80,6 +80,17 @@ class TestAuditClean:
                                                                "pml"))}
         assert "pml" in pml_names
 
+    def test_audit_covers_kernel_span_buffers(self):
+        """The lazily created span buffers and the pooled PML temporaries
+        are walked once a pooled step has made them."""
+        sol = _solver(np.float32, "pml")
+        sol.run(2)
+        names = {name for name, _ in iter_solver_arrays(sol)}
+        assert {"kernel.dv[0]", "kernel.dv[1]", "kernel.dv[2]",
+                "kernel.rate", "kernel.incr", "kernel.work",
+                "pml.tmp[0]"} <= names
+        assert audit_solver(sol) == []
+
     def test_audit_detects_contamination(self):
         """A single f64 array planted in the state must be reported."""
         sol = _solver(np.float32)

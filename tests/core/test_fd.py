@@ -122,6 +122,47 @@ class TestInteriorContract:
             fd.diff_bwd(f, 0, 1.0, order=3)
 
 
+class TestSpanStencil:
+    """``diff_span`` is the unit-stride form of the ``diff*`` reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("fwd", [True, False])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_interior_bitwise_equal_to_reference(self, axis, fwd, order,
+                                                 dtype):
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal((13, 11, 9)).astype(dtype)
+        ref = (fd.diff_fwd if fwd else fd.diff_bwd)(
+            f, axis, 37.5, order=order, work=np.zeros((9, 7, 5), dtype))
+        lo, hi = fd.interior_span(f.shape)
+        out = np.zeros_like(f)
+        work = np.zeros_like(f)
+        stride = (11 * 9, 9, 1)[axis]
+        fd.diff_span(f.reshape(-1), lo, hi, stride, 37.5, order, fwd,
+                     out=out.reshape(-1)[lo:hi],
+                     work=work.reshape(-1)[lo:hi])
+        assert fd.interior(out).tobytes() == fd.interior(ref).tobytes()
+
+    def test_span_bounds(self):
+        shape = (7, 6, 5)
+        lo, hi = fd.interior_span(shape)
+        flat = np.arange(np.prod(shape)).reshape(shape)
+        assert lo == flat[2, 2, 2] and hi == flat[-3, -3, -3] + 1
+        # the x ghost planes lie outside the span, nothing interior does
+        assert flat[:2].max() < lo and flat[-2:].min() >= hi
+        inner = fd.interior(flat)
+        assert inner.min() == lo and inner.max() == hi - 1
+
+    def test_out_of_bounds_and_order_rejected(self):
+        f = np.zeros(6 * 6 * 6)
+        buf = np.zeros(10)
+        with pytest.raises(ValueError, match="outside"):
+            fd.diff_span(f, 0, 10, 1, 1.0, out=buf, work=buf)
+        with pytest.raises(ValueError, match="order"):
+            fd.diff_span(f, 90, 100, 1, 1.0, order=6, out=buf, work=buf)
+
+
 class TestOperatorProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2), st.floats(0.1, 10.0),
