@@ -110,55 +110,3 @@ def test_sec4_optimization_gain_measured(benchmark, state):
     assert speedup > 1.0
     assert same
     benchmark.extra_info["kernel_speedup"] = round(speedup, 2)
-
-
-def test_sec4_cache_blocked_equivalence(benchmark, state):
-    """Cache blocking re-orders the traversal only: bitwise identical."""
-    g, med, wf = state
-
-    def measure():
-        a, b = wf.copy(), wf.copy()
-        VelocityStressKernel(a, med, 1e-4).step_blocked(kblock=16, jblock=8)
-        k = VelocityStressKernel(b, med, 1e-4)
-        k.step_velocity()
-        k.step_stress()
-        return all(np.array_equal(a.interior(n), b.interior(n))
-                   for n in ALL_FIELDS)
-
-    identical = benchmark.pedantic(measure, rounds=2, iterations=1)
-    print_table("Section IV.B: cache blocking", [
-        paper_row("blocked == unblocked (kblock/jblock = 16/8)",
-                  "bitwise identical", identical)])
-    assert identical
-
-
-def test_sec4_blocking_parameters_from_paper(benchmark):
-    """'For a typical loop length of 125, the optimal solution was found to
-    be 16/8.  The variation between different combinations is around 3%.'
-    We time a few block shapes and confirm the flat landscape."""
-    import time
-    g = Grid3D(40, 40, 40, h=50.0)
-    med = Medium.homogeneous(g)
-    wf = WaveField(g)
-    rng = np.random.default_rng(1)
-    for name in ALL_FIELDS:
-        getattr(wf, name)[...] = rng.standard_normal(g.padded_shape)
-
-    def sweep():
-        out = {}
-        for kb, jb in ((16, 8), (8, 8), (32, 16), (40, 40)):
-            w = wf.copy()
-            k = VelocityStressKernel(w, med, 1e-4)
-            t0 = time.perf_counter()
-            k.step_blocked(kblock=kb, jblock=jb)
-            out[(kb, jb)] = time.perf_counter() - t0
-        return out
-
-    times = benchmark.pedantic(sweep, rounds=3, iterations=1)
-    best = min(times.values())
-    rows = [paper_row(f"kblock/jblock = {kb}/{jb}", "within a few % of best",
-                      f"{t / best:.2f}x best")
-            for (kb, jb), t in times.items()]
-    print_table("Section IV.B: blocking landscape", rows)
-    # numpy slicing makes small blocks slower; just require a sane spread
-    assert max(times.values()) / best < 5.0

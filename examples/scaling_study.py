@@ -12,8 +12,9 @@ history.
 To profile a run like Part 1's yourself, use the `repro.obs` span tracer
 (`Tracer` + `use_tracer`, or `--trace run.jsonl` on any CLI subcommand,
 then `repro trace-report run.jsonl`) and the `FlopCounter` PAPI stand-in;
-for machine-local throughput baselines use `repro bench`.  See
-PERFORMANCE.md for the full profiling and benchmarking guide.
+for machine-local throughput use the ledger (`benchmarks/ledger/run.py`,
+see benchmarks/ledger/README.md).  See PERFORMANCE.md for the full
+profiling guide.
 
 Run:  python examples/scaling_study.py
 """

@@ -11,7 +11,6 @@ This module exposes the same operations as subcommands::
     python -m repro perf-report  --machine jaguar --cores 223074
     python -m repro aval         [--update-reference ref.npz]
     python -m repro m8           --extent 48 --duration 12
-    python -m repro bench        [--smoke] [--out BENCH.json]
     python -m repro farm         spec.json [--workers N] [--json report.json]
     python -m repro query        requests.json --store products
     python -m repro serve        spool/ --store products [--watch]
@@ -35,6 +34,8 @@ import argparse
 import sys
 
 import numpy as np
+
+from .core.solver import KERNEL_VARIANTS
 
 __all__ = ["main", "build_parser"]
 
@@ -92,14 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="float64",
                    help="wavefield/material precision; float32 is the "
                         "production AWP-ODC fast path (half the bytes moved)")
-    r.add_argument("--kernel-variant",
-                   choices=("pooled", "blocked", "compiled"),
+    r.add_argument("--kernel-variant", choices=KERNEL_VARIANTS,
                    default="pooled",
                    help="stencil backend: 'pooled' numpy ufuncs (default), "
-                        "'blocked' cache-tiled sweep, 'compiled' fused JIT "
-                        "kernels (numba or C; falls back to pooled with a "
-                        "warning when no provider is present); non-pooled "
-                        "variants swap the PML boundary for a sponge taper")
+                        "'compiled' fused kernels (generated C; falls back "
+                        "to pooled with a warning when no C compiler is "
+                        "present, and swaps the PML boundary for a sponge "
+                        "taper)")
     r.add_argument("--lts", choices=("off", "auto"), default="off",
                    help="clustered local time stepping: partition the mesh "
                         "into x1/x2/x4 rate groups from the per-plane CFL "
@@ -161,43 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     m8.add_argument("--extent", type=float, default=48.0, help="domain km")
     m8.add_argument("--duration", type=float, default=12.0)
 
-    b = sub.add_parser("bench", parents=[common],
-                       help="fixed kernel/solver/halo benchmark suite; "
-                            "writes BENCH_<rev>.json")
-    b.add_argument("--smoke", action="store_true",
-                   help="CI quick mode (smaller fixed workloads)")
-    b.add_argument("--out", type=str, default=None, metavar="PATH",
-                   help="report path (default BENCH_<rev>.json in cwd)")
-    b.add_argument("--workload", action="append", default=None,
-                   metavar="NAME", dest="workloads",
-                   help="run only this workload (repeatable)")
-    b.add_argument("--dtype", choices=("float32", "float64", "all"),
-                   default="all",
-                   help="restrict the suite to workloads of one precision "
-                        "(default: run both, reporting speedup_vs_f64)")
-    b.add_argument("--kernel-variant",
-                   choices=("pooled", "blocked", "compiled", "all"),
-                   default="all",
-                   help="restrict the suite to workloads of one stencil "
-                        "backend (variant-agnostic workloads such as "
-                        "halo_exchange always run); compiled workloads "
-                        "need numba or a C compiler")
-    b.add_argument("--metrics", action="store_true",
-                   help="also print the repro.obs metrics registry report")
-    b.add_argument("--compare", nargs=2, default=None,
-                   metavar=("OLD.json", "NEW.json"),
-                   help="diff two saved reports instead of running the "
-                        "suite; exits 3 on wall-time regression")
-    b.add_argument("--rel-tol", type=float, default=0.10,
-                   help="relative wall-min tolerance for --compare "
-                        "regressions (default 0.10)")
-    b.add_argument("--warn-only", action="store_true",
-                   help="with --compare: report regressions but exit 0")
-    b.add_argument("--overhead-budget", type=float, default=0.02,
-                   metavar="FRAC",
-                   help="with --compare: fail when tracer overhead exceeds "
-                        "this fraction of untraced wall time (default 0.02)")
-
     fm = sub.add_parser("farm", parents=[common],
                         help="ensemble engine: expand a FarmSpec into "
                              "jobs, schedule them over worker processes, "
@@ -218,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 2)")
     fm.add_argument("--json", type=str, default=None, metavar="PATH",
                     help="also write the repro-farm/1 JSON report")
-    fm.add_argument("--kernel-variant",
-                    choices=("pooled", "blocked", "compiled"), default=None,
+    fm.add_argument("--kernel-variant", choices=KERNEL_VARIANTS,
+                    default=None,
                     help="override the spec's stencil backend for every "
                          "job (spec default: compiled where the host can "
                          "build it, else pooled); backends are "
@@ -386,7 +349,7 @@ def _cmd_run_quake(args) -> int:
         cfg = SolverConfig(absorbing="pml", pml=PMLConfig(width=pml_width),
                            dtype=np.dtype(args.dtype).type)
     else:
-        # blocked/compiled sweeps degrade to pooled under PML and LTS refuses
+        # compiled sweeps degrade to pooled under PML and LTS refuses
         # it (core/schedule.py); use the sponge taper instead and say so.
         why = (f"lts={args.lts}" if lts_on
                else f"kernel_variant={args.kernel_variant}")
@@ -580,71 +543,6 @@ def _cmd_m8(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (compare_reports, format_report, run_suite,
-                        validate_report, write_report)
-    from .obs import default_registry
-    if args.compare:
-        import json
-        old_path, new_path = args.compare
-        try:
-            with open(old_path) as f:
-                old = json.load(f)
-            with open(new_path) as f:
-                new = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read report: {exc}", file=sys.stderr)
-            return 2
-        try:
-            text, regressions = compare_reports(
-                old, new, rel_tol=args.rel_tol,
-                overhead_budget=args.overhead_budget)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        if regressions and not args.warn_only:
-            return 3
-        return 0
-    workloads = args.workloads
-    if args.dtype != "all":
-        from .bench import WORKLOADS
-        pool = workloads if workloads is not None else list(WORKLOADS)
-        want_f32 = args.dtype == "float32"
-        workloads = [w for w in pool if w.endswith("_f32") == want_f32]
-        if not workloads:
-            print(f"error: no selected workload matches --dtype {args.dtype}",
-                  file=sys.stderr)
-            return 2
-    if args.kernel_variant != "all":
-        from .bench import WORKLOAD_VARIANTS, WORKLOADS
-        pool = workloads if workloads is not None else list(WORKLOADS)
-        # variant-agnostic workloads (halo, tracer, farm) always stay in.
-        workloads = [w for w in pool
-                     if WORKLOAD_VARIANTS.get(w) in (args.kernel_variant,
-                                                     None)]
-        if not workloads:
-            print(f"error: no selected workload matches "
-                  f"--kernel-variant {args.kernel_variant}", file=sys.stderr)
-            return 2
-    try:
-        report = run_suite(smoke=args.smoke, workloads=workloads)
-    except ValueError as exc:   # e.g. an unknown --workload name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    validate_report(report)
-    try:
-        path = write_report(report, args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    print(f"wrote {path}")
-    if args.metrics:
-        print(default_registry().report())
-    return 0
-
-
 def _cmd_farm(args) -> int:
     from .farm import FarmSpec, FarmSpecError, ProductStore, run_farm
     from .obs import default_registry
@@ -797,7 +695,6 @@ def _cmd_verify(args) -> int:
             # reference bitwise (pz must stay 1 under LTS).
             cells = (build_cells()
                      + build_cells(backends=("sim",),
-                                   variants=("pooled", "compiled"),
                                    decomps=((2, 1, 1), (2, 2, 1)),
                                    lts="forced")
                      + build_cells(backends=("procpool",),
@@ -812,7 +709,6 @@ def _cmd_verify(args) -> int:
             cells = (build_cells(backends=("sim",), decomps=QUICK_DECOMPS)
                      + build_cells(backends=("procpool",),
                                    dtypes=("float64",),
-                                   variants=("pooled", "compiled"),
                                    decomps=((2, 1, 1),))
                      + build_cells(backends=("sim",), dtypes=("float64",),
                                    variants=("pooled",),
@@ -879,7 +775,6 @@ _COMMANDS = {
     "perf-report": _cmd_perf_report,
     "aval": _cmd_aval,
     "m8": _cmd_m8,
-    "bench": _cmd_bench,
     "farm": _cmd_farm,
     "query": _cmd_query,
     "serve": _cmd_serve,

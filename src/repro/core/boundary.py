@@ -16,7 +16,7 @@
 Both operators take an optional ``kernels`` (a resolved
 :class:`repro.core.compiled.KernelSet`): with one, their public methods run
 the compiled operators — bitwise identical to the numpy bodies here, which
-stay the reference the pooled/blocked variants execute (DESIGN.md §3).
+stay the reference the pooled variant executes (DESIGN.md §3).
 """
 
 from __future__ import annotations

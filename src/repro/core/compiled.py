@@ -5,20 +5,14 @@ still traverse memory once per ufunc: one velocity component costs ~15 whole-
 array passes.  The paper's single-CPU story (Section IV.B) is built on *fused*
 sweeps — every term of the update evaluated per cell in one pass so operands
 stay in registers/cache.  This module provides that backend behind the
-existing kernel-variant switch, with two JIT providers:
+existing kernel-variant switch, as a tiny C extension (the ``cbuild``
+provider) generated from the *same* operator tables the numpy kernels use
+(:data:`~repro.core.kernels._VEL_TERMS` et al.), compiled with the system C
+compiler (``-O3 -ffp-contract=off``, ``-fopenmp`` for the threaded build) into
+a shared library under a content-addressed JIT cache, and bound via
+``ctypes``.
 
-``numba``
-    ``@njit(cache=True)`` nested-loop kernels, optionally threaded with
-    ``prange`` (``parallel=True`` dispatchers).  Preferred when importable;
-    numba's on-disk cache makes warm starts cheap.
-``cbuild``
-    A tiny C extension generated from the *same* operator tables the numpy
-    kernels use (:data:`~repro.core.kernels._VEL_TERMS` et al.), compiled
-    with the system C compiler (``-O3 -ffp-contract=off``) into a shared
-    library under a content-addressed JIT cache, and bound via ``ctypes``.
-    This keeps the compiled path alive on hosts without numba.
-
-Both providers implement one *scalar expression tree per cell* that replays
+The generated code is one *scalar expression tree per cell* that replays
 the pooled kernels' exact ufunc sequence (derivative taps scaled and
 accumulated in the same order, ``t*dt`` increments added sequentially), with
 floating-point contraction disabled, so results are **bitwise identical** to
@@ -60,7 +54,7 @@ half reads, so there is nothing to restore and rows stay independent.
 The same :class:`KernelSet` carries the per-step operators that run between
 the sweeps, so a compiled step leaves no whole-array numpy pass behind.  Each
 is bitwise identical to the numpy body it stands in for (which stays in
-place as the reference the pooled/blocked variants run), for one reason per
+place as the reference the pooled variant runs), for one reason per
 operator:
 
 ``damp`` (:class:`~repro.core.boundary.SpongeLayer` ``apply``/``apply_slab``)
@@ -80,7 +74,7 @@ its arrays once and returns the callable to run each step, with every
 pointer (and, for a sweep, the whole plan: slab table, band slots, weights)
 already extracted.
 
-Fallback contract: when no provider is available, solvers warn **once**
+Fallback contract: when the provider is unavailable, solvers warn **once**
 (``RuntimeWarning``) and run ``pooled`` — which the equivalence matrix runs
 under ``warnings.simplefilter("error")``, so a silent fallback fails the
 cell rather than vacuously passing (mirroring the procpool→SimMPI fallback).
@@ -88,12 +82,11 @@ cell rather than vacuously passing (mirroring the procpool→SimMPI fallback).
 Environment knobs:
 
 ``REPRO_COMPILED_PROVIDER``
-    ``numba`` | ``cbuild`` — restrict the provider chain (``none`` disables
-    compiled kernels entirely, forcing the fallback path; used in tests).
+    ``cbuild`` (the default) | ``none`` — ``none`` disables compiled kernels
+    entirely, forcing the fallback path (used in tests).
 ``REPRO_JIT_CACHE``
     Cache directory for the cbuild shared libraries (default
-    ``~/.cache/repro-jit``).  Numba manages its own cache (honouring
-    ``NUMBA_CACHE_DIR``).
+    ``~/.cache/repro-jit``).
 ``CC``
     C compiler for the cbuild provider (default: first of ``cc``, ``gcc``,
     ``clang`` on ``PATH``).
@@ -103,9 +96,9 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import shutil
+import struct
 import subprocess
 import time
 from functools import partial
@@ -126,11 +119,10 @@ __all__ = [
     "ensure_available",
     "get_kernels",
     "jit_cache_dir",
-    "provider_info",
 ]
 
-#: Provider names in default resolution order.
-PROVIDERS = ("numba", "cbuild")
+#: The compiled-kernel provider: generated C built by the system compiler.
+PROVIDER = "cbuild"
 
 #: Medium arrays every fused kernel reads.
 _MEDIUM_FIELDS = ("bx", "by", "bz", "lam", "lam2mu",
@@ -138,7 +130,7 @@ _MEDIUM_FIELDS = ("bx", "by", "bz", "lam", "lam2mu",
 
 
 class CompiledUnavailable(RuntimeError):
-    """No compiled-kernel provider can run on this host."""
+    """The compiled-kernel provider cannot run on this host."""
 
 
 # ----------------------------------------------------------------------
@@ -162,73 +154,34 @@ def _find_cc() -> str | None:
     return None
 
 
-def _numba_present() -> bool:
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
+def ensure_available() -> None:
+    """Raise CompiledUnavailable unless the provider looks usable.
 
-
-def _provider_chain() -> tuple[str, ...]:
-    """The providers to try, honouring ``REPRO_COMPILED_PROVIDER``."""
-    override = os.environ.get("REPRO_COMPILED_PROVIDER", "").strip().lower()
-    if not override:
-        return PROVIDERS
-    if override in ("none", "off", "0"):
-        return ()
-    if override not in PROVIDERS:
-        raise CompiledUnavailable(
-            f"unknown REPRO_COMPILED_PROVIDER={override!r} "
-            f"(expected one of {', '.join(PROVIDERS)}, or 'none')")
-    return (override,)
-
-
-def _probe(provider: str) -> str | None:
-    """None if ``provider`` looks usable, else a human-readable reason."""
-    if provider == "numba":
-        return None if _numba_present() else "numba not importable"
-    if provider == "cbuild":
-        return None if _find_cc() is not None else \
-            "no C compiler on PATH (cc/gcc/clang) and CC unset"
-    return f"unknown provider {provider!r}"
-
-
-def ensure_available() -> str:
-    """Return the first usable provider name or raise CompiledUnavailable.
-
-    This is a cheap presence probe (importability / compiler on PATH); the
-    actual JIT happens lazily in :func:`get_kernels`, whose failures also
-    raise :class:`CompiledUnavailable` so callers hit one fallback path.
+    This is a cheap presence probe (``REPRO_COMPILED_PROVIDER``, a compiler
+    on PATH); the actual JIT happens lazily in :func:`get_kernels`, whose
+    failures also raise :class:`CompiledUnavailable` so callers hit one
+    fallback path.
     """
-    chain = _provider_chain()
-    if not chain:
+    override = os.environ.get("REPRO_COMPILED_PROVIDER", "").strip().lower()
+    if override in ("none", "off", "0"):
         raise CompiledUnavailable(
             "compiled kernels disabled by REPRO_COMPILED_PROVIDER")
-    reasons = []
-    for provider in chain:
-        reason = _probe(provider)
-        if reason is None:
-            return provider
-        reasons.append(f"{provider}: {reason}")
-    raise CompiledUnavailable("; ".join(reasons))
+    if override not in ("", PROVIDER):
+        raise CompiledUnavailable(
+            f"unknown REPRO_COMPILED_PROVIDER={override!r} "
+            f"(expected {PROVIDER!r} or 'none')")
+    if _find_cc() is None:
+        raise CompiledUnavailable(
+            f"{PROVIDER}: no C compiler on PATH (cc/gcc/clang) and CC unset")
 
 
 def compiled_available() -> bool:
-    """Whether some compiled-kernel provider looks usable on this host."""
+    """Whether the compiled-kernel provider looks usable on this host."""
     try:
         ensure_available()
         return True
     except CompiledUnavailable:
         return False
-
-
-def provider_info() -> dict:
-    """Host capability record for bench reports (``host.compiled``)."""
-    try:
-        provider = ensure_available()
-        return {"available": True, "provider": provider, "detail": ""}
-    except CompiledUnavailable as exc:
-        return {"available": False, "provider": None, "detail": str(exc)}
 
 
 # ----------------------------------------------------------------------
@@ -588,12 +541,35 @@ def _c_source() -> str:
             "   order exactly. */\n\n" + _C_PREAMBLE + "\n".join(units))
 
 
+def _truncated(path: str) -> bool:
+    """Whether the ELF object at ``path`` is cut short: the section-header
+    table the linker writes last must end inside the file.  ``dlopen`` of a
+    truncated object can fault (SIGBUS) instead of raising, so this is
+    checked before loading; a non-ELF file is left to ``dlopen`` to refuse.
+    """
+    with open(path, "rb") as f:
+        head = f.read(64)
+        size = os.fstat(f.fileno()).st_size
+    if len(head) < 64 or head[:4] != b"\x7fELF":
+        return False
+    order = "<" if head[5] == 1 else ">"
+    if head[4] == 2:    # ELF64
+        (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+        entsize, count = struct.unpack_from(order + "HH", head, 0x3A)
+    else:               # ELF32
+        (shoff,) = struct.unpack_from(order + "I", head, 0x20)
+        entsize, count = struct.unpack_from(order + "HH", head, 0x2E)
+    return size < shoff + entsize * count
+
+
 def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
     """Compile (or reuse) the shared library; returns (lib, secs, cache_hit).
 
     The cache is content-addressed: source + compiler + flags hash to the
     library filename, so editing the generators or switching compilers
-    naturally invalidates stale entries.
+    naturally invalidates stale entries.  An entry that exists but does not
+    load (a torn write, a truncated file) is rebuilt once in place; a
+    rebuilt library that still does not load raises.
     """
     cc = _find_cc()
     if cc is None:
@@ -607,8 +583,11 @@ def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
         "\0".join([source, cc, " ".join(flags)]).encode()).hexdigest()[:16]
     cache = jit_cache_dir()
     so_path = os.path.join(cache, f"fused_{digest}.so")
-    if os.path.exists(so_path):
-        return ctypes.CDLL(so_path), 0.0, True
+    if os.path.exists(so_path) and not _truncated(so_path):
+        try:
+            return ctypes.CDLL(so_path), 0.0, True
+        except OSError:
+            pass
     os.makedirs(cache, exist_ok=True)
     c_path = os.path.join(cache, f"fused_{digest}.c")
     with open(c_path, "w") as f:
@@ -639,7 +618,7 @@ _C_TYPES = {"p": ctypes.c_void_p, "d": ctypes.c_double, "l": ctypes.c_long}
 
 
 def _sweep_tables(slabs, save, blend):
-    """A sweep plan flattened for the providers: ``(tab, wts, counts)``.
+    """A sweep plan flattened for the C entry points: ``(tab, wts, counts)``.
 
     ``tab`` (C long): ``z0, z1`` per slab, ``slot, k0`` per saved band,
     ``slab, slot, k0`` per blended band; ``wts`` (double): ``dt`` per slab,
@@ -701,73 +680,14 @@ def _cbuild_kernels(dtype: np.dtype, parallel: bool):
 
 
 # ----------------------------------------------------------------------
-# Numba provider
-# ----------------------------------------------------------------------
-def _numba_kernels(dtype: np.dtype, parallel: bool):
-    try:
-        from . import _compiled_numba as nbmod
-    except ImportError as exc:
-        raise CompiledUnavailable(f"numba not importable: {exc}") from exc
-    jit = nbmod.PARALLEL if parallel else nbmod.SERIAL
-    cast = dtype.type
-    c1, c2, zero, two = cast(C1), cast(C2), cast(0.0), cast(2.0)
-
-    no_hist = np.zeros((1, 1, 3, 1), dtype=dtype)   # typed stand-in for None
-
-    def sweep(name):
-        def bind(arrays, h, box, hist, tab, wts, counts):
-            return partial(jit[name], *arrays,
-                           no_hist if hist is None else hist, tab,
-                           wts.astype(dtype), c1, c2, cast(h), *box, *counts)
-        return bind
-
-    def damp(fields, taper, rowfull, k0, ka, kb):
-        return partial(jit["damp"], *fields, taper, rowfull, k0, ka, kb)
-
-    def fs_velocity(arrays, kt):
-        return partial(jit["fs_velocity"], *arrays, zero, two, kt)
-
-    def fs_stress(arrays, kt):
-        return partial(jit["fs_stress"], *arrays, zero, kt)
-
-    binders = {"vel": sweep("velocity"), "stress": sweep("stress"),
-               "damp": damp,
-               "fs_velocity": fs_velocity, "fs_stress": fs_stress}
-
-    # Warm the dispatchers on a minimal fixture so the one-time JIT (or the
-    # on-disk cache load) is accounted here, not inside a timed step.
-    t0 = time.perf_counter()
-    tiny = [np.zeros((5, 5, 5), dtype=dtype) for _ in range(14)]
-    one_cell = ((2, 3, 2, 3), None, *_sweep_tables([(2, 3, 0.0)], (), ()))
-    binders["vel"](tiny[:12], 1.0, *one_cell)()
-    binders["stress"](tiny, 1.0, *one_cell)()
-    binders["damp"](tiny[:9], np.ones((1, 1, 1), dtype=dtype),
-                    np.zeros((1, 1), dtype=np.uint8), 2, 0, 1)()
-    tiny[4][...] = 1.0      # lam2mu: the vz ghost divides by it
-    binders["fs_velocity"](tiny[:5], 2)()
-    binders["fs_stress"](tiny[:3], 2)()
-    compile_s = time.perf_counter() - t0
-
-    def _hits(fn) -> int:
-        counter = getattr(fn, "_cache_hits", None)
-        try:
-            return sum(counter.values()) if counter else 0
-        except (TypeError, AttributeError):
-            return 0
-
-    cache_hit = sum(_hits(f) for f in jit.values()) > 0
-    return binders, compile_s, cache_hit
-
-
-# ----------------------------------------------------------------------
 # Kernel resolution (memoized per process)
 # ----------------------------------------------------------------------
 class KernelSet:
-    """The resolved compiled operators of one dtype/provider.
+    """The resolved compiled operators of one dtype.
 
-    All or nothing: a provider that cannot deliver every operator is
-    unavailable as a whole (:func:`get_kernels` moves on to the next one),
-    so a compiled step never degrades a single operator to numpy silently.
+    All or nothing: a build that cannot deliver every operator is
+    unavailable as a whole (:func:`get_kernels` raises), so a compiled step
+    never degrades a single operator to numpy silently.
 
     Every method *binds*: it checks its arrays once (``dtype``,
     C-contiguous, mutually consistent shapes — the operators take raw
@@ -776,11 +696,11 @@ class KernelSet:
     those arrays.  Fields are padded ``(npx, npy, npz)`` arrays.
     """
 
-    def __init__(self, binders: dict, provider: str, dtype: str,
-                 parallel: bool, compile_seconds: float, cache_hit: bool):
+    def __init__(self, binders: dict, dtype: str, parallel: bool,
+                 compile_seconds: float, cache_hit: bool):
         self._bind = {op: binders[op] for op in (
             "vel", "stress", "damp", "fs_velocity", "fs_stress")}
-        self.provider = provider
+        self.provider = PROVIDER
         self.dtype = dtype
         self.parallel = parallel
         self.compile_seconds = compile_seconds
@@ -903,53 +823,36 @@ class KernelSet:
         return self._plane("fs_stress", (sxz, syz, szz), kt, 2, 2)
 
 
-_KERNEL_CACHE: dict[tuple[str, bool, str], KernelSet] = {}
-
-_BUILDERS = {"numba": _numba_kernels, "cbuild": _cbuild_kernels}
+_KERNEL_CACHE: dict[tuple[str, bool], KernelSet] = {}
 
 
-def get_kernels(dtype, parallel: bool = False,
-                provider: str | None = None) -> KernelSet:
+def get_kernels(dtype, parallel: bool = False) -> KernelSet:
     """Resolve (JIT-compiling if needed) the fused kernels for ``dtype``.
 
     Memoized per process: the distributed solver resolves once up front and
     every rank sub-solver then binds the same compiled functions, so the
     warn-once fallback contract holds (one resolution, one possible warning).
-    Raises :class:`CompiledUnavailable` when no provider can deliver.
+    Raises :class:`CompiledUnavailable` when the provider cannot deliver.
     """
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise CompiledUnavailable(f"unsupported dtype {dt.name} "
                                   "(float64/float32 only)")
-    chain = (provider,) if provider else _provider_chain()
-    if not chain:
+    ensure_available()
+    key = (dt.name, parallel)
+    if key in _KERNEL_CACHE:
+        return _KERNEL_CACHE[key]
+    try:
+        binders, compile_s, cache_hit = _cbuild_kernels(dt, parallel)
+        ks = KernelSet(binders, dtype=dt.name, parallel=parallel,
+                       compile_seconds=compile_s, cache_hit=cache_hit)
+    except CompiledUnavailable as exc:
+        raise CompiledUnavailable(f"{PROVIDER}: {exc}") from exc
+    except Exception as exc:  # noqa: BLE001 - any JIT failure => fallback
         raise CompiledUnavailable(
-            "compiled kernels disabled by REPRO_COMPILED_PROVIDER")
-    errors = []
-    for prov in chain:
-        if prov not in _BUILDERS:
-            raise CompiledUnavailable(f"unknown provider {prov!r}")
-        key = (dt.name, parallel, prov)
-        if key in _KERNEL_CACHE:
-            return _KERNEL_CACHE[key]
-        reason = _probe(prov)
-        if reason is not None:
-            errors.append(f"{prov}: {reason}")
-            continue
-        try:
-            binders, compile_s, cache_hit = _BUILDERS[prov](dt, parallel)
-            ks = KernelSet(binders, provider=prov, dtype=dt.name,
-                           parallel=parallel, compile_seconds=compile_s,
-                           cache_hit=cache_hit)
-        except CompiledUnavailable as exc:
-            errors.append(f"{prov}: {exc}")
-            continue
-        except Exception as exc:  # noqa: BLE001 - any JIT failure => fallback
-            errors.append(f"{prov}: {type(exc).__name__}: {exc}")
-            continue
-        _KERNEL_CACHE[key] = ks
-        return ks
-    raise CompiledUnavailable("; ".join(errors))
+            f"{PROVIDER}: {type(exc).__name__}: {exc}") from exc
+    _KERNEL_CACHE[key] = ks
+    return ks
 
 
 # ----------------------------------------------------------------------
@@ -967,8 +870,7 @@ class FusedStepper:
     """
 
     def __init__(self, wf: WaveField, medium: Medium, dt: float,
-                 order: int = 4, parallel: bool = False,
-                 provider: str | None = None):
+                 order: int = 4, parallel: bool = False):
         if order != 4:
             raise ValueError("compiled kernels implement the 4th-order "
                              f"stencil only (got order={order})")
@@ -984,8 +886,7 @@ class FusedStepper:
         self.h = float(wf.grid.h)
         #: the resolved :class:`KernelSet` (the solver hands it to its sponge
         #: and free surface)
-        self.kernels = get_kernels(wf.dtype, parallel=parallel,
-                                   provider=provider)
+        self.kernels = get_kernels(wf.dtype, parallel=parallel)
         self.provider = self.kernels.provider
         self.parallel = parallel
         self.compile_seconds = self.kernels.compile_seconds
@@ -1011,12 +912,11 @@ class FusedStepper:
 
     @classmethod
     def for_kernel(cls, kernel: VelocityStressKernel,
-                   parallel: bool = False,
-                   provider: str | None = None) -> "FusedStepper":
+                   parallel: bool = False) -> "FusedStepper":
         """Build a stepper sharing a pooled kernel's bindings (wf, medium,
         dt, order) — the hook the solvers use."""
         return cls(kernel.wf, kernel.medium, kernel.dt, order=kernel.order,
-                   parallel=parallel, provider=provider)
+                   parallel=parallel)
 
     def _bounds(self, region) -> tuple[int, int, int, int, int, int]:
         if region is None:

@@ -27,19 +27,14 @@ optimization study (Section IV.B):
   pre-optimization formulation with divisions by density and per-step
   harmonic averaging of moduli, kept as the measurable "before" case for the
   kernel-optimization benchmark.
-
-A cache-blocked driver (:meth:`VelocityStressKernel.step_blocked`) applies
-the same updates in k/j panels, mirroring the paper's kblock/jblock scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fd
-from .fd import NGHOST, interior
+from .fd import interior
 from .grid import WaveField
 from .medium import Medium
 
@@ -95,8 +90,8 @@ class VelocityStressKernel:
     Span positions that are y/z ghost cells of the kernel's scratch hold
     finite garbage that nothing reads: the field update adds the *interior*
     of the increment (strided, so field ghosts are never written), the
-    attenuation hook receives the interior of the rate, PML reads frame boxes
-    inside the interior and the blocked driver reads scratch interiors.
+    attenuation hook receives the interior of the rate and PML reads frame
+    boxes inside the interior.
 
     In one stress pass the three normal stresses share one set of velocity
     derivatives: they are computed when ``sxx`` is requested, or ``syy``/
@@ -129,7 +124,6 @@ class VelocityStressKernel:
         self._strides = (shape[1] * shape[2], shape[2], 1)
         # Interior views resolved once (slicing in the component loop would
         # churn small view objects; the data is shared either way).
-        self._scratch_int = [interior(s) for s in self._scratch]
         self._rate_int = interior(self._rate)
         self._incr_int = interior(self._incr)
         self._wf_int = {name: interior(getattr(wf, name))
@@ -275,67 +269,6 @@ class VelocityStressKernel:
     def step_stress(self, rate_hook=None) -> None:
         for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):
             self.update_stress(comp, rate_hook=rate_hook)
-
-    # ------------------------------------------------------------------
-    # Cache-blocked driver (Section IV.B)
-    # ------------------------------------------------------------------
-    def _panels(self, kblock: int, jblock: int) -> list[tuple]:
-        """The (k, j) panel decomposition of the interior (full x extent)."""
-        g = self.wf.grid
-        return [
-            (slice(NGHOST, -NGHOST),
-             slice(NGHOST + j0, NGHOST + min(j0 + jblock, g.ny)),
-             slice(NGHOST + k0, NGHOST + min(k0 + kblock, g.nz)))
-            for k0 in range(0, g.nz, kblock)
-            for j0 in range(0, g.ny, jblock)
-        ]
-
-    def step_blocked_velocity(self, kblock: int = 16, jblock: int = 8) -> None:
-        """The velocity half of :meth:`step_blocked`.
-
-        Split out so drivers that interleave communication between the
-        velocity and stress halves (the distributed solver) can select the
-        blocked kernel variant too.
-        """
-        panels = self._panels(kblock, jblock)
-        incr = self._incr
-        for comp in ("vx", "vy", "vz"):
-            terms = self.velocity_terms(comp)
-            arr = getattr(self.wf, comp)
-            for t_int in self._scratch_int[:len(terms)]:
-                np.multiply(t_int, self.dt, out=self._incr_int)
-                for sl in panels:
-                    arr[sl] += incr[sl]
-
-    def step_blocked_stress(self, kblock: int = 16, jblock: int = 8) -> None:
-        """The stress half of :meth:`step_blocked` (no rate hook: the blocked
-        driver is only selectable without attenuation/PML)."""
-        panels = self._panels(kblock, jblock)
-        incr = self._incr
-        for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):
-            terms = self.stress_terms(comp)
-            # Sum the rate exactly as update_stress does, so blocked and
-            # unblocked stepping are bitwise identical; only scratch
-            # interiors are read (their span ghosts hold garbage).
-            rate = self._rate_int
-            np.add(self._scratch_int[0], self._scratch_int[1], out=rate)
-            if len(terms) == 3:
-                rate += self._scratch_int[2]
-            arr = getattr(self.wf, comp)
-            np.multiply(rate, self.dt, out=self._incr_int)
-            for sl in panels:
-                arr[sl] += incr[sl]
-
-    def step_blocked(self, kblock: int = 16, jblock: int = 8) -> None:
-        """One full elastic step applied in (k, j) panels.
-
-        Mirrors the paper's kblock/jblock cache-blocking: the same arithmetic
-        is applied panel by panel so operands of adjacent planes stay
-        cache-resident.  Results are identical to the unblocked step (the
-        update of each component only reads the *other* family of fields).
-        """
-        self.step_blocked_velocity(kblock, jblock)
-        self.step_blocked_stress(kblock, jblock)
 
 
 class RegionUpdater:

@@ -246,7 +246,7 @@ class _Band:
     the start of each owner update): ``prev[c]`` are views of six
     consecutive slots of the scheduler's stacked history array, which is
     what the compiled sweep reads and writes in its row visit.  The numpy
-    bodies below are the reference the pooled/blocked variants run: they
+    bodies below are the reference the pooled variant runs: they
     blend the band in place around a reader's update, with save/restore
     scratch so the owner's state is undisturbed.  Only interior x/y rows
     are kept — no update reads a band through a ghost row.
@@ -393,8 +393,7 @@ class LTSScheduler(StepSchedule):
             self.plans = {(half, phase): self._bind_plan(half, phase)
                           for half in _BANDS for phase in range(self.max_rate)}
             return
-        # pooled and blocked variants both run the region driver; the
-        # blocked panel split is a cache optimization of the same sweep.
+        # the pooled variant runs the region driver
         for g in self.groups:
             g.updater = RegionUpdater(solver.kernel, g.region,
                                       dt=g.rate * solver.dt)

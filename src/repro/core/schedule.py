@@ -45,7 +45,7 @@ class SimulationDiverged(RuntimeError):
 class StepPlan:
     """Which operator runs each half-step, and whether it is splittable."""
 
-    velocity: str   #: 'pooled' | 'blocked' | 'compiled'
+    velocity: str   #: 'pooled' | 'compiled'
     stress: str
     split: bool     #: halves may be cut into (core, shells) region pairs
 
@@ -89,10 +89,10 @@ def resolve(cfg, *, dims=(1, 1, 1), backend: str = "sim",
     # the pooled kernel produces them, so that half degrades to pooled.
     velocity = "pooled" if pml else variant
     stress = "pooled" if pml or anelastic else variant
-    # PML parts and memory variables are whole-interior state, blocked
-    # panels are not region-split, and LTS group activity varies per
-    # substep: none of them admits a static core/shell cut.
-    split = not (lts or pml or anelastic or variant == "blocked")
+    # PML parts and memory variables are whole-interior state and LTS
+    # group activity varies per substep: none of them admits a static
+    # core/shell cut.
+    split = not (lts or pml or anelastic)
     return StepPlan(velocity, stress, split)
 
 
@@ -194,8 +194,6 @@ class StepSchedule:
         s = self.solver
         if self.plan.velocity == "compiled":
             s.fused.step_velocity()
-        elif self.plan.velocity == "blocked":
-            s.kernel.step_blocked_velocity(s.config.kblock, s.config.jblock)
         else:
             for comp in ("vx", "vy", "vz"):
                 terms = s.kernel.update_velocity(comp)
@@ -206,8 +204,6 @@ class StepSchedule:
         s = self.solver
         if self.plan.stress == "compiled":
             s.fused.step_stress()
-        elif self.plan.stress == "blocked":
-            s.kernel.step_blocked_stress(s.config.kblock, s.config.jblock)
         else:
             hook = s._rate_hook
             for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):

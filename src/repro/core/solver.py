@@ -31,7 +31,12 @@ from .pml import PML, PMLConfig
 from .schedule import SimulationDiverged, StepSchedule, resolve
 from .stability import cfl_dt
 
-__all__ = ["SolverConfig", "Receiver", "SurfaceRecorder", "WaveSolver"]
+__all__ = ["KERNEL_VARIANTS", "SolverConfig", "Receiver", "SurfaceRecorder",
+           "WaveSolver"]
+
+#: The stencil backends: the numpy reference and the fused compiled sweeps
+#: (bitwise equal to it).
+KERNEL_VARIANTS = ("pooled", "compiled")
 
 
 @dataclass
@@ -47,10 +52,8 @@ class SolverConfig:
     sponge_amp: float = 0.92
     attenuation_band: tuple[float, float] | None = None  #: (f_min, f_max) or None
     n_mechanisms: int = 8
-    kblock: int = 16                     #: blocked-driver panel depth (z cells)
-    jblock: int = 8                      #: blocked-driver panel width (y cells)
-    kernel_variant: str = "pooled"       #: 'pooled' | 'blocked' | 'compiled'
-    compiled_parallel: bool = False      #: thread the compiled sweeps (prange/OpenMP)
+    kernel_variant: str = "pooled"       #: one of KERNEL_VARIANTS
+    compiled_parallel: bool = False      #: thread the compiled sweeps (OpenMP)
     dtype: type = np.float64
     stability_check_interval: int = 50   #: steps between blow-up checks
     stability_limit: float = 1e9         #: max |v| before declaring divergence
@@ -59,14 +62,10 @@ class SolverConfig:
     lts_correction: bool = True          #: time-interpolated interface bands
 
     def __post_init__(self) -> None:
-        if self.kernel_variant not in ("pooled", "blocked", "compiled"):
+        if self.kernel_variant not in KERNEL_VARIANTS:
             raise ValueError(
                 f"unknown kernel_variant {self.kernel_variant!r} "
-                "(expected 'pooled', 'blocked' or 'compiled')")
-        if self.kblock < 1 or self.jblock < 1:
-            raise ValueError(
-                "block sizes must be >= 1 "
-                f"(kblock={self.kblock}, jblock={self.jblock})")
+                f"(expected one of {', '.join(KERNEL_VARIANTS)})")
         if isinstance(self.lts, str):
             if self.lts not in ("off", "auto"):
                 raise ValueError(

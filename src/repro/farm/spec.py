@@ -9,11 +9,11 @@ oq-hazardlib scenario-calculator shape (seeds x realisations x GSIMs
 fanned over ``concurrent_tasks``) applied to this repo's solver stack.
 
 Determinism contract: every job derives its RNG seed from
-``zlib.crc32`` of the job's canonical-JSON configuration (the same
-PYTHONHASHSEED-independent derivation as ``bench.seed_solver_fields``),
-so the same spec expands to the same jobs with the same seeds in every
-process — the property the content-addressed product store and the
-serial == multiprocess bitwise-equality tests rely on.
+``zlib.crc32`` of the job's canonical-JSON configuration (not ``hash()``,
+which PYTHONHASHSEED randomises per process), so the same spec expands to
+the same jobs with the same seeds in every process — the property the
+content-addressed product store and the serial == multiprocess
+bitwise-equality tests rely on.
 
 Schema and axis semantics are documented in ``docs/farm.md``.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
+from ..core.solver import KERNEL_VARIANTS
 from ..obs.provenance import canonical_config_hash, canonical_json
 from ..scenarios.catalog import SCENARIOS
 
@@ -44,7 +45,7 @@ _GMPES = ("ba08", "cb08")
 _LTS = ("off", "auto")
 #: ``auto`` (the default) = compiled where a provider exists, else pooled;
 #: resolved where the job runs (:func:`repro.farm.job.resolve_variant`).
-_VARIANTS = ("auto", "pooled", "blocked", "compiled")
+_VARIANTS = ("auto", *KERNEL_VARIANTS)
 
 
 class FarmSpecError(ValueError):
@@ -62,11 +63,11 @@ class FarmJob:
     knob making the first N attempts raise (the retry-path teeth test)
     and is deliberately excluded from the key so a retried job lands at
     the same address.  ``kernel_variant`` selects the stencil backend
-    (pooled / blocked / compiled) and is excluded from the key because
-    all three are bitwise-equal on the farm problem class (sponge + free
-    surface, no PML/attenuation) — the equivalence-matrix cells in
-    :mod:`repro.verify.matrix` gate that claim at atol=0, so the same
-    spec lands the same product addresses whichever backend computed
+    (one of :data:`~repro.core.solver.KERNEL_VARIANTS`) and is excluded
+    from the key because they are bitwise-equal on the farm problem class
+    (sponge + free surface, no PML/attenuation) — the equivalence-matrix
+    cells in :mod:`repro.verify.matrix` gate that claim at atol=0, so the
+    same spec lands the same product addresses whichever backend computed
     them; the default ``auto`` takes the compiled one wherever the host
     can build it.  A variant that ever broke bitwise equality would have
     to move into :meth:`config`.  ``lts`` sits between the two regimes:

@@ -83,10 +83,9 @@ class DistributedWaveSolver:
         once and falls back to 'sim'.
     kernel_variant:
         None (default) — inherit ``config.kernel_variant``; or 'pooled' —
-        plain interior updates; 'blocked' — the cache-blocked k/j panel
-        driver; 'compiled' — the fused JIT sweeps
-        (:mod:`repro.core.compiled`).  All bitwise identical.  If no
-        compiled provider is available the solver warns once
+        plain interior updates; 'compiled' — the fused JIT sweeps
+        (:mod:`repro.core.compiled`).  Bitwise identical.  If the
+        compiled provider is unavailable the solver warns once
         (``RuntimeWarning``) and every rank runs 'pooled'.
     overlap:
         Overlap interior computation with halo transfers on the procpool

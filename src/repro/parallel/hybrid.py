@@ -18,7 +18,7 @@ paper's conclusion: hybrid wins at moderate scale, pure MPI wins at the
 extreme scale where AWP-ODC production ran.
 
 Reality check against the measured multicore backend
-(``repro bench``'s ``distributed_procpool`` workload, see PERFORMANCE.md):
+(the ledger's ``quake_procpool`` workload, see ``benchmarks/ledger``):
 the model's qualitative structure holds up.  The procpool backend is the
 "one rank per core, shared-memory transport" corner of this trade space,
 and its measured per-step overhead splits into exactly the terms modelled
@@ -29,7 +29,7 @@ worth noting against the model's assumptions: per-step team overhead on
 commodity Linux (process semaphores, not OpenMP barriers) is of order
 tens of microseconds rather than ``FORK_JOIN_SECONDS``-scale, and the
 overlap schedule hides a large fraction of the wait term
-(``extra.overlap_efficiency`` in the bench report), which Eq. 7 models as
+(``parallel.overlap_efficiency`` in the ledger), which Eq. 7 models as
 the IV.C overlap optimisation flag rather than a continuous efficiency.
 """
 

@@ -1,7 +1,7 @@
 """Cross-configuration equivalence matrix (repro.verify).
 
 The repo carries four layers of optimization — alloc-free kernels,
-SimMPI/procpool SPMD backends, cache-blocked kernels, the float32 fast
+SimMPI/procpool SPMD backends, compiled fused kernels, the float32 fast
 path — each of which promised "same numerics".  This module *enforces* the
 composition of those promises on one reference problem across every
 backend × dtype × kernel-variant × decomposition combination:
@@ -12,13 +12,10 @@ backend × dtype × kernel-variant × decomposition combination:
   contract PR-2/PR-3/PR-4 established individually; the matrix runs it as
   a grid so a future change cannot bend one combination silently.  The
   ``compiled`` kernel variant (fused JIT sweeps) holds the same atol=0
-  contract at float64; at float32 a provider is allowed to miss bitwise
-  (numba's codegen makes no cross-version bit guarantees there) and is
-  then gated by a tight relative bound instead
-  (:data:`F32_COMPILED_RTOL`), reported in the cell detail.  Compiled
-  cells are skipped when no JIT provider exists on the host — but a
-  *runtime* fallback to pooled fails the cell, because cells run under
-  ``warnings.simplefilter("error")`` and the fallback warns.
+  contract at both precisions.  Compiled cells are skipped when the host
+  has no C compiler — but a *runtime* fallback to pooled fails the cell,
+  because cells run under ``warnings.simplefilter("error")`` and the
+  fallback warns.
 * **Precision cell** — float32 against float64 is *not* bitwise; it is
   gated by the PR-4 :class:`repro.workflow.aval.PrecisionGate` tolerances
   (L2 waveform misfit + surface-PGV relative error).  Because every f32
@@ -27,7 +24,7 @@ backend × dtype × kernel-variant × decomposition combination:
 
 The matrix problem is deliberately heterogeneous (seeded random medium)
 with an off-centre source, uneven decompositions included — the
-configurations most likely to expose halo/dtype/blocking bugs.
+configurations most likely to expose halo/dtype/kernel bugs.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ import numpy as np
 from ..core import (Grid3D, Medium, MomentTensorSource, Receiver,
                     SolverConfig, WaveSolver, cfl_dt)
 from ..core import compiled
+from ..core.solver import KERNEL_VARIANTS
 from ..core.source import gaussian_pulse
 from ..parallel import procpool
 from ..parallel.decomp import Decomposition3D
@@ -47,8 +45,7 @@ from ..parallel.distributed import DistributedWaveSolver
 from ..workflow.aval import PrecisionGate, PrecisionReport
 
 __all__ = ["MatrixCell", "CellResult", "MatrixResult", "MatrixProblem",
-           "build_cells", "run_matrix", "QUICK_DECOMPS", "FULL_DECOMPS",
-           "F32_COMPILED_RTOL"]
+           "build_cells", "run_matrix", "QUICK_DECOMPS", "FULL_DECOMPS"]
 
 FIELDS = ("vx", "vy", "vz", "sxx", "syy", "szz", "sxy", "sxz", "syz")
 
@@ -59,13 +56,6 @@ FULL_DECOMPS: tuple[tuple[int, int, int], ...] = (
 #: Quick profile keeps the 2-rank and the uneven 4-rank splits.
 QUICK_DECOMPS: tuple[tuple[int, int, int], ...] = ((2, 1, 1), (4, 1, 1))
 
-#: Relative bound for float32 compiled cells that miss bitwise equality:
-#: max |compiled - pooled| <= F32_COMPILED_RTOL * max |pooled|.  Orders of
-#: magnitude tighter than the f32-vs-f64 PrecisionGate misfit tolerance —
-#: it admits last-bit rounding differences from a JIT's f32 code generation,
-#: not algorithmic drift.
-F32_COMPILED_RTOL = 1e-5
-
 
 @dataclass(frozen=True)
 class MatrixCell:
@@ -73,7 +63,7 @@ class MatrixCell:
 
     backend: str                     #: 'sim' | 'procpool'
     dtype: str                       #: 'float64' | 'float32'
-    kernel_variant: str              #: 'pooled' | 'blocked' | 'compiled'
+    kernel_variant: str              #: one of KERNEL_VARIANTS
     decomp: tuple[int, int, int]
     #: 'off', or 'forced' = the fixed two-group ×1/×2 LTS map; LTS cells
     #: compare against a *serial LTS* reference at the same dt, so the
@@ -160,9 +150,10 @@ class MatrixProblem:
     """The shared reference scenario every matrix cell runs.
 
     Heterogeneous medium (seeded), off-centre moment source, sponge
-    absorber (under PML/attenuation the blocked and compiled variants
-    degrade to pooled, which would make their cells vacuous), one receiver.  Dimensions (22, 20, 18) make the
-    (4, 1, 1) decomposition uneven: x widths 6, 6, 5, 5.
+    absorber (under PML/attenuation the compiled variant degrades to
+    pooled, which would make its cells vacuous), one receiver.  Dimensions
+    (22, 20, 18) make the (4, 1, 1) decomposition uneven: x widths
+    6, 6, 5, 5.
     """
 
     shape: tuple[int, int, int] = (22, 20, 18)
@@ -244,7 +235,7 @@ class MatrixProblem:
 
 def build_cells(backends=("sim", "procpool"),
                 dtypes=("float64", "float32"),
-                variants=("pooled", "blocked", "compiled"),
+                variants=KERNEL_VARIANTS,
                 decomps=FULL_DECOMPS, lts="off") -> list[MatrixCell]:
     return [MatrixCell(b, d, v, tuple(dec), lts)
             for b in backends for d in dtypes for v in variants
@@ -273,18 +264,6 @@ def _compare(cand_fields, cand_waves, ref_fields, ref_waves
     return (first == ""), worst, first
 
 
-def _ref_scale(ref_fields: dict, ref_waves: dict) -> float:
-    """Largest |value| in the reference solution (fields + waveforms)."""
-    scale = 0.0
-    for a in ref_fields.values():
-        scale = max(scale, float(np.abs(a).max()))
-    for a in ref_waves.values():
-        arr = np.asarray(a)
-        if arr.size:
-            scale = max(scale, float(np.abs(arr).max()))
-    return scale
-
-
 def run_matrix(problem: MatrixProblem | None = None,
                cells: list[MatrixCell] | None = None,
                *, precision_gate: bool = True,
@@ -307,8 +286,7 @@ def run_matrix(problem: MatrixProblem | None = None,
                              detail="fork/shared_memory unavailable")
         elif cell.kernel_variant == "compiled" and not have_compiled:
             res = CellResult(cell, "skip",
-                             detail="no compiled provider "
-                                    "(numba or C compiler)")
+                             detail="no compiled provider (no C compiler)")
         else:
             ref_key = (cell.dtype, cell.lts)
             if ref_key not in references:
@@ -323,21 +301,8 @@ def run_matrix(problem: MatrixProblem | None = None,
             else:
                 equal, worst, where = _compare(fields, waves,
                                                ref_fields, ref_waves)
-                status = "pass" if equal else "fail"
-                detail = where
-                if (not equal and cell.kernel_variant == "compiled"
-                        and cell.dtype == "float32"):
-                    # f32 compiled cells may legitimately miss bitwise
-                    # (provider codegen); hold them to a tight relative
-                    # bound instead and say so in the detail.
-                    scale = _ref_scale(ref_fields, ref_waves)
-                    if scale > 0 and worst <= F32_COMPILED_RTOL * scale:
-                        status = "pass"
-                        detail = (f"precision-gated (not bitwise): "
-                                  f"max|diff| {worst:.3e} <= "
-                                  f"{F32_COMPILED_RTOL:g} * {scale:.3e}")
-                res = CellResult(cell, status,
-                                 max_abs_diff=worst, detail=detail)
+                res = CellResult(cell, "pass" if equal else "fail",
+                                 max_abs_diff=worst, detail=where)
         results.append(res)
         if progress is not None:
             progress(res)

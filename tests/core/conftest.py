@@ -5,14 +5,12 @@ import pytest
 from repro.core import compiled
 
 
-@pytest.fixture(params=[(p, d) for p in compiled.PROVIDERS
-                        for d in ("float64", "float32")],
-                ids=lambda pd: "-".join(pd))
+@pytest.fixture(params=["float64", "float32"],
+                ids=lambda d: f"{compiled.PROVIDER}-{d}")
 def kernels(request):
-    """A resolved KernelSet per (provider, dtype); skips the ones this host
-    cannot build, so operator-level tests cover every available provider."""
-    provider, dtype = request.param
+    """A resolved KernelSet per dtype; skipped where this host cannot build
+    it."""
     try:
-        return compiled.get_kernels(dtype, provider=provider)
+        return compiled.get_kernels(request.param)
     except compiled.CompiledUnavailable as exc:
-        pytest.skip(f"{provider}: {exc}")
+        pytest.skip(str(exc))

@@ -1,12 +1,16 @@
 """Tests for the compiled fused stencil backend (repro.core.compiled).
 
-The headline contract is bitwise: with any provider (numba or the C
-builder), the fused sweeps must reproduce the pooled numpy kernel at
-atol=0 in both precisions, including when split over regions (the IV.C
-overlap path) and when threaded.  Everything provider-dependent is
-skipped when neither numba nor a C compiler is present; the config
-validation and error paths run everywhere.
+The headline contract is bitwise: the fused sweeps (generated C) must
+reproduce the pooled numpy kernel at atol=0 in both precisions, including
+when split over regions (the IV.C overlap path) and when threaded.
+Everything provider-dependent is skipped when no C compiler is present;
+the config validation and error paths run everywhere.
 """
+
+import shutil
+import subprocess
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ from repro.core.medium import Medium
 from repro.core.schedule import _split_core_shells
 from repro.core.solver import SolverConfig, WaveSolver
 
+from ..fields import seed_solver_fields
+
 needs_provider = pytest.mark.skipif(
     not compiled.compiled_available(),
-    reason="no compiled provider (numba or C compiler)")
+    reason="no compiled provider (no C compiler)")
 
 
 def _random_state(seed=0, shape=(10, 12, 11), dtype=np.float64):
@@ -101,14 +107,13 @@ class TestFusedBitwise:
         a = compiled.get_kernels(np.dtype(np.float64))
         b = compiled.get_kernels(np.dtype(np.float64))
         assert a is b
-        assert a.provider in compiled.PROVIDERS
+        assert a.provider == "cbuild"
         assert a.compile_seconds >= 0.0
 
 
 @needs_provider
 class TestSolverCompiledVariant:
     def _solver(self, variant, dtype=np.float64, shape=(20, 20, 16), **kw):
-        from repro.bench import seed_solver_fields
         g = Grid3D(*shape, h=100.0)
         med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
                                  dtype=dtype)
@@ -170,13 +175,6 @@ class TestSolverCompiledVariant:
         assert p.sponge.kernels is None and p.free_surface.kernels is None
         assert p.lts.plans is None
 
-    def test_blocked_matches_pooled_via_config(self):
-        a = self._solver("pooled")
-        b = self._solver("blocked", kblock=5, jblock=3)
-        a.run(4)
-        b.run(4)
-        _assert_fields_equal(a.wf, b.wf)
-
     def test_compiled_with_attenuation_degrades_to_pooled_stress(self):
         """Attenuation needs the pooled per-rate hook: the stress half must
         degrade while the velocity half stays fused, matching the pooled
@@ -224,7 +222,6 @@ class TestFallbackRunsNumpyOperators:
             self, monkeypatch):
         """No provider: ONE warning, pooled sweeps, and the sponge, free
         surface and LTS bands on their numpy bodies — never half compiled."""
-        from repro.bench import seed_solver_fields
         monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "none")
         g = Grid3D(14, 12, 16, h=100.0)
         med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0)
@@ -248,57 +245,6 @@ class TestFallbackRunsNumpyOperators:
         ref = build("pooled")
         ref.run(4)
         _assert_fields_equal(sol.wf, ref.wf)
-
-
-class TestNumbaSourceRunsAsPython:
-    """The numba provider's loops, executed as plain Python.
-
-    Hosts without numba never run ``_compiled_numba``; with ``njit`` stubbed
-    to the identity its functions are ordinary (slow) Python over numpy
-    scalars, which pins their indexing and association order — not numba's
-    typing — against the numpy references on a tiny solver.
-    """
-
-    def test_numba_loops_match_pooled(self, monkeypatch):
-        import sys
-        import types
-        if compiled._numba_present():
-            pytest.skip("numba is installed: the real provider is tested")
-        from repro.bench import seed_solver_fields
-        stub = types.ModuleType("numba")
-        stub.njit = lambda *a, **k: (lambda fn: fn)
-        stub.prange = range
-        monkeypatch.setitem(sys.modules, "numba", stub)
-        monkeypatch.delitem(sys.modules, "repro.core._compiled_numba",
-                            raising=False)
-        monkeypatch.setattr(compiled, "_numba_present", lambda: True)
-        monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
-        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "numba")
-        try:
-            g = Grid3D(6, 5, 12, h=100.0)
-            med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
-                                     dtype=np.float32)
-            # the one-slab case (global dt) and the slab table with bands
-            for lts in ("off", ((0, 4, 1), (4, 8, 2), (8, 12, 4))):
-                sols = []
-                for variant in ("pooled", "compiled"):
-                    sol = WaveSolver(g, med, SolverConfig(
-                        absorbing="sponge", sponge_width=2, free_surface=True,
-                        stability_check_interval=0, dtype=np.float32,
-                        kernel_variant=variant, lts=lts))
-                    seed_solver_fields(sol.wf)
-                    sol.run(5)
-                    sols.append(sol)
-                assert sols[1].fused.provider == "numba"
-                _assert_fields_equal(sols[0].wf, sols[1].wf)
-                if lts != "off":
-                    assert sols[1].lts.plans
-                    assert np.array_equal(sols[0].lts.history,
-                                          sols[1].lts.history)
-        finally:
-            # the stub-built module must not outlive the test
-            sys.modules.pop("repro.core._compiled_numba", None)
-            vars(sys.modules["repro.core"]).pop("_compiled_numba", None)
 
 
 class TestKernelSetValidation:
@@ -379,8 +325,7 @@ class TestSlabTableSweep:
         wf2 = wf.copy()
         return (g, VelocityStressKernel(wf, med, 1e-3), wf,
                 compiled.FusedStepper(wf2, med, 1e-3,
-                                      parallel=kernels.parallel,
-                                      provider=kernels.provider), wf2)
+                                      parallel=kernels.parallel), wf2)
 
     def test_one_slab_is_the_pooled_kernel(self, kernels):
         g, pooled, wf, fused, wf2 = self._pair(kernels, 21)
@@ -419,46 +364,93 @@ class TestSlabTableSweep:
 
 @needs_provider
 def test_provider_lacking_an_operator_is_unavailable_as_a_whole(monkeypatch):
-    """No half-compiled step: a provider without (say) ``damp`` fails
+    """No half-compiled step: a build without (say) ``damp`` fails
     resolution, which the solver turns into the loud pooled fallback."""
-    provider = compiled.ensure_available()
-    real = compiled._BUILDERS[provider]
+    real = compiled._cbuild_kernels
     for op in ("damp", "vel"):      # a per-step operator, the sweep itself
         def lacking(dt, parallel, op=op):
             binders, secs, hit = real(dt, parallel)
             del binders[op]
             return binders, secs, hit
 
-        monkeypatch.setitem(compiled._BUILDERS, provider, lacking)
+        monkeypatch.setattr(compiled, "_cbuild_kernels", lacking)
         monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
         with pytest.raises(compiled.CompiledUnavailable, match=op):
-            compiled.get_kernels(np.float64, provider=provider)
+            compiled.get_kernels(np.float64)
+
+
+@needs_provider
+def test_torn_jit_cache_entry_is_rebuilt(tmp_path, monkeypatch):
+    """A cache entry that is cut short or does not load is rebuilt once,
+    instead of demoting every later compiled run on the host to pooled.
+    Each case copies this process's library into a fresh cache directory:
+    dlopen caches the paths it has loaded, so a new path is really read
+    from disk."""
+    good = compiled._cbuild_library(False)[0]._name
+    blob = Path(good).read_bytes()
+
+    def torn(case, data):
+        cache = tmp_path / case
+        cache.mkdir()
+        (cache / Path(good).name).write_bytes(data)
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(cache))
+        return cache / Path(good).name
+
+    # cut short: caught before dlopen, which would raise (100 bytes) or
+    # fault (half the file) on it
+    assert not compiled._truncated(good)
+    assert compiled._truncated(torn("cut100", blob[:100]))
+    torn_so = torn("half", blob[:len(blob) // 2])
+    assert compiled._truncated(torn_so)
+    monkeypatch.setattr(compiled, "_KERNEL_CACHE", {})
+    g = Grid3D(12, 10, 12, h=100.0)
+    med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0)
+    sols = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("pooled", "compiled"):
+            sols[variant] = WaveSolver(g, med, SolverConfig(
+                absorbing="sponge", sponge_width=3, free_surface=True,
+                stability_check_interval=0, kernel_variant=variant))
+            seed_solver_fields(sols[variant].wf)
+            sols[variant].run(3)
+    fused = sols["compiled"].fused
+    assert fused.provider == "cbuild" and not fused.cache_hit
+    assert not compiled._truncated(torn_so)
+    _assert_fields_equal(sols["pooled"].wf, sols["compiled"].wf)
+
+    # present but not loadable (dlopen raises): rebuilt through the same
+    # compile step, stood in for by a copy of the good library
+    empty = torn("empty", b"")
+    builds = []
+
+    def compile_copy(cmd, **kw):
+        builds.append(cmd)
+        shutil.copyfile(good, cmd[cmd.index("-o") + 1])
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(compiled.subprocess, "run", compile_copy)
+    lib, _, hit = compiled._cbuild_library(False)
+    assert not hit and len(builds) == 1
+    assert lib._name == str(empty) and empty.read_bytes() == blob
 
 
 class TestConfigValidation:
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="kernel_variant"):
-            SolverConfig(kernel_variant="vectorized")
+        for variant in ("vectorized", "blocked"):
+            with pytest.raises(ValueError, match="kernel_variant"):
+                SolverConfig(kernel_variant=variant)
 
     def test_compiled_requires_order_4(self):
         with pytest.raises(ValueError, match="4th-order"):
             SolverConfig(kernel_variant="compiled", order=2)
 
-    @pytest.mark.parametrize("kb,jb", [(0, 8), (16, 0), (-1, -1)])
-    def test_nonpositive_blocks_rejected(self, kb, jb):
-        with pytest.raises(ValueError, match="block sizes"):
-            SolverConfig(kblock=kb, jblock=jb)
-
-    def test_provider_info_shape(self):
-        info = compiled.provider_info()
-        assert set(info) == {"available", "provider", "detail"}
-        assert isinstance(info["available"], bool)
-
     def test_unknown_provider_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "fortran")
-        with pytest.raises(compiled.CompiledUnavailable,
-                           match="REPRO_COMPILED_PROVIDER"):
-            compiled.ensure_available()
+        for provider in ("fortran", "numba"):
+            monkeypatch.setenv("REPRO_COMPILED_PROVIDER", provider)
+            with pytest.raises(compiled.CompiledUnavailable,
+                               match="REPRO_COMPILED_PROVIDER"):
+                compiled.ensure_available()
 
     def test_env_disable_fails_cleanly(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED_PROVIDER", "none")

@@ -1,4 +1,4 @@
-"""Tests for the velocity–stress kernels, including the IV.B variants."""
+"""Tests for the velocity–stress kernels, including the IV.B baseline."""
 
 import numpy as np
 import pytest
@@ -47,46 +47,6 @@ class TestOptimizedVsBaseline:
             a, b = wf.interior(comp), wf2.interior(comp)
             scale = max(np.abs(a).max(), 1.0)
             assert np.allclose(a, b, rtol=1e-8, atol=1e-8 * scale), comp
-
-
-class TestCacheBlocking:
-    def test_blocked_step_identical(self):
-        """Cache blocking re-orders traversal, not arithmetic (Section IV.B)."""
-        g, med, wf = _random_state(3)
-        wf2 = wf.copy()
-        dt = 1e-3
-        k1 = VelocityStressKernel(wf, med, dt)
-        k1.step_velocity()
-        k1.step_stress()
-        k2 = VelocityStressKernel(wf2, med, dt)
-        k2.step_blocked(kblock=4, jblock=3)
-        for comp in ALL_FIELDS:
-            assert np.array_equal(wf.interior(comp), wf2.interior(comp)), comp
-
-    def test_blocked_step_with_large_blocks(self):
-        g, med, wf = _random_state(4)
-        wf2 = wf.copy()
-        dt = 1e-3
-        VelocityStressKernel(wf, med, dt).step_blocked(kblock=100, jblock=100)
-        k = VelocityStressKernel(wf2, med, dt)
-        k.step_velocity()
-        k.step_stress()
-        for comp in ALL_FIELDS:
-            assert np.array_equal(wf.interior(comp), wf2.interior(comp)), comp
-
-    def test_blocked_halves_identical(self):
-        """The velocity/stress halves (used by DistributedWaveSolver's
-        blocked kernel variant, with a halo exchange in between) compose to
-        the same bits as the combined blocked step."""
-        g, med, wf = _random_state(5)
-        wf2 = wf.copy()
-        dt = 1e-3
-        k1 = VelocityStressKernel(wf, med, dt)
-        k1.step_blocked_velocity(kblock=4, jblock=3)
-        k1.step_blocked_stress(kblock=4, jblock=3)
-        VelocityStressKernel(wf2, med, dt).step_blocked(kblock=4, jblock=3)
-        for comp in ALL_FIELDS:
-            assert np.array_equal(wf.interior(comp), wf2.interior(comp)), comp
 
 
 class TestRegionUpdater:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import seed_solver_fields
 from repro.core import (Grid3D, Medium, Receiver, SolverConfig, WaveSolver,
                         compiled)
 from repro.core.fd import NGHOST
@@ -26,9 +25,11 @@ from repro.core.lts import (_BANDS, _STRESS_BAND_FIELDS, _VEL_BAND_FIELDS,
                             theoretical_speedup)
 from repro.scenarios import basin_two_layer
 
+from ..fields import seed_solver_fields
+
 needs_provider = pytest.mark.skipif(
     not compiled.compiled_available(),
-    reason="no compiled provider (numba or C compiler)")
+    reason="no compiled provider (no C compiler)")
 
 
 def _bounds(*plane_dts):
@@ -216,7 +217,7 @@ class TestScheduler:
         # restart mid macro-cycle (x2/x4 groups mid-hold): band history must
         # survive the round-trip, on the numpy bodies and the bound plans
         if variant == "compiled" and not compiled.compiled_available():
-            pytest.skip("no compiled provider (numba or C compiler)")
+            pytest.skip("no compiled provider (no C compiler)")
         a = _make_solver("auto", kernel_variant=variant)
         assert a.lts.max_rate == 4
         a.run(step)
@@ -251,7 +252,7 @@ class TestScheduler:
         """Sweeps, slab damping, free surface and band corrections all
         compiled: fields AND band history equal the numpy run bit for bit."""
         if not compiled.compiled_available():
-            pytest.skip("no compiled provider (numba or C compiler)")
+            pytest.skip("no compiled provider (no C compiler)")
         lts = ((0, 4, 1), (4, 8, 2), (8, 16, 4))
         for dtype in (np.float64, np.float32):
             pooled = _make_solver(lts, dtype=dtype)
@@ -365,13 +366,12 @@ class TestCompiledBand:
             assert np.array_equal(getattr(a, c), held[c])
         # compiled: the same thing inside one row visit
         hist_b, owned, neighbour = bands[1]
-        compiled.FusedStepper(
-            b, med, dt, parallel=kernels.parallel, provider=kernels.provider
-        ).bind(half, (region[0].start, region[0].stop, region[1].start,
-                      region[1].stop), [(NGHOST, k_if, dt)], hist_b,
-               save=[(owned.slots[own], owned.sl[2].start)],
-               blend=[(0, neighbour.slots[fields], neighbour.sl[2].start,
-                       w)])()
+        compiled.FusedStepper(b, med, dt, parallel=kernels.parallel).bind(
+            half, (region[0].start, region[0].stop, region[1].start,
+                   region[1].stop), [(NGHOST, k_if, dt)], hist_b,
+            save=[(owned.slots[own], owned.sl[2].start)],
+            blend=[(0, neighbour.slots[fields], neighbour.sl[2].start,
+                    w)])()
         for name in ALL_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(hist_a, hist_b)

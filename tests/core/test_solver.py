@@ -168,18 +168,3 @@ class TestSurfaceRecorderOutput:
         rec = SurfaceRecorder()
         with pytest.raises(RuntimeError, match="frames"):
             rec.peak_horizontal()
-
-
-class TestCacheBlockedSolver:
-    def test_blocked_equals_plain_solver(self):
-        g = Grid3D(18, 18, 14, h=100.0)
-        med = Medium.homogeneous(g)
-        results = []
-        for variant in ("pooled", "blocked"):
-            cfg = SolverConfig(absorbing="none", free_surface=False,
-                               kernel_variant=variant, kblock=5, jblock=4)
-            s = WaveSolver(g, med, cfg)
-            s.wf.interior("vx")[...] = np.random.default_rng(7).standard_normal(g.shape)
-            s.run(10)
-            results.append(s.wf.interior("sxy").copy())
-        assert np.array_equal(results[0], results[1])

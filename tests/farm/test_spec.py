@@ -226,7 +226,7 @@ class TestDerivedSeed:
 
 class TestKernelVariant:
     """The stencil backend rides along on jobs but stays out of identity:
-    pooled/blocked/compiled are bitwise-equal on the farm problem class,
+    pooled/compiled are bitwise-equal on the farm problem class,
     so the same spec must land the same product addresses whichever
     backend computed them."""
 
@@ -239,10 +239,10 @@ class TestKernelVariant:
         assert "kernel_variant" not in comp.config()
 
     def test_job_round_trip_preserves_variant(self):
-        job = mini_spec(kernel_variant="blocked").expand()[0]
+        job = mini_spec(kernel_variant="pooled").expand()[0]
         again = FarmJob.from_dict(job.to_dict())
         assert again == job
-        assert again.kernel_variant == "blocked"
+        assert again.kernel_variant == "pooled"
 
     def test_spec_round_trip_preserves_variant(self):
         spec = mini_spec(kernel_variant="compiled")
@@ -257,8 +257,9 @@ class TestKernelVariant:
         assert all(j.kernel_variant == "compiled" for j in spec.expand())
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(FarmSpecError, match="kernel_variant"):
-            mini_spec(kernel_variant="gpu")
+        for variant in ("gpu", "blocked"):
+            with pytest.raises(FarmSpecError, match="kernel_variant"):
+                mini_spec(kernel_variant=variant)
         with pytest.raises(FarmSpecError, match="kernel_variant"):
             FarmSpec.from_dict({"schema": FARM_SPEC_SCHEMA,
                                 "scenario": "ShakeOut-K",

@@ -90,7 +90,7 @@ class TestMeshToMedium:
         for name in ("lam", "mu", "rho", "lam2mu", "mu_xy", "bx", "bz"):
             assert getattr(med, name).flags.c_contiguous, name
         if not compiled.compiled_available():
-            pytest.skip("no compiled provider (numba or C compiler)")
+            pytest.skip("no compiled provider (no C compiler)")
         solver = WaveSolver(grid, med, SolverConfig(
             kernel_variant="compiled", absorbing="sponge", sponge_width=2))
         assert solver.fused is not None

@@ -449,56 +449,38 @@ class TestFarm:
 
 
 class TestKernelVariantFlags:
-    """--kernel-variant threading through run-quake, bench, and farm."""
+    """--kernel-variant threading through run-quake and farm."""
 
     def test_run_quake_defaults_to_pooled(self):
         args = build_parser().parse_args(["run-quake"])
         assert args.kernel_variant == "pooled"
 
     def test_run_quake_rejects_unknown_variant(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-quake", "--kernel-variant",
-                                       "gpu"])
+        for variant in ("gpu", "blocked"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run-quake", "--kernel-variant", variant])
+            assert exc.value.code == 2
 
-    @pytest.mark.parametrize("variant", ["blocked", "compiled"])
+    @pytest.mark.parametrize("variant", ["compiled"])
     def test_run_quake_variant_matches_default_run(self, tmp_path, capsys,
                                                    variant):
-        """Non-pooled variants swap PML for a sponge, so compare the two
-        variants against each other (both sponge): bitwise-equal PGV."""
+        """A compiled run swaps PML for a sponge and a pooled run keeps PML,
+        so compare them where both take the sponge (LTS on): bitwise-equal
+        PGV."""
         from repro.core import compiled
-        if variant == "compiled" and not compiled.compiled_available():
+        if not compiled.compiled_available():
             pytest.skip("no compiled provider")
         a = tmp_path / "a.npy"
         b = tmp_path / "b.npy"
-        assert main(["run-quake", "--n", "20", "--steps", "20",
-                     "--kernel-variant", "blocked", "--out", str(a)]) == 0
-        assert main(["run-quake", "--n", "20", "--steps", "20",
-                     "--kernel-variant", variant, "--out", str(b)]) == 0
+        assert main(["run-quake", "--n", "20", "--steps", "20", "--lts",
+                     "auto", "--out", str(a)]) == 0
+        assert main(["run-quake", "--n", "20", "--steps", "20", "--lts",
+                     "auto", "--kernel-variant", variant,
+                     "--out", str(b)]) == 0
         out = capsys.readouterr().out
         assert np.array_equal(np.load(a), np.load(b))
         assert "sponge absorbing boundary" in out
         assert f"kernel variant: {variant}" in out
-
-    def test_bench_variant_filter_keeps_agnostic_workloads(self):
-        args = build_parser().parse_args(["bench", "--kernel-variant",
-                                          "compiled"])
-        assert args.kernel_variant == "compiled"
-
-    def test_bench_variant_filter_mismatch_errors(self, capsys):
-        rc = main(["bench", "--smoke", "--workload", "kernel_step",
-                   "--kernel-variant", "compiled"])
-        assert rc == 2
-        assert "no selected workload" in capsys.readouterr().err
-
-    def test_bench_pooled_filter_runs_selected(self, tmp_path, capsys):
-        out = tmp_path / "b.json"
-        rc = main(["bench", "--smoke", "--workload", "kernel_step",
-                   "--workload", "kernel_blocked", "--kernel-variant",
-                   "pooled", "--out", str(out)])
-        assert rc == 0
-        import json
-        report = json.loads(out.read_text())
-        assert list(report["workloads"]) == ["kernel_step"]
 
     def test_farm_override_parses(self):
         args = build_parser().parse_args(["farm", "spec.json",

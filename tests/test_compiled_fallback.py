@@ -1,8 +1,7 @@
 """Teeth test: the compiled backend's graceful fallback must be loud.
 
-Runs a subprocess with numba poisoned out of ``sys.modules`` and every C
-compiler hidden (empty ``PATH``, no ``CC``), then asserts the contract
-the ISSUE pins down:
+Runs a subprocess with every C compiler hidden (empty ``PATH``, no
+``CC``), then asserts the contract:
 
 * requesting ``kernel_variant="compiled"`` emits **exactly one**
   ``RuntimeWarning`` per solver and produces bitwise pooled results —
@@ -12,8 +11,8 @@ the ISSUE pins down:
   fallback **errors** (the matrix runs warnings-as-errors), so a silent
   fallback can never masquerade as a passing compiled cell.
 
-The poisoning happens in a child process so the test is meaningful on
-hosts that *do* have numba or gcc installed.
+The compiler is hidden in a child process so the test is meaningful on
+hosts that *do* have gcc installed.
 """
 
 import json
@@ -25,17 +24,14 @@ import pytest
 
 _SCRIPT = r"""
 import json
-import sys
 import warnings
 
-sys.modules["numba"] = None   # poison: any import attempt raises ImportError
-
 import numpy as np
-from repro.bench import seed_solver_fields
 from repro.core import compiled
 from repro.core.grid import ALL_FIELDS, Grid3D
 from repro.core.medium import Medium
 from repro.core.solver import SolverConfig, WaveSolver
+from tests.fields import seed_solver_fields
 
 out = {"available": compiled.compiled_available()}
 
@@ -93,8 +89,8 @@ def fallback_report():
     env["PATH"] = ""                                # hides cc/gcc/clang
     env.pop("CC", None)
     env.pop("REPRO_COMPILED_PROVIDER", None)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
     proc = subprocess.run([sys.executable, "-c", _SCRIPT],
                           capture_output=True, text=True, env=env,
                           timeout=600)

@@ -100,7 +100,6 @@ class TestCliDocsHonesty:
     def test_exit_code_contract_documented(self):
         for code, marker in [(1, "gate or job failed"),
                              (2, "usage or I/O error"),
-                             (3, "benchmark regression"),
                              (4, "run-health abort")]:
             assert marker in self.CLI_MD, (
                 f"exit code {code} contract line ({marker!r}) missing "
@@ -108,13 +107,12 @@ class TestCliDocsHonesty:
 
     def test_schema_table_matches_source(self):
         """Every schema identifier the code emits is documented."""
-        from repro.bench import BENCH_SCHEMA
         from repro.farm import FARM_REPORT_SCHEMA, FARM_SPEC_SCHEMA, \
             PRODUCT_SCHEMA
         from repro.obs.provenance import MANIFEST_SCHEMA
         from repro.service import REQUESTS_SCHEMA, SERVICE_REPORT_SCHEMA
         from repro.verify.report import VERIFY_SCHEMA
-        for schema in (BENCH_SCHEMA, VERIFY_SCHEMA, FARM_SPEC_SCHEMA,
+        for schema in (VERIFY_SCHEMA, FARM_SPEC_SCHEMA,
                        FARM_REPORT_SCHEMA, PRODUCT_SCHEMA, MANIFEST_SCHEMA,
                        REQUESTS_SCHEMA, SERVICE_REPORT_SCHEMA):
             assert schema in self.CLI_MD, (

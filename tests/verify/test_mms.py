@@ -56,21 +56,6 @@ class TestForcingHook:
         want = np.broadcast_to(x + 2 * y + 3 * z + 6.0, wf.vx.shape)
         assert np.allclose(wf.vx, want, rtol=1e-12)
 
-    def test_forcing_disables_blocked_fast_path(self):
-        """A forcing attached to a blocked-variant solver still runs between
-        the velocity and stress halves."""
-        g = Grid3D(8, 8, 8, h=100.0)
-        med = Medium.homogeneous(g)
-        s = WaveSolver(g, med, SolverConfig(
-            dt=0.005, absorbing="none", free_surface=False,
-            kernel_variant="blocked", stability_check_interval=0))
-        forcing = ManufacturedForcing(
-            velocity_forcing={"vx": lambda x, y, z, t: 1.0 + 0.0 * x},
-            domain="padded")
-        s.add_forcing(forcing)
-        s.step()
-        assert np.allclose(s.wf.vx, 0.005, rtol=1e-12)
-
 
 class TestConvergenceOrders:
     def test_spatial_order_at_least_3_5(self):
