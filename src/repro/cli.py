@@ -434,9 +434,12 @@ def _cmd_run_quake(args) -> int:
     print(f"ran {args.steps} steps (dt = {solver.dt * 1e3:.2f} ms), "
           f"t = {solver.t:.2f} s{where}")
     if args.kernel_variant != "pooled":
-        print(f"kernel variant: {solver.kernel_variant}"
-              + ("" if solver.kernel_variant == args.kernel_variant
-                 else f" (requested {args.kernel_variant})"))
+        if solver.kernel_variant == "compiled":
+            from .core.compiled import get_kernels   # memoized: no rebuild
+            note = f", target {get_kernels(cfg.dtype).target}"
+        else:
+            note = f" (requested {args.kernel_variant})"
+        print(f"kernel variant: {solver.kernel_variant}{note}")
     print(f"surface PGVH: max {pgv.max():.3e} m/s")
     if args.out:
         np.save(args.out, pgv)

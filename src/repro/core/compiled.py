@@ -8,18 +8,21 @@ stay in registers/cache.  This module provides that backend behind the
 existing kernel-variant switch, as a tiny C extension (the ``cbuild``
 provider) generated from the *same* operator tables the numpy kernels use
 (:data:`~repro.core.kernels._VEL_TERMS` et al.), compiled with the system C
-compiler (``-O3 -ffp-contract=off``, ``-fopenmp`` for the threaded build) into
-a shared library under a content-addressed JIT cache, and bound via
-``ctypes``.
+compiler for the host's ISA (``-O3 -march=native -ffp-contract=off``, without
+``-march=native`` where the compiler rejects it, ``-fopenmp`` for the
+threaded build) into a shared library under a JIT cache addressed by source,
+compiler version, flags and target ISA, and bound via ``ctypes``.
 
 The generated code is one *scalar expression tree per cell* that replays
 the pooled kernels' exact ufunc sequence (derivative taps scaled and
 accumulated in the same order, ``t*dt`` increments added sequentially), with
 floating-point contraction disabled, so results are **bitwise identical** to
 the pooled kernels at both precisions — the same aVal invariant every other
-optimization layer holds.  Velocity updates read only stresses and stress
-updates read only velocities, so fusing all components into one pass (and
-splitting the pass over threads or regions) cannot change any cell's result.
+optimization layer holds.  No flag lets the compiler change a value, so the
+vector ISA it targets changes only how many cells one instruction updates.
+Velocity updates read only stresses and stress updates read only
+velocities, so fusing all components into one pass (and splitting the pass
+over threads or regions) cannot change any cell's result.
 
 Each half has ONE entry point and ONE loop nest, driven by a *slab table*:
 ``KernelSet.vel``/``.stress`` bind a padded x/y box and a list of k-slabs
@@ -86,7 +89,8 @@ Environment knobs:
     entirely, forcing the fallback path (used in tests).
 ``REPRO_JIT_CACHE``
     Cache directory for the cbuild shared libraries (default
-    ``~/.cache/repro-jit``).
+    ``~/.cache/repro-jit``), which also holds each host's target probe;
+    safe to share between hosts of different ISAs.
 ``CC``
     C compiler for the cbuild provider (default: first of ``cc``, ``gcc``,
     ``clang`` on ``PATH``).
@@ -96,12 +100,13 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import os
 import shutil
 import struct
 import subprocess
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -562,34 +567,104 @@ def _truncated(path: str) -> bool:
     return size < shoff + entsize * count
 
 
-def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
-    """Compile (or reuse) the shared library; returns (lib, secs, cache_hit).
+def _probe_target(cc: str) -> tuple[str, tuple[str, ...], str]:
+    """Ask ``cc`` what it builds for here: ``(version, flags, signature)``.
 
-    The cache is content-addressed: source + compiler + flags hash to the
-    library filename, so editing the generators or switching compilers
-    naturally invalidates stale entries.  An entry that exists but does not
-    load (a torn write, a truncated file) is rebuilt once in place; a
-    rebuilt library that still does not load raises.
+    ``version`` is the ``--version`` output; ``flags`` is
+    ``("-march=native",)``, or ``()`` (the baseline ISA) when the compiler
+    rejects it; ``signature`` hashes the sorted predefined macros under
+    those flags, which name every ISA extension the build may use.
+    """
+    run = partial(subprocess.run, capture_output=True, text=True)
+    version = run([cc, "--version"]).stdout
+    for flags in (("-march=native",), ()):
+        probe = run([cc, *flags, "-dM", "-E", "-x", "c", os.devnull])
+        if probe.returncode == 0:
+            break
+    macros = "\n".join(sorted(probe.stdout.splitlines()))
+    return version, flags, hashlib.sha256(macros.encode()).hexdigest()
+
+
+@cache
+def _cc_target(cc: str) -> tuple[str, tuple[str, ...], str, str]:
+    """:func:`_probe_target` of ``cc`` plus its label ``target``:
+    ``native:<8 hex of the signature>`` or ``baseline``.
+
+    Resolved at the first compiled build of a process (never at import)
+    and memoized per host in the JIT cache, so a warm process runs no
+    compiler at all: a spawned child costs ~10 ms, and Linux charges it the
+    parent's peak resident set in ``ru_maxrss``.  The memo is keyed by what
+    the probe's answer depends on, read without running anything: the
+    compiler binary, the kernel's ``uname`` and the CPU's ISA flags.
+    """
+    st = os.stat(cc)
+    try:
+        with open("/proc/cpuinfo") as f:
+            isa = sorted({ln for ln in f
+                          if ln.startswith(("flags", "Features"))})
+    except OSError:
+        isa = []
+    host = repr((os.path.realpath(cc), st.st_size, st.st_mtime_ns,
+                 tuple(os.uname()), isa))
+    memo = os.path.join(jit_cache_dir(), "target_"
+                        + hashlib.sha256(host.encode()).hexdigest()[:16])
+    try:
+        with open(memo) as f:
+            version, flags, signature = json.load(f)
+        flags = tuple(flags)
+    except (OSError, ValueError, TypeError):
+        version, flags, signature = _probe_target(cc)
+        try:    # best effort: a read-only cache still serves its libraries
+            os.makedirs(os.path.dirname(memo), exist_ok=True)
+            with open(memo + f".tmp{os.getpid()}", "w") as f:
+                json.dump([version, flags, signature], f)
+            os.replace(f.name, memo)    # atomic under concurrent probes
+        except OSError:
+            pass
+    return (version, flags, signature,
+            f"native:{signature[:8]}" if flags else "baseline")
+
+
+def _cbuild_recipe(parallel: bool) -> tuple[str, list[str], str, str]:
+    """``(cc, flags, source, library path)`` of one build.
+
+    The cache is content-addressed: the source, the compiler's
+    ``--version``, the flags and the target signature hash to the library
+    filename, so editing the generators, upgrading the compiler or sharing
+    the cache with a host of another ISA never loads a stale entry.
     """
     cc = _find_cc()
     if cc is None:
         raise CompiledUnavailable(
             "no C compiler on PATH (cc/gcc/clang) and CC unset")
+    version, target, signature, _ = _cc_target(cc)
     source = _c_source()
-    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
+    # -ffp-contract=off and no value-changing math flag: bitwise == pooled
+    flags = ["-O3", *target, "-ffp-contract=off", "-fPIC", "-shared"]
     if parallel:
         flags.append("-fopenmp")
-    digest = hashlib.sha256(
-        "\0".join([source, cc, " ".join(flags)]).encode()).hexdigest()[:16]
-    cache = jit_cache_dir()
-    so_path = os.path.join(cache, f"fused_{digest}.so")
+    digest = hashlib.sha256("\0".join(
+        [source, version, " ".join(flags), signature]).encode()).hexdigest()
+    return (cc, flags, source,
+            os.path.join(jit_cache_dir(), f"fused_{digest[:16]}.so"))
+
+
+def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
+    """Compile (or reuse) the shared library for this host's ISA; returns
+    ``(lib, secs, cache_hit)``.
+
+    An entry that exists but does not load (a torn write, a truncated file)
+    is rebuilt once in place; a rebuilt library that still does not load
+    raises.
+    """
+    cc, flags, source, so_path = _cbuild_recipe(parallel)
     if os.path.exists(so_path) and not _truncated(so_path):
         try:
             return ctypes.CDLL(so_path), 0.0, True
         except OSError:
             pass
-    os.makedirs(cache, exist_ok=True)
-    c_path = os.path.join(cache, f"fused_{digest}.c")
+    os.makedirs(os.path.dirname(so_path), exist_ok=True)
+    c_path = so_path[:-3] + ".c"
     with open(c_path, "w") as f:
         f.write(source)
     tmp_path = so_path + f".tmp{os.getpid()}"
@@ -697,7 +772,7 @@ class KernelSet:
     """
 
     def __init__(self, binders: dict, dtype: str, parallel: bool,
-                 compile_seconds: float, cache_hit: bool):
+                 compile_seconds: float, cache_hit: bool, target: str):
         self._bind = {op: binders[op] for op in (
             "vel", "stress", "damp", "fs_velocity", "fs_stress")}
         self.provider = PROVIDER
@@ -705,6 +780,7 @@ class KernelSet:
         self.parallel = parallel
         self.compile_seconds = compile_seconds
         self.cache_hit = cache_hit
+        self.target = target    #: ``native:<8 hex>`` | ``baseline``
 
     def _fields(self, arrays, shape=None) -> tuple:
         """``arrays`` as a tuple, refused unless all are C-contiguous
@@ -845,7 +921,8 @@ def get_kernels(dtype, parallel: bool = False) -> KernelSet:
     try:
         binders, compile_s, cache_hit = _cbuild_kernels(dt, parallel)
         ks = KernelSet(binders, dtype=dt.name, parallel=parallel,
-                       compile_seconds=compile_s, cache_hit=cache_hit)
+                       compile_seconds=compile_s, cache_hit=cache_hit,
+                       target=_cc_target(_find_cc())[3])
     except CompiledUnavailable as exc:
         raise CompiledUnavailable(f"{PROVIDER}: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - any JIT failure => fallback
@@ -891,6 +968,7 @@ class FusedStepper:
         self.parallel = parallel
         self.compile_seconds = self.kernels.compile_seconds
         self.cache_hit = self.kernels.cache_hit
+        self.target = self.kernels.target
         g = wf.grid
         self._interior = (NGHOST, NGHOST + g.nx, NGHOST, NGHOST + g.ny,
                           NGHOST, NGHOST + g.nz)

@@ -80,8 +80,9 @@ class CheckpointManager:
                                      n_requests=len(blobs))
             for rank, blob in blobs.items():
                 digest = md5_digest(np.frombuffer(blob, dtype=np.uint8))
-                self._path(epoch, rank).write_bytes(
-                    digest.encode() + b"\n" + blob)
+                with open(self._path(epoch, rank), "wb") as f:
+                    f.write(digest.encode() + b"\n")
+                    f.write(blob)
             if manifest is not None:
                 self._manifest_path(epoch).write_text(
                     json.dumps(manifest, indent=2, sort_keys=True,
@@ -115,9 +116,10 @@ class CheckpointManager:
                 if not path.exists():
                     raise FileNotFoundError(f"missing checkpoint {path.name}")
                 raw = path.read_bytes()
-                digest, _, blob = raw.partition(b"\n")
-                if (md5_digest(np.frombuffer(blob, dtype=np.uint8))
-                        != digest.decode()):
+                nl = raw.find(b"\n")
+                blob = memoryview(raw)[nl + 1:]     # the state, not a copy
+                if (md5_digest(np.frombuffer(blob, dtype=np.uint8)).encode()
+                        != raw[:nl]):
                     raise CheckpointCorrupt(f"{path.name} failed its MD5 "
                                             "check")
                 out[rank] = pickle.loads(blob)

@@ -22,8 +22,9 @@ __all__ = ["md5_digest", "ChecksumManifest", "parallel_checksums"]
 
 
 def md5_digest(array: np.ndarray) -> str:
-    """MD5 hex digest of an array's raw bytes (C-contiguous canonical form)."""
-    return hashlib.md5(np.ascontiguousarray(array).tobytes()).hexdigest()
+    """MD5 hex digest of an array's raw bytes (C-contiguous canonical form;
+    a C-contiguous array is hashed in place, without a copy)."""
+    return hashlib.md5(np.ascontiguousarray(array)).hexdigest()
 
 
 @dataclass

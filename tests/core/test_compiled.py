@@ -7,6 +7,9 @@ Everything provider-dependent is skipped when no C compiler is present;
 the config validation and error paths run everywhere.
 """
 
+import hashlib
+import os
+import re
 import shutil
 import subprocess
 import warnings
@@ -102,6 +105,7 @@ class TestFusedBitwise:
             par.step_velocity()
             par.step_stress()
         _assert_fields_equal(wf, wf2)
+        assert par.target == serial.target == serial.kernels.target
 
     def test_kernel_set_memoized(self):
         a = compiled.get_kernels(np.dtype(np.float64))
@@ -109,6 +113,8 @@ class TestFusedBitwise:
         assert a is b
         assert a.provider == "cbuild"
         assert a.compile_seconds >= 0.0
+        assert re.fullmatch(r"native:[0-9a-f]{8}|baseline", a.target)
+        assert a.target == compiled._cc_target(compiled._find_cc())[3]
 
 
 @needs_provider
@@ -433,6 +439,97 @@ def test_torn_jit_cache_entry_is_rebuilt(tmp_path, monkeypatch):
     lib, _, hit = compiled._cbuild_library(False)
     assert not hit and len(builds) == 1
     assert lib._name == str(empty) and empty.read_bytes() == blob
+
+
+class TestBuildRecipe:
+    """The build flags and the JIT-cache address, with the target probe
+    stubbed: no compiler runs."""
+
+    #: flags that let the compiler change floating-point results
+    UNSAFE = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+              "-fassociative-math", "-freciprocal-math",
+              "-ffp-contract=fast", "-ffp-contract=on")
+
+    @staticmethod
+    def _recipe(monkeypatch, version="cc 12.2", target=("-march=native",),
+                signature="a" * 64, parallel=False, cc="/usr/bin/cc"):
+        monkeypatch.setattr(compiled, "_find_cc", lambda: cc)
+        monkeypatch.setattr(compiled, "_cc_target", lambda _: (
+            version, target, signature, "stub"))
+        return compiled._cbuild_recipe(parallel)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("target", [("-march=native",), ()])
+    def test_flags_keep_the_bitwise_contract(self, monkeypatch, target,
+                                             parallel):
+        _, flags, _, _ = self._recipe(monkeypatch, target=target,
+                                      parallel=parallel)
+        assert "-ffp-contract=off" in flags
+        assert not set(self.UNSAFE) & set(flags)
+        assert ("-march=native" in flags) == bool(target)
+        assert ("-fopenmp" in flags) == parallel
+
+    def test_cache_address_names_compiler_and_target(self, monkeypatch):
+        """A cache shared between hosts never hands one host's library to
+        another: the ISA signature and the compiler version are both in
+        the address, the compiler's path is not."""
+        base = self._recipe(monkeypatch)[3]
+        assert self._recipe(monkeypatch)[3] == base
+        assert self._recipe(monkeypatch, signature="b" * 64)[3] != base
+        assert self._recipe(monkeypatch, version="cc 12.3")[3] != base
+        assert self._recipe(monkeypatch, cc="/opt/bin/cc")[3] == base
+
+    def test_rejected_native_selects_baseline(self, monkeypatch):
+        macros = "#define __x86_64__ 1\n#define __SSE2__ 1\n"
+        calls = []
+
+        def probe(cmd, **kw):
+            calls.append(cmd)
+            if "-march=native" in cmd:
+                return subprocess.CompletedProcess(cmd, 1, "", "unknown")
+            out = "cc 1.0\n" if "--version" in cmd else macros
+            return subprocess.CompletedProcess(cmd, 0, out, "")
+
+        monkeypatch.setattr(compiled.subprocess, "run", probe)
+        version, flags, signature = compiled._probe_target("cc")
+        assert (version, flags) == ("cc 1.0\n", ())
+        assert signature == hashlib.sha256("\n".join(
+            sorted(macros.splitlines())).encode()).hexdigest()
+        assert [c for c in calls if "-dM" in c] == [
+            ["cc", "-march=native", "-dM", "-E", "-x", "c", os.devnull],
+            ["cc", "-dM", "-E", "-x", "c", os.devnull]]
+        baseline = self._recipe(monkeypatch, version, flags, signature)
+        native = self._recipe(monkeypatch, version, ("-march=native",),
+                              signature)
+        assert "-march=native" not in baseline[1]
+        assert baseline[3] != native[3]
+
+    def test_probe_memoized_per_host(self, tmp_path, monkeypatch):
+        """A warm process runs no compiler: the probe's answer is kept in
+        the JIT cache under the compiler binary and the host, and asked
+        again only when one of them differs or the memo is torn."""
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        probes = []
+
+        def probe(cc):
+            probes.append(cc)
+            return "cc 1.0\n", ("-march=native",), "c" * 64
+
+        monkeypatch.setattr(compiled, "_probe_target", probe)
+        resolve = compiled._cc_target.__wrapped__
+        cc = shutil.which("sh")     # any binary: only its identity is read
+        answer = ("cc 1.0\n", ("-march=native",), "c" * 64, "native:cccccccc")
+        assert resolve(cc) == answer and len(probes) == 1
+        assert resolve(cc) == answer and len(probes) == 1
+        (memo,) = tmp_path.glob("target_*")
+        memo.write_text("[")
+        assert resolve(cc) == answer and len(probes) == 2
+        monkeypatch.setattr(compiled.os, "uname", lambda: ("another host",))
+        assert resolve(cc) == answer and len(probes) == 3
+        assert len(list(tmp_path.glob("target_*"))) == 2
+        # a cache the memo cannot be written to still resolves
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(memo / "not-a-dir"))
+        assert resolve(cc) == answer and len(probes) == 4
 
 
 class TestConfigValidation:

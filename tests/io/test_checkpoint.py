@@ -1,5 +1,8 @@
 """Tests for checkpoint/restart with failure injection."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,15 @@ class TestWriteRestore:
         assert t > 0
         assert cm.io_seconds == pytest.approx(t)
 
+    def test_file_is_digest_line_then_pickle(self, tmp_path):
+        cm = CheckpointManager(tmp_path)
+        states = _states(nranks=2)
+        cm.write_epoch(1, states)
+        for r, st in states.items():
+            blob = pickle.dumps(st, protocol=pickle.HIGHEST_PROTOCOL)
+            assert cm._path(1, r).read_bytes() == (
+                hashlib.md5(blob).hexdigest().encode() + b"\n" + blob)
+
     def test_missing_rank_file(self, tmp_path):
         cm = CheckpointManager(tmp_path)
         cm.write_epoch(1, _states(nranks=2))
@@ -60,6 +72,14 @@ class TestFailureInjection:
         cm.inject_corruption(1, rank=2)
         with pytest.raises(CheckpointCorrupt, match="MD5"):
             cm.read_epoch(1, [0, 1, 2, 3])
+
+    def test_torn_digest_line_detected(self, tmp_path):
+        cm = CheckpointManager(tmp_path)
+        cm.write_epoch(1, _states(nranks=1))
+        path = cm._path(1, 0)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(CheckpointCorrupt, match="MD5"):
+            cm.read_epoch(1, [0])
 
     def test_restore_falls_back_past_corrupt_epoch(self, tmp_path):
         """The restart logic walks back to the newest *verifiable* epoch."""

@@ -1,5 +1,7 @@
 """Tests for parallel MD5 checksumming."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ class TestDigest:
     def test_noncontiguous_canonicalised(self):
         a = np.arange(100, dtype=np.float64)
         assert md5_digest(a[::2]) == md5_digest(a[::2].copy())
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "0-d", "empty"])
+    def test_equals_md5_of_c_order_bytes(self, layout):
+        """C-contiguous arrays are hashed in place, other layouts after one
+        copy: either way the digest is that of ``tobytes()``."""
+        a = np.arange(60, dtype=np.float64).reshape(3, 4, 5)
+        a = {"C": a, "F": np.asfortranarray(a), "strided": a[:, ::2, 1:],
+             "0-d": np.array(2.5), "empty": np.zeros((0, 3))}[layout]
+        assert md5_digest(a) == hashlib.md5(a.tobytes()).hexdigest()
 
 
 class TestManifest:

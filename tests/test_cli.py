@@ -480,7 +480,8 @@ class TestKernelVariantFlags:
         out = capsys.readouterr().out
         assert np.array_equal(np.load(a), np.load(b))
         assert "sponge absorbing boundary" in out
-        assert f"kernel variant: {variant}" in out
+        target = compiled.get_kernels(np.float64).target
+        assert f"kernel variant: {variant}, target {target}" in out
 
     def test_farm_override_parses(self):
         args = build_parser().parse_args(["farm", "spec.json",
