@@ -107,16 +107,29 @@ def test_fig03_three_code_pgv_agreement(benchmark, pgv_maps):
         k: (round(c, 4), round(m, 4)) for k, (c, m) in got.items()}
 
 
+def _peak_cells(p: np.ndarray, rtol: float = 1e-12) -> set:
+    """Cells within ``rtol`` (relative) of the map's maximum.
+
+    The double couple's PGV lobes are mirror images of one another, so on
+    this symmetric setup they tie to rounding (a few ULP) and ``argmax``
+    alone picks one of them by noise."""
+    return {tuple(int(v) for v in c)
+            for c in np.argwhere(p >= p.max() * (1.0 - rtol))}
+
+
 def test_fig03_peak_location_agreement(benchmark, pgv_maps):
     """The codes agree on where the strongest shaking lands."""
     peaks = benchmark(lambda: {name: np.unravel_index(np.argmax(p), p.shape)
                                for name, p in pgv_maps.items()})
-    ref = np.array(peaks["FD4 (AWP-ODC)"])
+    ref = _peak_cells(pgv_maps["FD4 (AWP-ODC)"])
+    # the tie set is one lobe and its mirror images (x <-> y, the strike-
+    # slip radiation symmetry), never an unrelated cell
+    assert 1 <= len(ref) <= 4 and ref == {(j, i) for i, j in ref}, ref
     rows = []
     for name, loc in peaks.items():
-        d = np.abs(np.array(loc) - ref).max()
-        rows.append(paper_row(f"peak PGV cell ({name})", tuple(ref),
-                              loc, f"(offset {d})"))
+        d = min(np.abs(np.array(loc) - np.array(r)).max() for r in ref)
+        rows.append(paper_row(f"peak PGV cell ({name})", sorted(ref),
+                              tuple(int(v) for v in loc), f"(offset {d})"))
         assert d <= 2
     print_table("Fig. 3: peak locations", rows)
 

@@ -46,6 +46,10 @@ class FreeSurfaceFS2:
         self.medium = medium
         self.kernels = kernels
         self._wf = None     # the wavefield ``_bound`` is bound to
+        # lam/lam2mu on the top interior plane, divided once here so the
+        # vz ghost fill multiplies only
+        kt = NGHOST + medium.grid.nz - 1
+        self._ratio = medium.lam[:, :, kt] / medium.lam2mu[:, :, kt]
 
     def _compiled(self, wf: WaveField):
         """(ghost fill, imaging) bound to ``wf``; rebound when it changes."""
@@ -91,8 +95,6 @@ class FreeSurfaceFS2:
             fill()
             return
         kt = NGHOST + wf.grid.nz - 1
-        lam = self.medium.lam
-        lam2mu = self.medium.lam2mu
         # mu(dvx/dz + dvz/dx) = 0 on surface -> vx ghost.
         # vx is at (i+1/2, j, k); dvz/dx at (i+1/2, ..., surface) is forward.
         dvz_dx = np.empty_like(wf.vz[:, :, kt])
@@ -115,9 +117,8 @@ class FreeSurfaceFS2:
             return d
 
         a_sum = horiz_div(kt + 1) + horiz_div(kt)
-        ratio = lam[:, :, kt] / lam2mu[:, :, kt]
         wf.vz[:, :, kt + 1] = (2.0 * wf.vz[:, :, kt] - wf.vz[:, :, kt - 1]
-                               - ratio * a_sum)
+                               - self._ratio * a_sum)
 
 
 def sponge_profile(width: int, amp: float = 0.92) -> np.ndarray:

@@ -14,12 +14,17 @@ threaded build) into a shared library under a JIT cache addressed by source,
 compiler version, flags and target ISA, and bound via ``ctypes``.
 
 The generated code is one *scalar expression tree per cell* that replays
-the pooled kernels' exact ufunc sequence (derivative taps scaled and
-accumulated in the same order, ``t*dt`` increments added sequentially), with
-floating-point contraction disabled, so results are **bitwise identical** to
-the pooled kernels at both precisions — the same aVal invariant every other
-optimization layer holds.  No flag lets the compiler change a value, so the
-vector ISA it targets changes only how many cells one instruction updates.
+the pooled kernels' exact ufunc sequence (each derivative as
+``((f[+1] - f[0]) * c1) + ((f[+2] - f[-1]) * c2)``, ``t*dt`` increments
+added sequentially), with floating-point contraction disabled, so results
+are **bitwise identical** to the pooled kernels at both precisions — the
+same aVal invariant every other optimization layer holds.  The cells
+multiply only: ``1/h`` is folded into ``c1 = (real)(C1 / h_in)`` and
+``c2``, computed once per sweep in double and rounded once to the field
+dtype, exactly as numpy rounds the python-float coefficients of
+:func:`repro.core.fd.diff_span`.  No flag lets the compiler change a
+value, so the vector ISA it targets changes only how many cells one
+instruction updates.
 Velocity updates read only stresses and stress updates read only
 velocities, so fusing all components into one pass (and splitting the pass
 over threads or regions) cannot change any cell's result.
@@ -69,7 +74,11 @@ operator:
     The ~30 strided plane ufuncs as one (i, j) loop each, every expression
     parenthesised in numpy's evaluation order — including the ``0.0 + d``
     of ``zeros(); d[1:] += ...`` that turns a ``-0.0`` difference positive.
-    The horizontal ghosts are finished before the vertical one reads them.
+    The vertical ghost differences the horizontal ghosts of its row and of
+    the rows at ``i-1`` and ``j-1``; it recomputes the neighbours' from
+    interior values with the same expressions instead of reading them, so
+    no row reads another's writes.  The plane's ``lam / lam2mu`` ratio is
+    divided once, at bind.
 
 Rows are independent in all of them, so the threaded (``compiled_parallel``)
 builds stay bitwise too.  Operators are *bound*: ``kernels.damp(...)`` checks
@@ -222,12 +231,14 @@ def _c_tap(field: str, axis: int, d: int) -> str:
 def _c_deriv(field: str, axis: int, dirn: str) -> str:
     """The 4th-order staggered derivative as one parenthesised expression.
 
-    Matches fd.diff4_fwd/_bwd's in-place sequence:
-    ``(((p_a*c1 - p_b*c1) + p_c*c2) - p_d*c2) / h``.
+    Matches the in-place sequence of :func:`repro.core.fd.diff_span`:
+    ``((p_a - p_b) * c1) + ((p_c - p_d) * c2)``, where ``c1``/``c2`` are
+    the sweep's ``(real)(C1 / h_in)``/``(real)(C2 / h_in)`` — 1/h folded
+    into the coefficients in double, rounded once to the field dtype.
     """
     taps = (1, 0, 2, -1) if dirn == "f" else (0, -1, 1, -2)
     a, b, c, d = (_c_tap(field, axis, t) for t in taps)
-    return (f"(((({a} * c1) - ({b} * c1)) + ({c} * c2)) - ({d} * c2)) / h")
+    return f"(({a} - {b}) * c1) + (({c} - {d}) * c2)"
 
 
 def _c_velocity_body() -> str:
@@ -303,8 +314,7 @@ def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
     row_params = ",\n    ".join([
         ptrs(own), ptrs((*read, *coeffs), const=True),
         ptrs(zcols, const=True),
-        f"const {real} c1, const {real} c2, const {real} h, "
-        f"const {real} dt",
+        f"const {real} c1, const {real} c2, const {real} dt",
         "const long si, const long sj, const long row, "
         "const long z0, const long z1"])
     params = ",\n    ".join([
@@ -331,9 +341,8 @@ static inline void {name}_row_{suf}(
 void fused_{name}_{suf}(
     {params})
 {{
-    const {real} c1 = ({real})({C1!r});
-    const {real} c2 = ({real})({C2!r});
-    const {real} h = ({real})h_in;
+    const {real} c1 = ({real})({C1!r} / h_in);
+    const {real} c2 = ({real})({C2!r} / h_in);
     const long si = npy * npz;
     const long sj = npz;
     const long *saves = tab + 2 * nslab;
@@ -353,7 +362,7 @@ void fused_{name}_{suf}(
                 {name}_row_{suf}(
                     {", ".join((*own, *read, *coeffs))},
                     {", ".join(f + " + row" for f in zread)},
-                    c1, c2, h, pdt, si, sj, row, pz0, pz1);
+                    c1, c2, pdt, si, sj, row, pz0, pz1);
                 continue;
             }}
             {real} *hrow = hist ? hist + ((i - {NGHOST}) * hny
@@ -388,7 +397,7 @@ void fused_{name}_{suf}(
                 }}
                 {name}_row_{suf}(
                     {", ".join((*own, *read, *coeffs, *zcols))},
-                    c1, c2, h, ({real})wts[s], si, sj, row, z0, z1);
+                    c1, c2, ({real})wts[s], si, sj, row, z0, z1);
             }}
         }}
     }}
@@ -467,47 +476,40 @@ void damp_{suf}(
 
 void fs_velocity_{suf}(
     {real} *restrict vx, {real} *restrict vy, {real} *restrict vz,
-    const {real} *restrict lam, const {real} *restrict lam2mu,
+    const {real} *restrict ratio,
     const long npx, const long npy, const long npz, const long kt)
 {{
     const long si = npy * npz;
     const long sj = npz;
-    /* horizontal ghosts first: the vz ghost below differences them */
+    /* The vz ghost differences the horizontal ghosts of (i, j), (i-1, j)
+       and (i, j-1).  The neighbours' are recomputed here from interior
+       values with their own expressions, so no row reads another's
+       writes and one pass does all three ghost planes. */
 #pragma omp parallel for schedule(static)
     for (long i = 0; i < npx; ++i) {{
         for (long j = 0; j < npy; ++j) {{
             const long q = i * si + j * sj + kt;
             PREFETCH_W(vx + q + PF_ROWS * sj);
             PREFETCH_W(vy + q + PF_ROWS * sj);
-            PREFETCH_R(vz + q + PF_ROWS * sj);
-            const {real} dzx = (i + 1 < npx) ? vz[q + si] - vz[q]
-                                             : ({real})0.0;
-            const {real} dzy = (j + 1 < npy) ? vz[q + sj] - vz[q]
-                                             : ({real})0.0;
-            vx[q + 1] = vx[q] - dzx;
-            vy[q + 1] = vy[q] - dzy;
-        }}
-    }}
-#pragma omp parallel for schedule(static)
-    for (long i = 0; i < npx; ++i) {{
-        for (long j = 0; j < npy; ++j) {{
-            const long q = i * si + j * sj + kt;
             PREFETCH_W(vz + q + PF_ROWS * sj);
-            PREFETCH_R(lam + q + PF_ROWS * sj);
-            PREFETCH_R(lam2mu + q + PF_ROWS * sj);
+            const {real} gx = vx[q] - ((i + 1 < npx) ? vz[q + si] - vz[q]
+                                                     : ({real})0.0);
+            const {real} gy = vy[q] - ((j + 1 < npy) ? vz[q + sj] - vz[q]
+                                                     : ({real})0.0);
             /* horiz_div(kt+1), horiz_div(kt): zeros, then `+=` per axis */
             {real} d1 = ({real})0.0, d0 = ({real})0.0;
             if (i > 0) {{
-                d1 = d1 + (vx[q + 1] - vx[q + 1 - si]);
+                d1 = d1 + (gx - (vx[q - si] - (vz[q] - vz[q - si])));
                 d0 = d0 + (vx[q] - vx[q - si]);
             }}
             if (j > 0) {{
-                d1 = d1 + (vy[q + 1] - vy[q + 1 - sj]);
+                d1 = d1 + (gy - (vy[q - sj] - (vz[q] - vz[q - sj])));
                 d0 = d0 + (vy[q] - vy[q - sj]);
             }}
-            const {real} ratio = lam[q] / lam2mu[q];
+            vx[q + 1] = gx;
+            vy[q + 1] = gy;
             vz[q + 1] = ((({real})2.0 * vz[q]) - vz[q - 1])
-                        - (ratio * (d1 + d0));
+                        - (ratio[i * npy + j] * (d1 + d0));
         }}
     }}
 }}
@@ -685,7 +687,7 @@ _C_SIGNATURES = {
     "fused_velocity": "p" * 15 + "d" + "l" * 12,
     "fused_stress": "p" * 17 + "d" + "l" * 12,
     "damp": "p" * (len(ALL_FIELDS) + 2) + "l" * 8,
-    "fs_velocity": "p" * 5 + "l" * 4,
+    "fs_velocity": "p" * 4 + "l" * 4,
     "fs_stress": "p" * 3 + "l" * 4,
 }
 
@@ -881,22 +883,30 @@ class KernelSet:
                 f"{len(fields)} fields of shape {fields[0].shape}")
         return self._bind["damp"](fields, taper, rowfull, k0, ka, kb)
 
-    def _plane(self, op: str, arrays, kt: int, below: int, above: int):
-        arrays = self._fields(arrays)
-        if not below <= kt < arrays[0].shape[2] - above:
+    def _plane(self, fields, kt: int, below: int, above: int) -> tuple:
+        """:meth:`_fields`, refused unless plane ``kt`` has ``below``
+        planes below it and ``above`` above it."""
+        fields = self._fields(fields)
+        if not below <= kt < fields[0].shape[2] - above:
             raise ValueError(f"surface plane kt={kt} needs {below} planes "
                              f"below and {above} above it")
-        return self._bind[op](arrays, kt)
+        return fields
 
     def fs_velocity(self, vx, vy, vz, lam, lam2mu, kt: int):
         """``call()``: FS2 ghost velocities above the top interior plane
-        ``kt`` (:meth:`FreeSurfaceFS2.apply_velocity`)."""
-        return self._plane("fs_velocity", (vx, vy, vz, lam, lam2mu), kt, 1, 1)
+        ``kt`` (:meth:`FreeSurfaceFS2.apply_velocity`).  The plane's
+        ``lam / lam2mu`` ratio is formed here, once, so the call divides
+        nothing."""
+        vx, vy, vz, lam, lam2mu = self._plane((vx, vy, vz, lam, lam2mu),
+                                              kt, 1, 1)
+        ratio = np.ascontiguousarray(lam[:, :, kt] / lam2mu[:, :, kt])
+        return self._bind["fs_velocity"]((vx, vy, vz, ratio), kt)
 
     def fs_stress(self, sxz, syz, szz, kt: int):
         """``call()``: FS2 stress imaging about plane ``kt``
         (:meth:`FreeSurfaceFS2.apply_stress`)."""
-        return self._plane("fs_stress", (sxz, syz, szz), kt, 2, 2)
+        return self._bind["fs_stress"](
+            self._plane((sxz, syz, szz), kt, 2, 2), kt)
 
 
 _KERNEL_CACHE: dict[tuple[str, bool], KernelSet] = {}

@@ -13,20 +13,29 @@ the output location:
 
 * ``diff*_fwd`` — output lives half a cell *up* from the input samples::
 
-      out[i] = (c1*(f[i+1] - f[i]) + c2*(f[i+2] - f[i-1])) / h
+      out[i] = (c1/h)*(f[i+1] - f[i]) + (c2/h)*(f[i+2] - f[i-1])
 
 * ``diff*_bwd`` — output lives half a cell *down* from the input samples::
 
-      out[i] = (c1*(f[i] - f[i-1]) + c2*(f[i+1] - f[i-2])) / h
+      out[i] = (c1/h)*(f[i] - f[i-1]) + (c2/h)*(f[i+1] - f[i-2])
+
+Every operator evaluates Eq. (3) in this one factored form, with ``1/h``
+folded into the coefficients: multiplications only, no division per cell
+(the reciprocal rule of the paper's Section IV.B).  ``c1/h`` and ``c2/h``
+(``1/h`` at 2nd order) are computed once in double and rounded once to the
+field dtype — what numpy does with a python-float operand, and what the
+compiled sweeps (:mod:`repro.core.compiled`) do with ``(real)(C1 / h_in)``,
+so the two agree bit for bit at both precisions.
 
 All operators act on *padded* arrays: every field array carries ``NGHOST = 2``
 ghost cells on each side of every axis (the "two-cell padding layer" used for
 halo exchange in the paper, Section III.A).  Derivatives are written into the
 interior region only; ghost cells of the output are left untouched.
 
-Second-order variants (``c1 = 1, c2 = 0``) are provided for the independent
-verification solver and for the reduced-accuracy stencils used adjacent to the
-fault plane by the SGSN scheme (Eq. 4b/4c).
+Second-order variants (``c1 = 1, c2 = 0``), ``out[i] = (f[i+1] - f[i]) *
+(1/h)``, are provided for the independent verification solver and for the
+reduced-accuracy stencils used adjacent to the fault plane by the SGSN
+scheme (Eq. 4b/4c).
 
 The ``diff*`` operators above are the reference formulation.  The production
 kernel evaluates the same stencil with :func:`diff_span`: one unit-stride
@@ -89,116 +98,96 @@ def _resolve_out(f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _shift(axis: int, lo: int, hi: int, ndim: int) -> tuple[slice, ...]:
-    """Interior slice shifted by ``lo`` cells at the low end along ``axis``.
+def _shift(axis: int, d: int, ndim: int) -> tuple[slice, ...]:
+    """Interior slice shifted by ``d`` cells along ``axis``.
 
-    ``lo``/``hi`` are offsets relative to the interior window ``[NGHOST,
-    -NGHOST)``; e.g. ``_shift(0, 1, 1, 3)`` selects ``[NGHOST+1 : -NGHOST+1)``
-    along axis 0 and the plain interior on other axes.
+    E.g. ``_shift(0, 1, 3)`` selects ``[NGHOST+1 : -NGHOST+1)`` along axis 0
+    and the plain interior on other axes.
     """
     out: list[slice] = []
     for ax in range(ndim):
         if ax == axis:
-            stop = -NGHOST + hi
-            out.append(slice(NGHOST + lo, stop if stop != 0 else None))
+            stop = -NGHOST + d
+            out.append(slice(NGHOST + d, stop if stop != 0 else None))
         else:
             out.append(slice(NGHOST, -NGHOST))
     return tuple(out)
+
+
+def _eq3(tap, h: float, order: int, fwd: bool, out: np.ndarray,
+         work: np.ndarray | None = None) -> np.ndarray:
+    """Eq. (3) into ``out``, multiplication only; ``tap(d)`` is the input
+    ``d`` cells along the axis from the output (forward placement).
+
+    4th order: ``out = (c1/h)*(f[+1]-f[0]) + (c2/h)*(f[+2]-f[-1])``, the
+    second product formed in ``work`` when one is given (allocation-free)
+    and in a fresh array otherwise; 2nd order: ``out = (f[+1]-f[0]) *
+    (1/h)``.  Backward placement shifts every tap down one cell.  The
+    coefficients are python floats computed in double, so numpy rounds each
+    once to the field dtype — the ``(real)(C1 / h_in)`` of the generated C.
+    """
+    if order not in (2, 4):
+        raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
+    h = float(h)
+    o = 0 if fwd else -1
+    np.subtract(tap(o + 1), tap(o), out=out)
+    if order == 2:
+        out *= 1.0 / h
+        return out
+    out *= C1 / h
+    work = np.subtract(tap(o + 2), tap(o - 1), out=work)
+    work *= C2 / h
+    out += work
+    return out
+
+
+def _full(f: np.ndarray, axis: int, h: float, order: int, fwd: bool,
+          out: np.ndarray | None, work: np.ndarray | None) -> np.ndarray:
+    out = _resolve_out(f, out)
+    _eq3(lambda d: f[_shift(axis, d, f.ndim)], h, order, fwd,
+         interior(out), work)
+    return out
 
 
 def diff4_fwd(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
     """4th-order staggered derivative; output half a cell up along ``axis``.
 
-    ``out[i] = (c1*(f[i+1]-f[i]) + c2*(f[i+2]-f[i-1])) / h`` over the interior.
-    If ``out`` is given, the interior of ``out`` is overwritten and ``out`` is
-    returned; otherwise a zero-initialised array of the same shape is created.
-    ``work`` (interior-shaped) makes the stencil evaluation allocation-free:
-    the coefficient-scaled shifted planes are formed in it instead of in
-    fresh temporaries.  Results are bit-identical either way (the in-place
-    ufunc sequence performs the same operations in the same order).
+    ``out[i] = (c1/h)*(f[i+1]-f[i]) + (c2/h)*(f[i+2]-f[i-1])`` over the
+    interior.  If ``out`` is given, the interior of ``out`` is overwritten
+    and ``out`` is returned; otherwise a zero-initialised array of the same
+    shape is created.  ``work`` (interior-shaped) makes the stencil
+    evaluation allocation-free; results are bit-identical either way.
     """
-    out = _resolve_out(f, out)
-    nd = f.ndim
-    p1 = f[_shift(axis, 1, 1, nd)]
-    p0 = f[_shift(axis, 0, 0, nd)]
-    p2 = f[_shift(axis, 2, 2, nd)]
-    m1 = f[_shift(axis, -1, -1, nd)]
-    dst = interior(out)
-    np.multiply(p1, C1, out=dst)
-    if work is None:
-        dst -= C1 * p0
-        dst += C2 * p2
-        dst -= C2 * m1
-    else:
-        np.multiply(p0, C1, out=work)
-        dst -= work
-        np.multiply(p2, C2, out=work)
-        dst += work
-        np.multiply(m1, C2, out=work)
-        dst -= work
-    dst /= h
-    return out
+    return _full(f, axis, h, 4, True, out, work)
 
 
 def diff4_bwd(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
     """4th-order staggered derivative; output half a cell down along ``axis``.
 
-    ``out[i] = (c1*(f[i]-f[i-1]) + c2*(f[i+1]-f[i-2])) / h`` over the interior.
-    ``out``/``work`` behave as in :func:`diff4_fwd`.
+    ``out[i] = (c1/h)*(f[i]-f[i-1]) + (c2/h)*(f[i+1]-f[i-2])`` over the
+    interior.  ``out``/``work`` behave as in :func:`diff4_fwd`.
     """
-    out = _resolve_out(f, out)
-    nd = f.ndim
-    p0 = f[_shift(axis, 0, 0, nd)]
-    m1 = f[_shift(axis, -1, -1, nd)]
-    p1 = f[_shift(axis, 1, 1, nd)]
-    m2 = f[_shift(axis, -2, -2, nd)]
-    dst = interior(out)
-    np.multiply(p0, C1, out=dst)
-    if work is None:
-        dst -= C1 * m1
-        dst += C2 * p1
-        dst -= C2 * m2
-    else:
-        np.multiply(m1, C1, out=work)
-        dst -= work
-        np.multiply(p1, C2, out=work)
-        dst += work
-        np.multiply(m2, C2, out=work)
-        dst -= work
-    dst /= h
-    return out
+    return _full(f, axis, h, 4, False, out, work)
 
 
 def diff2_fwd(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
-    """2nd-order staggered derivative, output half a cell up (Eq. 4b form).
+    """2nd-order staggered derivative, output half a cell up (Eq. 4b form):
+    ``out[i] = (f[i+1]-f[i]) * (1/h)``.
 
     Already allocation-free with ``out=``; ``work`` is accepted (and unused)
     for signature parity with the 4th-order operators.
     """
-    out = _resolve_out(f, out)
-    nd = f.ndim
-    dst = interior(out)
-    np.subtract(f[_shift(axis, 1, 1, nd)], f[_shift(axis, 0, 0, nd)], out=dst)
-    dst /= h
-    return out
+    return _full(f, axis, h, 2, True, out, work)
 
 
 def diff2_bwd(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
-    """2nd-order staggered derivative, output half a cell down (Eq. 4c form).
-
-    Already allocation-free with ``out=``; ``work`` is accepted (and unused)
-    for signature parity with the 4th-order operators.
-    """
-    out = _resolve_out(f, out)
-    nd = f.ndim
-    dst = interior(out)
-    np.subtract(f[_shift(axis, 0, 0, nd)], f[_shift(axis, -1, -1, nd)], out=dst)
-    dst /= h
-    return out
+    """2nd-order staggered derivative, output half a cell down (Eq. 4c
+    form): ``out[i] = (f[i]-f[i-1]) * (1/h)``; ``work`` unused."""
+    return _full(f, axis, h, 2, False, out, work)
 
 
 def diff_fwd(f: np.ndarray, axis: int, h: float, order: int = 4,
@@ -249,56 +238,43 @@ def _region_shift(region: tuple[slice, ...], axis: int,
     return tuple(sl)
 
 
+def _region(f: np.ndarray, axis: int, h: float, region: tuple[slice, ...],
+            order: int, fwd: bool, out: np.ndarray,
+            work: np.ndarray | None) -> np.ndarray:
+    """:func:`_eq3` restricted to ``region``; ``out``/``work`` are
+    region-shaped buffers.  Per-cell arithmetic (ops and their order) is
+    identical to the full-interior operators', so a disjoint cover of the
+    interior by regions reproduces them bit-for-bit."""
+    return _eq3(lambda d: f[_region_shift(region, axis, d)], h, order, fwd,
+                out, work)
+
+
 def diff4_fwd_region(f: np.ndarray, axis: int, h: float,
                      region: tuple[slice, ...], out: np.ndarray,
                      work: np.ndarray) -> np.ndarray:
-    """:func:`diff4_fwd` restricted to ``region``; ``out``/``work`` are
-    region-shaped buffers.  Per-cell arithmetic (ops and their order) is
-    identical to the full-interior work-buffer path, so a disjoint cover of
-    the interior by regions reproduces ``diff4_fwd`` bit-for-bit."""
-    np.multiply(f[_region_shift(region, axis, 1)], C1, out=out)
-    np.multiply(f[region], C1, out=work)
-    out -= work
-    np.multiply(f[_region_shift(region, axis, 2)], C2, out=work)
-    out += work
-    np.multiply(f[_region_shift(region, axis, -1)], C2, out=work)
-    out -= work
-    out /= h
-    return out
+    """:func:`diff4_fwd` restricted to ``region`` (see :func:`_region`)."""
+    return _region(f, axis, h, region, 4, True, out, work)
 
 
 def diff4_bwd_region(f: np.ndarray, axis: int, h: float,
                      region: tuple[slice, ...], out: np.ndarray,
                      work: np.ndarray) -> np.ndarray:
-    """:func:`diff4_bwd` restricted to ``region`` (see
-    :func:`diff4_fwd_region` for the bit-identity contract)."""
-    np.multiply(f[region], C1, out=out)
-    np.multiply(f[_region_shift(region, axis, -1)], C1, out=work)
-    out -= work
-    np.multiply(f[_region_shift(region, axis, 1)], C2, out=work)
-    out += work
-    np.multiply(f[_region_shift(region, axis, -2)], C2, out=work)
-    out -= work
-    out /= h
-    return out
+    """:func:`diff4_bwd` restricted to ``region`` (see :func:`_region`)."""
+    return _region(f, axis, h, region, 4, False, out, work)
 
 
 def diff2_fwd_region(f: np.ndarray, axis: int, h: float,
                      region: tuple[slice, ...], out: np.ndarray,
                      work: np.ndarray | None = None) -> np.ndarray:
     """:func:`diff2_fwd` restricted to ``region`` (``work`` unused)."""
-    np.subtract(f[_region_shift(region, axis, 1)], f[region], out=out)
-    out /= h
-    return out
+    return _region(f, axis, h, region, 2, True, out, work)
 
 
 def diff2_bwd_region(f: np.ndarray, axis: int, h: float,
                      region: tuple[slice, ...], out: np.ndarray,
                      work: np.ndarray | None = None) -> np.ndarray:
     """:func:`diff2_bwd` restricted to ``region`` (``work`` unused)."""
-    np.subtract(f[region], f[_region_shift(region, axis, -1)], out=out)
-    out /= h
-    return out
+    return _region(f, axis, h, region, 2, False, out, work)
 
 
 def diff_fwd_region(f: np.ndarray, axis: int, h: float,
@@ -356,9 +332,15 @@ def diff_span(f: np.ndarray, lo: int, hi: int, stride: int, h: float,
     distance of one cell along the differentiated axis, and ``out``/``work``
     are span-length buffers (``work`` only for ``order=4``).  ``out[p]`` is
     the ``fwd`` (:func:`diff_fwd`) or backward (:func:`diff_bwd`) derivative
-    at flat position ``lo + p``, evaluated with the same operations in the
-    same order as the ``diff4_*``/``diff2_*`` work-buffer path, so it is
-    bit-identical to them at every interior cell.
+    at flat position ``lo + p``, in five ufunc passes (two at 2nd order)::
+
+        out = f[+1] - f[0];  out *= c1/h
+        work = f[+2] - f[-1];  work *= c2/h;  out += work
+
+    ``c1/h`` and ``c2/h`` are computed in double and rounded once to the
+    field dtype.  These are the operations of the ``diff4_*``/``diff2_*``
+    operators and of the compiled sweeps, in the same order, so all three
+    are bit-identical at every interior cell.
 
     Positions of the span that are y/z ghost cells get the stencil applied
     across the row seam: finite values (the field is finite) that are not a
@@ -374,17 +356,4 @@ def diff_span(f: np.ndarray, lo: int, hi: int, stride: int, h: float,
     def at(d: int) -> np.ndarray:
         return f[lo + d * stride:hi + d * stride]
 
-    if order == 4:
-        np.multiply(at(1), C1, out=out)
-        np.multiply(at(0), C1, out=work)
-        out -= work
-        np.multiply(at(2), C2, out=work)
-        out += work
-        np.multiply(at(-1), C2, out=work)
-        out -= work
-    elif order == 2:
-        np.subtract(at(1), at(0), out=out)
-    else:
-        raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
-    out /= h
-    return out
+    return _eq3(at, h, order, True, out, work)

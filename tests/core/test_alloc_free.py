@@ -173,19 +173,17 @@ class TestBitIdentity:
                 assert np.array_equal(out_pooled, out_alloc), (diff, axis)
 
     def test_diff4_work_matches_reference_arithmetic(self):
-        """Against the literal Eq. (3) expression (the pre-refactor code)."""
+        """Against the literal factored Eq. (3) expression, 1/h folded into
+        the coefficients: ``(c1/h)*(f+ - f-) + (c2/h)*(f++ - f--)``."""
         rng = np.random.default_rng(4)
         f = rng.standard_normal((10, 10, 10))
         h = 37.5
         got = fd.diff4_fwd(f, 0, h, out=np.zeros_like(f),
                            work=np.zeros((6, 6, 6)))
         ref = np.zeros_like(f)
-        dst = interior(ref)
-        dst[...] = C1 * f[3:-1, 2:-2, 2:-2]
-        dst -= C1 * f[2:-2, 2:-2, 2:-2]
-        dst += C2 * f[4:, 2:-2, 2:-2]
-        dst -= C2 * f[1:-3, 2:-2, 2:-2]
-        dst /= h
+        interior(ref)[...] = (
+            (C1 / h) * (f[3:-1, 2:-2, 2:-2] - f[2:-2, 2:-2, 2:-2])
+            + (C2 / h) * (f[4:, 2:-2, 2:-2] - f[1:-3, 2:-2, 2:-2]))
         assert np.array_equal(got, ref)
 
     def test_kernel_step_matches_unpooled_reference(self):

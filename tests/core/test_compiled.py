@@ -33,8 +33,8 @@ needs_provider = pytest.mark.skipif(
     reason="no compiled provider (no C compiler)")
 
 
-def _random_state(seed=0, shape=(10, 12, 11), dtype=np.float64):
-    g = Grid3D(*shape, h=25.0)
+def _random_state(seed=0, shape=(10, 12, 11), dtype=np.float64, h=25.0):
+    g = Grid3D(*shape, h=h)
     rng = np.random.default_rng(seed)
     vs = rng.uniform(1000.0, 2000.0, g.shape)
     vp = vs * rng.uniform(1.8, 2.2, g.shape)
@@ -366,6 +366,68 @@ class TestSlabTableSweep:
             fused.bind(half, (x[0].start, x[0].stop, x[1].start, x[1].stop),
                        cuts)()
         _assert_fields_equal(wf, wf2)
+
+
+@needs_provider
+class TestFoldedCoefficients:
+    """``c1/h`` and ``c2/h`` are computed in double and rounded once to the
+    field dtype on both sides.  At these h they are inexact in both
+    precisions, so rounding them any other way (dividing in the field
+    dtype, multiplying by a rounded ``1/h``) shows up as a bit difference
+    somewhere."""
+
+    @staticmethod
+    def _pair(h, dtype):
+        g, med, wf = _random_state(41, shape=(12, 10, 14), dtype=dtype, h=h)
+        wf2 = wf.copy()
+        return (g, VelocityStressKernel(wf, med, 1e-3), wf,
+                compiled.FusedStepper(wf2, med, 1e-3), wf2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("h", [37.5, 100.0 / 3.0, 200.0])
+    def test_both_halves(self, h, dtype):
+        g, pooled, wf, fused, wf2 = self._pair(h, dtype)
+        for _ in range(2):
+            pooled.step_velocity()
+            pooled.step_stress()
+            fused.step_velocity()
+            fused.step_stress()
+        _assert_fields_equal(wf, wf2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("h", [37.5, 100.0 / 3.0, 200.0])
+    def test_region_box(self, h, dtype):
+        g, pooled, wf, fused, wf2 = self._pair(h, dtype)
+        box = (slice(3, 10), slice(4, 9), slice(2, 13))
+        for half in ("step_velocity", "step_stress"):
+            getattr(RegionUpdater(pooled, box), half)()
+            getattr(compiled.FusedRegionStepper(fused, box), half)()
+        _assert_fields_equal(wf, wf2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("h", [37.5, 100.0 / 3.0, 200.0])
+    def test_lts_slab_table(self, h, dtype):
+        g, pooled, wf, fused, wf2 = self._pair(h, dtype)
+        x = (slice(NGHOST, NGHOST + g.nx), slice(NGHOST, NGHOST + g.ny))
+        cuts = [(2, 6, 1e-3), (6, 11, 2e-3), (11, 16, 4e-3)]
+        for half in ("velocity", "stress"):
+            for z0, z1, dt in cuts:
+                getattr(RegionUpdater(pooled, (*x, slice(z0, z1)), dt=dt),
+                        "step_" + half)()
+            fused.bind(half, (x[0].start, x[0].stop, x[1].start, x[1].stop),
+                       cuts)()
+        _assert_fields_equal(wf, wf2)
+
+
+def test_per_cell_code_divides_nothing():
+    """The per-cell C — both sweep bodies and the damp / free-surface
+    operators — multiplies only: every ``1/h`` and ``lam/lam2mu`` is
+    formed ahead of the loops (comments stripped before looking)."""
+    ops = compiled._C_OPS_TEMPLATE.format(real="double", suf="f64",
+                                          g=NGHOST)
+    for code in (compiled._c_velocity_body(), compiled._c_stress_body(),
+                 ops):
+        assert "/" not in re.sub(r"/\*.*?\*/", "", code, flags=re.S)
 
 
 @needs_provider
