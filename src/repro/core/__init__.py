@@ -3,7 +3,8 @@
 from .fd import C1, C2, NGHOST
 from .grid import Grid3D, WaveField
 from .medium import Medium
-from .solver import Receiver, SolverConfig, SurfaceRecorder, WaveSolver
+from .solver import (Receiver, SolverConfig, StateSchemaError,
+                     SurfaceRecorder, WaveSolver)
 from .source import (
     BodyForceSource,
     FiniteFaultSource,
@@ -29,6 +30,7 @@ __all__ = [
     "C1", "C2", "NGHOST",
     "Grid3D", "WaveField", "Medium",
     "WaveSolver", "SolverConfig", "Receiver", "SurfaceRecorder",
+    "StateSchemaError",
     "MomentTensorSource", "BodyForceSource", "ManufacturedForcing",
     "FiniteFaultSource", "SubFault",
     "double_couple_strike_slip", "moment_to_magnitude", "magnitude_to_moment",

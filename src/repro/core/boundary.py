@@ -16,7 +16,11 @@
 Both operators take an optional ``kernels`` (a resolved
 :class:`repro.core.compiled.KernelSet`): with one, their public methods run
 the compiled operators — bitwise identical to the numpy bodies here, which
-stay the reference the pooled variant executes (DESIGN.md §3).
+stay the reference the pooled variant executes (DESIGN.md §3).  A solver
+whose stress half is compiled folds the stress-side work of both into the
+stress sweep's row visit (:meth:`repro.core.compiled.FusedStepper.fold`)
+and hands them its ``held`` row mask: their methods then cover only what
+the sweep leaves to them — the ghost rim, the held rows, the velocities.
 """
 
 from __future__ import annotations
@@ -42,23 +46,35 @@ class FreeSurfaceFS2:
     :meth:`apply_velocity` after each velocity update.
     """
 
-    def __init__(self, medium: Medium, kernels=None):
+    def __init__(self, medium: Medium, kernels=None, held=None):
         self.medium = medium
         self.kernels = kernels
+        #: compiled only: the interior rows (uint8 (nx, ny)) whose fill and
+        #: imaging are this layer's, besides the ghost rim; None = all
+        self.held = held
         self._wf = None     # the wavefield ``_bound`` is bound to
-        # lam/lam2mu on the top interior plane, divided once here so the
-        # vz ghost fill multiplies only
+        # lam/lam2mu on the top interior plane, divided once here (for the
+        # numpy body, the compiled operators and the folded sweep alike) so
+        # the vz ghost fill multiplies only
         kt = NGHOST + medium.grid.nz - 1
-        self._ratio = medium.lam[:, :, kt] / medium.lam2mu[:, :, kt]
+        self._ratio = np.ascontiguousarray(
+            medium.lam[:, :, kt] / medium.lam2mu[:, :, kt])
 
     def _compiled(self, wf: WaveField):
         """(ghost fill, imaging) bound to ``wf``; rebound when it changes."""
         if wf is not self._wf:
+            shape = self.medium.grid.padded_shape
+            if wf.grid.padded_shape != shape:
+                # the ratio is the medium's: a foreign plane would misread it
+                raise ValueError(
+                    f"compiled free surface needs C-contiguous fields of its "
+                    f"medium's shape {shape} (got {wf.grid.padded_shape})")
             kt = NGHOST + wf.grid.nz - 1
             self._bound = (
-                self.kernels.fs_velocity(wf.vx, wf.vy, wf.vz, self.medium.lam,
-                                         self.medium.lam2mu, kt),
-                self.kernels.fs_stress(wf.sxz, wf.syz, wf.szz, kt))
+                self.kernels.fs_velocity(wf.vx, wf.vy, wf.vz, self._ratio,
+                                         kt, held=self.held),
+                self.kernels.fs_stress(wf.sxz, wf.syz, wf.szz, kt,
+                                       held=self.held))
             self._wf = wf
         return self._bound
 
@@ -180,7 +196,7 @@ class SpongeLayer:
                  damp_top: bool = False,
                  global_shape: tuple[int, int, int] | None = None,
                  index_origin: tuple[int, int, int] = (0, 0, 0),
-                 dtype=np.float64, kernels=None):
+                 dtype=np.float64, kernels=None, held=None):
         gshape = global_shape if global_shape is not None else grid.shape
         if width >= min(gshape):
             raise ValueError("sponge width must be smaller than the grid")
@@ -215,6 +231,9 @@ class SpongeLayer:
         self.gx, self.gy, self.gz = gx, gy, gz
         self._g3 = (gx[:, None, None] * gy[None, :, None] * gz[None, None, :])
         self.kernels = kernels
+        #: compiled only: the interior rows (uint8 (nx, ny)) whose stresses
+        #: this layer damps (velocities: every row); None = all
+        self.held = held
         self._wf = None     # the wavefield ``_bound`` is bound to
         #: id(taper) -> (taper, its frame) for the tapers this layer made;
         #: empty without kernels (the numpy multiply needs no frame)
@@ -225,6 +244,16 @@ class SpongeLayer:
         if self.kernels is not None:
             self._frames[id(taper)] = (taper, sponge_frame(taper))
         return taper
+
+    @property
+    def taper(self) -> np.ndarray:
+        """The whole-interior taper (``(nx, ny, nz)``, field dtype)."""
+        return self._g3
+
+    def frame(self, taper: np.ndarray | None = None) -> SpongeFrame:
+        """The frame of :attr:`taper`, or of a ``taper`` this (compiled)
+        layer's :meth:`slab_taper` made."""
+        return self._frames[id(self._g3 if taper is None else taper)][1]
 
     def apply(self, wf: WaveField) -> None:
         self._damp(wf, 0, self.grid.nz, self._g3)
@@ -273,7 +302,7 @@ class SpongeLayer:
             frame = entry[1]
             call = self._bound[id(taper), k_lo] = self.kernels.damp(
                 wf.fields().values(), taper, frame.rowfull, NGHOST + k_lo,
-                frame.ka, frame.kb)
+                frame.ka, frame.kb, held=self.held)
         call()
 
     def reflection_estimate(self) -> float:

@@ -59,32 +59,57 @@ x/y taps (the neighbour group's own update, possibly on another thread)
 read those very planes un-interpolated — nothing is written to a field the
 half reads, so there is nothing to restore and rows stay independent.
 
-The same :class:`KernelSet` carries the per-step operators that run between
-the sweeps, so a compiled step leaves no whole-array numpy pass behind.  Each
+The per-step boundary operators of block B are *row post-ops* of the
+stress sweep: in the row visit of every row not *held* (below), the sweep
+fills the row's FS2 ghost velocities before its updates when the visit
+reaches the top interior plane ``kt``, and after them images the row and
+damps its six stresses on each slab's planes of the sponge frame (with that
+slab's own ``taper**rate`` under LTS).  The row's data is then still in
+cache, where the separate passes re-read all nine fields a step.  The fill
+reads only interior velocities, which a stress sweep never writes, and
+writes only plane ``kt+1`` of its row, which only the row's own z taps
+read; imaging and damping touch only the row's stresses, which no other
+row of a stress sweep reads.  So the fold is bitwise today's block-B order
+(:mod:`repro.core.schedule`) — except where something writes the row's
+stresses between its update and its imaging or damping: a moment source
+injects after the whole half, a forcing after the imaging (and
+everywhere).  Those rows are *held*: a uint8 ``(nx, ny)`` mask the
+schedule keeps current flags the rows of every moment-source cell (every
+row under a forcing, or while the stress half is pooled), the sweep skips
+their fill, imaging and damping, and the operators below do them in the
+schedule's usual slots.  What stays outside the sweep, and why:
+
+* the velocity damping — neighbouring stress rows read a row's velocities
+  during the sweep, so they may only be damped after it;
+* source injection — 0.06 ms of a ~4 ms step on ``quake_serial``, and it
+  is what the held rows exist for.
+
+Each operator shares its per-row ``static inline`` body with the sweep and
 is bitwise identical to the numpy body it stands in for (which stays in
-place as the reference the pooled variant runs), for one reason per
-operator:
+place as the reference the pooled variant runs), for one reason each:
 
 ``damp`` (:class:`~repro.core.boundary.SpongeLayer` ``apply``/``apply_slab``)
-    One pass over the nine fields that visits only the sponge *frame*
+    One pass that visits only the sponge *frame*
     (:func:`~repro.core.boundary.sponge_frame`, a cover of ``taper != 1``
-    read off the taper itself).  Visited cells do the numpy multiply;
+    read off the taper itself), damping the velocities on every row and the
+    stresses on the held rows.  Visited cells do the numpy multiply;
     skipped cells have ``taper == 1.0`` and ``x * 1.0 == x`` for every float.
 ``fs_velocity`` / ``fs_stress`` (:class:`~repro.core.boundary.FreeSurfaceFS2`)
-    The ~30 strided plane ufuncs as one (i, j) loop each, every expression
+    The ~30 strided plane ufuncs as one row-set loop each, over the 2-row
+    ghost rim (which no sweep visits) and the held rows, every expression
     parenthesised in numpy's evaluation order — including the ``0.0 + d``
     of ``zeros(); d[1:] += ...`` that turns a ``-0.0`` difference positive.
     The vertical ghost differences the horizontal ghosts of its row and of
     the rows at ``i-1`` and ``j-1``; it recomputes the neighbours' from
     interior values with the same expressions instead of reading them, so
     no row reads another's writes.  The plane's ``lam / lam2mu`` ratio is
-    divided once, at bind.
+    the free surface's own, divided once.
 
 Rows are independent in all of them, so the threaded (``compiled_parallel``)
 builds stay bitwise too.  Operators are *bound*: ``kernels.damp(...)`` checks
 its arrays once and returns the callable to run each step, with every
-pointer (and, for a sweep, the whole plan: slab table, band slots, weights)
-already extracted.
+pointer (and, for a sweep, the whole plan: slab table, band slots, weights,
+fold) already extracted; the held-row mask is read live at every call.
 
 Fallback contract: when the provider is unavailable, solvers warn **once**
 (``RuntimeWarning``) and run ``pooled`` — which the equivalence matrix runs
@@ -297,7 +322,7 @@ def _c_lines(indent: int, template: str, names) -> str:
 
 
 def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
-             real: str, suf: str) -> str:
+             real: str, suf: str, post: bool = False) -> str:
     """One half-step: the ``own`` fields advanced from the ``read`` fields.
 
     Each (i, j) row of the box is visited once.  Inside the visit the band
@@ -307,6 +332,14 @@ def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
     with ``blend`` entries, a row-private copy whose band planes hold
     ``(now*w) + (history*(1-w))``.  The read fields themselves are never
     written: other rows' x/y taps read those very planes.
+
+    ``post`` (the stress half) folds the stress-side boundary work into the
+    visit of every row not flagged in ``held``: the FS2 velocity ghost fill
+    of the row before its updates when the visit reaches the top interior
+    plane ``kt`` (``ratio`` set), FS2 imaging after them, then the sponge
+    multiply of the six stresses on each slab's planes of the row's frame
+    (``taper`` set).  The fill writes only plane ``kt+1`` of the row, which
+    only the row's own z taps read.
     """
     zread = _BAND_TRIO[read]
     zcols = ["z" + f for f in zread]
@@ -318,15 +351,49 @@ def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
         "const long si, const long sj, const long row, "
         "const long z0, const long z1"])
     params = ",\n    ".join([
-        ptrs(VELOCITY_FIELDS, const=own is not VELOCITY_FIELDS),
+        ptrs(VELOCITY_FIELDS,
+             const=own is not VELOCITY_FIELDS and not post),
         ptrs(STRESS_FIELDS, const=own is not STRESS_FIELDS),
         ptrs(coeffs, const=True),
+        *([f"const {real} *restrict ratio, const {real} *restrict taper, "
+           "const unsigned char *restrict rowfull, "
+           "const unsigned char *restrict held"] if post else []),
         f"{real} *restrict hist, const long *restrict tab, "
         "const double *restrict wts",
         "const double h_in, const long npy, const long npz",
         "const long hny, const long nslot, const long nb",
         "const long x0, const long x1, const long y0, const long y1",
-        "const long nslab, const long nsave, const long nblend"])
+        "const long nslab, const long nsave, const long nblend",
+        *(["const long ka, const long kb"] if post else [])])
+    g = NGHOST
+    head = tail = setup = ""
+    if post:
+        setup = f"""
+    /* the folded boundary work: the surface plane, whether this visit
+       reaches it, and the interior (x/y, k) extents the frame is read in */
+    const long kt = npz - {g + 1};
+    const int top = ratio && tab[2 * nslab - 1] == kt + 1;
+    const long nyi = npy - {2 * g}, nk = npz - {2 * g};"""
+        head = f"""
+            const long r = (i - {g}) * nyi + (j - {g});
+            const int fold = !held || !held[r];
+            if (fold && top)
+                fs_fill_row_{suf}(vx, vy, vz, ratio[i * npy + j],
+                                  row + kt, si, sj, 1, 1, 1, 1);"""
+        rows = ", ".join(f"{f} + row + {g}" for f in STRESS_FIELDS)
+        tail = f"""
+            if (fold) {{
+                if (top)
+                    fs_image_row_{suf}(sxz, syz, szz, row + kt);
+                if (taper) {{
+                    const {real} *t = taper + r * nk;
+                    const int full = rowfull[r];
+                    for (long s = 0; s < nslab; ++s)
+                        damp_stress_{suf}(
+                            {rows}, t, full, ka, kb,
+                            tab[2 * s] - {g}, tab[2 * s + 1] - {g});
+                }}
+            }}"""
     return f"""\
 static inline void {name}_row_{suf}(
     {row_params})
@@ -352,53 +419,53 @@ void fused_{name}_{suf}(
        read here, once, so that case looks nothing up per row. */
     const int plain = nslab == 1 && nsave + nblend == 0;
     const long pz0 = plain ? tab[0] : 0, pz1 = plain ? tab[1] : 0;
-    const {real} pdt = plain ? ({real})wts[0] : 0;
+    const {real} pdt = plain ? ({real})wts[0] : 0;{setup}
 #pragma omp parallel for schedule(static)
     for (long i = x0; i < x1; ++i) {{
         {real} col[3 * npz];        /* this thread's blended z columns */
         for (long j = y0; j < y1; ++j) {{
-            const long row = i * si + j * sj;
+            const long row = i * si + j * sj;{head}
             if (plain) {{
                 {name}_row_{suf}(
                     {", ".join((*own, *read, *coeffs))},
                     {", ".join(f + " + row" for f in zread)},
                     c1, c2, pdt, si, sj, row, pz0, pz1);
-                continue;
-            }}
-            {real} *hrow = hist ? hist + ((i - {NGHOST}) * hny
-                                        + (j - {NGHOST})) * nslot * nb : 0;
-            for (long s = 0; s < nsave; ++s) {{
-                {real} *p = hrow + saves[2 * s] * nb;
-                const long q = row + saves[2 * s + 1];
-                for (long b = 0; b < nb; ++b) {{
-{_c_lines(20, "p[{n} * nb + b] = {f}[q + b];", _BAND_TRIO[own])}
-                }}
-            }}
-            for (long s = 0; s < nslab; ++s) {{
-                const long z0 = tab[2 * s], z1 = tab[2 * s + 1];
-{_c_lines(16, f"const {real} *z{{f}} = {{f}} + row;", zread)}
-                for (long m = 0; m < nblend; ++m) {{
-                    if (blends[3 * m] != s)
-                        continue;
-                    if ({zcols[0]} != col) {{
-                        for (long k = z0 - {NGHOST}; k < z1 + {NGHOST}; ++k) {{
-{_c_lines(28, "col[{n} * npz + k] = {f}[row + k];", zread)}
-                        }}
-{_c_lines(24, "z{f} = col + {n} * npz;", zread)}
-                    }}
-                    const {real} *p = hrow + blends[3 * m + 1] * nb;
-                    const long k0 = blends[3 * m + 2];
-                    const {real} w = ({real})bw[2 * m];
-                    const {real} omw = ({real})bw[2 * m + 1];
+            }} else {{
+                {real} *hrow = hist ? hist + ((i - {g}) * hny
+                                            + (j - {g})) * nslot * nb : 0;
+                for (long s = 0; s < nsave; ++s) {{
+                    {real} *p = hrow + saves[2 * s] * nb;
+                    const long q = row + saves[2 * s + 1];
                     for (long b = 0; b < nb; ++b) {{
-{_c_lines(24, "col[{n} * npz + k0 + b] = ({f}[row + k0 + b] * w)"
-              " + (p[{n} * nb + b] * omw);", zread)}
+{_c_lines(24, "p[{n} * nb + b] = {f}[q + b];", _BAND_TRIO[own])}
                     }}
                 }}
-                {name}_row_{suf}(
-                    {", ".join((*own, *read, *coeffs, *zcols))},
-                    c1, c2, ({real})wts[s], si, sj, row, z0, z1);
-            }}
+                for (long s = 0; s < nslab; ++s) {{
+                    const long z0 = tab[2 * s], z1 = tab[2 * s + 1];
+{_c_lines(20, f"const {real} *z{{f}} = {{f}} + row;", zread)}
+                    for (long m = 0; m < nblend; ++m) {{
+                        if (blends[3 * m] != s)
+                            continue;
+                        if ({zcols[0]} != col) {{
+                            for (long k = z0 - {g}; k < z1 + {g}; ++k) {{
+{_c_lines(32, "col[{n} * npz + k] = {f}[row + k];", zread)}
+                            }}
+{_c_lines(28, "z{f} = col + {n} * npz;", zread)}
+                        }}
+                        const {real} *p = hrow + blends[3 * m + 1] * nb;
+                        const long k0 = blends[3 * m + 2];
+                        const {real} w = ({real})bw[2 * m];
+                        const {real} omw = ({real})bw[2 * m + 1];
+                        for (long b = 0; b < nb; ++b) {{
+{_c_lines(28, "col[{n} * npz + k0 + b] = ({f}[row + k0 + b] * w)"
+              " + (p[{n} * nb + b] * omw);", zread)}
+                        }}
+                    }}
+                    {name}_row_{suf}(
+                        {", ".join((*own, *read, *coeffs, *zcols))},
+                        c1, c2, ({real})wts[s], si, sj, row, z0, z1);
+                }}
+            }}{tail}
         }}
     }}
 }}
@@ -412,19 +479,18 @@ def _c_sweeps(real: str, suf: str) -> str:
                  ("bx", "by", "bz"), "t, v", _c_velocity_body(), real, suf),
         _c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS,
                  ("lam", "lam2mu", "mu_xy", "mu_xz", "mu_yz"),
-                 "t, u, dvx, dvy, dvz, l, l2m", _c_stress_body(), real, suf)])
+                 "t, u, dvx, dvy, dvz, l, l2m", _c_stress_body(), real, suf,
+                 post=True)])
 
 
-# The plane operators walk one k-plane: consecutive rows sit a whole
+# The row-set operators walk whole k-planes: consecutive rows sit a whole
 # k-column apart, a stride the hardware prefetcher follows poorly, so they
 # ask for the cache line PF_ROWS rows ahead (a hint: running past the end of
 # an array cannot fault).
 _C_PREAMBLE = """\
 #if defined(__GNUC__) || defined(__clang__)
-#define PREFETCH_R(p) __builtin_prefetch((p), 0)
 #define PREFETCH_W(p) __builtin_prefetch((p), 1)
 #else
-#define PREFETCH_R(p) ((void)0)
 #define PREFETCH_W(p) ((void)0)
 #endif
 #define PF_ROWS 24
@@ -432,106 +498,171 @@ _C_PREAMBLE = """\
 """
 
 
-# The per-step operators around the sweeps.  Each replays its numpy
-# reference (boundary.SpongeLayer / FreeSurfaceFS2) cell by cell
-# in the same association order; see the module docstring for why the
-# frame-only damp is exact.
-_C_OPS_TEMPLATE = """\
-static inline void damp_run_{suf}({real} *restrict f,
-                                  const {real} *restrict t,
-                                  const long k0, const long k1)
+def _c_damp(family: str, fields, real: str, suf: str) -> str:
+    """``damp_<family>``: the sponge multiply ``f[k] = f[k] * t[k]`` of
+    every field of ``fields`` (pointers at one row's plane 0, as is the
+    taper row ``t``) on the planes ``[a, b)`` of that row that lie in its
+    frame — all of them on a ``full`` row, else those below ``ka`` or from
+    ``kb`` up; one k loop carries all the fields."""
+    ptrs = _c_ptrs(fields).format(real=real)
+    args = ", ".join(fields)
+    body = "\n".join(f"        {f}[k] = {f}[k] * t[k];" for f in fields)
+    return f"""\
+static inline void damp_{family}_run_{suf}(
+    {ptrs},
+    const {real} *restrict t, const long k0, const long k1)
 {{
-    for (long k = k0; k < k1; ++k)
-        f[k] = f[k] * t[k];
+    for (long k = k0; k < k1; ++k) {{
+{body}
+    }}
 }}
 
+static inline void damp_{family}_{suf}(
+    {ptrs},
+    const {real} *restrict t, const int full, const long ka, const long kb,
+    const long a, const long b)
+{{
+    if (full) {{
+        damp_{family}_run_{suf}({args}, t, a, b);
+    }} else {{
+        damp_{family}_run_{suf}({args}, t, a, b < ka ? b : ka);
+        damp_{family}_run_{suf}({args}, t, a > kb ? a : kb, b);
+    }}
+}}
+"""
+
+
+# The per-row boundary bodies, shared by the stress sweep's row visit and
+# the row-set operators below.  Each replays its numpy reference
+# (boundary.FreeSurfaceFS2 / SpongeLayer) cell by cell in the same
+# association order; see the module docstring for why each is exact.
+_C_ROWS_TEMPLATE = """\
+/* FS2 ghost velocities of the row whose surface cell is q; ip/jp/im/jm: the
+   row has an x/y neighbour at i+1 / j+1 / i-1 / j-1.  The vz ghost
+   differences the horizontal ghosts of (i, j), (i-1, j) and (i, j-1); the
+   neighbours' are recomputed here from interior values with their own
+   expressions, so no row reads another's writes. */
+static inline void fs_fill_row_{suf}(
+    {real} *restrict vx, {real} *restrict vy, {real} *restrict vz,
+    const {real} ratio, const long q, const long si, const long sj,
+    const int ip, const int jp, const int im, const int jm)
+{{
+    const {real} gx = vx[q] - (ip ? vz[q + si] - vz[q] : ({real})0.0);
+    const {real} gy = vy[q] - (jp ? vz[q + sj] - vz[q] : ({real})0.0);
+    /* horiz_div(kt+1), horiz_div(kt): zeros, then `+=` per axis */
+    {real} d1 = ({real})0.0, d0 = ({real})0.0;
+    if (im) {{
+        d1 = d1 + (gx - (vx[q - si] - (vz[q] - vz[q - si])));
+        d0 = d0 + (vx[q] - vx[q - si]);
+    }}
+    if (jm) {{
+        d1 = d1 + (gy - (vy[q - sj] - (vz[q] - vz[q - sj])));
+        d0 = d0 + (vy[q] - vy[q - sj]);
+    }}
+    vx[q + 1] = gx;
+    vy[q + 1] = gy;
+    vz[q + 1] = ((({real})2.0 * vz[q]) - vz[q - 1]) - (ratio * (d1 + d0));
+}}
+
+/* FS2 stress imaging of the row whose surface cell is q */
+static inline void fs_image_row_{suf}(
+    {real} *restrict sxz, {real} *restrict syz, {real} *restrict szz,
+    const long q)
+{{
+    sxz[q] = ({real})0.0;
+    syz[q] = ({real})0.0;
+    sxz[q + 1] = -sxz[q - 1];
+    syz[q + 1] = -syz[q - 1];
+    sxz[q + 2] = -sxz[q - 2];
+    syz[q + 2] = -syz[q - 2];
+    szz[q + 1] = -szz[q];
+    szz[q + 2] = -szz[q - 1];
+}}
+
+"""
+
+
+# The row-set operators: what the stress sweep leaves to the schedule's own
+# slots.  ``held`` (uint8 (nx, ny), NULL = every row) flags the interior
+# rows they cover; the free-surface operators always cover the ghost rim,
+# which no sweep visits.
+_C_OPS_TEMPLATE = """\
 void damp_{suf}(
     """ + _c_ptrs(ALL_FIELDS) + """,
     const {real} *restrict taper, const unsigned char *restrict rowfull,
+    const unsigned char *restrict held,
     const long npy, const long npz,
     const long nx, const long ny, const long nk,
     const long k0, const long ka, const long kb)
 {{
-    {real} *const fields[] = {{""" + ", ".join(ALL_FIELDS) + """}};
     const long si = npy * npz;
     const long sj = npz;
 #pragma omp parallel for schedule(static)
     for (long i = 0; i < nx; ++i) {{
         for (long j = 0; j < ny; ++j) {{
+            const long r = i * ny + j;
             const long row = (i + {g}) * si + (j + {g}) * sj + k0;
-            const {real} *t = taper + (i * ny + j) * nk;
-            const int full = rowfull[i * ny + j];
-            for (int c = 0; c < """ + str(len(ALL_FIELDS)) + """; ++c) {{
-                {real} *f = fields[c] + row;
-                if (full) {{
-                    damp_run_{suf}(f, t, 0, nk);
-                }} else {{
-                    damp_run_{suf}(f, t, 0, ka);
-                    damp_run_{suf}(f, t, kb, nk);
-                }}
-            }}
+            const {real} *t = taper + r * nk;
+            /* velocities on every row, stresses on the held ones */
+            damp_velocity_{suf}(""" + ", ".join(
+                f + " + row" for f in VELOCITY_FIELDS) + """,
+                                t, rowfull[r], ka, kb, 0, nk);
+            if (!held || held[r])
+                damp_stress_{suf}(""" + ", ".join(
+                    f + " + row" for f in STRESS_FIELDS) + """,
+                                  t, rowfull[r], ka, kb, 0, nk);
         }}
     }}
 }}
 
+/* whether padded row (i, j) is in the ghost rim or flagged in held */
+static inline int fs_covers_{suf}(const unsigned char *restrict held,
+                                  const long i, const long j,
+                                  const long npx, const long npy)
+{{
+    if (!held || i < {g} || j < {g} || i >= npx - {g} || j >= npy - {g})
+        return 1;
+    return held[(i - {g}) * (npy - 2 * {g}) + (j - {g})];
+}}
+
 void fs_velocity_{suf}(
     {real} *restrict vx, {real} *restrict vy, {real} *restrict vz,
-    const {real} *restrict ratio,
+    const {real} *restrict ratio, const unsigned char *restrict held,
     const long npx, const long npy, const long npz, const long kt)
 {{
     const long si = npy * npz;
     const long sj = npz;
-    /* The vz ghost differences the horizontal ghosts of (i, j), (i-1, j)
-       and (i, j-1).  The neighbours' are recomputed here from interior
-       values with their own expressions, so no row reads another's
-       writes and one pass does all three ghost planes. */
 #pragma omp parallel for schedule(static)
     for (long i = 0; i < npx; ++i) {{
         for (long j = 0; j < npy; ++j) {{
+            if (!fs_covers_{suf}(held, i, j, npx, npy))
+                continue;
             const long q = i * si + j * sj + kt;
             PREFETCH_W(vx + q + PF_ROWS * sj);
             PREFETCH_W(vy + q + PF_ROWS * sj);
             PREFETCH_W(vz + q + PF_ROWS * sj);
-            const {real} gx = vx[q] - ((i + 1 < npx) ? vz[q + si] - vz[q]
-                                                     : ({real})0.0);
-            const {real} gy = vy[q] - ((j + 1 < npy) ? vz[q + sj] - vz[q]
-                                                     : ({real})0.0);
-            /* horiz_div(kt+1), horiz_div(kt): zeros, then `+=` per axis */
-            {real} d1 = ({real})0.0, d0 = ({real})0.0;
-            if (i > 0) {{
-                d1 = d1 + (gx - (vx[q - si] - (vz[q] - vz[q - si])));
-                d0 = d0 + (vx[q] - vx[q - si]);
-            }}
-            if (j > 0) {{
-                d1 = d1 + (gy - (vy[q - sj] - (vz[q] - vz[q - sj])));
-                d0 = d0 + (vy[q] - vy[q - sj]);
-            }}
-            vx[q + 1] = gx;
-            vy[q + 1] = gy;
-            vz[q + 1] = ((({real})2.0 * vz[q]) - vz[q - 1])
-                        - (ratio[i * npy + j] * (d1 + d0));
+            fs_fill_row_{suf}(vx, vy, vz, ratio[i * npy + j], q, si, sj,
+                              i + 1 < npx, j + 1 < npy, i > 0, j > 0);
         }}
     }}
 }}
 
 void fs_stress_{suf}(
     {real} *restrict sxz, {real} *restrict syz, {real} *restrict szz,
+    const unsigned char *restrict held,
     const long npx, const long npy, const long npz, const long kt)
 {{
 #pragma omp parallel for schedule(static)
-    for (long r = 0; r < npx * npy; ++r) {{
-        const long q = r * npz + kt;
-        PREFETCH_W(sxz + q + PF_ROWS * npz);
-        PREFETCH_W(syz + q + PF_ROWS * npz);
-        PREFETCH_W(szz + q + PF_ROWS * npz);
-        sxz[q] = ({real})0.0;
-        syz[q] = ({real})0.0;
-        sxz[q + 1] = -sxz[q - 1];
-        syz[q + 1] = -syz[q - 1];
-        sxz[q + 2] = -sxz[q - 2];
-        syz[q + 2] = -syz[q - 2];
-        szz[q + 1] = -szz[q];
-        szz[q + 2] = -szz[q - 1];
+    for (long i = 0; i < npx; ++i) {{
+        for (long j = 0; j < npy; ++j) {{
+            if (!fs_covers_{suf}(held, i, j, npx, npy))
+                continue;
+            const long q = (i * npy + j) * npz + kt;
+            PREFETCH_W(sxz + q + PF_ROWS * npz);
+            PREFETCH_W(syz + q + PF_ROWS * npz);
+            PREFETCH_W(szz + q + PF_ROWS * npz);
+            fs_image_row_{suf}(sxz, syz, szz, q);
+        }}
     }}
 }}
 
@@ -540,8 +671,11 @@ void fs_stress_{suf}(
 
 def _c_source() -> str:
     """The full generated C translation unit (both dtypes)."""
-    units = [_c_sweeps(real, suf)
-             + "\n" + _C_OPS_TEMPLATE.format(real=real, suf=suf, g=NGHOST)
+    units = [_c_damp("velocity", VELOCITY_FIELDS, real, suf) + "\n"
+             + _c_damp("stress", STRESS_FIELDS, real, suf) + "\n"
+             + _C_ROWS_TEMPLATE.format(real=real, suf=suf)
+             + _c_sweeps(real, suf) + "\n"
+             + _C_OPS_TEMPLATE.format(real=real, suf=suf, g=NGHOST)
              for real, suf in (("double", "f64"), ("float", "f32"))]
     return ("/* generated by repro.core.compiled — fused velocity/stress\n"
             "   sweeps and per-step operators replaying the numpy ufunc\n"
@@ -685,10 +819,10 @@ def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
 #: ``p`` array pointer, ``d`` double, ``l`` long.
 _C_SIGNATURES = {
     "fused_velocity": "p" * 15 + "d" + "l" * 12,
-    "fused_stress": "p" * 17 + "d" + "l" * 12,
-    "damp": "p" * (len(ALL_FIELDS) + 2) + "l" * 8,
-    "fs_velocity": "p" * 4 + "l" * 4,
-    "fs_stress": "p" * 3 + "l" * 4,
+    "fused_stress": "p" * 21 + "d" + "l" * 14,
+    "damp": "p" * (len(ALL_FIELDS) + 3) + "l" * 8,
+    "fs_velocity": "p" * 5 + "l" * 4,
+    "fs_stress": "p" * 4 + "l" * 4,
 }
 
 _C_TYPES = {"p": ctypes.c_void_p, "d": ctypes.c_double, "l": ctypes.c_long}
@@ -731,28 +865,30 @@ def _cbuild_kernels(dtype: np.dtype, parallel: bool):
         return call
 
     def sweep(name):
-        def bind(arrays, h, box, hist, tab, wts, counts):
+        def bind(arrays, h, box, hist, tab, wts, counts, post=None):
             _, npy, npz = arrays[0].shape
             hshape = (0, 0, 0) if hist is None else hist.shape[1:]
-            return frozen(fn[name], (*arrays, hist, tab, wts),
-                          h, npy, npz, *hshape, *box, *counts)
+            # the stress half's folded boundary work: four pointers, ka, kb
+            ptrs, tail = ((), ()) if post is None else (post[:4], post[4:])
+            return frozen(fn[name], (*arrays, *ptrs, hist, tab, wts),
+                          h, npy, npz, *hshape, *box, *counts, *tail)
         return bind
 
-    def damp(fields, taper, rowfull, k0, ka, kb):
+    def damp(fields, taper, rowfull, held, k0, ka, kb):
         _, npy, npz = fields[0].shape
-        return frozen(fn["damp"], (*fields, taper, rowfull),
+        return frozen(fn["damp"], (*fields, taper, rowfull, held),
                       npy, npz, *taper.shape, k0, ka, kb)
 
-    def plane(name):
-        def bind(arrays, kt):
-            return frozen(fn[name], arrays, *arrays[0].shape, kt)
+    def rows(name):
+        def bind(arrays, held, kt):
+            return frozen(fn[name], (*arrays, held), *arrays[0].shape, kt)
         return bind
 
     binders = {"vel": sweep("fused_velocity"),
                "stress": sweep("fused_stress"),
                "damp": damp,
-               "fs_velocity": plane("fs_velocity"),
-               "fs_stress": plane("fs_stress")}
+               "fs_velocity": rows("fs_velocity"),
+               "fs_stress": rows("fs_stress")}
     return binders, compile_s, cache_hit
 
 
@@ -779,6 +915,7 @@ class KernelSet:
             "vel", "stress", "damp", "fs_velocity", "fs_stress")}
         self.provider = PROVIDER
         self.dtype = dtype
+        self._dt = np.dtype(dtype)  # compared per array: ``.name`` is slow
         self.parallel = parallel
         self.compile_seconds = compile_seconds
         self.cache_hit = cache_hit
@@ -790,7 +927,7 @@ class KernelSet:
         arrays = tuple(arrays)
         shape = arrays[0].shape if shape is None else tuple(shape)
         for a in arrays:
-            if (a.dtype.name != self.dtype or not a.flags.c_contiguous
+            if (a.dtype != self._dt or not a.flags.c_contiguous
                     or a.shape != shape or a.ndim != 3):
                 raise ValueError(
                     f"compiled {self.dtype} operators require C-contiguous "
@@ -798,7 +935,35 @@ class KernelSet:
                     f"{a.shape})")
         return arrays
 
-    def _sweep(self, op: str, arrays, h, box, slabs, hist, save, blend):
+    def _rows(self, held, shape):
+        """``held`` (an interior row mask or None), refused unless it is a
+        C-contiguous uint8 array of ``shape``."""
+        if held is not None and (held.dtype != np.uint8
+                                 or held.shape != tuple(shape)
+                                 or not held.flags.c_contiguous):
+            raise ValueError(f"row mask must be C-contiguous uint8 {shape} "
+                             f"(got {held.dtype} {held.shape})")
+        return held
+
+    def _sponge(self, taper, frame, interior):
+        """``(taper, rowfull)``, refused unless ``taper`` has the interior
+        shape ``(nx, ny, nk)`` with ``nk <= interior[2]`` and ``frame``
+        fits it."""
+        nx, ny, nz = interior
+        nk = taper.shape[2] if taper.ndim == 3 else -1
+        (taper,) = self._fields((taper,), (nx, ny, nk))
+        rowfull, ka, kb = frame
+        if (rowfull.dtype != np.uint8 or rowfull.shape != (nx, ny)
+                or not rowfull.flags.c_contiguous
+                or not 0 <= ka <= kb <= nk <= nz):
+            raise ValueError(
+                f"damp frame (rows {rowfull.dtype} {rowfull.shape}, planes "
+                f"[0, {ka}) + [{kb}, {nk})) does not fit fields of interior "
+                f"{interior}")
+        return taper, rowfull
+
+    def _sweep(self, op: str, arrays, h, box, slabs, hist, save, blend,
+               post=None):
         arrays = self._fields(arrays)
         npx, npy, npz = arrays[0].shape
         g = NGHOST
@@ -818,7 +983,7 @@ class KernelSet:
         blend = [(int(s), int(slot), int(k0), float(w))
                  for s, slot, k0, w in blend]
         if hist is not None:
-            if (hist.ndim != 4 or hist.dtype.name != self.dtype
+            if (hist.ndim != 4 or hist.dtype != self._dt
                     or not hist.flags.c_contiguous
                     or hist.shape[:2] != (npx - 2 * g, npy - 2 * g)):
                 raise ValueError(
@@ -836,7 +1001,7 @@ class KernelSet:
         if any(not 0 <= s < len(slabs) for s, *_ in blend):
             raise ValueError("blended band names a slab outside the table")
         return self._bind[op](arrays, float(h), box, hist,
-                              *_sweep_tables(slabs, save, blend))
+                              *_sweep_tables(slabs, save, blend), post)
 
     def vel(self, arrays, h: float, box, slabs, hist=None, save=(),
             blend=()):
@@ -856,32 +1021,58 @@ class KernelSet:
         return self._sweep("vel", arrays, h, box, slabs, hist, save, blend)
 
     def stress(self, arrays, h: float, box, slabs, hist=None, save=(),
-               blend=()):
+               blend=(), held=None, ratio=None, sponge=None):
         """``call()``: the fused stress sweep of ``arrays = (vx..syz, lam,
         lam2mu, mu_xy, mu_xz, mu_yz)``; as :meth:`vel` with the roles
-        swapped (saves sxz/syz/szz, blends vx/vy/vz)."""
-        return self._sweep("stress", arrays, h, box, slabs, hist, save, blend)
+        swapped (saves sxz/syz/szz, blends vx/vy/vz).
 
-    def damp(self, fields, taper, rowfull, k0: int, ka: int, kb: int):
-        """``call()``: multiply the nine ``fields`` by the interior-shaped
-        ``taper`` ``(nx, ny, nk)`` whose plane 0 sits at padded ``k0``,
-        visiting only its frame — rows flagged in ``rowfull`` (uint8
-        ``(nx, ny)``) on all ``nk`` planes, other rows on ``[0, ka)`` and
-        ``[kb, nk)``."""
+        The boundary work folded into the row visit, on every row not
+        flagged in ``held`` (uint8 ``(nx, ny)``; None flags none):
+        with ``ratio`` (the ``(npx, npy)`` FS2 ``lam / lam2mu`` of the top
+        interior plane ``kt``), a visit that reaches ``kt`` fills the row's
+        ghost velocities first and images its stresses after the slab
+        updates (:meth:`fs_velocity`, :meth:`fs_stress`); with ``sponge =
+        (taper, (rowfull, ka, kb))`` — a whole-interior taper and its
+        frame — each slab's planes of the row's frame are then damped
+        (:meth:`damp`, stresses only).
+        """
+        arrays = self._fields(arrays)
+        npx, npy, npz = arrays[0].shape
+        interior = (npx - 2 * NGHOST, npy - 2 * NGHOST, npz - 2 * NGHOST)
+        held = self._rows(held, interior[:2])
+        if ratio is not None:
+            (ratio,) = self._fields((ratio[:, :, None],), (npx, npy, 1))
+        taper, rowfull, ka, kb = None, None, 0, 0
+        if sponge is not None:
+            taper, frame = sponge
+            taper, rowfull = self._sponge(taper, frame, interior)
+            if taper.shape[2] != interior[2]:
+                raise ValueError(f"the folded taper must cover all "
+                                 f"{interior[2]} interior planes")
+            ka, kb = frame[1:]
+        return self._sweep("stress", arrays, h, box, slabs, hist, save, blend,
+                           post=(ratio, taper, rowfull, held, ka, kb))
+
+    def damp(self, fields, taper, rowfull, k0: int, ka: int, kb: int,
+             held=None):
+        """``call()``: multiply the ``fields`` (the nine, in
+        ``ALL_FIELDS`` order) by the interior-shaped ``taper`` ``(nx, ny,
+        nk)`` whose plane 0 sits at padded ``k0``, visiting only its frame
+        — rows flagged in ``rowfull`` (uint8 ``(nx, ny)``) on all ``nk``
+        planes, other rows on ``[0, ka)`` and ``[kb, nk)``.  Velocities are
+        damped on every row, stresses on the rows flagged in ``held`` (None:
+        every row); the compiled stress sweep damps the others."""
         fields = self._fields(fields)
         npx, npy, npz = fields[0].shape
-        nx, ny, nk = npx - 2 * NGHOST, npy - 2 * NGHOST, taper.shape[2]
-        (taper,) = self._fields((taper,), (nx, ny, nk))
-        if (len(fields) != len(ALL_FIELDS) or rowfull.dtype != np.uint8
-                or rowfull.shape != (nx, ny)
-                or not rowfull.flags.c_contiguous
-                or not (NGHOST <= k0 and k0 + nk <= npz - NGHOST)
-                or not 0 <= ka <= kb <= nk):
+        interior = (npx - 2 * NGHOST, npy - 2 * NGHOST, npz - 2 * NGHOST)
+        if len(fields) != len(ALL_FIELDS) or not (
+                NGHOST <= k0 and k0 + taper.shape[-1] <= npz - NGHOST):
             raise ValueError(
-                f"damp frame (rows {rowfull.dtype} {rowfull.shape}, planes "
-                f"[0, {ka}) + [{kb}, {nk}) at k0={k0}) does not fit "
-                f"{len(fields)} fields of shape {fields[0].shape}")
-        return self._bind["damp"](fields, taper, rowfull, k0, ka, kb)
+                f"damp slab of {taper.shape[-1]} planes at k0={k0} does not "
+                f"fit {len(fields)} fields of shape {fields[0].shape}")
+        taper, rowfull = self._sponge(taper, (rowfull, ka, kb), interior)
+        return self._bind["damp"](fields, taper, rowfull,
+                                  self._rows(held, interior[:2]), k0, ka, kb)
 
     def _plane(self, fields, kt: int, below: int, above: int) -> tuple:
         """:meth:`_fields`, refused unless plane ``kt`` has ``below``
@@ -892,21 +1083,26 @@ class KernelSet:
                              f"below and {above} above it")
         return fields
 
-    def fs_velocity(self, vx, vy, vz, lam, lam2mu, kt: int):
+    def fs_velocity(self, vx, vy, vz, ratio, kt: int, held=None):
         """``call()``: FS2 ghost velocities above the top interior plane
-        ``kt`` (:meth:`FreeSurfaceFS2.apply_velocity`).  The plane's
-        ``lam / lam2mu`` ratio is formed here, once, so the call divides
-        nothing."""
-        vx, vy, vz, lam, lam2mu = self._plane((vx, vy, vz, lam, lam2mu),
-                                              kt, 1, 1)
-        ratio = np.ascontiguousarray(lam[:, :, kt] / lam2mu[:, :, kt])
-        return self._bind["fs_velocity"]((vx, vy, vz, ratio), kt)
+        ``kt`` (:meth:`FreeSurfaceFS2.apply_velocity`) on the ghost rim and
+        the interior rows flagged in ``held`` (None: every row).  ``ratio``
+        is the plane's ``(npx, npy)`` ``lam / lam2mu``, divided once by
+        its owner, so the call divides nothing."""
+        fields = self._plane((vx, vy, vz), kt, 1, 1)
+        npx, npy, _ = fields[0].shape
+        (ratio,) = self._fields((ratio[:, :, None],), (npx, npy, 1))
+        held = self._rows(held, (npx - 2 * NGHOST, npy - 2 * NGHOST))
+        return self._bind["fs_velocity"]((*fields, ratio), held, kt)
 
-    def fs_stress(self, sxz, syz, szz, kt: int):
+    def fs_stress(self, sxz, syz, szz, kt: int, held=None):
         """``call()``: FS2 stress imaging about plane ``kt``
-        (:meth:`FreeSurfaceFS2.apply_stress`)."""
-        return self._bind["fs_stress"](
-            self._plane((sxz, syz, szz), kt, 2, 2), kt)
+        (:meth:`FreeSurfaceFS2.apply_stress`) on the ghost rim and the
+        interior rows flagged in ``held`` (None: every row)."""
+        fields = self._plane((sxz, syz, szz), kt, 2, 2)
+        npx, npy, _ = fields[0].shape
+        held = self._rows(held, (npx - 2 * NGHOST, npy - 2 * NGHOST))
+        return self._bind["fs_stress"](fields, held, kt)
 
 
 _KERNEL_CACHE: dict[tuple[str, bool], KernelSet] = {}
@@ -992,6 +1188,8 @@ class FusedStepper:
                         medium.mu_xy, medium.mu_xz, medium.mu_yz))}
         #: (half, x0, x1, y0, y1, z0, z1) -> bound one-slab sweep
         self._boxes: dict[tuple, object] = {}
+        #: the stress half's folded boundary work (see :meth:`fold`)
+        self._held = self._ratio = self._sponge = None
         for half in self._halves:   # refuse unusable arrays now, not mid-run
             self._box(half, None)
         from ..obs.metrics import default_registry
@@ -1016,13 +1214,36 @@ class FusedStepper:
             out += [s.start, s.stop]
         return tuple(out)
 
-    def bind(self, half: str, box, slabs, hist=None, save=(), blend=()):
+    def fold(self, held, free_surface=None, sponge=None) -> None:
+        """Fold the stress-side boundary work into every stress sweep bound
+        from now on (:meth:`KernelSet.stress`): the FS2 ghost fill and
+        imaging of ``free_surface`` and the stress damping of ``sponge``,
+        on the interior rows not flagged in ``held`` (uint8 ``(nx, ny)``,
+        read at every call).  The flagged rows, and the velocity damping,
+        stay with the operators themselves."""
+        self._held, self._sponge = held, sponge
+        self._ratio = None if free_surface is None else free_surface._ratio
+        self._boxes.clear()
+        self._box("stress", None)
+
+    def bind(self, half: str, box, slabs, hist=None, save=(), blend=(),
+             taper=None):
         """The zero-argument ``half`` ('velocity' | 'stress') sweep of this
         wavefield for one plan — see :meth:`KernelSet.vel`.  Global dt and
         a region box are its one-slab, no-band case; an LTS substep is one
-        plan over every active rate group."""
+        plan over every active rate group.  A folded stress sweep damps
+        with ``taper`` (whole-interior, from the sponge's
+        :meth:`~repro.core.boundary.SpongeLayer.slab_taper`) in place of
+        the sponge's own taper."""
         binder, arrays = self._halves[half]
-        return binder(arrays, self.h, box, slabs, hist, save, blend)
+        if half == "velocity":
+            return binder(arrays, self.h, box, slabs, hist, save, blend)
+        damp = None
+        if self._sponge is not None:
+            frame = self._sponge.frame(taper)
+            damp = (self._sponge.taper if taper is None else taper, frame)
+        return binder(arrays, self.h, box, slabs, hist, save, blend,
+                      held=self._held, ratio=self._ratio, sponge=damp)
 
     def _box(self, half: str, region):
         key = (half, *self._bounds(region))

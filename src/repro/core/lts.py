@@ -351,10 +351,10 @@ class LTSScheduler(StepSchedule):
                       first=(i == 0), last=(i == len(groups_spec) - 1))
             for i, (lo, hi, r) in enumerate(groups_spec)]
         self.max_rate = max(g.rate for g in self.groups)
-        self._build_bands(solver)
-        self._build_updaters(solver)
         #: active group indices -> [(k_lo, k_hi, taper)] per contiguous run
         self._tapers: dict[tuple[int, ...], list] = {}
+        self._build_bands(solver)
+        self._build_updaters(solver)
         self._src_group: dict[int, RateGroup] = {}
         #: plane -> group lookup for source assignment
         self._plane_group = np.empty(grid.nz, dtype=np.int64)
@@ -390,7 +390,11 @@ class LTSScheduler(StepSchedule):
         #: per-band python); None on the numpy variants
         self.plans = None
         if solver.fused is not None:
-            self.plans = {(half, phase): self._bind_plan(half, phase)
+            # the folded stress damping takes each plane at its group's
+            # cadence: the one run of damp() when every group is active
+            taper = None if solver.sponge is None else \
+                self._run_tapers(self.groups)[0][2]
+            self.plans = {(half, phase): self._bind_plan(half, phase, taper)
                           for half in _BANDS for phase in range(self.max_rate)}
             return
         # the pooled variant runs the region driver
@@ -414,9 +418,10 @@ class LTSScheduler(StepSchedule):
                 # the neighbour's velocity lives at j ± r_o/2.
                 yield band, (i - j + 0.5 * (g.rate + o.rate)) / o.rate
 
-    def _bind_plan(self, half: str, phase: int):
+    def _bind_plan(self, half: str, phase: int, taper):
         """The compiled sweep of substeps ``i % max_rate == phase``: every
-        active group's slab, the bands they own (saved) and read (blended)."""
+        active group's slab, the bands they own (saved) and read (blended);
+        a folded stress sweep damps with ``taper``."""
         s = self.solver
         act = self.active(phase)
         own, read = _BANDS[half]
@@ -429,7 +434,8 @@ class LTSScheduler(StepSchedule):
                   for g in act for band in g.owned_bands],
             blend=[(n, band.slots[read], band.sl[2].start, w)
                    for n, g in enumerate(act)
-                   for band, w in self._corrections(half, phase, g)])
+                   for band, w in self._corrections(half, phase, g)],
+            taper=taper)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -524,6 +530,12 @@ class LTSScheduler(StepSchedule):
         every fine substep (the multiplier commutes with holding), so a
         run's taper carries each group's own power on that group's planes.
         """
+        for k_lo, k_hi, taper in self._run_tapers(act):
+            self.solver.sponge.apply_slab(self.solver.wf, k_lo, k_hi, taper)
+
+    def _run_tapers(self, act) -> list:
+        """``[(k_lo, k_hi, taper)]`` per contiguous run of the groups
+        ``act``, built once per active set."""
         sponge = self.solver.sponge
         key = tuple(g.index for g in act)
         tapers = self._tapers.get(key)
@@ -540,8 +552,7 @@ class LTSScheduler(StepSchedule):
                     power=np.repeat([g.rate for g in run],
                                     [g.nplanes for g in run])))
                 for run in runs]
-        for k_lo, k_hi, taper in tapers:
-            sponge.apply_slab(self.solver.wf, k_lo, k_hi, taper)
+        return tapers
 
     # ------------------------------------------------------------------
     # Checkpointing

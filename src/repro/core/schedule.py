@@ -19,12 +19,15 @@ feature compositions are refused or degraded.
 
 Operators are looked up on the live solver at call time (``solver.fused``,
 ``solver.kernel``, ``solver.sponge`` ...), never cached, so instrumentation
-that shadows a bound method on those objects sees every call.
+that shadows a bound method on those objects sees every call.  A compiled
+stress sweep does block B's free-surface and stress-damping work for the
+rows it visits (:mod:`repro.core.compiled`); the calls below stay where
+they are and cover the rest (:meth:`StepSchedule.hold`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 
@@ -134,8 +137,7 @@ class StepSchedule:
 
     def __init__(self, solver):
         self.solver = solver
-        self.plan = resolve(replace(solver.config,
-                                    kernel_variant=solver.kernel_variant))
+        self.plan = solver.plan
         # global dt is the one-group case: every plane, every step
         self.groups = [SimpleNamespace(rate=1, forcing_region=None)]
         #: half -> (core operator or None, [operators finishing the half])
@@ -143,6 +145,8 @@ class StepSchedule:
                      "stress": (None, [self._stress])}
         #: halves whose core already ran ahead of their block
         self._ahead: set[str] = set()
+        #: the forcings and moment sources ``solver.held_rows`` was set for
+        self._held_key = None
 
     # ------------------------------------------------------------------
     # Per-group implementation (what LTSScheduler overrides)
@@ -175,6 +179,34 @@ class StepSchedule:
     def span_attrs(self) -> dict:
         """Attributes a driver puts on its run span."""
         return {}
+
+    def hold(self) -> None:
+        """Keep ``solver.held_rows`` current before a compiled stress half.
+
+        A row the stress sweep visits gets its FS2 imaging and stress
+        damping inside the visit, right after its update; a moment source
+        injects after the whole half and a forcing after the imaging, so
+        the rows they write (every row, for a forcing) are held out of the
+        fold and done by the operators in their own slots.  Recomputed only
+        when the sources or forcings change.
+        """
+        s = self.solver
+        if s.held_rows is None or self.plan.stress != "compiled":
+            return
+        key = (len(s.forcings), *map(id, s.moment_sources))
+        if key == self._held_key:
+            return
+        held = s.held_rows
+        held[...] = bool(s.forcings)
+        cells = []
+        for src in () if s.forcings else s.moment_sources:
+            if not src._cells:
+                src.bind(s.grid)
+            cells += [idx for idx, _ in src._plan.values()]
+        if cells:
+            ij = np.concatenate(cells)[:, :2] - NGHOST
+            held[ij[:, 0], ij[:, 1]] = 1
+        self._held_key = key
 
     def close(self) -> None:
         """Cut the reference cycles between a finished solver and its
@@ -231,8 +263,10 @@ class StepSchedule:
         sexcl = [list(e) for e in excl]
         if s.free_surface is not None:
             # the top two stress planes read the free-surface velocity
-            # ghosts, written only after the velocity halo completes
-            sexcl[2][1] = NGHOST
+            # ghosts, written only after the velocity halo completes; the
+            # third is read by the imaging, which a compiled core would
+            # otherwise find already damped
+            sexcl[2][1] = NGHOST + 1
         cuts = {"velocity": _split_core_shells(s.grid, excl),
                 "stress": _split_core_shells(s.grid, sexcl)}
         if None in cuts.values():
@@ -256,6 +290,8 @@ class StepSchedule:
         step's velocity core reads no stress ghosts, so each may run while
         the other family's halo is in flight.
         """
+        if half == "stress":
+            self.hold()
         self._ops[half][0]()
         self._ahead.add(half)
 
@@ -278,10 +314,17 @@ class StepSchedule:
 
     def block_b(self) -> None:
         """Free-surface ghosts, stress update, moment sources, imaging,
-        stress forcings, sponge."""
+        stress forcings, sponge.
+
+        A compiled stress update fills, images and damps the stresses of
+        every row not held (:meth:`hold`) inside its row visit — the same
+        per-row order as the sequence here — so the free-surface and sponge
+        calls then cover the ghost rim, the held rows and the velocities.
+        """
         s = self.solver
         wf, t = s.wf, self.now()
         act = self.active(s.nstep)
+        self.hold()
         # the free surface follows the top group's cadence
         fs = s.free_surface if self.groups[-1] in act else None
         if fs is not None:

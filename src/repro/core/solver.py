@@ -15,7 +15,7 @@ tested to reproduce this solver bitwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,12 +31,20 @@ from .pml import PML, PMLConfig
 from .schedule import SimulationDiverged, StepSchedule, resolve
 from .stability import cfl_dt
 
-__all__ = ["KERNEL_VARIANTS", "SolverConfig", "Receiver", "SurfaceRecorder",
-           "WaveSolver"]
+__all__ = ["KERNEL_VARIANTS", "STATE_SCHEMA", "SolverConfig", "Receiver",
+           "StateSchemaError", "SurfaceRecorder", "WaveSolver"]
 
 #: The stencil backends: the numpy reference and the fused compiled sweeps
 #: (bitwise equal to it).
 KERNEL_VARIANTS = ("pooled", "compiled")
+
+#: The layout of the dict :meth:`WaveSolver.state` writes, stamped into it.
+STATE_SCHEMA = "repro-state/1"
+
+
+class StateSchemaError(ValueError):
+    """A state dict :meth:`WaveSolver.load_state` cannot read: unstamped,
+    or stamped with another schema than :data:`STATE_SCHEMA`."""
 
 
 @dataclass
@@ -196,10 +204,23 @@ class WaveSolver:
                     "falling back to kernel_variant='pooled'",
                     RuntimeWarning, stacklevel=2)
                 self.kernel_variant = "pooled"
+        #: the operator per half-step for the effective variant
+        #: (core/schedule.py's composition table)
+        self.plan = resolve(replace(cfg, kernel_variant=self.kernel_variant))
         #: the compiled operators the sponge and free surface run next to
         #: the fused sweeps (None: their numpy bodies)
         kernels = self.fused.kernels if self.fused is not None else None
-        self.free_surface = (FreeSurfaceFS2(medium, kernels=kernels)
+        #: compiled only: the interior rows (uint8 (nx, ny)) whose
+        #: stress-side boundary work runs in the schedule's own slots
+        #: instead of the stress sweep's row visit — rows a moment source
+        #: injects into, or every row when forcings apply or the stress half
+        #: is pooled; the schedule keeps it current (StepSchedule.hold)
+        self.held_rows = None
+        if kernels is not None:
+            self.held_rows = np.full((grid.nx, grid.ny),
+                                     self.plan.stress != "compiled", np.uint8)
+        self.free_surface = (FreeSurfaceFS2(medium, kernels=kernels,
+                                            held=self.held_rows)
                              if cfg.free_surface else None)
         self.pml: PML | None = None
         self.sponge: SpongeLayer | None = None
@@ -213,7 +234,8 @@ class WaveSolver:
                                       damp_top=False,
                                       global_shape=global_shape,
                                       index_origin=index_origin,
-                                      dtype=cfg.dtype, kernels=kernels)
+                                      dtype=cfg.dtype, kernels=kernels,
+                                      held=self.held_rows)
         elif cfg.absorbing != "none":
             raise ValueError(f"unknown absorbing boundary: {cfg.absorbing!r}")
         self.attenuation: CoarseGrainedAttenuation | None = None
@@ -225,6 +247,8 @@ class WaveSolver:
             # dt is fixed for the solver's lifetime, so the hook (and its
             # trapezoidal coefficients) can be built once instead of per step.
             self._rate_hook = self.attenuation.rate_hook(self.dt)
+        if self.fused is not None:
+            self.fused.fold(self.held_rows, self.free_surface, self.sponge)
         #: repro.core.lts.LTSScheduler when local time stepping is active
         self.lts = LTSScheduler(self) if cfg.lts != "off" else None
         #: the step this solver executes (the LTS scheduler *is* one)
@@ -310,9 +334,10 @@ class WaveSolver:
 
         Fields are saved with their ghost rims: the free-surface images live
         in the top ghost planes and must survive a restart for the resumed
-        run to be bitwise identical.
+        run to be bitwise identical.  The dict is stamped with
+        :data:`STATE_SCHEMA`.
         """
-        st = {"t": self.t, "nstep": self.nstep,
+        st = {"schema": STATE_SCHEMA, "t": self.t, "nstep": self.nstep,
               "fields": {name: arr.copy()
                          for name, arr in self.wf.fields().items()}}
         if self.attenuation is not None:
@@ -326,6 +351,13 @@ class WaveSolver:
         return st
 
     def load_state(self, st: dict) -> None:
+        """Restore a :meth:`state` dict; :class:`StateSchemaError` unless it
+        carries this solver's :data:`STATE_SCHEMA` stamp."""
+        schema = st.get("schema")
+        if schema != STATE_SCHEMA:
+            raise StateSchemaError(
+                f"state schema {schema!r} cannot be loaded: this solver "
+                f"reads {STATE_SCHEMA!r}")
         self.t = st["t"]
         self.nstep = st["nstep"]
         for name, arr in st["fields"].items():

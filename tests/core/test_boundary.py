@@ -31,6 +31,21 @@ def _noise_wf(grid, dtype, seed=0, specials=False):
     return wf
 
 
+def _held_mask(grid, seed):
+    """A random row set over the interior (uint8 (nx, ny))."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(grid.shape[:2]) < 0.3).astype(np.uint8)
+
+
+def _covered(held):
+    """Padded (npx, npy) rows a row-set operator covers: the ghost rim and
+    the flagged interior rows."""
+    g = NGHOST
+    rows = np.ones((held.shape[0] + 2 * g, held.shape[1] + 2 * g), bool)
+    rows[g:-g, g:-g] = held.astype(bool)
+    return rows
+
+
 def _assert_bitwise(wf_a, wf_b):
     """Same bits in every cell (NaN payloads and zero signs included)."""
     for name in ALL_FIELDS:
@@ -197,6 +212,28 @@ class TestCompiledSponge:
                 fast.apply_slab(b, k_lo, k_hi, t_fast)
         _assert_bitwise(a, b)
 
+    def test_held_rows_damp_stresses_there_only(self, kernels):
+        """With a held-row mask the velocities are damped everywhere and
+        the stresses on the held rows only (the compiled stress sweep
+        damps the rest)."""
+        g = Grid3D(13, 11, 9, h=1.0)
+        held = _held_mask(g, 4)
+        ref = SpongeLayer(g, 3, dtype=kernels.dtype)
+        fast = SpongeLayer(g, 3, dtype=kernels.dtype, kernels=kernels,
+                           held=held)
+        a = _noise_wf(g, kernels.dtype, seed=9, specials=True)
+        b, before = a.copy(), a.copy()
+        ref.apply(a)
+        fast.apply(b)
+        rows = _covered(held)
+        bits = np.uint64 if kernels.dtype == "float64" else np.uint32
+        for name in ALL_FIELDS:
+            want = getattr(a, name).copy()
+            if name.startswith("s"):
+                want[~rows] = getattr(before, name)[~rows]
+            assert np.array_equal(getattr(b, name).view(bits),
+                                  want.view(bits)), name
+
     def test_foreign_taper_takes_the_numpy_multiply(self, kernels):
         g = Grid3D(8, 8, 8, h=1.0)
         ref, fast = self._pair(g, kernels, 2)
@@ -249,6 +286,28 @@ class TestCompiledFreeSurface:
                 ref.apply_stress(a)
                 fast.apply_stress(b)
             _assert_bitwise(a, b)
+
+    def test_held_rows_and_the_ghost_rim_only(self, kernels):
+        """With a held-row mask the fill and the imaging cover the ghost
+        rim and the held rows — each equal to the numpy planes there — and
+        leave every other row (the stress sweep's) untouched."""
+        g = Grid3D(11, 9, 8, h=25.0)
+        med = Medium.homogeneous(g, dtype=kernels.dtype)
+        held = _held_mask(g, 5)
+        ref = FreeSurfaceFS2(med)
+        fast = FreeSurfaceFS2(med, kernels=kernels, held=held)
+        a = _noise_wf(g, kernels.dtype, seed=10)
+        b, before = a.copy(), a.copy()
+        ref.apply_velocity(a)
+        fast.apply_velocity(b)
+        ref.apply_stress(a)
+        fast.apply_stress(b)
+        rows = _covered(held)
+        for name in ALL_FIELDS:
+            want = getattr(a, name).copy()
+            want[~rows] = getattr(before, name)[~rows]
+            np.testing.assert_array_equal(getattr(b, name), want,
+                                          err_msg=name)
 
     def test_refuses_mismatched_wavefield(self, kernels):
         g = Grid3D(8, 8, 8, h=1.0)

@@ -278,8 +278,9 @@ class TestKernelSetValidation:
         npz = g.padded_shape[2]
         with pytest.raises(ValueError, match="surface plane"):
             kernels.fs_stress(wf.sxz, wf.syz, wf.szz, npz - 2)
+        ratio = np.ascontiguousarray(med.lam[:, :, 0] / med.lam2mu[:, :, 0])
         with pytest.raises(ValueError, match="surface plane"):
-            kernels.fs_velocity(wf.vx, wf.vy, wf.vz, med.lam, med.lam2mu, 0)
+            kernels.fs_velocity(wf.vx, wf.vy, wf.vz, ratio, 0)
 
     @pytest.mark.parametrize("slabs", [
         [(2, 6, 1e-3), (5, 9, 1e-3)],       # overlapping
@@ -420,13 +421,24 @@ class TestFoldedCoefficients:
 
 
 def test_per_cell_code_divides_nothing():
-    """The per-cell C — both sweep bodies and the damp / free-surface
-    operators — multiplies only: every ``1/h`` and ``lam/lam2mu`` is
-    formed ahead of the loops (comments stripped before looking)."""
-    ops = compiled._C_OPS_TEMPLATE.format(real="double", suf="f64",
-                                          g=NGHOST)
+    """The per-cell C — both sweep bodies, the row visits with the stress
+    half's folded fill / imaging / damping, the row bodies they share with
+    the damp / free-surface operators, and those operators — multiplies
+    only: every ``1/h`` and ``lam/lam2mu`` is formed ahead of the loops
+    (comments stripped before looking)."""
+    fmt = dict(real="double", suf="f64", g=NGHOST)
+    ops = compiled._C_OPS_TEMPLATE.format(**fmt)
+    rows = compiled._C_ROWS_TEMPLATE.format(**fmt) + "".join(
+        compiled._c_damp(family, fields, "double", "f64")
+        for family, fields in (("velocity", compiled.VELOCITY_FIELDS),
+                               ("stress", compiled.STRESS_FIELDS)))
+    sweeps = compiled._c_sweeps("double", "f64")
+    # the row loops of both sweeps: each entry point after its prologue
+    visits = [fn.split("#pragma omp parallel for")[1]
+              for fn in sweeps.split("void fused_")[1:]]
+    assert len(visits) == 2 and "fs_image_row_f64" in visits[1]
     for code in (compiled._c_velocity_body(), compiled._c_stress_body(),
-                 ops):
+                 ops, rows, *visits):
         assert "/" not in re.sub(r"/\*.*?\*/", "", code, flags=re.S)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import (Grid3D, Medium, MomentTensorSource, Receiver,
-                        SolverConfig, SurfaceRecorder, WaveSolver)
-from repro.core.solver import SimulationDiverged
+                        SolverConfig, StateSchemaError, SurfaceRecorder,
+                        WaveSolver, compiled)
+from repro.core.solver import STATE_SCHEMA, SimulationDiverged
+from repro.io.checkpoint import CheckpointManager
 from repro.core.source import gaussian_pulse
 
 
@@ -103,6 +105,48 @@ class TestCheckpointRestart:
                                   resumed.wf.interior(name)), name
         assert resumed.t == pytest.approx(ref.t)
         assert resumed.nstep == ref.nstep
+
+    @staticmethod
+    def _sponge_solver():
+        g = Grid3D(16, 14, 12, h=100.0)
+        med = Medium.homogeneous(g, vp=3000.0, vs=1700.0, rho=2400.0)
+        variant = "compiled" if compiled.compiled_available() else "pooled"
+        s = WaveSolver(g, med, SolverConfig(absorbing="sponge",
+                                            sponge_width=3,
+                                            free_surface=True,
+                                            kernel_variant=variant))
+        s.add_source(_explosion(f0=3.0)((800.0, 700.0, 1050.0)))
+        return s
+
+    def test_stamped_state_survives_save_load_run_bitwise(self, tmp_path):
+        ref = self._sponge_solver()
+        ref.run(16)
+        chk = self._sponge_solver()
+        chk.run(8)
+        state = chk.state()
+        assert state["schema"] == STATE_SCHEMA == "repro-state/1"
+        CheckpointManager(tmp_path).write_epoch(0, {0: state})
+        resumed = self._sponge_solver()
+        resumed.load_state(CheckpointManager(tmp_path).read_epoch(0, [0])[0])
+        resumed.run(8)
+        for name, arr in ref.wf.fields().items():   # ghost planes included
+            assert np.array_equal(getattr(resumed.wf, name), arr), name
+
+    @pytest.mark.parametrize("stamp", [None, "repro-state/0", "other/1"])
+    def test_unstamped_or_foreign_state_is_refused(self, stamp):
+        s = self._sponge_solver()
+        state = s.state()
+        if stamp is None:
+            del state["schema"]
+        else:
+            state["schema"] = stamp
+        fresh = self._sponge_solver()
+        with pytest.raises(StateSchemaError) as err:
+            fresh.load_state(state)
+        assert repr(stamp) in str(err.value)
+        assert repr(STATE_SCHEMA) in str(err.value)
+        assert isinstance(err.value, ValueError)
+        assert fresh.nstep == 0     # nothing was loaded
 
 
 class TestRobustness:

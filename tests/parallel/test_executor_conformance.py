@@ -4,13 +4,23 @@ The operators a step goes through are tapped on the live objects — never
 the drivers — and each executor's first step must read the canonical
 sequence: the same list up to halo markers (not recorded) and core/shell
 splitting (core calls dropped, repeats collapsed).  The fields after the
-full run must equal the serial (or serial-LTS) run at atol=0.
+full run must equal the serial (or serial-LTS) pooled run at atol=0.
+
+The compiled executors tap the fused sweeps (``solver.fused.step_*``, the
+region steppers, ``solver.lts.plans``): their stress sweep images the free
+surface and damps the stresses inside its row visit, so the canonical
+block-B order is pinned where those operators are folded too — the free
+surface and sponge calls still come after the sweep and the moment
+sources, covering what the sweep leaves to them.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import Receiver, WaveSolver
+from repro.core import Receiver, WaveSolver, compiled
+from repro.core.compiled import FusedRegionStepper
 from repro.core.kernels import RegionUpdater
 from repro.core.source import BodyForceSource
 from repro.parallel import procpool
@@ -22,17 +32,22 @@ from repro.verify.matrix import FIELDS, MatrixProblem
 CANONICAL = ["velocity", "force", "fs_velocity", "stress", "moment",
              "fs_stress", "sponge", "record"]
 
-#: name -> (DistributedWaveSolver kwargs or None for serial, lts, replay)
+#: name -> (DistributedWaveSolver kwargs or None for serial, lts, replay,
+#: kernel variant)
 EXECUTORS = {
-    "serial": (None, "off", False),
-    "sim": ({"backend": "sim"}, "off", False),
+    "serial": (None, "off", False, "pooled"),
+    "sim": ({"backend": "sim"}, "off", False, "pooled"),
     "procpool-blocking": ({"backend": "procpool", "overlap": False},
-                          "off", False),
+                          "off", False, "pooled"),
     "procpool-overlap": ({"backend": "procpool", "overlap": True},
-                         "off", False),
-    "serial-lts": (None, "on", False),
-    "sim-lts": ({"backend": "sim"}, "on", False),
-    "replay": ({"backend": "sim"}, "off", True),
+                         "off", False, "pooled"),
+    "serial-lts": (None, "on", False, "pooled"),
+    "sim-lts": ({"backend": "sim"}, "on", False, "pooled"),
+    "replay": ({"backend": "sim"}, "off", True, "pooled"),
+    "compiled-serial": (None, "off", False, "compiled"),
+    "compiled-procpool-overlap": ({"backend": "procpool", "overlap": True},
+                                  "off", False, "compiled"),
+    "compiled-serial-lts": (None, "on", False, "compiled"),
 }
 
 PROBLEM = MatrixProblem()
@@ -69,6 +84,22 @@ def _tap(solver, path):
 
     shadow(solver.kernel, "update_velocity", "velocity")
     shadow(solver.kernel, "update_stress", "stress")
+    if solver.fused is not None:
+        for half in ("velocity", "stress"):
+            step = getattr(solver.fused, "step_" + half)
+
+            def whole(region=None, half=half, step=step):
+                if region is None:  # region calls: FusedRegionStepper
+                    log(half)
+                return step(region)
+            setattr(solver.fused, "step_" + half, whole)
+    if solver.lts is not None and solver.lts.plans is not None:
+        plans = solver.lts.plans
+        for (half, phase), sweep in list(plans.items()):
+            def plan(half=half, sweep=sweep):
+                log(half)
+                return sweep()
+            plans[half, phase] = plan
     shadow(solver.free_surface, "apply_velocity", "fs_velocity")
     shadow(solver.free_surface, "apply_stress", "fs_stress")
     shadow(solver.sponge, "apply", "sponge")
@@ -84,17 +115,20 @@ def _tap(solver, path):
 
 def _tap_regions(taps, monkeypatch):
     """Region operators (overlap shells/cores, LTS slabs) are created after
-    the solver: tap them on the class, routed by the kernel they bind."""
-    for half in ("velocity", "stress"):
-        orig = getattr(RegionUpdater, "step_" + half)
+    the solver: tap them on the class, routed by the kernel (or fused
+    stepper) they bind."""
+    for cls, owner in ((RegionUpdater, "kernel"),
+                       (FusedRegionStepper, "stepper")):
+        for half in ("velocity", "stress"):
+            orig = getattr(cls, "step_" + half)
 
-        def tapped(self, half=half, orig=orig):
-            solver, log = taps[id(self.kernel)]
-            core = solver.schedule._ops[half][0]
-            is_core = core is not None and core.__self__ is self
-            log(half + (".core" if is_core else ""))
-            return orig(self)
-        monkeypatch.setattr(RegionUpdater, "step_" + half, tapped)
+            def tapped(self, half=half, orig=orig, owner=owner):
+                solver, log = taps[id(getattr(self, owner))]
+                core = solver.schedule._ops[half][0]
+                is_core = core is not None and core.__self__ is self
+                log(half + (".core" if is_core else ""))
+                return orig(self)
+            monkeypatch.setattr(cls, "step_" + half, tapped)
 
 
 def _canonical(log):
@@ -111,6 +145,7 @@ def _expected(solver):
 
 
 def _reference(lts):
+    # the pooled serial run: every executor, compiled included, equals it
     g = PROBLEM.grid()
     ser = WaveSolver(g, PROBLEM.medium(g), PROBLEM.config("float64", lts=lts))
     _populate(ser)
@@ -126,12 +161,14 @@ def references():
 @pytest.mark.parametrize("name", list(EXECUTORS))
 def test_executor_runs_the_canonical_sequence(name, references, tmp_path,
                                               monkeypatch):
-    dist_kw, lts, replay = EXECUTORS[name]
+    dist_kw, lts, replay, variant = EXECUTORS[name]
     if dist_kw and dist_kw["backend"] == "procpool" \
             and not procpool.procpool_available():
         pytest.skip("fork/shared_memory unavailable")
+    if variant == "compiled" and not compiled.compiled_available():
+        pytest.skip("no compiled provider (no C compiler)")
     g = PROBLEM.grid()
-    cfg = PROBLEM.config("float64", lts=lts)
+    cfg = replace(PROBLEM.config("float64", lts=lts), kernel_variant=variant)
     if dist_kw is None:
         top = WaveSolver(g, PROBLEM.medium(g), cfg)
         ranks = [top]
@@ -142,8 +179,12 @@ def test_executor_runs_the_canonical_sequence(name, references, tmp_path,
         ranks = top.solvers
     _populate(top)
     paths = [tmp_path / f"rank{r}.log" for r in range(len(ranks))]
-    taps = {id(sol.kernel): (sol, _tap(sol, path))
-            for sol, path in zip(ranks, paths)}
+    taps = {}
+    for sol, path in zip(ranks, paths):
+        assert sol.kernel_variant == variant
+        taps[id(sol.kernel)] = (sol, _tap(sol, path))
+        if sol.fused is not None:
+            taps[id(sol.fused)] = taps[id(sol.kernel)]
     _tap_regions(taps, monkeypatch)
 
     if replay:
@@ -160,7 +201,7 @@ def test_executor_runs_the_canonical_sequence(name, references, tmp_path,
     for sol, log in zip(ranks, logs):
         assert _canonical(log) == _expected(sol), name
     assert any(".core" in " ".join(log) for log in logs) \
-        == (name == "procpool-overlap")
+        == name.endswith("procpool-overlap")
 
     top.run(PROBLEM.nsteps - 1)
     ref = references[lts]
