@@ -6,23 +6,22 @@ array passes.  The paper's single-CPU story (Section IV.B) is built on *fused*
 sweeps — every term of the update evaluated per cell in one pass so operands
 stay in registers/cache.  This module provides that backend behind the
 existing kernel-variant switch, as a tiny C extension (the ``cbuild``
-provider) generated from the *same* operator tables the numpy kernels use
-(:data:`~repro.core.kernels._VEL_TERMS` et al.), compiled with the system C
+provider) whose sweep bodies are rendered from the statement list the numpy
+kernels execute (:mod:`repro.core.update`), compiled with the system C
 compiler for the host's ISA (``-O3 -march=native -ffp-contract=off``, without
 ``-march=native`` where the compiler rejects it, ``-fopenmp`` for the
 threaded build) into a shared library under a JIT cache addressed by source,
 compiler version, flags and target ISA, and bound via ``ctypes``.
 
-The generated code is one *scalar expression tree per cell* that replays
-the pooled kernels' exact ufunc sequence (each derivative as
-``((f[+1] - f[0]) * c1) + ((f[+2] - f[-1]) * c2)``, ``t*dt`` increments
-added sequentially), with floating-point contraction disabled, so results
-are **bitwise identical** to the pooled kernels at both precisions — the
-same aVal invariant every other optimization layer holds.  The cells
-multiply only: ``1/h`` is folded into ``c1 = (real)(C1 / h_in)`` and
-``c2``, computed once per sweep in double and rounded once to the field
-dtype, exactly as numpy rounds the python-float coefficients of
-:func:`repro.core.fd.diff_span`.  No flag lets the compiler change a
+The generated row body is the update list with one C assignment per
+statement — the very operations, in the very order, the pooled executor
+runs as ufuncs — with floating-point contraction disabled, so results are
+**bitwise identical** to the pooled kernels at both precisions — the same
+aVal invariant every other optimization layer holds.  The cells multiply
+only: ``1/h`` is folded into ``c1 = (real)(C1 / h_in)`` and ``c2``,
+computed once per sweep in double and rounded once to the field dtype,
+exactly as numpy rounds the python-float scalars of
+:func:`repro.core.update.scalars`.  No flag lets the compiler change a
 value, so the vector ISA it targets changes only how many cells one
 instruction updates.
 Velocity updates read only stresses and stress updates read only
@@ -146,8 +145,8 @@ import numpy as np
 
 from .fd import C1, C2, NGHOST
 from .grid import ALL_FIELDS, STRESS_FIELDS, VELOCITY_FIELDS, WaveField
-from .kernels import (_SHEAR_MOD, _SHEAR_TERMS, _VEL_BUOYANCY, _VEL_TERMS,
-                      VelocityStressKernel)
+from . import update
+from .kernels import VelocityStressKernel
 from .medium import Medium
 
 __all__ = [
@@ -162,11 +161,6 @@ __all__ = [
 
 #: The compiled-kernel provider: generated C built by the system compiler.
 PROVIDER = "cbuild"
-
-#: Medium arrays every fused kernel reads.
-_MEDIUM_FIELDS = ("bx", "by", "bz", "lam", "lam2mu",
-                  "mu_xy", "mu_xz", "mu_yz")
-
 
 class CompiledUnavailable(RuntimeError):
     """The compiled-kernel provider cannot run on this host."""
@@ -226,12 +220,11 @@ def compiled_available() -> bool:
 # ----------------------------------------------------------------------
 # C source generation (cbuild provider)
 # ----------------------------------------------------------------------
-# The generators below emit one scalar expression tree per cell derived from
-# the SAME operator tables the numpy kernels iterate (_VEL_TERMS etc.), so
-# the two formulations cannot drift apart.  Parenthesisation fixes the
-# association order to the pooled ufunc sequence; -ffp-contract=off stops
-# the compiler fusing `a*b + c` into an FMA (gcc defaults to contract=fast,
-# which would change low-order bits).
+# The sweep bodies are rendered from the update statement list
+# (repro.core.update), one C assignment per statement, so the two backends
+# cannot drift apart: each statement is one rounded operation, in the list's
+# order.  -ffp-contract=off stops the compiler fusing `a*b + c` into an FMA
+# (gcc defaults to contract=fast, which would change low-order bits).
 
 _STRIDES = ("si", "sj")
 
@@ -253,53 +246,25 @@ def _c_tap(field: str, axis: int, d: int) -> str:
     return f"{name}[{at} {'+' if d > 0 else '-'} {term}]"
 
 
-def _c_deriv(field: str, axis: int, dirn: str) -> str:
-    """The 4th-order staggered derivative as one parenthesised expression.
-
-    Matches the in-place sequence of :func:`repro.core.fd.diff_span`:
-    ``((p_a - p_b) * c1) + ((p_c - p_d) * c2)``, where ``c1``/``c2`` are
-    the sweep's ``(real)(C1 / h_in)``/``(real)(C2 / h_in)`` — 1/h folded
-    into the coefficients in double, rounded once to the field dtype.
-    """
-    taps = (1, 0, 2, -1) if dirn == "f" else (0, -1, 1, -2)
-    a, b, c, d = (_c_tap(field, axis, t) for t in taps)
-    return f"(({a} - {b}) * c1) + (({c} - {d}) * c2)"
+_C_OPS = {"sub": "-", "mul": "*", "add": "+"}
 
 
-def _c_velocity_body() -> str:
-    lines: list[str] = []
-    for comp in ("vx", "vy", "vz"):
-        buoy = _VEL_BUOYANCY[comp]
-        lines.append(f"v = {comp}[q];")
-        for axis, sname, dirn in _VEL_TERMS[comp]:
-            lines.append(f"t = {_c_deriv(sname, axis, dirn)};")
-            lines.append(f"t = t * {buoy}[q];")
-            lines.append("v = v + (t * dt);")
-        lines.append(f"{comp}[q] = v;")
-    return "\n        ".join(lines)
+def _c_operand(r: update.Ref) -> str:
+    if r.kind == "tap":
+        return _c_tap(r.name, r.axis, r.d)
+    return f"{r.name}[q]" if r.kind in ("field", "coef") else r.name
 
 
-def _c_stress_body() -> str:
-    lines = [
-        f"dvx = {_c_deriv('vx', 0, 'b')};",
-        f"dvy = {_c_deriv('vy', 1, 'b')};",
-        f"dvz = {_c_deriv('vz', 2, 'b')};",
-        "l2m = lam2mu[q];",
-        "l = lam[q];",
-        "sxx[q] = sxx[q] + ((((dvx * l2m) + (dvy * l)) + (dvz * l)) * dt);",
-        "syy[q] = syy[q] + ((((dvx * l) + (dvy * l2m)) + (dvz * l)) * dt);",
-        "szz[q] = szz[q] + ((((dvx * l) + (dvy * l)) + (dvz * l2m)) * dt);",
-    ]
-    for comp in ("sxy", "sxz", "syz"):
-        mod = _SHEAR_MOD[comp]
-        (a0, v0, _), (a1, v1, _) = _SHEAR_TERMS[comp]
-        lines += [
-            f"t = {_c_deriv(v0, a0, 'f')};",
-            f"t = t * {mod}[q];",
-            f"u = {_c_deriv(v1, a1, 'f')};",
-            f"u = u * {mod}[q];",
-            f"{comp}[q] = {comp}[q] + ((t + u) * dt);",
-        ]
+def _c_body(blocks) -> str:
+    """The per-cell C of a half: one assignment per statement, in order.
+    The sweeps have no rate hook, so its marker renders as a comment."""
+    lines = []
+    for b in blocks:
+        for st in b.body:
+            lines.append(
+                "/* rate hook */" if st.op == "hook" else
+                f"{_c_operand(st.out)} = {_c_operand(st.a)} "
+                f"{_C_OPS[st.op]} {_c_operand(st.b)};")
     return "\n        ".join(lines)
 
 
@@ -321,9 +286,10 @@ def _c_lines(indent: int, template: str, names) -> str:
                      for n, f in enumerate(names))
 
 
-def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
-             real: str, suf: str, post: bool = False) -> str:
-    """One half-step: the ``own`` fields advanced from the ``read`` fields.
+def _c_sweep(name: str, own, read, real: str, suf: str,
+             post: bool = False) -> str:
+    """One half-step: the ``own`` fields advanced from the ``read`` fields
+    by the ``name`` half of the update list, rendered by :func:`_c_body`.
 
     Each (i, j) row of the box is visited once.  Inside the visit the band
     planes listed in ``save`` are copied into the history, then every slab's
@@ -341,6 +307,10 @@ def _c_sweep(name: str, own, read, coeffs, temps: str, body: str,
     (``taper`` set).  The fill writes only plane ``kt+1`` of the row, which
     only the row's own z taps read.
     """
+    blocks = update.halves()[name]
+    coeffs = update.coefficients(blocks)
+    temps = ", ".join(update.temporaries(blocks))
+    body = _c_body(blocks)
     zread = _BAND_TRIO[read]
     zcols = ["z" + f for f in zread]
     ptrs = lambda names, const=False: _c_ptrs(names, const).format(real=real)
@@ -475,11 +445,8 @@ void fused_{name}_{suf}(
 def _c_sweeps(real: str, suf: str) -> str:
     """Both half-step sweeps at one precision."""
     return "\n".join([
-        _c_sweep("velocity", VELOCITY_FIELDS, STRESS_FIELDS,
-                 ("bx", "by", "bz"), "t, v", _c_velocity_body(), real, suf),
-        _c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS,
-                 ("lam", "lam2mu", "mu_xy", "mu_xz", "mu_yz"),
-                 "t, u, dvx, dvy, dvz, l, l2m", _c_stress_body(), real, suf,
+        _c_sweep("velocity", VELOCITY_FIELDS, STRESS_FIELDS, real, suf),
+        _c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS, real, suf,
                  post=True)])
 
 
@@ -817,9 +784,12 @@ def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
 
 #: ctypes signatures of the generated entry points, in C parameter order:
 #: ``p`` array pointer, ``d`` double, ``l`` long.
+_NCOEF = {h: len(update.coefficients(b)) for h, b in update.halves().items()}
 _C_SIGNATURES = {
-    "fused_velocity": "p" * 15 + "d" + "l" * 12,
-    "fused_stress": "p" * 21 + "d" + "l" * 14,
+    # the fields, the half's coefficients, the stress fold's four pointers,
+    # hist, tab, wts; h_in; the longs
+    "fused_velocity": "p" * (12 + _NCOEF["velocity"]) + "d" + "l" * 12,
+    "fused_stress": "p" * (16 + _NCOEF["stress"]) + "d" + "l" * 14,
     "damp": "p" * (len(ALL_FIELDS) + 3) + "l" * 8,
     "fs_velocity": "p" * 5 + "l" * 4,
     "fs_stress": "p" * 4 + "l" * 4,
@@ -1157,10 +1127,7 @@ class FusedStepper:
         if order != 4:
             raise ValueError("compiled kernels implement the 4th-order "
                              f"stencil only (got order={order})")
-        missing = [n for n in _MEDIUM_FIELDS if not hasattr(medium, n)]
-        if missing:
-            raise ValueError("medium lacks fused-kernel arrays: "
-                             + ", ".join(missing))
+        coeffs = update.medium_arrays(medium)
         if medium.grid.padded_shape != wf.grid.padded_shape:
             raise ValueError("medium and wavefield grids differ")
         self.wf = wf
@@ -1179,13 +1146,13 @@ class FusedStepper:
         self._interior = (NGHOST, NGHOST + g.nx, NGHOST, NGHOST + g.ny,
                           NGHOST, NGHOST + g.nz)
         fields = tuple(wf.fields().values())
+        def arrays(half):   # the fields, then the half's coefficients
+            return (*fields, *(coeffs[c] for c in
+                               update.coefficients(update.halves()[half])))
+
         #: half -> (KernelSet binder, its arrays)
-        self._halves = {
-            "velocity": (self.kernels.vel,
-                         (*fields, medium.bx, medium.by, medium.bz)),
-            "stress": (self.kernels.stress,
-                       (*fields, medium.lam, medium.lam2mu,
-                        medium.mu_xy, medium.mu_xz, medium.mu_yz))}
+        self._halves = {"velocity": (self.kernels.vel, arrays("velocity")),
+                        "stress": (self.kernels.stress, arrays("stress"))}
         #: (half, x0, x1, y0, y1, z0, z1) -> bound one-slab sweep
         self._boxes: dict[tuple, object] = {}
         #: the stress half's folded boundary work (see :meth:`fold`)
@@ -1266,7 +1233,8 @@ class FusedStepper:
 class FusedRegionStepper:
     """A :class:`FusedStepper` pinned to one region box.
 
-    Drop-in for :class:`~repro.core.kernels.RegionUpdater` in the IV.C
+    Drop-in for the pooled box executor
+    (:meth:`~repro.core.kernels.VelocityStressKernel.region`) in the IV.C
     overlap plan: same ``step_velocity()``/``step_stress()`` surface, zero
     per-region scratch (the fused sweeps need none).
     """

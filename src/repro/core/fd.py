@@ -37,14 +37,11 @@ Second-order variants (``c1 = 1, c2 = 0``), ``out[i] = (f[i+1] - f[i]) *
 reduced-accuracy stencils used adjacent to the fault plane by the SGSN
 scheme (Eq. 4b/4c).
 
-The ``diff*`` operators above are the reference formulation.  The production
-kernel evaluates the same stencil with :func:`diff_span`: one unit-stride
-pass over the flat C-order *span* of a padded array, from its first to its
-last interior cell, with the axis shift as a flat offset (``nyp*nzp``,
-``nzp`` or ``1``).  Per interior cell it performs the same operations in the
-same order, so interior values are bit-identical; the span also covers the
-y/z ghost cells between interior rows, where it writes finite values that
-mean nothing (see :func:`diff_span`).
+The ``diff*`` operators are the strided reference formulation.  The
+production kernels evaluate the same stencil from the update statement list
+(:func:`repro.core.update.eq3`) — the numpy executor over the flat C-order
+*span* of a padded array (:func:`interior_span`), the compiled sweeps per
+cell — and are tested bit for bit against these operators.
 """
 
 from __future__ import annotations
@@ -62,10 +59,7 @@ __all__ = [
     "interior",
     "diff_fwd",
     "diff_bwd",
-    "diff_fwd_region",
-    "diff_bwd_region",
     "interior_span",
-    "diff_span",
 ]
 
 #: 4th-order staggered-grid coefficients of Eq. (3).
@@ -213,96 +207,7 @@ def diff_bwd(f: np.ndarray, axis: int, h: float, order: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# Region-restricted variants (compute/comm overlap, paper Section IV.C)
-# ---------------------------------------------------------------------------
-#
-# The overlap schedule splits each update into an interior "core" block that
-# can run while halo faces are in flight and thin "shell" slabs completed
-# after the receive.  These operators evaluate the same stencil restricted to
-# an arbitrary box of the padded array, replaying the exact in-place ufunc
-# sequence of the full-interior operators so that core+shell coverage of the
-# interior is bit-identical to one full-interior sweep.
-#
-# A region is a tuple of three slices in *padded* coordinates with explicit
-# integer start/stop; it must lie inside the interior window so every stencil
-# read (up to 2 cells outward along the differentiated axis) stays in bounds
-# of the padded array.
-
-
-def _region_shift(region: tuple[slice, ...], axis: int,
-                  d: int) -> tuple[slice, ...]:
-    """Shift a padded-coordinate region by ``d`` cells along ``axis``."""
-    sl = list(region)
-    s = sl[axis]
-    sl[axis] = slice(s.start + d, s.stop + d)
-    return tuple(sl)
-
-
-def _region(f: np.ndarray, axis: int, h: float, region: tuple[slice, ...],
-            order: int, fwd: bool, out: np.ndarray,
-            work: np.ndarray | None) -> np.ndarray:
-    """:func:`_eq3` restricted to ``region``; ``out``/``work`` are
-    region-shaped buffers.  Per-cell arithmetic (ops and their order) is
-    identical to the full-interior operators', so a disjoint cover of the
-    interior by regions reproduces them bit-for-bit."""
-    return _eq3(lambda d: f[_region_shift(region, axis, d)], h, order, fwd,
-                out, work)
-
-
-def diff4_fwd_region(f: np.ndarray, axis: int, h: float,
-                     region: tuple[slice, ...], out: np.ndarray,
-                     work: np.ndarray) -> np.ndarray:
-    """:func:`diff4_fwd` restricted to ``region`` (see :func:`_region`)."""
-    return _region(f, axis, h, region, 4, True, out, work)
-
-
-def diff4_bwd_region(f: np.ndarray, axis: int, h: float,
-                     region: tuple[slice, ...], out: np.ndarray,
-                     work: np.ndarray) -> np.ndarray:
-    """:func:`diff4_bwd` restricted to ``region`` (see :func:`_region`)."""
-    return _region(f, axis, h, region, 4, False, out, work)
-
-
-def diff2_fwd_region(f: np.ndarray, axis: int, h: float,
-                     region: tuple[slice, ...], out: np.ndarray,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """:func:`diff2_fwd` restricted to ``region`` (``work`` unused)."""
-    return _region(f, axis, h, region, 2, True, out, work)
-
-
-def diff2_bwd_region(f: np.ndarray, axis: int, h: float,
-                     region: tuple[slice, ...], out: np.ndarray,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """:func:`diff2_bwd` restricted to ``region`` (``work`` unused)."""
-    return _region(f, axis, h, region, 2, False, out, work)
-
-
-def diff_fwd_region(f: np.ndarray, axis: int, h: float,
-                    region: tuple[slice, ...], order: int = 4,
-                    out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """Forward region-restricted derivative of the requested ``order``."""
-    if order == 4:
-        return diff4_fwd_region(f, axis, h, region, out, work)
-    if order == 2:
-        return diff2_fwd_region(f, axis, h, region, out, work)
-    raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
-
-
-def diff_bwd_region(f: np.ndarray, axis: int, h: float,
-                    region: tuple[slice, ...], order: int = 4,
-                    out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """Backward region-restricted derivative of the requested ``order``."""
-    if order == 4:
-        return diff4_bwd_region(f, axis, h, region, out, work)
-    if order == 2:
-        return diff2_bwd_region(f, axis, h, region, out, work)
-    raise ValueError(f"unsupported FD order: {order!r} (expected 2 or 4)")
-
-
-# ---------------------------------------------------------------------------
-# Flat-span variant (the production kernel's unit-stride form)
+# The flat interior span (the production kernel's unit-stride binding)
 # ---------------------------------------------------------------------------
 
 
@@ -321,39 +226,3 @@ def interior_span(shape: tuple[int, ...]) -> tuple[int, int]:
         hi += (n - NGHOST - 1) * stride
         stride *= n
     return lo, hi + 1
-
-
-def diff_span(f: np.ndarray, lo: int, hi: int, stride: int, h: float,
-              order: int = 4, fwd: bool = True, *, out: np.ndarray,
-              work: np.ndarray | None = None) -> np.ndarray:
-    """Staggered derivative as one unit-stride pass over the span ``[lo, hi)``.
-
-    ``f`` is the flat C-order view of a padded array, ``stride`` the flat
-    distance of one cell along the differentiated axis, and ``out``/``work``
-    are span-length buffers (``work`` only for ``order=4``).  ``out[p]`` is
-    the ``fwd`` (:func:`diff_fwd`) or backward (:func:`diff_bwd`) derivative
-    at flat position ``lo + p``, in five ufunc passes (two at 2nd order)::
-
-        out = f[+1] - f[0];  out *= c1/h
-        work = f[+2] - f[-1];  work *= c2/h;  out += work
-
-    ``c1/h`` and ``c2/h`` are computed in double and rounded once to the
-    field dtype.  These are the operations of the ``diff4_*``/``diff2_*``
-    operators and of the compiled sweeps, in the same order, so all three
-    are bit-identical at every interior cell.
-
-    Positions of the span that are y/z ghost cells get the stencil applied
-    across the row seam: finite values (the field is finite) that are not a
-    derivative.  Only kernel-private scratch may receive them, and no reader
-    may look at them — consumers take interior views.
-    """
-    if not fwd:
-        lo -= stride
-        hi -= stride
-    if lo - stride < 0 or hi + 2 * stride > f.size:
-        raise ValueError("span stencil reads outside the array")
-
-    def at(d: int) -> np.ndarray:
-        return f[lo + d * stride:hi + d * stride]
-
-    return _eq3(at, h, order, True, out, work)

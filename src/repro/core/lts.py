@@ -57,7 +57,6 @@ import numpy as np
 
 from .fd import NGHOST, interior
 from .grid import ALL_FIELDS
-from .kernels import RegionUpdater
 from .schedule import StepSchedule
 from .stability import cfl_dt_map, rate_group_histogram
 
@@ -399,8 +398,7 @@ class LTSScheduler(StepSchedule):
             return
         # the pooled variant runs the region driver
         for g in self.groups:
-            g.updater = RegionUpdater(solver.kernel, g.region,
-                                      dt=g.rate * solver.dt)
+            g.updater = solver.kernel.region(g.region, dt=g.rate * solver.dt)
 
     def _corrections(self, half: str, i: int, g: RateGroup):
         """``(band, w)`` per neighbour band ``g``'s ``half`` update at fine

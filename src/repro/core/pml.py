@@ -30,6 +30,7 @@ import numpy as np
 from .fd import NGHOST
 from .grid import ALL_FIELDS, FIELD_OFFSETS, Grid3D, WaveField
 from .medium import Medium
+from .update import SHEAR, TERM_AXES
 
 __all__ = ["PMLConfig", "PML", "damping_profile", "frame_boxes"]
 
@@ -253,10 +254,5 @@ class PML:
         return sum(p.nbytes for plist in self.parts.values() for p in plist)
 
 
-#: Axis labels of the two derivative terms of each shear component, matching
-#: kernels._SHEAR_TERMS ordering.
-SHEAR_TERM_AXES: dict[str, tuple[int, ...]] = {
-    "sxy": (0, 1),
-    "sxz": (0, 2),
-    "syz": (1, 2),
-}
+#: Axis of each of the two derivative terms of a shear component.
+SHEAR_TERM_AXES = {c: TERM_AXES[c] for c in SHEAR}

@@ -34,7 +34,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fd import NGHOST
-from .kernels import RegionUpdater
 from .pml import SHEAR_TERM_AXES
 
 __all__ = ["SimulationDiverged", "StepPlan", "StepSchedule", "resolve"]
@@ -253,8 +252,8 @@ class StepSchedule:
         flags the exchanged faces.  Returns False, leaving the halves
         whole, when the plan forbids it or the grid is too thin.
 
-        The region operators replay the whole-interior per-cell ufunc
-        sequence, so a split step stays bitwise identical.
+        The region operators bind the same update statement list as the
+        whole-interior ones, so a split step stays bitwise identical.
         """
         if not self.plan.split:
             return False
@@ -275,7 +274,7 @@ class StepSchedule:
             from .compiled import FusedRegionStepper
             mk = partial(FusedRegionStepper, s.fused)
         else:
-            mk = partial(RegionUpdater, s.kernel)
+            mk = s.kernel.region
         for half, (core, shells) in cuts.items():
             self._ops[half] = (
                 getattr(mk(core), "step_" + half),

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import compiled
+from repro.core import compiled, update
 from repro.core.fd import NGHOST
 from repro.core.grid import ALL_FIELDS, Grid3D, WaveField
-from repro.core.kernels import RegionUpdater, VelocityStressKernel
+from repro.core.kernels import VelocityStressKernel
 from repro.core.medium import Medium
 from repro.core.schedule import _split_core_shells
 from repro.core.solver import SolverConfig, WaveSolver
@@ -362,7 +362,7 @@ class TestSlabTableSweep:
         cuts = [(2, 5, 1e-3), (5, 9, 2e-3), (9, 13, 4e-3)]
         for half in ("velocity", "stress"):
             for z0, z1, dt in cuts:
-                getattr(RegionUpdater(pooled, (*x, slice(z0, z1)), dt=dt),
+                getattr(pooled.region((*x, slice(z0, z1)), dt=dt),
                         "step_" + half)()
             fused.bind(half, (x[0].start, x[0].stop, x[1].start, x[1].stop),
                        cuts)()
@@ -401,7 +401,7 @@ class TestFoldedCoefficients:
         g, pooled, wf, fused, wf2 = self._pair(h, dtype)
         box = (slice(3, 10), slice(4, 9), slice(2, 13))
         for half in ("step_velocity", "step_stress"):
-            getattr(RegionUpdater(pooled, box), half)()
+            getattr(pooled.region(box), half)()
             getattr(compiled.FusedRegionStepper(fused, box), half)()
         _assert_fields_equal(wf, wf2)
 
@@ -413,7 +413,7 @@ class TestFoldedCoefficients:
         cuts = [(2, 6, 1e-3), (6, 11, 2e-3), (11, 16, 4e-3)]
         for half in ("velocity", "stress"):
             for z0, z1, dt in cuts:
-                getattr(RegionUpdater(pooled, (*x, slice(z0, z1)), dt=dt),
+                getattr(pooled.region((*x, slice(z0, z1)), dt=dt),
                         "step_" + half)()
             fused.bind(half, (x[0].start, x[0].stop, x[1].start, x[1].stop),
                        cuts)()
@@ -437,8 +437,8 @@ def test_per_cell_code_divides_nothing():
     visits = [fn.split("#pragma omp parallel for")[1]
               for fn in sweeps.split("void fused_")[1:]]
     assert len(visits) == 2 and "fs_image_row_f64" in visits[1]
-    for code in (compiled._c_velocity_body(), compiled._c_stress_body(),
-                 ops, rows, *visits):
+    bodies = [compiled._c_body(blocks) for blocks in update.halves().values()]
+    for code in (*bodies, ops, rows, *visits):
         assert "/" not in re.sub(r"/\*.*?\*/", "", code, flags=re.S)
 
 

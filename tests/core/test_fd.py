@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fd
+from repro.core import fd, kernels, update
 
 
 def _padded_field(n=24, ndim=3):
@@ -123,7 +123,17 @@ class TestInteriorContract:
 
 
 class TestSpanStencil:
-    """``diff_span`` is the unit-stride form of the ``diff*`` reference."""
+    """Eq. (3) of the update list, bound to the flat interior span, is the
+    unit-stride form of the ``diff*`` reference."""
+
+    @staticmethod
+    def _bind(f, out, work, h, order, axis, fwd):
+        d = update.temp("d")
+        block = update.Block("d", update.eq3(d, "f", axis, fwd, order),
+                             ((axis, d),))
+        views = kernels.span_views(f.shape, {"f": f}, {"d": out, "work": work},
+                                   update.scalars(h, 0.0, order))
+        return kernels.UpdateExecutor({"d": (block,)}, *views)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("order", [2, 4])
@@ -131,17 +141,14 @@ class TestSpanStencil:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_interior_bitwise_equal_to_reference(self, axis, fwd, order,
                                                  dtype):
+        """At an ``h`` whose ``c1/h``, ``c2/h`` are inexact in both
+        precisions."""
         rng = np.random.default_rng(1)
         f = rng.standard_normal((13, 11, 9)).astype(dtype)
         ref = (fd.diff_fwd if fwd else fd.diff_bwd)(
             f, axis, 37.5, order=order, work=np.zeros((9, 7, 5), dtype))
-        lo, hi = fd.interior_span(f.shape)
         out = np.zeros_like(f)
-        work = np.zeros_like(f)
-        stride = (11 * 9, 9, 1)[axis]
-        fd.diff_span(f.reshape(-1), lo, hi, stride, 37.5, order, fwd,
-                     out=out.reshape(-1)[lo:hi],
-                     work=work.reshape(-1)[lo:hi])
+        self._bind(f, out, np.zeros_like(f), 37.5, order, axis, fwd).run("d")
         assert fd.interior(out).tobytes() == fd.interior(ref).tobytes()
 
     def test_span_bounds(self):
@@ -155,12 +162,23 @@ class TestSpanStencil:
         assert inner.min() == lo and inner.max() == hi - 1
 
     def test_out_of_bounds_and_order_rejected(self):
-        f = np.zeros(6 * 6 * 6)
-        buf = np.zeros(10)
+        """The binders refuse a tap that leaves the array; Eq. (3) refuses
+        an order it does not have."""
+        f = np.zeros((6, 6, 6))
+        far = update.Block("d", (update.Stmt(
+            "sub", update.temp("d"), update.Ref("tap", "f", 0, 3),
+            update.Ref("tap", "f", 0, 0)),), ((0, update.temp("d")),))
+        views = kernels.span_views(f.shape, {"f": f}, {"d": np.zeros_like(f)},
+                                   {})
         with pytest.raises(ValueError, match="outside"):
-            fd.diff_span(f, 0, 10, 1, 1.0, out=buf, work=buf)
+            kernels.UpdateExecutor({"d": (far,)}, *views)
+        box = (slice(2, 4), slice(2, 4), slice(2, 4))
+        views = kernels.box_views(box, {"f": f}, {"d": np.zeros((2, 2, 2))},
+                                  {})
+        with pytest.raises(ValueError, match="outside"):
+            kernels.UpdateExecutor({"d": (far,)}, *views)
         with pytest.raises(ValueError, match="order"):
-            fd.diff_span(f, 90, 100, 1, 1.0, order=6, out=buf, work=buf)
+            self._bind(f, f, f, 1.0, 6, 0, True)
 
 
 class TestOperatorProperties:

@@ -62,7 +62,6 @@ class TestRegionUpdater:
                 (slice(NGHOST + cut, NGHOST + nx), full_y, full_z)]
 
     def test_region_cover_matches_full_sweep(self):
-        from repro.core.kernels import RegionUpdater
         g, med, wf = _random_state(6)
         wf2 = wf.copy()
         dt = 1e-3
@@ -70,7 +69,7 @@ class TestRegionUpdater:
         k1.step_velocity()
         k1.step_stress()
         k2 = VelocityStressKernel(wf2, med, dt)
-        regions = [RegionUpdater(k2, r) for r in self._cover(g.shape, 4)]
+        regions = [k2.region(r) for r in self._cover(g.shape, 4)]
         for r in regions:
             r.step_velocity()
         for r in reversed(regions):  # order must not matter
@@ -80,12 +79,11 @@ class TestRegionUpdater:
 
     def test_empty_region_rejected(self):
         from repro.core.fd import NGHOST
-        from repro.core.kernels import RegionUpdater
         g, med, wf = _random_state(7)
         k = VelocityStressKernel(wf, med, 1e-3)
         with pytest.raises(ValueError):
-            RegionUpdater(k, (slice(NGHOST, NGHOST), slice(NGHOST, NGHOST + 1),
-                              slice(NGHOST, NGHOST + 1)))
+            k.region((slice(NGHOST, NGHOST), slice(NGHOST, NGHOST + 1),
+                      slice(NGHOST, NGHOST + 1)))
 
 
 class TestKernelStructure:

@@ -17,7 +17,7 @@ from repro.core import (Grid3D, Medium, Receiver, SolverConfig, WaveSolver,
                         compiled)
 from repro.core.fd import NGHOST
 from repro.core.grid import ALL_FIELDS, WaveField
-from repro.core.kernels import RegionUpdater, VelocityStressKernel
+from repro.core.kernels import VelocityStressKernel
 from repro.core.lts import (_BANDS, _STRESS_BAND_FIELDS, _VEL_BAND_FIELDS,
                             BAND_PLANES, MIN_GROUP_PLANES, RATES, _Band,
                             build_rate_groups, local_cfl_map,
@@ -359,7 +359,7 @@ class TestCompiledBand:
         held = {c: getattr(a, c).copy() for c in fields}
         owned.save_prev(own)
         neighbour.apply(fields, w)
-        getattr(RegionUpdater(VelocityStressKernel(a, med, dt), region),
+        getattr(VelocityStressKernel(a, med, dt).region(region),
                 "step_" + half)()
         neighbour.restore(fields)
         for c in fields:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import Receiver, WaveSolver, compiled
 from repro.core.compiled import FusedRegionStepper
-from repro.core.kernels import RegionUpdater
+from repro.core.kernels import UpdateExecutor
 from repro.core.source import BodyForceSource
 from repro.parallel import procpool
 from repro.parallel.decomp import Decomposition3D
@@ -117,7 +117,7 @@ def _tap_regions(taps, monkeypatch):
     """Region operators (overlap shells/cores, LTS slabs) are created after
     the solver: tap them on the class, routed by the kernel (or fused
     stepper) they bind."""
-    for cls, owner in ((RegionUpdater, "kernel"),
+    for cls, owner in ((UpdateExecutor, "kernel"),
                        (FusedRegionStepper, "stepper")):
         for half in ("velocity", "stress"):
             orig = getattr(cls, "step_" + half)
