@@ -1,14 +1,17 @@
 """Golden regression store (repro.verify).
 
 Small committed ``.npz`` snapshots of physics outputs — seismograms, the
-surface PGV map, and rupture-front times of a mini kinematic scenario —
-with schema'd metadata and tolerance-gated comparison.  This is the
+surface PGV map, and rupture-front times of a mini kinematic scenario,
+and the slip, rupture time, peak slip rate and a surface velocity plane of
+a mini spontaneous (TPV3-style) rupture — with schema'd metadata and
+tolerance-gated comparison.  This is the
 paper's "reference solution" half of aVal made durable: the MMS harness
 proves the discretization order, the matrix proves backend equivalence,
 and the goldens pin the *actual numbers* so an innocent-looking refactor
 cannot drift the physics unnoticed.
 
-Layout: one scenario run feeds three golden files under
+Layout: the kinematic scenario run feeds three golden files and the
+dynamic-rupture run one, under
 ``src/repro/verify/goldens/`` (packaged data, < 1 MB total).  Each file
 stores its arrays plus a ``__meta__`` entry holding a JSON document:
 schema id, scenario parameters, and the comparison tolerances that were
@@ -45,7 +48,7 @@ __all__ = ["GOLDEN_SCHEMA", "GOLDEN_DIR", "GOLDEN_NAMES", "GoldenMismatch",
 GOLDEN_SCHEMA = "repro-golden/1"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 GOLDEN_NAMES = ("kinematic_mini_seismograms", "kinematic_mini_pgv",
-                "kinematic_mini_rupture_front")
+                "kinematic_mini_rupture_front", "dynamic_mini_rupture")
 
 #: Default gate: well above libm jitter, well below physics regressions.
 DEFAULT_RTOL = 1e-7
@@ -68,8 +71,33 @@ SCENARIO = {
 }
 
 
+#: The mini spontaneous rupture, fixed forever like :data:`SCENARIO`: a
+#: TPV3-style uniform prestress with an overstressed nucleation patch on a
+#: vertical slip-weakening fault, homogeneous medium, free surface, sponge.
+RUPTURE_SCENARIO = {
+    "shape": [40, 20, 16],
+    "h": 200.0,
+    "nsteps": 120,
+    "vp": 6000.0, "vs": 3464.0, "rho": 2670.0,
+    "sponge_width": 4,
+    "fault": {"j0": 10, "i0": 8, "n_strike": 24, "n_depth": 10,
+              "tau0": 70e6, "sigma_n": 120e6, "mu_s": 0.677, "mu_d": 0.525,
+              "dc": 0.4, "nucleation_center": [6, 5],
+              "nucleation_radius": 900.0, "nucleation_overstress": 1.005},
+}
+
+
+def _scenario_of(name: str) -> dict:
+    return RUPTURE_SCENARIO if name == "dynamic_mini_rupture" else SCENARIO
+
+
 def run_scenario() -> dict[str, dict[str, np.ndarray]]:
-    """Run the mini kinematic scenario once; return arrays per golden name.
+    """Run the mini scenarios once; return arrays per golden name."""
+    return {**_run_kinematic(), **_run_dynamic()}
+
+
+def _run_kinematic() -> dict[str, dict[str, np.ndarray]]:
+    """The mini kinematic scenario.
 
     A M5.5 kinematic rupture (5x4 subfaults, Denali-like slip) on a
     vertical plane through a homogeneous half-space, sponge absorber,
@@ -111,6 +139,41 @@ def run_scenario() -> dict[str, dict[str, np.ndarray]]:
     }
 
 
+def _run_dynamic() -> dict[str, dict[str, np.ndarray]]:
+    """The mini spontaneous rupture: final slip, rupture time (-1 where the
+    fault never broke), peak slip rate, and the top interior plane of vx."""
+    from ..core.fd import NGHOST
+    from ..rupture import (FaultModel, InitialStress, RuptureSolver,
+                           SlipWeakeningFriction)
+    sc = RUPTURE_SCENARIO
+    f = sc["fault"]
+    h, ns, nd = sc["h"], f["n_strike"], f["n_depth"]
+    grid = Grid3D(*sc["shape"], h=h)
+    med = Medium.homogeneous(grid, vp=sc["vp"], vs=sc["vs"], rho=sc["rho"])
+    friction = SlipWeakeningFriction.uniform(
+        (ns, nd), mu_s=f["mu_s"], mu_d=f["mu_d"], dc=f["dc"], cohesion=0.0)
+    xs = (np.arange(ns) + 0.5) * h
+    zs = (np.arange(nd) + 0.5) * h
+    cx, cz = f["nucleation_center"]
+    patch = ((xs[:, None] - cx * h) ** 2 + (zs[None, :] - cz * h) ** 2
+             <= f["nucleation_radius"] ** 2)
+    tau0 = np.where(patch, f["mu_s"] * f["sigma_n"]
+                    * f["nucleation_overstress"], f["tau0"])
+    initial = InitialStress(tau0_x=tau0, tau0_z=np.zeros_like(tau0),
+                            sigma_n=np.full((ns, nd), f["sigma_n"]))
+    model = FaultModel(j0=f["j0"], i0=f["i0"], i1=f["i0"] + ns, n_depth=nd,
+                       friction=friction, initial=initial)
+    rs = RuptureSolver(grid, med, model, sponge_width=sc["sponge_width"])
+    rs.run(sc["nsteps"])
+    tr = rs.rupture_time_region()
+    g, kt = NGHOST, NGHOST + grid.nz - 1
+    return {"dynamic_mini_rupture": {
+        "slip": rs.final_slip(),
+        "rupture_time": np.where(np.isfinite(tr), tr, -1.0),
+        "peak_slip_rate": rs.peak_slip_rate_region(),
+        "surface_vx": rs.wf.vx[g:-g, g:-g, kt].copy()}}
+
+
 # ----------------------------------------------------------------------
 # npz store
 # ----------------------------------------------------------------------
@@ -124,16 +187,17 @@ def save_golden(name: str, arrays: dict[str, np.ndarray],
                 rtol: float = DEFAULT_RTOL,
                 atol: float = DEFAULT_ATOL) -> Path:
     """Write one golden npz with schema'd ``__meta__`` metadata."""
+    scenario = _scenario_of(name)
     meta = {
         "schema": GOLDEN_SCHEMA,
         "name": name,
-        "scenario": SCENARIO,
+        "scenario": scenario,
         "rtol": rtol,
         "atol": atol,
         "arrays": {k: {"shape": list(np.asarray(v).shape),
                        "dtype": str(np.asarray(v).dtype)}
                    for k, v in arrays.items()},
-        "manifest": RunManifest.collect(config=SCENARIO).to_dict(),
+        "manifest": RunManifest.collect(config=scenario).to_dict(),
     }
     path = golden_path(name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -42,6 +42,14 @@ class TestCommittedGoldens:
         assert all(np.abs(v).max() > 1e-3 for v in seis.values())
         assert scenario_arrays["kinematic_mini_pgv"]["pgvh"].max() > 1e-2
 
+    def test_dynamic_rupture_spreads_past_nucleation(self, scenario_arrays):
+        """The rupture golden pins a propagating front, not a locked or
+        nucleation-only fault."""
+        rup = scenario_arrays["dynamic_mini_rupture"]
+        assert (rup["rupture_time"] > 0).mean() > 0.4
+        assert rup["slip"].max() > 0.5
+        assert np.abs(rup["surface_vx"]).max() > 1e-2
+
 
 class TestComparator:
     def test_perturbation_detected(self, scenario_arrays):
