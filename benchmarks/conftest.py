@@ -108,9 +108,9 @@ def run_ts_kinematic(reverse: bool):
 
 def run_ts_dynamic(seed: int, record_rates: bool = False):
     """A TS-D style spontaneous rupture on the same fault geometry."""
-    from repro.core import Grid3D, Medium
+    from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
     from repro.rupture.friction import m8_friction_profiles
-    from repro.rupture.solver import FaultModel, RuptureSolver
+    from repro.rupture.solver import FaultModel, SplitNodeFault
     from repro.rupture.stress import build_m8_initial_stress
 
     h = 500.0
@@ -132,10 +132,12 @@ def run_ts_dynamic(seed: int, record_rates: bool = False):
         nucleation_radius=radius, nucleation_overstress=1.1)
     fm = FaultModel(j0=16, i0=pad, i1=pad + ns, n_depth=nd, friction=fr,
                     initial=init)
-    rs = RuptureSolver(g, med, fm, free_surface=True, sponge_width=8)
+    rs = SplitNodeFault(fm)
     if record_rates:
         rs.record_slip_rate(decimate=2)
-    rs.run(int(18.0 / rs.dt))
+    solver = WaveSolver(g, med, SolverConfig(absorbing="sponge",
+                                             sponge_width=8), fault=rs)
+    solver.run(int(18.0 / solver.dt))
     return rs
 
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.rupturemetrics import mach_angle, mach_cone_alignment
-from repro.core import Grid3D, Medium
+from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
 from repro.rupture.friction import SlipWeakeningFriction
-from repro.rupture.solver import FaultModel, RuptureSolver
+from repro.rupture.solver import FaultModel, SplitNodeFault
 from repro.rupture.stress import InitialStress
 
 from _bench_utils import paper_row, print_table
@@ -40,13 +40,15 @@ def _run(tau_bg):
                          sigma_n=np.full((NS, ND), 120e6))
     fm = FaultModel(j0=25, i0=15, i1=15 + NS, n_depth=ND,
                     friction=fr, initial=init)
-    rs = RuptureSolver(g, med, fm, free_surface=True, sponge_width=8)
+    rs = SplitNodeFault(fm)
+    solver = WaveSolver(g, med, SolverConfig(absorbing="sponge",
+                                             sponge_width=8), fault=rs)
     # run until the front is ~2/3 along the fault, then snapshot the surface
-    rs.run(int(2.6 / rs.dt))
+    solver.run(int(2.6 / solver.dt))
     from repro.core.fd import NGHOST
     kt = NGHOST + g.nz - 1
-    snap = np.hypot(rs.wf.vx[NGHOST:-NGHOST, NGHOST:-NGHOST, kt],
-                    rs.wf.vy[NGHOST:-NGHOST, NGHOST:-NGHOST, kt])
+    snap = np.hypot(solver.wf.vx[NGHOST:-NGHOST, NGHOST:-NGHOST, kt],
+                    solver.wf.vy[NGHOST:-NGHOST, NGHOST:-NGHOST, kt])
     tr = rs.rupture_time_region()
     mid = ND // 2
     finite = np.where(np.isfinite(tr[:, mid]))[0]

@@ -11,9 +11,9 @@ Run:  python examples/dynamic_rupture.py
 
 import numpy as np
 
-from repro.core import Grid3D, Medium
-from repro.rupture import (FaultModel, RuptureSolver, SlipWeakeningFriction,
-                           InitialStress)
+from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
+from repro.rupture import (FaultModel, InitialStress, SlipWeakeningFriction,
+                           SplitNodeFault)
 from repro.analysis.rupturemetrics import classify_rupture_speed
 
 
@@ -39,13 +39,16 @@ def run_case(tau_background: float, label: str) -> None:
                        initial=InitialStress(tau0_x=tau0,
                                              tau0_z=np.zeros_like(tau0),
                                              sigma_n=sigma_n))
-    solver = RuptureSolver(grid, medium, fault, sponge_width=8)
-    solver.record_slip_rate(decimate=4)
-    solver.run(int(5.0 / solver.dt))
+    rupture = SplitNodeFault(fault)
+    rupture.record_slip_rate(decimate=4)
+    wave = WaveSolver(grid, medium, SolverConfig(absorbing="sponge",
+                                                 sponge_width=8),
+                      fault=rupture)
+    wave.run(int(5.0 / wave.dt))
 
-    slip = solver.final_slip()
-    tr = solver.rupture_time_region()
-    v = solver.rupture_velocity()
+    slip = rupture.final_slip()
+    tr = rupture.rupture_time_region()
+    v = rupture.rupture_velocity()
     vs_arr = np.full(v.shape, 3464.0)
     labels = classify_rupture_speed(v, vs_arr)
     s_ratio = (0.677 * 120e6 - tau_background) / (tau_background
@@ -55,13 +58,13 @@ def run_case(tau_background: float, label: str) -> None:
     print(f"  ruptured area:      {np.isfinite(tr).mean() * 100:.0f}%")
     print(f"  final slip:         max {slip.max():.2f} m, "
           f"mean {slip[np.isfinite(tr)].mean():.2f} m")
-    print(f"  peak slip rate:     {solver.peak_slip_rate_region().max():.1f} m/s")
-    print(f"  seismic moment:     {solver.seismic_moment():.2e} N*m "
-          f"(Mw {solver.magnitude():.2f})")
-    print(f"  super-shear area:   {100 * solver.supershear_fraction():.0f}% "
+    print(f"  peak slip rate:     {rupture.peak_slip_rate_region().max():.1f} m/s")
+    print(f"  seismic moment:     {rupture.seismic_moment():.2e} N*m "
+          f"(Mw {rupture.magnitude():.2f})")
+    print(f"  super-shear area:   {100 * rupture.supershear_fraction():.0f}% "
           f"(cells classified super-shear: "
           f"{(labels == 3).sum()}/{np.isfinite(tr).sum()})")
-    t, rate = solver.moment_rate_history()
+    t, rate = rupture.moment_rate_history()
     print(f"  peak moment rate:   {rate.max():.2e} N*m/s at "
           f"t = {t[np.argmax(rate)]:.1f} s")
 

@@ -36,13 +36,13 @@ Subpackages
 from .core import (Grid3D, Medium, MomentTensorSource, Receiver, SolverConfig,
                    WaveSolver)
 from .parallel import DistributedWaveSolver
-from .rupture import FaultModel, RuptureSolver
+from .rupture import FaultModel, SplitNodeFault
 from .scenarios import M8Config, run_m8_scaled
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Grid3D", "Medium", "MomentTensorSource", "Receiver", "SolverConfig",
-    "WaveSolver", "DistributedWaveSolver", "FaultModel", "RuptureSolver",
+    "WaveSolver", "DistributedWaveSolver", "FaultModel", "SplitNodeFault",
     "M8Config", "run_m8_scaled", "__version__",
 ]

@@ -448,9 +448,9 @@ def _cmd_run_quake(args) -> int:
 
 
 def _cmd_rupture(args) -> int:
-    from .core import Grid3D, Medium
-    from .rupture import (FaultModel, InitialStress, RuptureSolver,
-                          SlipWeakeningFriction)
+    from .core import Grid3D, Medium, SolverConfig, WaveSolver
+    from .rupture import (FaultModel, InitialStress, SlipWeakeningFriction,
+                          SplitNodeFault)
     ns, nd, h = args.strike, args.depth, args.h
     grid = Grid3D(ns + 30, 40, nd + 10, h=h)
     med = Medium.homogeneous(grid, vp=6000.0, vs=3464.0, rho=2670.0)
@@ -467,11 +467,13 @@ def _cmd_rupture(args) -> int:
                     initial=InitialStress(tau0_x=tau0,
                                           tau0_z=np.zeros_like(tau0),
                                           sigma_n=np.full((ns, nd), 120e6)))
-    rs = RuptureSolver(grid, med, fm, sponge_width=8)
-    rs.run(args.steps)
+    rs = SplitNodeFault(fm)
+    solver = WaveSolver(grid, med, SolverConfig(absorbing="sponge",
+                                                sponge_width=8), fault=rs)
+    solver.run(args.steps)
     ruptured = np.isfinite(rs.rupture_time_region()).mean()
     print(f"ruptured {ruptured * 100:.0f}% of the fault in "
-          f"{rs.t:.2f} s simulated")
+          f"{solver.t:.2f} s simulated")
     print(f"Mw {rs.magnitude():.2f}, peak slip "
           f"{rs.final_slip().max():.2f} m, peak rate "
           f"{rs.peak_slip_rate_region().max():.1f} m/s, super-shear "

@@ -2,10 +2,11 @@
 
 Three compute blocks around two halo points::
 
-    A  velocity update, force sources, velocity forcings
+    A  velocity update, fault split nodes, force sources, velocity forcings
        -- halo v --
-    B  free-surface velocity ghosts, stress update (+attenuation, PML),
-       moment sources, free-surface imaging, stress forcings, sponge
+    B  free-surface velocity ghosts, fault snapshot, stress update
+       (+attenuation, PML), fault stress corrections, moment sources,
+       free-surface imaging, stress forcings, sponge
        -- halo sigma --
     C  advance t/nstep, record, stability check, health
 
@@ -52,13 +53,14 @@ class StepPlan:
     split: bool     #: halves may be cut into (core, shells) region pairs
 
 
-def resolve(cfg, *, dims=(1, 1, 1), backend: str = "sim",
-            sync_comm: bool = False) -> StepPlan:
+def resolve(cfg, *, fault: bool = False, dims=(1, 1, 1),
+            backend: str = "sim", sync_comm: bool = False) -> StepPlan:
     """The composition table: refuse what cannot run, degrade what can.
 
-    ``cfg`` is a :class:`~repro.core.solver.SolverConfig`; ``dims``,
-    ``backend`` and ``sync_comm`` describe the distributed run (defaults =
-    serial).  Every driver inherits the same per-half operator choice.
+    ``cfg`` is a :class:`~repro.core.solver.SolverConfig`; ``fault`` says a
+    split-node fault is attached; ``dims``, ``backend`` and ``sync_comm``
+    describe the distributed run (defaults = serial).  Every driver
+    inherits the same per-half operator choice.
     """
     lts = cfg.lts != "off"
     pml = cfg.absorbing == "pml"
@@ -79,6 +81,14 @@ def resolve(cfg, *, dims=(1, 1, 1), backend: str = "sim",
         (lts and dims[2] != 1,
          "lts requires a pz=1 decomposition (rate groups are global "
          f"k-slabs; got dims={tuple(dims)})"),
+        (fault and lts,
+         "a split-node fault runs at one global dt (lts must be 'off')"),
+        (fault and pml,
+         "a split-node fault needs absorbing='sponge' or 'none' (its "
+         "corrections rewrite stresses the PML split parts do not see)"),
+        (fault and anelastic,
+         "a split-node fault is elastic: attenuation is not supported "
+         "(the corrections bypass the memory-variable hook)"),
         (sync_comm and backend == "procpool",
          "sync_comm is a SimMPI modelling mode; the procpool backend always "
          "uses the ring exchange"),
@@ -93,8 +103,9 @@ def resolve(cfg, *, dims=(1, 1, 1), backend: str = "sim",
     stress = "pooled" if pml or anelastic else variant
     # PML parts and memory variables are whole-interior state and LTS
     # group activity varies per substep: none of them admits a static
-    # core/shell cut.
-    split = not (lts or pml or anelastic)
+    # core/shell cut; nor does a fault, whose snapshot must precede the
+    # whole stress half.
+    split = not (lts or pml or anelastic or fault)
     return StepPlan(velocity, stress, split)
 
 
@@ -184,10 +195,11 @@ class StepSchedule:
 
         A row the stress sweep visits gets its FS2 imaging and stress
         damping inside the visit, right after its update; a moment source
-        injects after the whole half and a forcing after the imaging, so
-        the rows they write (every row, for a forcing) are held out of the
-        fold and done by the operators in their own slots.  Recomputed only
-        when the sources or forcings change.
+        injects after the whole half, a fault rewrites its rows' shear
+        stresses after the whole half and a forcing applies after the
+        imaging, so the rows they write (every row, for a forcing) are held
+        out of the fold and done by the operators in their own slots.
+        Recomputed only when the sources or forcings change.
         """
         s = self.solver
         if s.held_rows is None or self.plan.stress != "compiled":
@@ -205,6 +217,8 @@ class StepSchedule:
         if cells:
             ij = np.concatenate(cells)[:, :2] - NGHOST
             held[ij[:, 0], ij[:, 1]] = 1
+        if s.fault is not None:
+            held[:, s.fault.rows] = 1
         self._held_key = key
 
     def close(self) -> None:
@@ -298,11 +312,14 @@ class StepSchedule:
     # The sequence
     # ------------------------------------------------------------------
     def block_a(self) -> None:
-        """Velocity update, force sources, velocity forcings."""
+        """Velocity update, fault split nodes, force sources, velocity
+        forcings."""
         s = self.solver
         wf, t = s.wf, self.now()
         act = self.active(s.nstep)
         self.update("velocity", act)
+        if s.fault is not None:
+            s.fault.update_velocity(t, s.nstep)
         for g in act:
             dt = g.rate * s.dt
             for src in s.force_sources:
@@ -312,8 +329,8 @@ class StepSchedule:
                 f.apply_velocity(wf, t, dt, region=g.forcing_region)
 
     def block_b(self) -> None:
-        """Free-surface ghosts, stress update, moment sources, imaging,
-        stress forcings, sponge.
+        """Free-surface ghosts, fault snapshot, stress update, fault
+        corrections, moment sources, imaging, stress forcings, sponge.
 
         A compiled stress update fills, images and damps the stresses of
         every row not held (:meth:`hold`) inside its row visit — the same
@@ -329,7 +346,11 @@ class StepSchedule:
         if fs is not None:
             # after halo v: the ghosts take x/y differences of velocities
             fs.apply_velocity(wf)
+        if s.fault is not None:
+            s.fault.snapshot()
         self.update("stress", act)
+        if s.fault is not None:
+            s.fault.update_stress()
         for g in act:
             for src in s.moment_sources:
                 if self.group_of(src) is g:

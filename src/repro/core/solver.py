@@ -44,7 +44,8 @@ STATE_SCHEMA = "repro-state/1"
 
 class StateSchemaError(ValueError):
     """A state dict :meth:`WaveSolver.load_state` cannot read: unstamped,
-    or stamped with another schema than :data:`STATE_SCHEMA`."""
+    stamped with another schema than :data:`STATE_SCHEMA`, or saved with a
+    fault by a solver without one (or the reverse)."""
 
 
 @dataclass
@@ -166,10 +167,13 @@ class WaveSolver:
                  config: SolverConfig | None = None,
                  index_origin: tuple[int, int, int] = (0, 0, 0),
                  global_shape: tuple[int, int, int] | None = None,
-                 global_vp_max: float | None = None):
+                 global_vp_max: float | None = None, fault=None):
         """``index_origin``/``global_shape``/``global_vp_max`` place this
         solver as a subdomain of a larger grid (used by the distributed
-        solver); defaults treat the grid as the whole domain."""
+        solver); defaults treat the grid as the whole domain.  ``fault`` is
+        a split-node fault (:class:`repro.rupture.SplitNodeFault`, or any
+        object with its ``bind``/``rows``/step-hook/state methods) that the
+        step schedule runs next to the bulk update."""
         self.grid = grid
         self.config = cfg = config or SolverConfig()
         # Coerce the material model to the configured precision so every
@@ -206,7 +210,8 @@ class WaveSolver:
                 self.kernel_variant = "pooled"
         #: the operator per half-step for the effective variant
         #: (core/schedule.py's composition table)
-        self.plan = resolve(replace(cfg, kernel_variant=self.kernel_variant))
+        self.plan = resolve(replace(cfg, kernel_variant=self.kernel_variant),
+                            fault=fault is not None)
         #: the compiled operators the sponge and free surface run next to
         #: the fused sweeps (None: their numpy bodies)
         kernels = self.fused.kernels if self.fused is not None else None
@@ -249,6 +254,10 @@ class WaveSolver:
             self._rate_hook = self.attenuation.rate_hook(self.dt)
         if self.fused is not None:
             self.fused.fold(self.held_rows, self.free_surface, self.sponge)
+        #: the split-node fault the schedule runs, or None
+        self.fault = fault
+        if fault is not None:
+            fault.bind(self)
         #: repro.core.lts.LTSScheduler when local time stepping is active
         self.lts = LTSScheduler(self) if cfg.lts != "off" else None
         #: the step this solver executes (the LTS scheduler *is* one)
@@ -334,8 +343,8 @@ class WaveSolver:
 
         Fields are saved with their ghost rims: the free-surface images live
         in the top ghost planes and must survive a restart for the resumed
-        run to be bitwise identical.  The dict is stamped with
-        :data:`STATE_SCHEMA`.
+        run to be bitwise identical.  A fault's split-node state goes under
+        ``"fault"``.  The dict is stamped with :data:`STATE_SCHEMA`.
         """
         st = {"schema": STATE_SCHEMA, "t": self.t, "nstep": self.nstep,
               "fields": {name: arr.copy()
@@ -348,16 +357,24 @@ class WaveSolver:
                          for key, parts in self.pml.parts.items()}
         if self.lts is not None:
             st["lts"] = self.lts.state_arrays()
+        if self.fault is not None:
+            st["fault"] = self.fault.state_arrays()
         return st
 
     def load_state(self, st: dict) -> None:
         """Restore a :meth:`state` dict; :class:`StateSchemaError` unless it
-        carries this solver's :data:`STATE_SCHEMA` stamp."""
+        carries this solver's :data:`STATE_SCHEMA` stamp and has fault
+        state exactly when this solver has a fault."""
         schema = st.get("schema")
         if schema != STATE_SCHEMA:
             raise StateSchemaError(
                 f"state schema {schema!r} cannot be loaded: this solver "
                 f"reads {STATE_SCHEMA!r}")
+        saved = "fault" in st
+        if saved != (self.fault is not None):
+            raise StateSchemaError(
+                f"state {'has' if saved else 'lacks'} fault arrays but this "
+                f"solver has {'no' if saved else 'a'} fault")
         self.t = st["t"]
         self.nstep = st["nstep"]
         for name, arr in st["fields"].items():
@@ -370,3 +387,5 @@ class WaveSolver:
                     dst[...] = src
         if self.lts is not None:
             self.lts.load_state(st["lts"])
+        if self.fault is not None:
+            self.fault.load_state(st["fault"])

@@ -24,7 +24,6 @@ end-to-end example.
 """
 
 from .spec import (AXES, FARM_SPEC_SCHEMA, FarmJob, FarmSpec, FarmSpecError)
-from .gate import lts_identity_exempt, lts_pgv_misfit
 from .job import FarmJobError, job_products, run_job
 from .store import PRODUCT_SCHEMA, ProductError, ProductStore
 from .engine import (FARM_REPORT_SCHEMA, FarmReport, JobResult, execute_job,
@@ -32,7 +31,6 @@ from .engine import (FARM_REPORT_SCHEMA, FarmReport, JobResult, execute_job,
 
 __all__ = [
     "AXES", "FARM_SPEC_SCHEMA", "FarmJob", "FarmSpec", "FarmSpecError",
-    "lts_identity_exempt", "lts_pgv_misfit",
     "FarmJobError", "job_products", "run_job",
     "PRODUCT_SCHEMA", "ProductError", "ProductStore",
     "FARM_REPORT_SCHEMA", "FarmReport", "JobResult", "execute_job",

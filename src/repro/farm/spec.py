@@ -70,10 +70,9 @@ class FarmJob:
     same spec lands the same product addresses whichever backend computed
     them; the default ``auto`` takes the compiled one wherever the host
     can build it.  A variant that ever broke bitwise equality would have
-    to move into :meth:`config`.  ``lts`` sits between the two regimes:
-    excluded from the key only while the measured LTS-vs-global-dt
-    misfit passes the PrecisionGate bound (see
-    :func:`repro.farm.gate.lts_identity_exempt`), included otherwise.
+    to move into :meth:`config`.  ``lts`` enters the key unless it is
+    ``"off"``: local time stepping tracks the global-dt solution only to
+    temporal-truncation accuracy, so an LTS product gets its own address.
     """
 
     scenario: str
@@ -92,12 +91,8 @@ class FarmJob:
     def config(self) -> dict:
         """The physics-affecting configuration (enters the cache key).
 
-        ``lts`` is conditionally identity-relevant: excluded while the
-        measured LTS-vs-global-dt misfit passes the PrecisionGate bound
-        (:func:`repro.farm.gate.lts_identity_exempt` — then an LTS job
-        shares the global-dt job's product address, like the bitwise
-        ``kernel_variant``), included otherwise so a scheme that
-        measurably diverges gets its own addresses.
+        ``lts`` is included unless it is ``"off"``, so pre-LTS specs keep
+        their addresses.
         """
         d = {
             "scenario": self.scenario,
@@ -110,9 +105,7 @@ class FarmJob:
             "gmpe": self.gmpe,
         }
         if self.lts != "off":
-            from .gate import lts_identity_exempt
-            if not lts_identity_exempt(self.lts):
-                d["lts"] = self.lts
+            d["lts"] = self.lts
         return d
 
     def key(self) -> str:
@@ -135,7 +128,7 @@ class FarmJob:
         d["index"] = self.index
         d["inject_failures"] = self.inject_failures
         d["kernel_variant"] = self.kernel_variant
-        d["lts"] = self.lts      # full fidelity even when identity-exempt
+        d["lts"] = self.lts      # "off" too, which config() leaves out
         return d
 
     @classmethod

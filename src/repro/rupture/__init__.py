@@ -2,14 +2,14 @@
 
 from .friction import SlipWeakeningFriction, m8_friction_profiles
 from .kinematic import KinematicRupture, denali_like_slip, elliptical_slip
-from .solver import FaultModel, RuptureSolver
+from .solver import FaultModel, SplitNodeFault
 from .stress import (InitialStress, build_m8_initial_stress,
                      depth_normal_stress, von_karman_field)
 
 __all__ = [
     "SlipWeakeningFriction", "m8_friction_profiles",
     "KinematicRupture", "denali_like_slip", "elliptical_slip",
-    "FaultModel", "RuptureSolver",
+    "FaultModel", "SplitNodeFault",
     "InitialStress", "build_m8_initial_stress", "depth_normal_stress",
     "von_karman_field",
 ]

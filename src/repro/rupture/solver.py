@@ -10,6 +10,18 @@ one-sided operators of the paper's Eq. (4a–c), exactly as described
 ("the accuracy of the FD equations is reduced to 2nd-order" within two grid
 points of the plane).
 
+:class:`SplitNodeFault` is the fault plane's state and its three step
+hooks; the bulk grid, free surface, sponge and time loop are the
+:class:`~repro.core.solver.WaveSolver`'s, which runs the hooks from its
+one step schedule (DESIGN.md §3)::
+
+    fault = SplitNodeFault(FaultModel(...))
+    solver = WaveSolver(grid, medium,
+                        SolverConfig(absorbing="sponge", sponge_width=8),
+                        fault=fault)
+    solver.run(nsteps)
+    fault.final_slip(), fault.rupture_time_region(), ...
+
 Simplifications relative to the full Dalguer–Day scheme (documented in
 DESIGN.md): the in-plane stresses on the fault plane are not split (their
 split contributions are antisymmetric for in-plane shear ruptures and vanish
@@ -17,30 +29,42 @@ to leading order for the planar strike-slip sources used here), and the
 along-strike/down-dip traction components are colocated per cell for the
 vector friction bound (a half-cell registration approximation).
 
-The solver exposes the quantities Fig. 19 is built from: final slip, peak
+The fault exposes the quantities Fig. 19 is built from: final slip, peak
 slip rate, rupture time, and the rupture-velocity classification
 (sub-Rayleigh vs super-shear).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.boundary import FreeSurfaceFS2, SpongeLayer
-from ..core.fd import C1, C2, NGHOST
-from ..core.grid import Grid3D, WaveField
-from ..core.kernels import VelocityStressKernel
-from ..core.medium import Medium
-from ..core.stability import cfl_dt
+from ..core.fd import C1, C2, NGHOST, interior
 from .friction import SlipWeakeningFriction
 from .stress import InitialStress
 
-__all__ = ["FaultModel", "RuptureSolver"]
+__all__ = ["FaultModel", "SplitNodeFault"]
 
 #: slip-rate threshold defining rupture arrival (m/s)
 RUPTURE_THRESHOLD = 1e-3
+
+#: the fault arrays :meth:`SplitNodeFault.state_arrays` saves for a restart
+STATE_ARRAYS = ("vxp", "vxm", "vzp", "vzm", "sxxp", "sxxm", "szzp", "szzm",
+                "sxzp", "sxzm", "slip_x", "slip_z", "slip_path",
+                "rupture_time", "peak_slip_rate")
+
+
+def _one_sided(a: np.ndarray, h: float, axis: int, forward: bool
+               ) -> np.ndarray:
+    """2nd-order difference of a fault-plane array along x (``axis=0``) or
+    z (``axis=1``): ``(a[i+1] - a[i]) / h`` stored at ``i`` (forward) or
+    ``i+1`` (backward), zero on the open edge."""
+    out = np.zeros_like(a)
+    cut = [slice(None)] * 2
+    cut[axis] = slice(None, -1) if forward else slice(1, None)
+    out[tuple(cut)] = np.diff(a, axis=axis) / h
+    return out
 
 
 @dataclass
@@ -70,12 +94,29 @@ class FaultModel:
             raise ValueError("initial stress shape does not match fault")
 
 
-class RuptureSolver:
-    """Spontaneous-rupture solver: bulk FD + split-node fault plane."""
+class SplitNodeFault:
+    """A split-node fault plane: state, step hooks and Fig. 19 diagnostics.
 
-    def __init__(self, grid: Grid3D, medium: Medium, fault: FaultModel,
-                 dt: float | None = None, free_surface: bool = True,
-                 sponge_width: int = 10):
+    Attach it with ``WaveSolver(..., fault=SplitNodeFault(model))``; the
+    solver calls :meth:`bind` once and the step schedule calls
+    :meth:`update_velocity` right after the velocity update,
+    :meth:`snapshot` right before the stress update and
+    :meth:`update_stress` right after it.  Interior y rows :attr:`rows`
+    are held out of a compiled stress sweep's folded imaging and damping,
+    so those run after :meth:`update_stress` rewrites the planes.
+    """
+
+    def __init__(self, fault: FaultModel):
+        self.fault = fault
+        #: interior y rows whose stresses the corrections rewrite
+        self.rows = slice(fault.j0 - 2, fault.j0 + 2)
+        self._slip_rate_history: list[tuple[float, np.ndarray, np.ndarray]] | None = None
+        self._history_decimate = 1
+
+    def bind(self, solver) -> None:
+        """Allocate the fault state on ``solver``'s grid, medium, wavefield
+        and time step."""
+        grid, medium, fault = solver.grid, solver.medium, self.fault
         if not NGHOST + 2 <= fault.j0 < grid.ny - 2:
             raise ValueError("fault plane too close to the y boundary")
         if fault.n_depth >= grid.nz:
@@ -84,32 +125,25 @@ class RuptureSolver:
             raise ValueError("invalid strike extent")
         self.grid = grid
         self.medium = medium
-        self.fault = fault
-        self.dt = dt if dt is not None else cfl_dt(grid.h, medium.vp_max)
-        self.wf = WaveField(grid)
-        self.kernel = VelocityStressKernel(self.wf, medium, self.dt)
-        self.free_surface = FreeSurfaceFS2(medium) if free_surface else None
-        self.sponge = (SpongeLayer(grid, sponge_width, damp_top=False)
-                       if sponge_width else None)
+        self.wf = solver.wf
+        self.dt = solver.dt
         h = grid.h
         self.area = h * h
+        self._half_vol = h ** 3 / 2.0
         nx, nz = grid.nx, grid.nz
+        self._gi = slice(NGHOST, NGHOST + nx)
+        self._gk = slice(NGHOST, NGHOST + nz)
 
         # Full-plane fault state (welded outside the breakable region).
+        # The split in-plane stresses (Dalguer & Day split sigma_xx,
+        # sigma_zz, sigma_xz as well as the velocities) are only ever
+        # consumed by the fault-plane dynamics itself — the bulk grid never
+        # takes a y-derivative of them — so they live here as 2-D planes
+        # integrated from the split velocities.
         shape = (nx, nz)
-        self.vxp = np.zeros(shape)
-        self.vxm = np.zeros(shape)
-        self.vzp = np.zeros(shape)
-        self.vzm = np.zeros(shape)
-        self.slip_x = np.zeros(shape)
-        self.slip_z = np.zeros(shape)
-        self.slip_path = np.zeros(shape)
-        self.rupture_time = np.full(shape, np.inf)
-        self.peak_slip_rate = np.zeros(shape)
-        self.t = 0.0
-        self.nstep = 0
-        self._slip_rate_history: list[tuple[float, np.ndarray, np.ndarray]] | None = None
-        self._history_decimate = 1
+        for name in STATE_ARRAYS:
+            setattr(self, name, np.zeros(shape))
+        self.rupture_time[...] = np.inf
 
         # Expand fault-region arrays onto the full plane; welded elsewhere.
         big = 1e12  # effectively infinite strength outside the fault
@@ -120,7 +154,6 @@ class RuptureSolver:
         self.mu_d = np.full(shape, 1e9)
         self.dc = np.ones(shape)
         self.cohesion = np.full(shape, big)
-        region = self._region_mask()
         # depth index d -> grid k = nz-1-d
         ks = nz - 1 - np.arange(fault.n_depth)
         isl = slice(fault.i0, fault.i1)
@@ -131,40 +164,17 @@ class RuptureSolver:
         self.mu_d[isl, ks] = fault.friction.mu_d
         self.dc[isl, ks] = fault.friction.dc
         self.cohesion[isl, ks] = fault.friction.cohesion
-        self._region = region
-
-        # Split in-plane stresses on the fault plane (Dalguer & Day split
-        # sigma_xx, sigma_zz, sigma_xz as well as the velocities): these are
-        # only ever consumed by the fault-plane dynamics itself — the bulk
-        # grid never takes a y-derivative of them — so they live as private
-        # 2-D planes integrated from the split velocities.
-        self.sxxp = np.zeros(shape)
-        self.sxxm = np.zeros(shape)
-        self.szzp = np.zeros(shape)
-        self.szzm = np.zeros(shape)
-        self.sxzp = np.zeros(shape)
-        self.sxzm = np.zeros(shape)
 
         # Split-node masses from each side's density (rho at cell centres
         # adjacent to the plane).
-        j0p = fault.j0 + NGHOST
-        from ..core.fd import interior
         rho = interior(medium.rho)
-        half_vol = h ** 3 / 2.0
-        self.m_plus = rho[:, min(fault.j0, grid.ny - 1), :] * half_vol
-        self.m_minus = rho[:, max(fault.j0 - 1, 0), :] * half_vol
-        self._j0p = j0p
+        self.m_plus = rho[:, min(fault.j0, grid.ny - 1), :] * self._half_vol
+        self.m_minus = rho[:, max(fault.j0 - 1, 0), :] * self._half_vol
+        self._j0p = fault.j0 + NGHOST
         # Fault-plane material for the split in-plane stress updates.
         self._lam_f = interior(medium.lam)[:, fault.j0, :]
         self._lam2mu_f = interior(medium.lam2mu)[:, fault.j0, :]
         self._mu_xz_f = interior(medium.mu_xz)[:, fault.j0, :]
-
-    # ------------------------------------------------------------------
-    def _region_mask(self) -> np.ndarray:
-        mask = np.zeros((self.grid.nx, self.grid.nz), dtype=bool)
-        ks = self.grid.nz - 1 - np.arange(self.fault.n_depth)
-        mask[self.fault.i0:self.fault.i1, ks] = True
-        return mask
 
     def record_slip_rate(self, decimate: int = 1) -> None:
         """Keep (t, slip-rate-x, slip-rate-z) snapshots every ``decimate``
@@ -172,47 +182,47 @@ class RuptureSolver:
         self._slip_rate_history = []
         self._history_decimate = decimate
 
+    def slip_rate_history(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """The recorded ``(t, slip-rate-x, slip-rate-z)`` snapshots."""
+        if not self._slip_rate_history:
+            raise RuntimeError("call record_slip_rate() before run()")
+        return self._slip_rate_history
+
     # ------------------------------------------------------------------
-    # Fault-plane dynamics
+    # Restart state (WaveSolver.state / load_state)
     # ------------------------------------------------------------------
-    def _split_node_update(self) -> None:
-        wf, g, h, dt = self.wf, self.grid, self.grid.h, self.dt
-        j0p = self._j0p
-        A = self.area
-        gi = slice(NGHOST, NGHOST + g.nx)
-        gk = slice(NGHOST, NGHOST + g.nz)
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of the fault state a bitwise restart needs (the slip-rate
+        history is output, like recorder frames, and stays out)."""
+        return {name: getattr(self, name).copy() for name in STATE_ARRAYS}
 
-        # --- vx split nodes at (i+1/2, j0, k) --------------------------
-        def dx_fwd(a: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(a)
-            out[:-1] = (a[1:] - a[:-1]) / h
-            return out
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        for name in STATE_ARRAYS:
+            getattr(self, name)[...] = arrays[name]
 
-        def dx_bwd(a: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(a)
-            out[1:] = (a[1:] - a[:-1]) / h
-            return out
-
-        def dz_fwd(a: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(a)
-            out[:, :-1] = (a[:, 1:] - a[:, :-1]) / h
-            return out
-
-        def dz_bwd(a: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(a)
-            out[:, 1:] = (a[:, 1:] - a[:, :-1]) / h
-            return out
+    # ------------------------------------------------------------------
+    # Step hooks (core.schedule.StepSchedule blocks A and B)
+    # ------------------------------------------------------------------
+    def update_velocity(self, t: float, nstep: int) -> None:
+        """Advance the split nodes through the friction-bounded traction
+        solve and publish their mean motion to the bulk ``vx``/``vz``."""
+        wf, h, dt = self.wf, self.grid.h, self.dt
+        j0p, gi, gk = self._j0p, self._gi, self._gk
+        A, hv = self.area, self._half_vol
 
         # Bulk restoring force per side from that side's split in-plane
-        # stresses (the Dalguer–Day split of sigma_xx/sigma_zz/sigma_xz).
-        bulk_x_p = (h ** 3 / 2.0) * (dx_fwd(self.sxxp) + dz_bwd(self.sxzp))
-        bulk_x_m = (h ** 3 / 2.0) * (dx_fwd(self.sxxm) + dz_bwd(self.sxzm))
+        # stresses; vx split nodes sit at (i+1/2, j0, k), vz at
+        # (i, j0, k+1/2).
+        bulk_x_p = hv * (_one_sided(self.sxxp, h, 0, True)
+                         + _one_sided(self.sxzp, h, 1, False))
+        bulk_x_m = hv * (_one_sided(self.sxxm, h, 0, True)
+                         + _one_sided(self.sxzm, h, 1, False))
         r_plus_x = bulk_x_p + A * wf.sxy[gi, j0p, gk]
         r_minus_x = bulk_x_m - A * wf.sxy[gi, j0p - 1, gk]
-
-        # --- vz split nodes at (i, j0, k+1/2) ---------------------------
-        bulk_z_p = (h ** 3 / 2.0) * (dx_bwd(self.sxzp) + dz_fwd(self.szzp))
-        bulk_z_m = (h ** 3 / 2.0) * (dx_bwd(self.sxzm) + dz_fwd(self.szzm))
+        bulk_z_p = hv * (_one_sided(self.sxzp, h, 0, False)
+                         + _one_sided(self.szzp, h, 1, True))
+        bulk_z_m = hv * (_one_sided(self.sxzm, h, 0, False)
+                         + _one_sided(self.szzm, h, 1, True))
         r_plus_z = bulk_z_p + A * wf.syz[gi, j0p, gk]
         r_minus_z = bulk_z_m - A * wf.syz[gi, j0p - 1, gk]
 
@@ -249,157 +259,69 @@ class RuptureSolver:
         self.slip_path += dt * rate
         np.maximum(self.peak_slip_rate, rate, out=self.peak_slip_rate)
         arriving = (rate > RUPTURE_THRESHOLD) & np.isinf(self.rupture_time)
-        self.rupture_time[arriving] = self.t
+        self.rupture_time[arriving] = t
         if self._slip_rate_history is not None \
-                and self.nstep % self._history_decimate == 0:
-            self._slip_rate_history.append((self.t, sdot_x.copy(),
-                                            sdot_z.copy()))
+                and nstep % self._history_decimate == 0:
+            self._slip_rate_history.append((t, sdot_x.copy(), sdot_z.copy()))
 
         # Publish the node-average motion to the bulk grid.
         wf.vx[gi, j0p, gk] = 0.5 * (self.vxp + self.vxm)
         wf.vz[gi, j0p, gk] = 0.5 * (self.vzp + self.vzm)
 
-    def _update_split_inplane_stresses(self) -> None:
-        """Integrate the split sigma_xx/sigma_zz/sigma_xz planes from the
-        split velocities (one per fault side; 2nd-order in-plane operators).
+    def snapshot(self) -> None:
+        """Keep the four fault-adjacent ``sxy``/``syz`` planes (interior y
+        rows :attr:`rows`) so the corrections can replace the bulk update's
+        across-fault increments."""
+        wf, gi, gk = self.wf, self._gi, self._gk
+        ys = slice(self._j0p - 2, self._j0p + 2)
+        self._before = (wf.sxy[gi, ys, gk].copy(), wf.syz[gi, ys, gk].copy())
 
-        d(vy)/dy across the fault uses the centred difference of the two
-        adjacent continuous vy planes (vy is continuous across a
-        non-opening fault).
-        """
-        wf, g, h, dt = self.wf, self.grid, self.grid.h, self.dt
-        j0p = self._j0p
-        gi = slice(NGHOST, NGHOST + g.nx)
-        gk = slice(NGHOST, NGHOST + g.nz)
-        dyvy = (wf.vy[gi, j0p, gk] - wf.vy[gi, j0p - 1, gk]) / h
+    def update_stress(self) -> None:
+        """Integrate the split in-plane stresses, then re-derive the four
+        shear-stress planes adjacent to the fault with the one-sided
+        operators of Eq. (4a–c)."""
+        wf, h, dt = self.wf, self.grid.h, self.dt
+        j, gi, gk = self._j0p, self._gi, self._gk
+        vy = wf.vy
 
-        def dx_bwd(a):
-            out = np.zeros_like(a)
-            out[1:] = (a[1:] - a[:-1]) / h
-            return out
-
-        def dz_bwd(a):
-            out = np.zeros_like(a)
-            out[:, 1:] = (a[:, 1:] - a[:, :-1]) / h
-            return out
-
-        def dx_fwd(a):
-            out = np.zeros_like(a)
-            out[:-1] = (a[1:] - a[:-1]) / h
-            return out
-
-        def dz_fwd(a):
-            out = np.zeros_like(a)
-            out[:, :-1] = (a[:, 1:] - a[:, :-1]) / h
-            return out
-
+        # Split sigma_xx/sigma_zz/sigma_xz, one set per fault side
+        # (2nd-order in-plane operators).  d(vy)/dy across the fault uses
+        # the centred difference of the two adjacent continuous vy planes
+        # (vy is continuous across a non-opening fault).
+        dyvy = (vy[gi, j, gk] - vy[gi, j - 1, gk]) / h
         lam, l2m, mu = self._lam_f, self._lam2mu_f, self._mu_xz_f
         for vx_s, vz_s, sxx, szz, sxz in (
                 (self.vxp, self.vzp, self.sxxp, self.szzp, self.sxzp),
                 (self.vxm, self.vzm, self.sxxm, self.szzm, self.sxzm)):
-            dxvx = dx_bwd(vx_s)
-            dzvz = dz_bwd(vz_s)
+            dxvx = _one_sided(vx_s, h, 0, False)
+            dzvz = _one_sided(vz_s, h, 1, False)
             sxx += dt * (l2m * dxvx + lam * (dyvy + dzvz))
             szz += dt * (l2m * dzvz + lam * (dxvx + dyvy))
-            sxz += dt * mu * (dz_fwd(vx_s) + dx_fwd(vz_s))
+            sxz += dt * mu * (_one_sided(vx_s, h, 1, True)
+                              + _one_sided(vz_s, h, 0, True))
 
-    def _fault_stress_corrections(self) -> None:
-        """Re-derive the four shear-stress planes adjacent to the fault with
-        the one-sided operators of Eq. (4a–c), undoing the kernel's
-        across-fault 4th-order stencils."""
-        wf, g, h, dt = self.wf, self.grid, self.grid.h, self.dt
-        j0p = self._j0p
-        gi = slice(NGHOST, NGHOST + g.nx)
-        gk = slice(NGHOST, NGHOST + g.nz)
-        mu_xy = self.medium.mu_xy
-        mu_yz = self.medium.mu_yz
-
-        vx = wf.vx
-        vy = wf.vy
-        vz = wf.vz
-        # d(vy)/dx at sxy positions (forward in x) — unchanged by the fault.
-        def dx_vy(j: int) -> np.ndarray:
-            return (vy[NGHOST + 1:NGHOST + g.nx + 1, j, gk]
-                    - vy[gi, j, gk]) / h
-
-        def dz_vy(j: int) -> np.ndarray:
-            return (vy[gi, j, NGHOST + 1:NGHOST + g.nz + 1]
-                    - vy[gi, j, gk]) / h
-
-        # sxy(j0+1/2): Eq. 4c with the + side split value.
-        dyvx = (vx[gi, j0p + 1, gk] - self.vxp) / h
-        wf.sxy[gi, j0p, gk] = (self._sxy_before[:, 1, :]
-                               + dt * mu_xy[gi, j0p, gk] * (dx_vy(j0p) + dyvx))
-        # sxy(j0-1/2): minus side.
-        dyvx = (self.vxm - vx[gi, j0p - 1, gk]) / h
-        wf.sxy[gi, j0p - 1, gk] = (self._sxy_before[:, 0, :]
-                                   + dt * mu_xy[gi, j0p - 1, gk]
-                                   * (dx_vy(j0p - 1) + dyvx))
-        # sxy(j0+3/2): Eq. 4a using the + split value as the j0 sample.
-        dyvx = (C1 * (vx[gi, j0p + 2, gk] - vx[gi, j0p + 1, gk])
-                + C2 * (vx[gi, j0p + 3, gk] - self.vxp)) / h
-        wf.sxy[gi, j0p + 1, gk] = (self._sxy_before[:, 2, :]
-                                   + dt * mu_xy[gi, j0p + 1, gk]
-                                   * (dx_vy(j0p + 1) + dyvx))
-        # sxy(j0-3/2): mirrored Eq. 4a with the - split value.
-        dyvx = (C1 * (vx[gi, j0p - 1, gk] - vx[gi, j0p - 2, gk])
-                + C2 * (self.vxm - vx[gi, j0p - 3, gk])) / h
-        wf.sxy[gi, j0p - 2, gk] = (self._sxy_before[:, 3, :]
-                                   + dt * mu_xy[gi, j0p - 2, gk]
-                                   * (dx_vy(j0p - 2) + dyvx))
-
-        # syz planes: same structure with vz splits.
-        dyvz = (vz[gi, j0p + 1, gk] - self.vzp) / h
-        wf.syz[gi, j0p, gk] = (self._syz_before[:, 1, :]
-                               + dt * mu_yz[gi, j0p, gk] * (dz_vy(j0p) + dyvz))
-        dyvz = (self.vzm - vz[gi, j0p - 1, gk]) / h
-        wf.syz[gi, j0p - 1, gk] = (self._syz_before[:, 0, :]
-                                   + dt * mu_yz[gi, j0p - 1, gk]
-                                   * (dz_vy(j0p - 1) + dyvz))
-        dyvz = (C1 * (vz[gi, j0p + 2, gk] - vz[gi, j0p + 1, gk])
-                + C2 * (vz[gi, j0p + 3, gk] - self.vzp)) / h
-        wf.syz[gi, j0p + 1, gk] = (self._syz_before[:, 2, :]
-                                   + dt * mu_yz[gi, j0p + 1, gk]
-                                   * (dz_vy(j0p + 1) + dyvz))
-        dyvz = (C1 * (vz[gi, j0p - 1, gk] - vz[gi, j0p - 2, gk])
-                + C2 * (self.vzm - vz[gi, j0p - 3, gk])) / h
-        wf.syz[gi, j0p - 2, gk] = (self._syz_before[:, 3, :]
-                                   + dt * mu_yz[gi, j0p - 2, gk]
-                                   * (dz_vy(j0p - 2) + dyvz))
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        wf, g = self.wf, self.grid
-        j0p = self._j0p
-        gi = slice(NGHOST, NGHOST + g.nx)
-        gk = slice(NGHOST, NGHOST + g.nz)
-        self.kernel.step_velocity()
-        self._split_node_update()
-        if self.free_surface is not None:
-            self.free_surface.apply_velocity(wf)
-        # Snapshot the four fault-adjacent shear planes so the corrections
-        # can replace the kernel's across-fault increments.
-        self._sxy_before = np.stack([wf.sxy[gi, j, gk]
-                                     for j in (j0p - 1, j0p, j0p + 1, j0p - 2)],
-                                    axis=1)
-        self._syz_before = np.stack([wf.syz[gi, j, gk]
-                                     for j in (j0p - 1, j0p, j0p + 1, j0p - 2)],
-                                    axis=1)
-        self.kernel.step_stress()
-        self._update_split_inplane_stresses()
-        self._fault_stress_corrections()
-        if self.free_surface is not None:
-            self.free_surface.apply_stress(wf)
-        if self.sponge is not None:
-            self.sponge.apply(wf)
-        self.t += self.dt
-        self.nstep += 1
-
-    def run(self, nsteps: int, progress=None) -> None:
-        for i in range(nsteps):
-            self.step()
-            if progress is not None:
-                progress(i, self)
+        # Eq. 4a–c: d(v)/dy at j0 -/+ 1/2 takes the minus/plus split value
+        # (4c); at j0 -/+ 3/2 the 4th-order stencil takes it as its j0
+        # sample (4a, mirrored below the fault).  The in-plane derivative
+        # of vy is unchanged by the fault.
+        nx, nz = self.grid.nx, self.grid.nz
+        gx1 = slice(NGHOST + 1, NGHOST + nx + 1)
+        gz1 = slice(NGHOST + 1, NGHOST + nz + 1)
+        for s, v, vp, vm, mu_s, before, d_vy in (
+                (wf.sxy, wf.vx, self.vxp, self.vxm, self.medium.mu_xy,
+                 self._before[0], lambda jj: vy[gx1, jj, gk] - vy[gi, jj, gk]),
+                (wf.syz, wf.vz, self.vzp, self.vzm, self.medium.mu_yz,
+                 self._before[1], lambda jj: vy[gi, jj, gz1] - vy[gi, jj, gk])):
+            dyv = (
+                (C1 * (v[gi, j - 1, gk] - v[gi, j - 2, gk])
+                 + C2 * (vm - v[gi, j - 3, gk])) / h,
+                (vm - v[gi, j - 1, gk]) / h,
+                (v[gi, j + 1, gk] - vp) / h,
+                (C1 * (v[gi, j + 2, gk] - v[gi, j + 1, gk])
+                 + C2 * (v[gi, j + 3, gk] - vp)) / h)
+            for n, jj in enumerate(range(j - 2, j + 2)):
+                s[gi, jj, gk] = (before[:, n] + dt * mu_s[gi, jj, gk]
+                                 * (d_vy(jj) / h + dyv[n]))
 
     # ------------------------------------------------------------------
     # Derived source quantities (Fig. 19 material)
@@ -420,7 +342,6 @@ class RuptureSolver:
 
     def seismic_moment(self) -> float:
         """M0 = integral of mu * slip over the ruptured area."""
-        from ..core.fd import interior
         mu = interior(self.medium.mu)[:, self.fault.j0, :]
         slip = np.hypot(self.slip_x, self.slip_z)
         return float((mu * slip).sum() * self.area)
@@ -443,7 +364,6 @@ class RuptureSolver:
     def supershear_fraction(self) -> float:
         """Fraction of the ruptured area with rupture speed above the local
         S speed (the red/blue patches of Fig. 19c)."""
-        from ..core.fd import interior
         vs3 = np.sqrt(interior(self.medium.mu) / interior(self.medium.rho))
         ks = self.grid.nz - 1 - np.arange(self.fault.n_depth)
         vs = vs3[self.fault.i0:self.fault.i1, self.fault.j0][:, ks]
@@ -456,12 +376,9 @@ class RuptureSolver:
 
     def moment_rate_history(self) -> tuple[np.ndarray, np.ndarray]:
         """(t, Mdot) from recorded slip-rate snapshots (needs record_slip_rate)."""
-        if not self._slip_rate_history:
-            raise RuntimeError("call record_slip_rate() before run()")
-        from ..core.fd import interior
         mu = interior(self.medium.mu)[:, self.fault.j0, :]
         ts, rates = [], []
-        for t, sx, sz in self._slip_rate_history:
+        for t, sx, sz in self.slip_rate_history():
             ts.append(t)
             rates.append(float((mu * np.hypot(sx, sz)).sum() * self.area))
         return np.asarray(ts), np.asarray(rates)

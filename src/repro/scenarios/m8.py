@@ -26,7 +26,7 @@ from ..core import (Grid3D, Medium, Receiver, SolverConfig, SurfaceRecorder,
 from ..core.pml import PMLConfig
 from ..mesh.cvm import SyntheticCVM, southern_california_like
 from ..rupture.friction import m8_friction_profiles
-from ..rupture.solver import FaultModel, RuptureSolver
+from ..rupture.solver import FaultModel, SplitNodeFault
 from ..rupture.stress import build_m8_initial_stress
 from ..sourcegen.dsrcg import dynamic_source_from_rupture, segmented_trace
 
@@ -68,7 +68,7 @@ class M8Result:
     config: M8Config
     cvm: SyntheticCVM
     grid: Grid3D
-    rupture: RuptureSolver
+    rupture: SplitNodeFault
     source: object
     wave: WaveSolver
     recorder: SurfaceRecorder
@@ -86,7 +86,7 @@ class M8Result:
                 for name, r in self.receivers.items()}
 
 
-def _run_rupture(cfg: M8Config) -> RuptureSolver:
+def _run_rupture(cfg: M8Config) -> SplitNodeFault:
     h = cfg.h_rupture
     fault_len = cfg.fault_fraction * cfg.x_extent
     ns = int(fault_len / h)
@@ -121,10 +121,12 @@ def _run_rupture(cfg: M8Config) -> RuptureSolver:
         nucleation_overstress=1.1)
     fm = FaultModel(j0=18, i0=pad, i1=pad + ns, n_depth=nd,
                     friction=friction, initial=init)
-    rs = RuptureSolver(g, med, fm, free_surface=True, sponge_width=8)
-    rs.record_slip_rate(decimate=2)
-    rs.run(int(cfg.rupture_duration / rs.dt))
-    return rs
+    rupture = SplitNodeFault(fm)
+    rupture.record_slip_rate(decimate=2)
+    solver = WaveSolver(g, med, SolverConfig(absorbing="sponge",
+                                             sponge_width=8), fault=rupture)
+    solver.run(int(cfg.rupture_duration / solver.dt))
+    return rupture
 
 
 def _fault_trace(cfg: M8Config, cvm: SyntheticCVM) -> list[tuple[float, float]]:

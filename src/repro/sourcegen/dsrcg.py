@@ -7,7 +7,7 @@ the southern SAF, and the wave propagation for this source was solved with
 AWP-ODC" after "temporal interpolation and a 4th-order low-pass filter with
 a cut-off frequency of 2 Hz".
 
-This module turns a finished :class:`~repro.rupture.solver.RuptureSolver`
+This module turns a finished :class:`~repro.rupture.solver.SplitNodeFault`
 run (with recorded slip rates) into moment-rate time histories at subfaults:
 
 1. aggregate fault cells into subfault blocks;
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.fd import interior
 from ..core.source import FiniteFaultSource, SubFault
-from ..rupture.solver import RuptureSolver
+from ..rupture.solver import SplitNodeFault
 
 __all__ = ["FaultSegment", "segmented_trace", "lowpass_resample",
            "dynamic_source_from_rupture"]
@@ -94,7 +94,7 @@ def lowpass_resample(t: np.ndarray, series: np.ndarray, dt_out: float,
     return t_out, filtfilt(b, a, resampled)
 
 
-def dynamic_source_from_rupture(rupture: RuptureSolver, block: int = 4,
+def dynamic_source_from_rupture(rupture: SplitNodeFault, block: int = 4,
                                 dt_out: float = 0.05, f_cut: float = 2.0,
                                 trace: list[FaultSegment] | None = None,
                                 trace_offset: float = 0.0,
@@ -106,7 +106,8 @@ def dynamic_source_from_rupture(rupture: RuptureSolver, block: int = 4,
     Parameters
     ----------
     rupture:
-        A completed rupture run with ``record_slip_rate()`` enabled.
+        The fault of a completed rupture run with ``record_slip_rate()``
+        enabled.
     block:
         Fault cells per subfault along strike and depth.
     dt_out, f_cut:
@@ -118,9 +119,7 @@ def dynamic_source_from_rupture(rupture: RuptureSolver, block: int = 4,
         Without a trace, subfaults stay on the original plane at
         ``y_plane``.
     """
-    hist = rupture._slip_rate_history
-    if not hist:
-        raise RuntimeError("rupture must be run with record_slip_rate()")
+    hist = rupture.slip_rate_history()
     g = rupture.grid
     h = g.h
     fault = rupture.fault

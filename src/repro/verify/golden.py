@@ -143,8 +143,8 @@ def _run_dynamic() -> dict[str, dict[str, np.ndarray]]:
     """The mini spontaneous rupture: final slip, rupture time (-1 where the
     fault never broke), peak slip rate, and the top interior plane of vx."""
     from ..core.fd import NGHOST
-    from ..rupture import (FaultModel, InitialStress, RuptureSolver,
-                           SlipWeakeningFriction)
+    from ..rupture import (FaultModel, InitialStress, SlipWeakeningFriction,
+                           SplitNodeFault)
     sc = RUPTURE_SCENARIO
     f = sc["fault"]
     h, ns, nd = sc["h"], f["n_strike"], f["n_depth"]
@@ -163,15 +163,17 @@ def _run_dynamic() -> dict[str, dict[str, np.ndarray]]:
                             sigma_n=np.full((ns, nd), f["sigma_n"]))
     model = FaultModel(j0=f["j0"], i0=f["i0"], i1=f["i0"] + ns, n_depth=nd,
                        friction=friction, initial=initial)
-    rs = RuptureSolver(grid, med, model, sponge_width=sc["sponge_width"])
-    rs.run(sc["nsteps"])
+    rs = SplitNodeFault(model)
+    solver = WaveSolver(grid, med, SolverConfig(
+        absorbing="sponge", sponge_width=sc["sponge_width"]), fault=rs)
+    solver.run(sc["nsteps"])
     tr = rs.rupture_time_region()
     g, kt = NGHOST, NGHOST + grid.nz - 1
     return {"dynamic_mini_rupture": {
         "slip": rs.final_slip(),
         "rupture_time": np.where(np.isfinite(tr), tr, -1.0),
         "peak_slip_rate": rs.peak_slip_rate_region(),
-        "surface_vx": rs.wf.vx[g:-g, g:-g, kt].copy()}}
+        "surface_vx": solver.wf.vx[g:-g, g:-g, kt].copy()}}
 
 
 # ----------------------------------------------------------------------

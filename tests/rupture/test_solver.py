@@ -1,11 +1,12 @@
-"""Tests of the SGSN spontaneous-rupture solver (TPV3-style scenarios)."""
+"""Tests of the SGSN spontaneous rupture (TPV3-style scenarios): a
+split-node fault run by the WaveSolver's step schedule."""
 
 import numpy as np
 import pytest
 
-from repro.core import Grid3D, Medium
+from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
 from repro.rupture.friction import SlipWeakeningFriction
-from repro.rupture.solver import FaultModel, RuptureSolver
+from repro.rupture.solver import FaultModel, SplitNodeFault
 from repro.rupture.stress import InitialStress
 
 
@@ -34,15 +35,24 @@ def make_solver(ns=60, nd=25, h=200.0, **fault_kw):
     fr, init = tpv3_fault(ns=ns, nd=nd, h=h, **fault_kw)
     fm = FaultModel(j0=20, i0=15, i1=15 + ns, n_depth=nd, friction=fr,
                     initial=init)
-    return RuptureSolver(g, med, fm, free_surface=True, sponge_width=8)
+    return WaveSolver(g, med, SolverConfig(absorbing="sponge", sponge_width=8),
+                      fault=SplitNodeFault(fm))
+
+
+def run_rupture(nsteps, **kw):
+    """The fault of a ``make_solver(**kw)`` run for ``nsteps`` steps."""
+    solver = make_solver(**kw)
+    solver.run(nsteps)
+    return solver.fault
 
 
 class TestSpontaneousRupture:
     @pytest.fixture(scope="class")
     def ruptured(self):
-        rs = make_solver()
+        solver = make_solver()
+        rs = solver.fault
         rs.record_slip_rate(decimate=5)
-        rs.run(260)
+        solver.run(260)
         return rs
 
     def test_rupture_propagates_beyond_nucleation(self, ruptured):
@@ -96,23 +106,20 @@ class TestArrest:
     def test_subcritical_stress_does_not_rupture(self):
         """With background stress far below strength and no nucleation,
         the fault stays locked."""
-        rs = make_solver(tau_bg=30e6, nucleate=False)
-        rs.run(60)
+        rs = run_rupture(60, tau_bg=30e6, nucleate=False)
         assert not np.isfinite(rs.rupture_time_region()).any()
         assert rs.final_slip().max() < 1e-6
 
     def test_rupture_arrests_at_strong_barrier(self):
         """Low background stress: the nucleation patch fails but the
         rupture dies out (S-ratio too large)."""
-        rs = make_solver(tau_bg=45e6)
-        rs.run(200)
+        rs = run_rupture(200, tau_bg=45e6)
         tr = rs.rupture_time_region()
         frac = np.isfinite(tr).mean()
         assert 0.0 < frac < 0.4  # nucleation only, no runaway
 
     def test_welded_outside_region(self):
-        rs = make_solver()
-        rs.run(100)
+        rs = run_rupture(100)
         # No physical slip outside the declared fault region (the locked
         # split nodes leave only floating-point drift, ~1e-20 m).
         full_slip = np.hypot(rs.slip_x, rs.slip_z)
@@ -125,10 +132,8 @@ class TestArrest:
 class TestSupershearTransition:
     def test_high_prestress_promotes_supershear(self):
         """Low S ratio -> super-shear transition (Fig. 19c's patches)."""
-        lo = make_solver(tau_bg=68e6)   # S ~ 2.6: sub-Rayleigh regime
-        hi = make_solver(tau_bg=76e6)   # S ~ 0.4: super-shear regime
-        lo.run(180)
-        hi.run(180)
+        lo = run_rupture(180, tau_bg=68e6)   # S ~ 2.6: sub-Rayleigh regime
+        hi = run_rupture(180, tau_bg=76e6)   # S ~ 0.4: super-shear regime
         assert hi.supershear_fraction() >= lo.supershear_fraction()
         assert hi.supershear_fraction() > 0.1
 
@@ -141,7 +146,8 @@ class TestValidation:
         fm = FaultModel(j0=1, i0=5, i1=15, n_depth=10, friction=fr,
                         initial=init)
         with pytest.raises(ValueError, match="boundary"):
-            RuptureSolver(g, med, fm)
+            WaveSolver(g, med, SolverConfig(absorbing="sponge", sponge_width=4),
+                       fault=SplitNodeFault(fm))
 
     def test_shape_mismatch(self):
         fr, init = tpv3_fault(ns=10, nd=10)
@@ -156,10 +162,10 @@ class TestValidation:
         fm = FaultModel(j0=20, i0=5, i1=15, n_depth=25, friction=fr,
                         initial=init)
         with pytest.raises(ValueError, match="deeper"):
-            RuptureSolver(g, med, fm)
+            WaveSolver(g, med, SolverConfig(absorbing="sponge", sponge_width=4),
+                       fault=SplitNodeFault(fm))
 
     def test_moment_rate_requires_recording(self):
-        rs = make_solver()
-        rs.run(2)
+        rs = run_rupture(2)
         with pytest.raises(RuntimeError, match="record_slip_rate"):
             rs.moment_rate_history()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import Grid3D, Medium
+from repro.core import Grid3D, Medium, SolverConfig, WaveSolver
 from repro.rupture.friction import SlipWeakeningFriction
-from repro.rupture.solver import FaultModel, RuptureSolver
+from repro.rupture.solver import FaultModel, SplitNodeFault
 from repro.rupture.stress import InitialStress
 from repro.sourcegen.dsrcg import (FaultSegment, dynamic_source_from_rupture,
                                    lowpass_resample, segmented_trace)
@@ -29,9 +29,10 @@ def rupture():
                          sigma_n=np.full((ns, nd), 120e6))
     fm = FaultModel(j0=15, i0=10, i1=10 + ns, n_depth=nd, friction=fr,
                     initial=init)
-    rs = RuptureSolver(g, med, fm, free_surface=True, sponge_width=6)
+    rs = SplitNodeFault(fm)
     rs.record_slip_rate(decimate=2)
-    rs.run(150)
+    WaveSolver(g, med, SolverConfig(absorbing="sponge", sponge_width=6),
+               fault=rs).run(150)
     return rs
 
 
@@ -127,6 +128,8 @@ class TestDynamicSource:
                              sigma_n=np.full((ns, nd), 1e8))
         fm = FaultModel(j0=10, i0=5, i1=15, n_depth=nd, friction=fr,
                         initial=init)
-        rs = RuptureSolver(g, med, fm, sponge_width=4)
+        rs = SplitNodeFault(fm)
+        WaveSolver(g, med, SolverConfig(absorbing="sponge", sponge_width=4),
+                   fault=rs)
         with pytest.raises(RuntimeError, match="record_slip_rate"):
             dynamic_source_from_rupture(rs)

@@ -64,7 +64,7 @@ class TestSourcePipeline:
     def test_rupture_to_partitioned_source(self):
         """DFR -> dSrcG -> PetaSrcP -> AWM: the full source path."""
         from repro.rupture.friction import SlipWeakeningFriction
-        from repro.rupture.solver import FaultModel, RuptureSolver
+        from repro.rupture.solver import FaultModel, SplitNodeFault
         from repro.rupture.stress import InitialStress
         from repro.core import Medium
         from repro.sourcegen import dynamic_source_from_rupture
@@ -85,9 +85,11 @@ class TestSourcePipeline:
                              sigma_n=np.full((ns, nd), 120e6))
         fm = FaultModel(j0=12, i0=8, i1=8 + ns, n_depth=nd, friction=fr,
                         initial=init)
-        rup = RuptureSolver(g, med, fm, sponge_width=6)
+        rup = SplitNodeFault(fm)
         rup.record_slip_rate(decimate=2)
-        rup.run(int(3.0 / rup.dt))
+        fault_solver = WaveSolver(g, med, SolverConfig(
+            absorbing="sponge", sponge_width=6), fault=rup)
+        fault_solver.run(int(3.0 / fault_solver.dt))
 
         # export and partition the source over a wave-propagation grid
         wave_grid = Grid3D(20, 12, 12, h=800.0)
