@@ -197,6 +197,7 @@ class SplitNodeFault:
         return {name: getattr(self, name).copy() for name in STATE_ARRAYS}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore a :meth:`state_arrays` dict in place."""
         for name in STATE_ARRAYS:
             getattr(self, name)[...] = arrays[name]
 

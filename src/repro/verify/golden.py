@@ -289,7 +289,7 @@ def compare_arrays(candidate: dict[str, np.ndarray],
             continue
         bound = atol + rtol * float(np.abs(b).max()) if b.size else atol
         err = float(np.abs(a - b).max()) if a.size else 0.0
-        if err > bound:
+        if not err <= bound:    # a NaN error (diverged candidate) fails
             out.append(GoldenMismatch(key, err, bound))
     return out
 

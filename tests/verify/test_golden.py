@@ -68,6 +68,12 @@ class TestComparator:
         assert not r.passed
         assert any("absent" in m.note for m in r.mismatches)
 
+    def test_nan_candidate_detected(self):
+        """A diverged run's NaNs must not compare as 'no error'."""
+        mism = golden.compare_arrays({"a": np.full(3, np.nan)},
+                                     {"a": np.ones(3)}, rtol=1e-7, atol=0.0)
+        assert mism and mism[0].array == "a"
+
     def test_shape_mismatch_detected(self):
         mism = golden.compare_arrays({"a": np.zeros((2, 3))},
                                      {"a": np.zeros((3, 2))},
