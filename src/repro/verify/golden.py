@@ -1,17 +1,18 @@
 """Golden regression store (repro.verify).
 
 Small committed ``.npz`` snapshots of physics outputs — seismograms, the
-surface PGV map, and rupture-front times of a mini kinematic scenario,
-and the slip, rupture time, peak slip rate and a surface velocity plane of
-a mini spontaneous (TPV3-style) rupture — with schema'd metadata and
-tolerance-gated comparison.  This is the
+surface PGV map, and rupture-front times of a mini kinematic scenario;
+the same scenario run anelastic under PML (field and memory-variable
+planes, one seismogram); and the slip, rupture time, peak slip rate and a
+surface velocity plane of a mini spontaneous (TPV3-style) rupture — with
+schema'd metadata and tolerance-gated comparison.  This is the
 paper's "reference solution" half of aVal made durable: the MMS harness
 proves the discretization order, the matrix proves backend equivalence,
 and the goldens pin the *actual numbers* so an innocent-looking refactor
 cannot drift the physics unnoticed.
 
-Layout: the kinematic scenario run feeds three golden files and the
-dynamic-rupture run one, under
+Layout: the kinematic scenario run feeds three golden files, its
+anelastic run one and the dynamic-rupture run one, under
 ``src/repro/verify/goldens/`` (packaged data, < 1 MB total).  Each file
 stores its arrays plus a ``__meta__`` entry holding a JSON document:
 schema id, scenario parameters, and the comparison tolerances that were
@@ -36,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import (Grid3D, Medium, Receiver, SolverConfig, WaveSolver,
-                    cfl_dt)
+from ..core import (Grid3D, Medium, PMLConfig, Receiver, SolverConfig,
+                    WaveSolver, cfl_dt)
 from ..obs.provenance import RunManifest
 from ..rupture.kinematic import KinematicRupture
 
@@ -48,7 +49,8 @@ __all__ = ["GOLDEN_SCHEMA", "GOLDEN_DIR", "GOLDEN_NAMES", "GoldenMismatch",
 GOLDEN_SCHEMA = "repro-golden/1"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 GOLDEN_NAMES = ("kinematic_mini_seismograms", "kinematic_mini_pgv",
-                "kinematic_mini_rupture_front", "dynamic_mini_rupture")
+                "kinematic_mini_rupture_front", "anelastic_mini",
+                "dynamic_mini_rupture")
 
 #: Default gate: well above libm jitter, well below physics regressions.
 DEFAULT_RTOL = 1e-7
@@ -71,6 +73,13 @@ SCENARIO = {
 }
 
 
+#: The mini kinematic scenario run anelastic: split-field PML instead of
+#: the sponge, the free surface, and coarse-grained memory variables over
+#: the band (the medium's default ``Qs = 50 Vs``, ``Qp = 2 Qs``).
+ANELASTIC_SCENARIO = {**SCENARIO, "pml_width": 6,
+                      "attenuation_band": [0.3, 3.0]}
+
+
 #: The mini spontaneous rupture, fixed forever like :data:`SCENARIO`: a
 #: TPV3-style uniform prestress with an overstressed nucleation patch on a
 #: vertical slip-weakening fault, homogeneous medium, free surface, sponge.
@@ -88,28 +97,29 @@ RUPTURE_SCENARIO = {
 
 
 def _scenario_of(name: str) -> dict:
-    return RUPTURE_SCENARIO if name == "dynamic_mini_rupture" else SCENARIO
+    return {"dynamic_mini_rupture": RUPTURE_SCENARIO,
+            "anelastic_mini": ANELASTIC_SCENARIO}.get(name, SCENARIO)
 
 
 def run_scenario() -> dict[str, dict[str, np.ndarray]]:
     """Run the mini scenarios once; return arrays per golden name."""
-    return {**_run_kinematic(), **_run_dynamic()}
+    return {**_run_kinematic(), **_run_anelastic(), **_run_dynamic()}
 
 
-def _run_kinematic() -> dict[str, dict[str, np.ndarray]]:
-    """The mini kinematic scenario.
+def _kinematic_solver(**cfg):
+    """The mini kinematic scenario's solver (``cfg``: its absorber and
+    attenuation), source added; returns ``(solver, rupture, receivers)``.
 
     A M5.5 kinematic rupture (5x4 subfaults, Denali-like slip) on a
-    vertical plane through a homogeneous half-space, sponge absorber,
-    free surface on; three receivers and the decimated surface PGV map.
+    vertical plane through a homogeneous half-space, free surface on;
+    three receivers.
     """
     sc = SCENARIO
     grid = Grid3D(*sc["shape"], h=sc["h"])
     med = Medium.homogeneous(grid, vp=sc["vp"], vs=sc["vs"], rho=sc["rho"])
     dt = cfl_dt(sc["h"], sc["vp"], order=4, safety=0.5)
-    cfg = SolverConfig(dt=dt, absorbing="sponge", sponge_width=4,
-                       free_surface=True)
-    solver = WaveSolver(grid, med, cfg)
+    solver = WaveSolver(grid, med, SolverConfig(dt=dt, free_surface=True,
+                                                **cfg))
 
     f = sc["fault"]
     rupture = KinematicRupture(
@@ -122,11 +132,18 @@ def _run_kinematic() -> dict[str, dict[str, np.ndarray]]:
         origin=(1400.0, 0.0, 0.0), y_plane=sc["shape"][1] * sc["h"] / 2,
         surface_z=surface_z - 2 * sc["h"], dt=dt)
     solver.add_source(fault)
-
     recs = {name: solver.add_receiver(Receiver(position=tuple(p), name=name))
             for name, p in sc["receivers"].items()}
+    return solver, rupture, recs
+
+
+def _run_kinematic() -> dict[str, dict[str, np.ndarray]]:
+    """The mini kinematic scenario under a sponge: three seismograms, the
+    decimated surface PGV map and the rupture front."""
+    solver, rupture, recs = _kinematic_solver(absorbing="sponge",
+                                              sponge_width=4)
     recorder = solver.record_surface(dec_space=1, dec_time=2)
-    solver.run(sc["nsteps"])
+    solver.run(SCENARIO["nsteps"])
 
     seis = {f"{name}.{comp}": np.asarray(r.data[comp])
             for name, r in recs.items() for comp in ("vx", "vy", "vz")}
@@ -137,6 +154,28 @@ def _run_kinematic() -> dict[str, dict[str, np.ndarray]]:
             "rupture_times": rupture.rupture_times(),
             "slip": np.asarray(rupture.slip)},
     }
+
+
+def _run_anelastic() -> dict[str, dict[str, np.ndarray]]:
+    """The mini kinematic scenario with PML and attenuation: the fault
+    plane (``y = ny/2``) and the top interior plane of the nine fields and
+    the six memory variables, and the ``near`` seismogram."""
+    from ..core.fd import interior
+    sc = ANELASTIC_SCENARIO
+    solver, _, recs = _kinematic_solver(
+        absorbing="pml", pml=PMLConfig(width=sc["pml_width"]),
+        attenuation_band=tuple(sc["attenuation_band"]))
+    solver.run(sc["nsteps"])
+    arrays = {**{k: interior(v) for k, v in solver.wf.fields().items()},
+              **{f"zeta.{k}": v for k, v in
+                 solver.attenuation.state_arrays().items()}}
+    jm = sc["shape"][1] // 2
+    out = {f"{k}.{cut}": np.ascontiguousarray(plane)
+           for k, a in arrays.items()
+           for cut, plane in (("fault", a[:, jm, :]), ("top", a[:, :, -1]))}
+    out.update({f"near.{c}": np.asarray(recs["near"].data[c])
+                for c in ("vx", "vy", "vz")})
+    return {"anelastic_mini": out}
 
 
 def _run_dynamic() -> dict[str, dict[str, np.ndarray]]:

@@ -41,6 +41,9 @@ class TestCommittedGoldens:
         seis = scenario_arrays["kinematic_mini_seismograms"]
         assert all(np.abs(v).max() > 1e-3 for v in seis.values())
         assert scenario_arrays["kinematic_mini_pgv"]["pgvh"].max() > 1e-2
+        ane = scenario_arrays["anelastic_mini"]
+        assert all(np.abs(ane[f"zeta.{c}.fault"]).max() > 1e6
+                   for c in ("sxx", "syy", "szz", "sxy", "sxz", "syz"))
 
     def test_dynamic_rupture_spreads_past_nucleation(self, scenario_arrays):
         """The rupture golden pins a propagating front, not a locked or
