@@ -697,8 +697,11 @@ def _cmd_verify(args) -> int:
     if "matrix" in pillars:
         if profile == "full":
             # LTS cells hold the distributed scheduler to the serial-LTS
-            # reference bitwise (pz must stay 1 under LTS).
+            # reference bitwise (pz must stay 1 under LTS); attenuation
+            # cells the memory variables on both variants.
             cells = (build_cells()
+                     + build_cells(decomps=((2, 1, 1), (4, 1, 1)),
+                                   attenuation=True)
                      + build_cells(backends=("sim",),
                                    decomps=((2, 1, 1), (2, 2, 1)),
                                    lts="forced")
@@ -710,8 +713,11 @@ def _cmd_verify(args) -> int:
             # sim backend across the whole dtype/variant grid, plus one
             # procpool smoke cell per overlap-capable variant so the fork
             # path (and the compiled core/shell split) is exercised too,
-            # plus one LTS cell pinning the rate-group scheduler.
+            # plus one LTS cell pinning the rate-group scheduler and one
+            # attenuation cell per variant.
             cells = (build_cells(backends=("sim",), decomps=QUICK_DECOMPS)
+                     + build_cells(backends=("sim",), dtypes=("float64",),
+                                   decomps=((2, 1, 1),), attenuation=True)
                      + build_cells(backends=("procpool",),
                                    dtypes=("float64",),
                                    decomps=((2, 1, 1),))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fd import NGHOST, interior
-from .grid import Grid3D
+from .grid import STRESS_FIELDS, Grid3D
 from .medium import Medium
 
 __all__ = ["fit_q_weights", "sls_q_inverse", "CoarseGrainedAttenuation"]
@@ -76,7 +76,15 @@ def fit_q_weights(f_min: float, f_max: float, n_mech: int = 8
 
 
 class CoarseGrainedAttenuation:
-    """Per-grid attenuation state; plugs into the stress update as a rate hook.
+    """Per-grid attenuation state: the memory variables and the trapezoidal
+    coefficients the anelastic stress update reads
+    (:func:`repro.core.update.halves` with ``anelastic=True``).
+
+    For each stress component ``zeta' = a*zeta + b*(delta*rate)``, the rate
+    is relaxed to ``rate - (zeta + zeta') * 0.5`` and ``zeta = zeta'``, with
+    ``r = tau/dt``, ``a = (r - 1/2)/(r + 1/2)`` and ``b = 1/(r + 1/2)``
+    built once for ``dt`` in the field dtype.  Every array is padded, its
+    ghosts zero, so the update binds it like a medium array.
 
     Parameters
     ----------
@@ -85,6 +93,8 @@ class CoarseGrainedAttenuation:
     f_min, f_max:
         Frequency band over which Q is held approximately constant.  The
         paper's M8 band is 0–2 Hz; a decade such as (0.2, 2.0) is typical.
+    dt:
+        The time step the coefficients are built for.
     n_mech:
         Number of relaxation mechanisms (8 in the paper).
     index_origin:
@@ -93,14 +103,13 @@ class CoarseGrainedAttenuation:
         the serial run exactly.
     """
 
-    #: Stress components relaxed with Qp vs Qs.
-    _P_COMPONENTS = ("sxx", "syy", "szz")
-
     def __init__(self, grid: Grid3D, medium: Medium, f_min: float, f_max: float,
-                 n_mech: int = 8, index_origin: tuple[int, int, int] = (0, 0, 0),
+                 dt: float, n_mech: int = 8,
+                 index_origin: tuple[int, int, int] = (0, 0, 0),
                  dtype=np.float64):
         self.grid = grid
         self.f_min, self.f_max = float(f_min), float(f_max)
+        self.dt = float(dt)
         self.tau, self.weights = fit_q_weights(f_min, f_max, n_mech)
         n_cycle = 2 if n_mech > 1 else 1
         ii, jj, kk = np.meshgrid(
@@ -109,56 +118,28 @@ class CoarseGrainedAttenuation:
             (np.arange(grid.nz) + index_origin[2]) % n_cycle,
             indexing="ij")
         mech = (ii + 2 * jj + 4 * kk) % n_mech
-        tau_x = self.tau[mech]
         w_x = self.weights[mech] * float(min(n_mech, 8))
-        qp = interior(medium.qp)
-        qs = interior(medium.qs)
-        self._delta = {"p": (w_x / qp).astype(dtype), "s": (w_x / qs).astype(dtype)}
-        self._tau_x = tau_x.astype(dtype)
-        self._zeta = {c: np.zeros(grid.shape, dtype=dtype)
-                      for c in ("sxx", "syy", "szz", "sxy", "sxz", "syz")}
-        self._dt_coeffs: tuple[float, np.ndarray, np.ndarray] | None = None
-        # Pooled hot-loop temporaries for the in-place rate hook.
-        self._t1 = np.zeros(grid.shape, dtype=dtype)
-        self._t2 = np.zeros(grid.shape, dtype=dtype)
+        # float(dt) keeps the division a weak-scalar op so the coefficients
+        # inherit the storage dtype (f32 stays f32)
+        r = self.tau[mech].astype(dtype) / self.dt
+        coeffs = {"delta_p": (w_x / interior(medium.qp)).astype(dtype),
+                  "delta_s": (w_x / interior(medium.qs)).astype(dtype),
+                  "zeta_a": (r - 0.5) / (r + 0.5), "zeta_b": 1.0 / (r + 0.5)}
+        #: ``delta_p``/``delta_s`` (Qp, Qs) and ``zeta_a``/``zeta_b``
+        self.coefficients = {k: np.pad(v, NGHOST) for k, v in coeffs.items()}
+        #: the memory variable of each stress component
+        self.zeta = {c: np.zeros(grid.padded_shape, dtype)
+                     for c in STRESS_FIELDS}
 
-    def _coeffs(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoidal update coefficients (A, B) for the current dt."""
-        if self._dt_coeffs is None or self._dt_coeffs[0] != dt:
-            # float(dt) keeps the division a weak-scalar op so the
-            # coefficients inherit tau_x's storage dtype (f32 stays f32).
-            r = self._tau_x / float(dt)
-            a = (r - 0.5) / (r + 0.5)
-            b = 1.0 / (r + 0.5)
-            self._dt_coeffs = (dt, a, b)
-        return self._dt_coeffs[1], self._dt_coeffs[2]
-
-    def rate_hook(self, dt: float):
-        """Return a ``hook(comp, elastic_rate) -> relaxed_rate`` callable.
-
-        The hook is allocation-free: it relaxes the rate *in place* using
-        pooled temporaries, with the ufunc calls ordered exactly as the
-        expressions they replaced (``zeta_new = a*zeta + b*(delta*rate)``;
-        ``adjusted = rate - 0.5*(zeta + zeta_new)``), so results are
-        bit-identical to the allocating formulation.
-        """
-        a, b = self._coeffs(dt)
-        t1, t2 = self._t1, self._t2
-
-        def hook(comp: str, rate: np.ndarray) -> np.ndarray:
-            zeta = self._zeta[comp]
-            delta = self._delta["p" if comp in self._P_COMPONENTS else "s"]
-            np.multiply(delta, rate, out=t1)
-            np.multiply(b, t1, out=t1)            # b * (delta * rate)
-            np.multiply(a, zeta, out=t2)
-            np.add(t2, t1, out=t2)                # zeta_new = a*zeta + ...
-            np.add(zeta, t2, out=t1)
-            np.multiply(t1, 0.5, out=t1)          # 0.5 * (zeta + zeta_new)
-            np.subtract(rate, t1, out=rate)
-            np.copyto(zeta, t2)
-            return rate
-
-        return hook
+    def arrays(self, dt: float) -> dict[str, np.ndarray]:
+        """The update's attenuation operands, by their statement names, for
+        an update at ``dt`` — refused unless it is the one they are built
+        for."""
+        if float(dt) != self.dt:
+            raise ValueError(f"attenuation is built for dt={self.dt}, "
+                             f"not {float(dt)}")
+        return {**self.coefficients,
+                **{f"zeta_{c}": z for c, z in self.zeta.items()}}
 
     # ------------------------------------------------------------------
     def effective_q(self, freq: np.ndarray, q_target: float) -> np.ndarray:
@@ -172,9 +153,9 @@ class CoarseGrainedAttenuation:
         return 1.0 / inv_q
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Memory-variable arrays (for checkpointing)."""
-        return dict(self._zeta)
+        """Interior views of the memory variables (for checkpointing)."""
+        return {c: interior(z) for c, z in self.zeta.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for name, arr in state.items():
-            self._zeta[name][...] = arr
+            interior(self.zeta[name])[...] = arr

@@ -252,20 +252,15 @@ _C_OPS = {"sub": "-", "mul": "*", "add": "+"}
 def _c_operand(r: update.Ref) -> str:
     if r.kind == "tap":
         return _c_tap(r.name, r.axis, r.d)
-    return f"{r.name}[q]" if r.kind in ("field", "coef") else r.name
+    return r.name if r.kind in ("scalar", "temp") else f"{r.name}[q]"
 
 
 def _c_body(blocks) -> str:
-    """The per-cell C of a half: one assignment per statement, in order.
-    The sweeps have no rate hook, so its marker renders as a comment."""
-    lines = []
-    for b in blocks:
-        for st in b.body:
-            lines.append(
-                "/* rate hook */" if st.op == "hook" else
-                f"{_c_operand(st.out)} = {_c_operand(st.a)} "
-                f"{_C_OPS[st.op]} {_c_operand(st.b)};")
-    return "\n        ".join(lines)
+    """The per-cell C of a half: one assignment per statement, in order."""
+    return "\n        ".join(
+        f"{_c_operand(st.out)} = {_c_operand(st.a)} "
+        f"{_C_OPS[st.op]} {_c_operand(st.b)};"
+        for b in blocks for st in b.body)
 
 
 def _c_ptrs(names, const: bool = False) -> str:
@@ -287,9 +282,11 @@ def _c_lines(indent: int, template: str, names) -> str:
 
 
 def _c_sweep(name: str, own, read, real: str, suf: str,
-             post: bool = False) -> str:
+             post: bool = False, anelastic: bool = False) -> str:
     """One half-step: the ``own`` fields advanced from the ``read`` fields
-    by the ``name`` half of the update list, rendered by :func:`_c_body`.
+    by the ``name`` half of the update list, rendered by :func:`_c_body`;
+    ``anelastic``: the memory-variable stress list, as ``fused_stress_q``,
+    its memory variables written next to ``own``.
 
     Each (i, j) row of the box is visited once.  Inside the visit the band
     planes listed in ``save`` are copied into the history, then every slab's
@@ -307,15 +304,19 @@ def _c_sweep(name: str, own, read, real: str, suf: str,
     (``taper`` set).  The fill writes only plane ``kt+1`` of the row, which
     only the row's own z taps read.
     """
-    blocks = update.halves()[name]
-    coeffs = update.coefficients(blocks)
+    blocks = update.halves(4, anelastic)[name]
+    coeffs, mem = (update.operands(blocks, k) for k in ("coef", "memory"))
+    consts = "".join(f"\n    const {real} {c} = {v!r};"
+                     for c, v in update.CONSTANTS.items()
+                     if c in update.operands(blocks, "scalar"))
+    name += "_q" if anelastic else ""
     temps = ", ".join(update.temporaries(blocks))
     body = _c_body(blocks)
     zread = _BAND_TRIO[read]
     zcols = ["z" + f for f in zread]
     ptrs = lambda names, const=False: _c_ptrs(names, const).format(real=real)
     row_params = ",\n    ".join([
-        ptrs(own), ptrs((*read, *coeffs), const=True),
+        ptrs((*own, *mem)), ptrs((*read, *coeffs), const=True),
         ptrs(zcols, const=True),
         f"const {real} c1, const {real} c2, const {real} dt",
         "const long si, const long sj, const long row, "
@@ -324,7 +325,7 @@ def _c_sweep(name: str, own, read, real: str, suf: str,
         ptrs(VELOCITY_FIELDS,
              const=own is not VELOCITY_FIELDS and not post),
         ptrs(STRESS_FIELDS, const=own is not STRESS_FIELDS),
-        ptrs(coeffs, const=True),
+        ptrs(coeffs, const=True), *([ptrs(mem)] if mem else []),
         *([f"const {real} *restrict ratio, const {real} *restrict taper, "
            "const unsigned char *restrict rowfull, "
            "const unsigned char *restrict held"] if post else []),
@@ -367,7 +368,7 @@ def _c_sweep(name: str, own, read, real: str, suf: str,
     return f"""\
 static inline void {name}_row_{suf}(
     {row_params})
-{{
+{{{consts}
     for (long k = z0; k < z1; ++k) {{
         const long q = row + k;
         {real} {temps};
@@ -397,7 +398,7 @@ void fused_{name}_{suf}(
             const long row = i * si + j * sj;{head}
             if (plain) {{
                 {name}_row_{suf}(
-                    {", ".join((*own, *read, *coeffs))},
+                    {", ".join((*own, *mem, *read, *coeffs))},
                     {", ".join(f + " + row" for f in zread)},
                     c1, c2, pdt, si, sj, row, pz0, pz1);
             }} else {{
@@ -432,7 +433,7 @@ void fused_{name}_{suf}(
                         }}
                     }}
                     {name}_row_{suf}(
-                        {", ".join((*own, *read, *coeffs, *zcols))},
+                        {", ".join((*own, *mem, *read, *coeffs, *zcols))},
                         c1, c2, ({real})wts[s], si, sj, row, z0, z1);
                 }}
             }}{tail}
@@ -443,11 +444,11 @@ void fused_{name}_{suf}(
 
 
 def _c_sweeps(real: str, suf: str) -> str:
-    """Both half-step sweeps at one precision."""
+    """The velocity, stress and anelastic stress sweeps at one precision."""
     return "\n".join([
         _c_sweep("velocity", VELOCITY_FIELDS, STRESS_FIELDS, real, suf),
-        _c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS, real, suf,
-                 post=True)])
+        *(_c_sweep("stress", STRESS_FIELDS, VELOCITY_FIELDS, real, suf,
+                   post=True, anelastic=q) for q in (False, True))])
 
 
 # The row-set operators walk whole k-planes: consecutive rows sit a whole
@@ -784,12 +785,14 @@ def _cbuild_library(parallel: bool) -> tuple[ctypes.CDLL, float, bool]:
 
 #: ctypes signatures of the generated entry points, in C parameter order:
 #: ``p`` array pointer, ``d`` double, ``l`` long.
-_NCOEF = {h: len(update.coefficients(b)) for h, b in update.halves().items()}
+_NCOEF = {h + "_q" * q: len(update.operands(b, "coef", "memory"))
+          for q in (False, True) for h, b in update.halves(4, q).items()}
 _C_SIGNATURES = {
-    # the fields, the half's coefficients, the stress fold's four pointers,
-    # hist, tab, wts; h_in; the longs
+    # the fields, the half's coefficients and memory variables, the stress
+    # fold's four pointers, hist, tab, wts; h_in; the longs
     "fused_velocity": "p" * (12 + _NCOEF["velocity"]) + "d" + "l" * 12,
     "fused_stress": "p" * (16 + _NCOEF["stress"]) + "d" + "l" * 14,
+    "fused_stress_q": "p" * (16 + _NCOEF["stress_q"]) + "d" + "l" * 14,
     "damp": "p" * (len(ALL_FIELDS) + 3) + "l" * 8,
     "fs_velocity": "p" * 5 + "l" * 4,
     "fs_stress": "p" * 4 + "l" * 4,
@@ -856,6 +859,7 @@ def _cbuild_kernels(dtype: np.dtype, parallel: bool):
 
     binders = {"vel": sweep("fused_velocity"),
                "stress": sweep("fused_stress"),
+               "stress_q": sweep("fused_stress_q"),
                "damp": damp,
                "fs_velocity": rows("fs_velocity"),
                "fs_stress": rows("fs_stress")}
@@ -882,7 +886,7 @@ class KernelSet:
     def __init__(self, binders: dict, dtype: str, parallel: bool,
                  compile_seconds: float, cache_hit: bool, target: str):
         self._bind = {op: binders[op] for op in (
-            "vel", "stress", "damp", "fs_velocity", "fs_stress")}
+            "vel", "stress", "stress_q", "damp", "fs_velocity", "fs_stress")}
         self.provider = PROVIDER
         self.dtype = dtype
         self._dt = np.dtype(dtype)  # compared per array: ``.name`` is slow
@@ -991,10 +995,13 @@ class KernelSet:
         return self._sweep("vel", arrays, h, box, slabs, hist, save, blend)
 
     def stress(self, arrays, h: float, box, slabs, hist=None, save=(),
-               blend=(), held=None, ratio=None, sponge=None):
+               blend=(), held=None, ratio=None, sponge=None,
+               anelastic=False):
         """``call()``: the fused stress sweep of ``arrays = (vx..syz, lam,
         lam2mu, mu_xy, mu_xz, mu_yz)``; as :meth:`vel` with the roles
-        swapped (saves sxz/syz/szz, blends vx/vy/vz).
+        swapped (saves sxz/syz/szz, blends vx/vy/vz).  ``anelastic``: the
+        memory-variable sweep, its arrays ``update.operands(..., "coef",
+        "memory")`` after the fields.
 
         The boundary work folded into the row visit, on every row not
         flagged in ``held`` (uint8 ``(nx, ny)``; None flags none):
@@ -1020,7 +1027,8 @@ class KernelSet:
                 raise ValueError(f"the folded taper must cover all "
                                  f"{interior[2]} interior planes")
             ka, kb = frame[1:]
-        return self._sweep("stress", arrays, h, box, slabs, hist, save, blend,
+        return self._sweep("stress_q" if anelastic else "stress", arrays, h,
+                           box, slabs, hist, save, blend,
                            post=(ratio, taper, rowfull, held, ka, kb))
 
     def damp(self, fields, taper, rowfull, k0: int, ka: int, kb: int,
@@ -1120,14 +1128,17 @@ class FusedStepper:
     with explicit bounds) restricts the sweep to that box, which is what the
     IV.C core/shell overlap split uses.  Bitwise identical to the pooled
     kernels per cell, at both precisions, for any disjoint region cover.
+    With ``attenuation`` (built for this ``dt``) the stress sweep is the
+    anelastic one, bound to its memory variables and coefficients.
     """
 
     def __init__(self, wf: WaveField, medium: Medium, dt: float,
-                 order: int = 4, parallel: bool = False):
+                 order: int = 4, parallel: bool = False, attenuation=None):
         if order != 4:
             raise ValueError("compiled kernels implement the 4th-order "
                              f"stencil only (got order={order})")
-        coeffs = update.medium_arrays(medium)
+        coeffs = {**update.medium_arrays(medium),
+                  **(attenuation.arrays(dt) if attenuation else {})}
         if medium.grid.padded_shape != wf.grid.padded_shape:
             raise ValueError("medium and wavefield grids differ")
         self.wf = wf
@@ -1146,13 +1157,16 @@ class FusedStepper:
         self._interior = (NGHOST, NGHOST + g.nx, NGHOST, NGHOST + g.ny,
                           NGHOST, NGHOST + g.nz)
         fields = tuple(wf.fields().values())
-        def arrays(half):   # the fields, then the half's coefficients
-            return (*fields, *(coeffs[c] for c in
-                               update.coefficients(update.halves()[half])))
+        q = attenuation is not None
+
+        def arrays(half):   # the fields, the coefficients, memory variables
+            return (*fields, *(coeffs[c] for c in update.operands(
+                update.halves(4, q)[half], "coef", "memory")))
 
         #: half -> (KernelSet binder, its arrays)
         self._halves = {"velocity": (self.kernels.vel, arrays("velocity")),
-                        "stress": (self.kernels.stress, arrays("stress"))}
+                        "stress": (partial(self.kernels.stress, anelastic=q),
+                                   arrays("stress"))}
         #: (half, x0, x1, y0, y1, z0, z1) -> bound one-slab sweep
         self._boxes: dict[tuple, object] = {}
         #: the stress half's folded boundary work (see :meth:`fold`)
@@ -1167,9 +1181,9 @@ class FusedStepper:
     def for_kernel(cls, kernel: VelocityStressKernel,
                    parallel: bool = False) -> "FusedStepper":
         """Build a stepper sharing a pooled kernel's bindings (wf, medium,
-        dt, order) — the hook the solvers use."""
+        dt, order, attenuation) — the hook the solvers use."""
         return cls(kernel.wf, kernel.medium, kernel.dt, order=kernel.order,
-                   parallel=parallel)
+                   parallel=parallel, attenuation=kernel.attenuation)
 
     def _bounds(self, region) -> tuple[int, int, int, int, int, int]:
         if region is None:

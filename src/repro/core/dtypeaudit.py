@@ -64,18 +64,9 @@ def iter_solver_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:
                         pml._coefficients(bi, comp, solver.dt)):
                     yield f"pml.coeff[{bi},{comp},{axis}].decay", decay
                     yield f"pml.coeff[{bi},{comp},{axis}].gain", gain
-    att = solver.attenuation
-    if att is not None:
-        for comp, zeta in att._zeta.items():
-            yield f"attenuation.zeta[{comp}]", zeta
-        for key, delta in att._delta.items():
-            yield f"attenuation.delta[{key}]", delta
-        yield "attenuation.tau_x", att._tau_x
-        yield "attenuation.t1", att._t1
-        yield "attenuation.t2", att._t2
-        a, b = att._coeffs(solver.dt)
-        yield "attenuation.coeff_a", a
-        yield "attenuation.coeff_b", b
+    if solver.attenuation is not None:
+        for name, arr in solver.attenuation.arrays(solver.dt).items():
+            yield f"attenuation.{name}", arr
 
 
 def iter_distributed_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:

@@ -65,9 +65,10 @@ def _call(calls) -> None:
 def span_views(shape, arrays: dict, temps: dict, scalars: dict):
     """``(view, cell)``: operands over the flat interior span of padded
     C-contiguous arrays (:func:`repro.core.fd.interior_span`), taps shifted
-    by a flat offset; or their interior views, for field writes and what
-    follows a rate hook.  The span's y/z ghost positions get the stencil
-    across the row seam: finite values that only temporaries receive."""
+    by a flat offset; or their interior views, for field writes.  The
+    span's y/z ghost positions get the stencil across the row seam: finite
+    values that only temporaries receive (and memory variables, whose
+    zero-ghost coefficients keep them zero)."""
     lo, hi = fd.interior_span(shape)
     strides = (shape[1] * shape[2], shape[2], 1)
 
@@ -112,10 +113,7 @@ class _Plan(NamedTuple):
     pos: int            # its place in list order
     uses: str | None    # the shared block it reads
     terms: tuple        # the calls that form its axis terms
-    rest: tuple         # the calls that finish it, without a hook
-    pre: tuple          # with a hook: the calls up to it,
-    post: tuple         # and those after it, on cell views,
-    rate: object        # from the hooked operand's cell view
+    rest: tuple         # the calls that finish it
 
 
 class UpdateExecutor:
@@ -127,9 +125,6 @@ class UpdateExecutor:
     it and reused by the later ones.  A pass ends when a component runs
     that is not after the previous one in list order (a velocity ends a
     stress pass); a caller that edits the read fields mid-pass restarts it.
-    ``run(name, hook)`` hands the rate at the ``hook`` statement (the cell
-    view of a pooled buffer) to ``hook(name, rate)``, which may relax it in
-    place, and integrates what that returns.
     """
 
     def __init__(self, halves: dict, view, cell, kernel=None):
@@ -146,14 +141,9 @@ class UpdateExecutor:
                     continue
                 terms = {t for _, t in b.terms}
                 n = 1 + max(i for i, s in enumerate(body) if s.out in terms)
-                m = next((i for i, s in enumerate(body) if s.op == "hook"),
-                         len(body))
                 self._plans[b.name] = _Plan(
                     len(self._plans), b.uses, _bind(body[:n], view, cell),
-                    _bind(body[n:m] + body[m + 1:], view, cell),
-                    _bind(body[n:m], view, cell),
-                    _bind(body[m + 1:], cell, cell),
-                    cell(body[m].out) if m < len(body) else None)
+                    _bind(body[n:], view, cell))
         self._last, self._fresh = -1, set()
 
     def _terms(self, name: str) -> _Plan:
@@ -171,17 +161,9 @@ class UpdateExecutor:
         """Form the axis terms of the component ``name``."""
         self._terms(name)
 
-    def run(self, name: str, hook=None) -> None:
+    def run(self, name: str) -> None:
         """Advance the component ``name``."""
-        plan = self._terms(name)
-        if hook is None:
-            _call(plan.rest)
-            return
-        _call(plan.pre)
-        relaxed = hook(name, plan.rate)
-        if relaxed is not plan.rate:
-            np.copyto(plan.rate, relaxed)
-        _call(plan.post)
+        _call(self._terms(name).rest)
 
     def step_velocity(self) -> None:
         for name in self._names["velocity"]:
@@ -205,8 +187,8 @@ class VelocityStressKernel:
 
     The update list runs through an :class:`UpdateExecutor` over the flat
     interior span: each operation is one unit-stride ufunc, and only field
-    writes (and, with a rate hook, what follows it) run strided on
-    interiors.  The step is **allocation-free** and bit-identical to the
+    writes run strided on interiors; with ``attenuation`` the list is the
+    anelastic one.  The step is **allocation-free** and bit-identical to the
     allocating expression forms (the invariant of the paper's IV.B
     optimizations, aVal).  A component's terms are overwritten by the next
     component's.  The span binding (flat views, C-order copies of
@@ -214,7 +196,8 @@ class VelocityStressKernel:
     the first pooled call: a compiled-only solver never creates it.
     """
 
-    def __init__(self, wf: WaveField, medium: Medium, dt: float, order: int = 4):
+    def __init__(self, wf: WaveField, medium: Medium, dt: float,
+                 order: int = 4, attenuation=None):
         if medium.grid.padded_shape != wf.grid.padded_shape:
             raise ValueError("medium and wavefield grids differ")
         self.wf = wf
@@ -222,7 +205,8 @@ class VelocityStressKernel:
         self.dt = float(dt)
         self.order = order
         self.h = wf.grid.h
-        self._halves = update.halves(order)
+        self.attenuation = attenuation
+        self._halves = update.halves(order, attenuation is not None)
         blocks = [b for h in self._halves.values() for b in h]
         comps = [b for b in blocks if b.terms]
         # the components' temporaries, padded so each has a flat span
@@ -244,6 +228,8 @@ class VelocityStressKernel:
                     a = self._made[f"medium_copy.{name}"] = \
                         np.ascontiguousarray(a)
                 arrays[name] = a
+            arrays.update(self.attenuation.arrays(self.dt)
+                          if self.attenuation else {})
             temps = dict(self._temps)
             for t in self._all_temps:
                 if t not in temps:
@@ -259,18 +245,21 @@ class VelocityStressKernel:
         """The update list bound to one box of the interior (padded
         coordinates, explicit bounds), with box-shaped temporaries and its
         own ``dt`` (default: the kernel's; an LTS rate group integrates with
-        a multiple).  No rate hook or PML: those act on whole-interior
-        state, so the schedules that cut boxes run without them."""
+        a multiple — refused under attenuation, whose coefficients are
+        built for the kernel's).  No PML: its split parts are
+        whole-interior state, so the schedules that cut boxes run without
+        it."""
         if any(s.start is None or s.stop is None for s in region):
             raise ValueError("region slices need explicit start/stop")
         shape = tuple(s.stop - s.start for s in region)
         if any(n <= 0 for n in shape):
             raise ValueError(f"empty region {region!r}")
-        arrays = {**self.wf.fields(), **update.medium_arrays(self.medium)}
+        dt = self.dt if dt is None else dt
+        arrays = {**self.wf.fields(), **update.medium_arrays(self.medium),
+                  **(self.attenuation.arrays(dt) if self.attenuation else {})}
         temps = {t: np.empty(shape, self.wf.dtype) for t in self._all_temps}
         return UpdateExecutor(self._halves, *box_views(
-            region, arrays, temps, update.scalars(
-                self.h, self.dt if dt is None else dt, self.order)),
+            region, arrays, temps, update.scalars(self.h, dt, self.order)),
             kernel=self)
 
     def buffers(self) -> dict[str, np.ndarray]:
@@ -300,27 +289,20 @@ class VelocityStressKernel:
         self._executor().run(comp)
         return self._terms[comp][:]
 
-    def update_stress(self, comp: str,
-                      rate_hook=None) -> list[np.ndarray]:
-        """Advance one stress component over the whole interior.
-
-        ``rate_hook(comp, rate_interior) -> rate_interior`` lets the
-        attenuation module transform the elastic stress rate (adding memory
-        variable relaxation) before integration.  The rate array is a pooled
-        buffer: the hook may modify it in place (and should, to stay
-        allocation-free), but must not retain it across calls.  Returns the
-        axis terms.
-        """
-        self._executor().run(comp, rate_hook)
+    def update_stress(self, comp: str) -> list[np.ndarray]:
+        """Advance one stress component (relaxed by its memory variable
+        under attenuation) over the whole interior; returns the axis
+        terms."""
+        self._executor().run(comp)
         return self._terms[comp][:]
 
     def step_velocity(self) -> None:
         for comp in VELOCITY_FIELDS:
             self.update_velocity(comp)
 
-    def step_stress(self, rate_hook=None) -> None:
+    def step_stress(self) -> None:
         for comp in STRESS_FIELDS:
-            self.update_stress(comp, rate_hook=rate_hook)
+            self.update_stress(comp)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Three compute blocks around two halo points::
     A  velocity update, fault split nodes, force sources, velocity forcings
        -- halo v --
     B  free-surface velocity ghosts, fault snapshot, stress update
-       (+attenuation, PML), fault stress corrections, moment sources,
+       (memory variables, PML), fault stress corrections, moment sources,
        free-surface imaging, stress forcings, sponge
        -- halo sigma --
     C  advance t/nstep, record, stability check, health
@@ -76,8 +76,8 @@ def resolve(cfg, *, fault: bool = False, dims=(1, 1, 1),
          "lts supports absorbing='none' or 'sponge' only (PML split parts "
          "have no per-group cadence)"),
         (lts and anelastic,
-         "lts does not support attenuation (the memory-variable hook "
-         "assumes one global dt)"),
+         "lts does not support attenuation (the memory-variable "
+         "coefficients are built for one global dt)"),
         (lts and dims[2] != 1,
          "lts requires a pz=1 decomposition (rate groups are global "
          f"k-slabs; got dims={tuple(dims)})"),
@@ -88,7 +88,9 @@ def resolve(cfg, *, fault: bool = False, dims=(1, 1, 1),
          "corrections rewrite stresses the PML split parts do not see)"),
         (fault and anelastic,
          "a split-node fault is elastic: attenuation is not supported "
-         "(the corrections bypass the memory-variable hook)"),
+         "(its stress corrections bypass the memory variables)"),
+        (fault and np.dtype(cfg.dtype) != np.float64,
+         "a split-node fault runs in float64"),
         (sync_comm and backend == "procpool",
          "sync_comm is a SimMPI modelling mode; the procpool backend always "
          "uses the ring exchange"),
@@ -97,15 +99,13 @@ def resolve(cfg, *, fault: bool = False, dims=(1, 1, 1),
         if hit:
             raise ValueError(reason)
     variant = cfg.kernel_variant
-    # PML consumes the per-axis terms and attenuation the rate hook; only
-    # the pooled kernel produces them, so that half degrades to pooled.
-    velocity = "pooled" if pml else variant
-    stress = "pooled" if pml or anelastic else variant
-    # PML parts and memory variables are whole-interior state and LTS
-    # group activity varies per substep: none of them admits a static
-    # core/shell cut; nor does a fault, whose snapshot must precede the
-    # whole stress half.
-    split = not (lts or pml or anelastic or fault)
+    # PML consumes the per-axis terms; only the pooled kernel produces
+    # them, so under PML both halves degrade to pooled.
+    velocity = stress = "pooled" if pml else variant
+    # PML parts are whole-interior state and LTS group activity varies per
+    # substep: neither admits a static core/shell cut; nor does a fault,
+    # whose snapshot must precede the whole stress half.
+    split = not (lts or pml or fault)
     return StepPlan(velocity, stress, split)
 
 
@@ -250,9 +250,8 @@ class StepSchedule:
         if self.plan.stress == "compiled":
             s.fused.step_stress()
         else:
-            hook = s._rate_hook
             for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):
-                terms = s.kernel.update_stress(comp, rate_hook=hook)
+                terms = s.kernel.update_stress(comp)
                 if s.pml is not None:
                     s.pml.update(s.wf, comp, terms, s.dt,
                                  term_axes=SHEAR_TERM_AXES.get(comp))

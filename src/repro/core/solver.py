@@ -188,7 +188,14 @@ class WaveSolver:
         self.dt = float(cfg.dt) if cfg.dt is not None else cfl_dt(
             grid.h, vp_ref, order=cfg.order)
         self.wf = WaveField(grid, dtype=np.dtype(cfg.dtype))
-        self.kernel = VelocityStressKernel(self.wf, medium, self.dt, order=cfg.order)
+        self.attenuation = None if cfg.attenuation_band is None else \
+            CoarseGrainedAttenuation(
+                grid, medium, *cfg.attenuation_band, self.dt,
+                n_mech=cfg.n_mechanisms, index_origin=index_origin,
+                dtype=cfg.dtype)
+        self.kernel = VelocityStressKernel(self.wf, medium, self.dt,
+                                           order=cfg.order,
+                                           attenuation=self.attenuation)
         #: effective kernel variant (== cfg.kernel_variant unless the
         #: compiled backend was unavailable and we fell back to pooled)
         self.kernel_variant = cfg.kernel_variant
@@ -243,15 +250,6 @@ class WaveSolver:
                                       held=self.held_rows)
         elif cfg.absorbing != "none":
             raise ValueError(f"unknown absorbing boundary: {cfg.absorbing!r}")
-        self.attenuation: CoarseGrainedAttenuation | None = None
-        self._rate_hook = None
-        if cfg.attenuation_band is not None:
-            self.attenuation = CoarseGrainedAttenuation(
-                grid, medium, *cfg.attenuation_band, n_mech=cfg.n_mechanisms,
-                index_origin=index_origin, dtype=cfg.dtype)
-            # dt is fixed for the solver's lifetime, so the hook (and its
-            # trapezoidal coefficients) can be built once instead of per step.
-            self._rate_hook = self.attenuation.rate_hook(self.dt)
         if self.fused is not None:
             self.fused.fold(self.held_rows, self.free_surface, self.sponge)
         #: the split-node fault the schedule runs, or None

@@ -13,8 +13,10 @@ by construction.
 A half is a tuple of :class:`Block` s.  A component block advances one
 field and names its per-axis terms (the PML splits on them, Eq. 5–6); a
 shared block — the normal stresses' velocity derivatives — is computed once
-per pass for the components that use it.  The ``hook`` statement marks
-where the attenuation rate hook relaxes the stress rate.
+per pass for the components that use it.  The anelastic stress half
+(``halves(order, anelastic=True)``) also relaxes each stress rate with its
+memory variable before integrating it (Section II.A; the trapezoidal
+update of :mod:`repro.core.attenuation`), in the same statements.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .grid import VELOCITY_FIELDS
 
 class Ref(NamedTuple):
     """An operand: ``tap`` (read field ``name``, ``d`` cells along ``axis``),
-    ``field`` (the updated field), ``coef`` (a medium array), ``scalar``
-    (``c1``, ``c2``, ``dt``) or ``temp``, all at the cell."""
+    ``field`` (the updated field), ``coef`` (a medium or attenuation
+    array), ``memory`` (a memory variable, read and written), ``scalar``
+    (``c1``, ``c2``, ``dt`` or a :data:`CONSTANTS` entry) or ``temp``, all
+    at the cell."""
 
     kind: str
     name: str
@@ -38,7 +42,7 @@ class Ref(NamedTuple):
 
 
 class Stmt(NamedTuple):
-    """``out = a <op> b``; op ``hook`` marks the rate hook's slot."""
+    """``out = a <op> b``."""
 
     op: str
     out: Ref
@@ -62,6 +66,10 @@ def temp(name: str) -> Ref:
 
 WORK, RATE, INCR = temp("work"), temp("rate"), temp("incr")
 _C1, _C2, _DT = (Ref("scalar", n) for n in ("c1", "c2", "dt"))
+
+#: Scalars with a fixed value, which no caller supplies.
+CONSTANTS = {"half": 0.5, "one": 1.0}
+_HALF, _ONE = (Ref("scalar", n) for n in CONSTANTS)
 
 #: Eq. (1a): velocity -> (buoyancy, ((axis, stress, forward), ...)); the
 #: direction follows the relative staggering of the two fields.
@@ -95,18 +103,39 @@ def eq3(out: Ref, field: str, axis: int, fwd: bool,
                 Stmt("add", out, out, WORK))))
 
 
-def _integrate(comp: str, terms) -> tuple[Stmt, ...]:
-    """Sum a stress's terms into the rate, hook slot, ``+= rate * dt``."""
+def _relax(comp: str) -> tuple[Stmt, ...]:
+    """The memory variable ``zeta`` of ``comp`` relaxes the rate (normal
+    stresses with ``delta_p``, shear with ``delta_s``): ``zeta' = a*zeta +
+    b*(delta*rate)``, ``rate -= (zeta + zeta') * 0.5``, ``zeta = zeta'``
+    (``* 1.0``: a copy), ``u`` and ``zeta'`` formed in ``znew``."""
+    z, znew = Ref("memory", f"zeta_{comp}"), temp("znew")
+    delta = Ref("coef", "delta_p" if comp in ("sxx", "syy", "szz")
+                else "delta_s")
+    return (Stmt("mul", WORK, delta, RATE),
+            Stmt("mul", WORK, Ref("coef", "zeta_b"), WORK),
+            Stmt("mul", znew, Ref("coef", "zeta_a"), z),
+            Stmt("add", znew, znew, WORK),
+            Stmt("add", WORK, z, znew),
+            Stmt("mul", WORK, WORK, _HALF),
+            Stmt("sub", RATE, RATE, WORK),
+            Stmt("mul", z, znew, _ONE))
+
+
+def _integrate(comp: str, terms, anelastic: bool) -> tuple[Stmt, ...]:
+    """Sum a stress's terms into the rate, relax it (``anelastic``),
+    ``+= rate * dt``."""
     f, (t0, t1, *rest) = Ref("field", comp), [t for _, t in terms]
     return (Stmt("add", RATE, t0, t1),
             *(Stmt("add", RATE, RATE, t) for t in rest),
-            Stmt("hook", RATE, RATE), Stmt("mul", INCR, RATE, _DT),
-            Stmt("add", f, f, INCR))
+            *(_relax(comp) if anelastic else ()),
+            Stmt("mul", INCR, RATE, _DT), Stmt("add", f, f, INCR))
 
 
 @cache
-def halves(order: int = 4) -> dict[str, tuple[Block, ...]]:
-    """``{"velocity": blocks, "stress": blocks}`` at FD ``order``."""
+def halves(order: int = 4,
+           anelastic: bool = False) -> dict[str, tuple[Block, ...]]:
+    """``{"velocity": blocks, "stress": blocks}`` at FD ``order``, the
+    stresses relaxed by memory variables when ``anelastic``."""
     t = [temp(f"t{n}") for n in range(3)]
     dv = [temp(f"dv{a}") for a in range(3)]
     shared = [s for a, v in enumerate(VELOCITY_FIELDS)
@@ -125,28 +154,32 @@ def halves(order: int = 4) -> dict[str, tuple[Block, ...]]:
         body = [Stmt("mul", t[a], dv[a],
                      Ref("coef", "lam2mu" if a == own else "lam"))
                 for a in range(3)]
-        stress.append(Block(comp, (*body, *_integrate(comp, terms)), terms,
-                            uses="dv"))
+        stress.append(Block(comp, (*body, *_integrate(comp, terms, anelastic)),
+                            terms, uses="dv"))
     for comp, (mod, taps) in SHEAR.items():
         terms = tuple((axis, tn) for (axis, _), tn in zip(taps, t))
         body = [s for (axis, src), tn in zip(taps, t) for s in (
             *eq3(tn, src, axis, True, order),
             Stmt("mul", tn, tn, Ref("coef", mod)))]
-        stress.append(Block(comp, (*body, *_integrate(comp, terms)), terms))
+        stress.append(Block(comp, (*body, *_integrate(comp, terms, anelastic)),
+                            terms))
     return {"velocity": tuple(velocity), "stress": tuple(stress)}
 
 
 def scalars(h: float, dt: float, order: int = 4) -> dict[str, float]:
     """``c1 = C1/h`` (``1/h`` at 2nd order), ``c2 = C2/h`` in double — each
-    backend rounds them once to the field dtype — and ``dt``."""
+    backend rounds them once to the field dtype — ``dt`` and the
+    :data:`CONSTANTS`."""
     return {"c1": (C1 if order == 4 else 1.0) / float(h),
-            "c2": C2 / float(h), "dt": float(dt)}
+            "c2": C2 / float(h), "dt": float(dt), **CONSTANTS}
 
 
-def coefficients(blocks) -> tuple[str, ...]:
-    """The medium arrays ``blocks`` read, sorted by name."""
-    return tuple(sorted({r.name for b in blocks for s in b.body
-                         for r in (s.a, s.b) if r and r.kind == "coef"}))
+def operands(blocks, *kinds: str) -> tuple[str, ...]:
+    """The names of the operands of ``kinds`` that ``blocks`` read, kind by
+    kind, each sorted (``coef``: the arrays a backend binds)."""
+    read = {(r.kind, r.name) for b in blocks for s in b.body
+            for r in (s.a, s.b) if r}
+    return tuple(n for k in kinds for n in sorted(n for j, n in read if j == k))
 
 
 def temporaries(blocks) -> list[str]:
@@ -156,7 +189,7 @@ def temporaries(blocks) -> list[str]:
 
 
 #: Every medium array the update reads.
-MEDIUM = coefficients(b for h in halves().values() for b in h)
+MEDIUM = operands((b for h in halves().values() for b in h), "coef")
 
 #: The axis of each per-axis term, per component.
 TERM_AXES = {b.name: tuple(a for a, _ in b.terms)

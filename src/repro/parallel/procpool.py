@@ -8,24 +8,15 @@ move through preallocated ``multiprocessing.shared_memory`` rings instead of
 pickled queues, so the steady-state exchange is two ``memcpy``-equivalent
 ``np.copyto`` calls and two semaphore operations per face.
 
-Two layers are provided:
-
-* :func:`run_spmd` — a drop-in replacement for ``simmpi.run_spmd``: the same
-  generator programming model (``yield comm.recv(...)`` etc.), the same
-  :class:`~repro.parallel.simmpi.SPMDResult` shape, but clocks are *wall*
-  seconds and messages travel through ``multiprocessing`` queues.  Payloads
-  are pickled eagerly at send time, which is strictly safer than SimMPI's
-  store-by-reference semantics (a pooled send buffer may be rewritten the
-  moment the send returns).
-* :class:`FaceRingPool` + :func:`run_workers` — the fast path used by
-  ``DistributedWaveSolver``: a single shared-memory arena holding one
-  double-buffered ring per directed neighbour channel per field group,
-  synchronised by semaphore pairs (classic bounded buffer: ``free`` starts at
-  the ring depth, ``ready`` at zero).  Depth 2 is sufficient by the same
-  argument as :class:`~repro.parallel.halo.HaloExchange`'s double-buffered
-  pack pool: completing round ``r`` requires every neighbour to have posted
-  its round-``r`` faces, which requires it to have consumed round ``r-1`` —
-  so a sender can never be two full rounds ahead of a consumer.
+:class:`FaceRingPool` + :func:`run_workers` are what ``DistributedWaveSolver``
+runs on: a single shared-memory arena holding one double-buffered ring per
+directed neighbour channel per field group, synchronised by semaphore pairs
+(classic bounded buffer: ``free`` starts at the ring depth, ``ready`` at
+zero).  Depth 2 is sufficient by the same argument as
+:class:`~repro.parallel.halo.HaloExchange`'s double-buffered pack pool:
+completing round ``r`` requires every neighbour to have posted its
+round-``r`` faces, which requires it to have consumed round ``r-1`` — so a
+sender can never be two full rounds ahead of a consumer.
 
 Workers are **forked**, not spawned: rank programs close over solver state
 (source time functions are arbitrary callables) that cannot be pickled, and
@@ -43,7 +34,6 @@ memory; callers degrade to the SimMPI backend.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import queue as _queue
 import time
 import traceback
@@ -54,8 +44,6 @@ import numpy as np
 from ..core.fd import NGHOST
 from .decomp import Decomposition3D
 from .halo import _GROUPS, _needs
-from .simmpi import (ANY_SOURCE, ANY_TAG, CommStats, SPMDResult, _BarrierOp,
-                     _payload_nbytes, _RecvOp, _SsendOp)
 
 __all__ = [
     "ProcPoolUnavailable",
@@ -64,7 +52,6 @@ __all__ = [
     "RingEndpoint",
     "ensure_available",
     "procpool_available",
-    "run_spmd",
     "run_workers",
 ]
 
@@ -397,177 +384,3 @@ def run_workers(nranks: int, target: Callable[[int], Any],
                 p.terminate()
         for p in procs:
             p.join(timeout=10)
-
-
-# ---------------------------------------------------------------------------
-# Generic SPMD runner (drop-in for simmpi.run_spmd)
-# ---------------------------------------------------------------------------
-
-class ProcRankContext:
-    """Per-rank comm handle for :func:`run_spmd` (process backend).
-
-    Mirrors :class:`repro.parallel.simmpi.RankContext`: the same op objects
-    are yielded, the same ``stats`` fields are filled — but times are wall
-    seconds and delivery is through ``multiprocessing`` queues.
-    """
-
-    def __init__(self, rank: int, size: int, inboxes, barrier, acks):
-        self.rank = rank
-        self.size = size
-        self._inboxes = inboxes
-        self._barrier = barrier
-        self._acks = acks
-        self._stash: list[tuple] = []
-        self.stats = CommStats()
-        self._t0 = time.perf_counter()
-        from ..obs.tracer import NULL_TRACER
-        self.tracer = NULL_TRACER
-
-    @property
-    def clock(self) -> float:
-        """Wall seconds since this rank's program started."""
-        return time.perf_counter() - self._t0
-
-    def compute(self, seconds: float | None = None,
-                flops: float | None = None) -> None:
-        """Accounting shim: real work is real here, so this only tallies
-        explicitly-declared seconds into ``stats`` (flops have no machine
-        model to convert through and count as zero time)."""
-        if (seconds is None) == (flops is None):
-            raise ValueError("pass exactly one of seconds= or flops=")
-        if seconds is not None:
-            if seconds < 0:
-                raise ValueError("time cannot be negative")
-            self.stats.compute_time += seconds
-
-    def isend(self, dest: int, tag: int, payload: Any,
-              nbytes: int | None = None):
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        nbytes = _payload_nbytes(payload) if nbytes is None else nbytes
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._inboxes[dest].put((self.rank, tag, blob, False))
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += nbytes
-        from .simmpi import Request
-        return Request(done=True)
-
-    def send(self, dest: int, tag: int, payload: Any,
-             nbytes: int | None = None):
-        return self.isend(dest, tag, payload, nbytes)
-
-    def ssend(self, dest: int, tag: int, payload: Any,
-              nbytes: int | None = None) -> _SsendOp:
-        return _SsendOp(dest, tag, payload,
-                        _payload_nbytes(payload) if nbytes is None else nbytes)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _RecvOp:
-        return _RecvOp(source, tag)
-
-    def barrier(self) -> _BarrierOp:
-        return _BarrierOp()
-
-    # -- op execution (driver side) ------------------------------------
-    def _matches(self, op: _RecvOp, src: int, tag: int) -> bool:
-        return (op.source in (ANY_SOURCE, src)) and (op.tag in (ANY_TAG, tag))
-
-    def _deliver(self, msg: tuple) -> Any:
-        src, _tag, blob, needs_ack = msg
-        if needs_ack:
-            self._acks[src].release()
-        payload = pickle.loads(blob)
-        self.stats.messages_received += 1
-        self.stats.bytes_received += _payload_nbytes(payload)
-        return payload
-
-    def _do_recv(self, op: _RecvOp, timeout: float = 600.0) -> Any:
-        for i, msg in enumerate(self._stash):
-            if self._matches(op, msg[0], msg[1]):
-                return self._deliver(self._stash.pop(i))
-        t0 = time.perf_counter()
-        deadline = t0 + timeout
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"rank {self.rank} recv(src={op.source}, tag={op.tag}) "
-                    "timed out")
-            try:
-                msg = self._inboxes[self.rank].get(timeout=min(remaining, 5.0))
-            except _queue.Empty:
-                continue
-            if self._matches(op, msg[0], msg[1]):
-                self.stats.comm_time += time.perf_counter() - t0
-                return self._deliver(msg)
-            self._stash.append(msg)
-
-    def _do_ssend(self, op: _SsendOp) -> None:
-        t0 = time.perf_counter()
-        blob = pickle.dumps(op.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._inboxes[op.dest].put((self.rank, op.tag, blob, True))
-        # rendezvous: block until the receiver consumes the message
-        self._acks[self.rank].acquire()
-        self.stats.comm_time += time.perf_counter() - t0
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += op.nbytes
-
-    def _do_barrier(self) -> None:
-        t0 = time.perf_counter()
-        self._barrier.wait()
-        self.stats.sync_time += time.perf_counter() - t0
-
-
-def _drive(program: Callable, ctx: ProcRankContext, args: tuple,
-           kwargs: dict) -> Any:
-    """Run one rank program, executing yielded ops against real IPC."""
-    g = program(ctx, *args, **kwargs)
-    if not hasattr(g, "send"):
-        return g
-    value = None
-    while True:
-        try:
-            op = g.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = None
-        if isinstance(op, _RecvOp):
-            value = ctx._do_recv(op)
-        elif isinstance(op, _SsendOp):
-            ctx._do_ssend(op)
-        elif isinstance(op, _BarrierOp):
-            ctx._do_barrier()
-        elif op is None:
-            pass  # bare yield: no scheduler, nothing to do
-        else:
-            raise TypeError(f"rank {ctx.rank} yielded unsupported op {op!r}")
-
-
-def run_spmd(nranks: int, program: Callable, machine=None, topology=None,
-             args: tuple = (), kwargs: dict | None = None,
-             max_rounds: int | None = None, tracer=None) -> SPMDResult:
-    """Run ``program(comm, *args, **kwargs)`` on ``nranks`` OS processes.
-
-    Drop-in for :func:`repro.parallel.simmpi.run_spmd`: same signature
-    (``machine``/``topology``/``max_rounds``/``tracer`` are accepted for
-    compatibility and ignored — there is no virtual time to model), same
-    :class:`SPMDResult` shape.  ``clocks`` are per-rank wall-clock seconds.
-    """
-    if nranks < 1:
-        raise ValueError("need at least one rank")
-    ensure_available()
-    kwargs = kwargs or {}
-    mpctx = mp.get_context("fork")
-    inboxes = [mpctx.Queue() for _ in range(nranks)]
-    barrier = mpctx.Barrier(nranks)
-    acks = [mpctx.Semaphore(0) for _ in range(nranks)]
-
-    def target(rank: int):
-        ctx = ProcRankContext(rank, nranks, inboxes, barrier, acks)
-        result = _drive(program, ctx, args, kwargs)
-        return result, ctx.stats, ctx.clock
-
-    payloads = run_workers(nranks, target)
-    results = [p[0] for p in payloads]
-    stats = [p[1] for p in payloads]
-    clocks = [p[2] for p in payloads]
-    return SPMDResult(results=results, clocks=clocks, stats=stats)

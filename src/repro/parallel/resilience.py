@@ -39,11 +39,7 @@ from .halo import exchange_halos
 from .simmpi import run_spmd
 
 __all__ = ["GhostRim", "extract_ghost_rim", "apply_ghost_rim",
-           "RankFailure", "ResilientDistributedSolver"]
-
-
-class RankFailure(RuntimeError):
-    """Injected process failure (the fail-stop model of [11])."""
+           "ResilientDistributedSolver"]
 
 
 GhostRim = dict  # field name -> list of (slice-tuple, array) pairs

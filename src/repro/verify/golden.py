@@ -227,7 +227,11 @@ def save_golden(name: str, arrays: dict[str, np.ndarray],
                 directory: Path | None = None,
                 rtol: float = DEFAULT_RTOL,
                 atol: float = DEFAULT_ATOL) -> Path:
-    """Write one golden npz with schema'd ``__meta__`` metadata."""
+    """Write one golden npz with schema'd ``__meta__`` metadata; an array
+    holding a NaN or an infinity is refused (its bound would be too)."""
+    for key, v in arrays.items():
+        if not np.isfinite(np.asarray(v, dtype=np.float64)).all():
+            raise ValueError(f"golden {name}: array {key!r} is not finite")
     scenario = _scenario_of(name)
     meta = {
         "schema": GOLDEN_SCHEMA,
@@ -309,7 +313,8 @@ class GoldenResult:
 def compare_arrays(candidate: dict[str, np.ndarray],
                    reference: dict[str, np.ndarray],
                    rtol: float, atol: float) -> list[GoldenMismatch]:
-    """Per-array ``max|a-b| <= atol + rtol * max|ref|`` gate."""
+    """Per-array ``max|a-b| <= atol + rtol * max|ref|`` gate; a reference
+    holding a NaN or an infinity matches nothing."""
     out: list[GoldenMismatch] = []
     for key in sorted(set(reference) | set(candidate)):
         if key not in candidate:
@@ -325,6 +330,10 @@ def compare_arrays(candidate: dict[str, np.ndarray],
         if a.shape != b.shape:
             out.append(GoldenMismatch(key, float("inf"), 0.0,
                                       f"shape {a.shape} != {b.shape}"))
+            continue
+        if not np.isfinite(b).all():
+            out.append(GoldenMismatch(key, float("inf"), 0.0,
+                                      "golden is not finite"))
             continue
         bound = atol + rtol * float(np.abs(b).max()) if b.size else atol
         err = float(np.abs(a - b).max()) if a.size else 0.0

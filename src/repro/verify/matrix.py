@@ -69,6 +69,8 @@ class MatrixCell:
     #: compare against a *serial LTS* reference at the same dt, so the
     #: bitwise contract covers the rate-group scheduler across backends.
     lts: str = "off"
+    #: coarse-grained memory variables on (the serial reference too)
+    attenuation: bool = False
 
     @property
     def nranks(self) -> int:
@@ -79,7 +81,8 @@ class MatrixCell:
     def label(self) -> str:
         return (f"{self.backend}/{self.dtype}/{self.kernel_variant}/"
                 f"{'x'.join(map(str, self.decomp))}"
-                + ("/lts" if self.lts != "off" else ""))
+                + ("/lts" if self.lts != "off" else "")
+                + ("/attenuation" if self.attenuation else ""))
 
 
 @dataclass
@@ -93,6 +96,7 @@ class CellResult:
         return {"backend": self.cell.backend, "dtype": self.cell.dtype,
                 "kernel_variant": self.cell.kernel_variant,
                 "decomp": list(self.cell.decomp), "lts": self.cell.lts,
+                "attenuation": self.cell.attenuation,
                 "status": self.status,
                 "max_abs_diff": float(self.max_abs_diff),
                 "detail": self.detail}
@@ -150,8 +154,9 @@ class MatrixProblem:
     """The shared reference scenario every matrix cell runs.
 
     Heterogeneous medium (seeded), off-centre moment source, sponge
-    absorber (under PML/attenuation the compiled variant degrades to
-    pooled, which would make its cells vacuous), one receiver.  Dimensions
+    absorber (under PML the compiled variant degrades to pooled, which
+    would make its cells vacuous), one receiver; attenuation cells add
+    memory variables over :attr:`ATTENUATION_BAND`.  Dimensions
     (22, 20, 18) make the (4, 1, 1) decomposition uneven: x widths
     6, 6, 5, 5.
     """
@@ -191,20 +196,27 @@ class MatrixProblem:
         g = self.grid()
         return 0.5 * cfl_dt(self.h, float(self.medium(g).vp_max))
 
-    def config(self, dtype: str, *, lts: str = "off") -> SolverConfig:
+    ATTENUATION_BAND = (0.3, 3.0)
+
+    def config(self, dtype: str, *, lts: str = "off",
+               attenuation: bool = False) -> SolverConfig:
         kw = {}
         if lts != "off":
             kw = {"lts": self.LTS_MAP, "dt": self.lts_dt()}
+        if attenuation:
+            kw["attenuation_band"] = self.ATTENUATION_BAND
         return SolverConfig(absorbing="sponge", sponge_width=6,
                             free_surface=True, dtype=np.dtype(dtype).type,
                             **kw)
 
     # -- runs ----------------------------------------------------------
 
-    def run_serial(self, dtype: str, lts: str = "off") -> tuple[dict, dict]:
+    def run_serial(self, dtype: str, lts: str = "off",
+                   attenuation: bool = False) -> tuple[dict, dict]:
         """Serial reference run; returns (fields, waveforms)."""
         g = self.grid()
-        solver = WaveSolver(g, self.medium(g), self.config(dtype, lts=lts))
+        solver = WaveSolver(g, self.medium(g), self.config(
+            dtype, lts=lts, attenuation=attenuation))
         solver.add_source(self.source())
         rec = solver.add_receiver(self.receiver())
         solver.run(self.nsteps)
@@ -222,7 +234,8 @@ class MatrixProblem:
             warnings.simplefilter("error")
             solver = DistributedWaveSolver(
                 g, self.medium(g), decomp=Decomposition3D(g, *cell.decomp),
-                config=self.config(cell.dtype, lts=cell.lts),
+                config=self.config(cell.dtype, lts=cell.lts,
+                                   attenuation=cell.attenuation),
                 backend=cell.backend,
                 kernel_variant=cell.kernel_variant)
             solver.add_source(self.source())
@@ -236,8 +249,9 @@ class MatrixProblem:
 def build_cells(backends=("sim", "procpool"),
                 dtypes=("float64", "float32"),
                 variants=KERNEL_VARIANTS,
-                decomps=FULL_DECOMPS, lts="off") -> list[MatrixCell]:
-    return [MatrixCell(b, d, v, tuple(dec), lts)
+                decomps=FULL_DECOMPS, lts="off",
+                attenuation=False) -> list[MatrixCell]:
+    return [MatrixCell(b, d, v, tuple(dec), lts, attenuation)
             for b in backends for d in dtypes for v in variants
             for dec in decomps]
 
@@ -288,10 +302,9 @@ def run_matrix(problem: MatrixProblem | None = None,
             res = CellResult(cell, "skip",
                              detail="no compiled provider (no C compiler)")
         else:
-            ref_key = (cell.dtype, cell.lts)
+            ref_key = (cell.dtype, cell.lts, cell.attenuation)
             if ref_key not in references:
-                references[ref_key] = problem.run_serial(cell.dtype,
-                                                         lts=cell.lts)
+                references[ref_key] = problem.run_serial(*ref_key)
             ref_fields, ref_waves = references[ref_key]
             try:
                 fields, waves = problem.run_cell(cell)

@@ -11,9 +11,9 @@ Two properties the PERFORMANCE.md contract promises:
    pre-optimization baseline kernels allocate O(ncells) per step.
 
 2. The in-place ufunc formulations (``out=``/``work=`` paths in
-   :mod:`repro.core.fd`, the flat-span kernel, the pooled attenuation rate
-   hook and PML update) are **bit identical** to the allocating expression
-   forms they replaced (``atol=0`` equality, not approximate).
+   :mod:`repro.core.fd`, the flat-span kernel with its memory-variable
+   statements, and the PML update) are **bit identical** to the allocating
+   expression forms they replaced (``atol=0`` equality, not approximate).
 """
 
 import tracemalloc
@@ -97,10 +97,9 @@ class TestSteadyStateAllocationFree:
         g, med, wf = _fixture(24)
         med = Medium.homogeneous(g, vp=4000.0, vs=2300.0, rho=2500.0,
                                  qs=50.0, qp=100.0)
-        k = VelocityStressKernel(wf, med, 1e-3)
-        att = CoarseGrainedAttenuation(g, med, 0.2, 2.0)
-        hook = att.rate_hook(1e-3)
-        peak = _peak_transient(lambda: k.step_stress(rate_hook=hook))
+        att = CoarseGrainedAttenuation(g, med, 0.2, 2.0, 1e-3)
+        k = VelocityStressKernel(wf, med, 1e-3, attenuation=att)
+        peak = _peak_transient(k.step_stress)
         # bounded by numpy's constant iteration buffers, not O(ncells)
         assert peak < 512 * 1024
 
@@ -204,9 +203,9 @@ class TestBitIdentity:
                                              ((16, 14, 6), 3)])
     def test_production_step_matches_allocating_reference(
             self, dtype, order, shape, width):
-        """Pooled kernel + attenuation hook + PML, as the schedule drives
-        them, against the allocating reference: fields with their ghosts,
-        memory variables and PML parts equal byte for byte."""
+        """Pooled anelastic kernel + PML, as the schedule drives them,
+        against the allocating reference: fields with their ghosts, memory
+        variables and PML parts equal byte for byte."""
         g, med = _heterogeneous(shape, dtype)
         k_wf = WaveField(g, dtype=dtype)
         rng = np.random.default_rng(17)
@@ -214,20 +213,20 @@ class TestBitIdentity:
             arr[...] = rng.standard_normal(arr.shape) * 1e-3
         r_wf = k_wf.copy()
         dt = 5e-3
-        att, r_att = (CoarseGrainedAttenuation(g, med, 0.2, 2.0, dtype=dtype)
+        att, r_att = (CoarseGrainedAttenuation(g, med, 0.2, 2.0, dt,
+                                               dtype=dtype)
                       for _ in range(2))
         pml, r_pml = (PML(g, med, PMLConfig(width=width), dtype=dtype)
                       for _ in range(2))
         for p in (pml, r_pml):
             p.attach(k_wf)
-        k = VelocityStressKernel(k_wf, med, dt, order=order)
-        hook = att.rate_hook(dt)
+        k = VelocityStressKernel(k_wf, med, dt, order=order, attenuation=att)
         for _ in range(3):
             for comp in ("vx", "vy", "vz"):
                 pml.update(k_wf, comp, k.update_velocity(comp), dt)
             for comp in ("sxx", "syy", "szz", "sxy", "sxz", "syz"):
-                pml.update(k_wf, comp, k.update_stress(comp, rate_hook=hook),
-                           dt, term_axes=SHEAR_TERM_AXES.get(comp))
+                pml.update(k_wf, comp, k.update_stress(comp), dt,
+                           term_axes=SHEAR_TERM_AXES.get(comp))
             _reference_step(r_wf, med, dt, order=order, att=r_att, pml=r_pml)
         # the non-contiguous medium went through the kernel's own copies
         assert k.buffers().keys() >= {"medium_copy.bx", "medium_copy.lam"}
@@ -235,35 +234,48 @@ class TestBitIdentity:
             ref = getattr(r_wf, name)
             assert arr.dtype == ref.dtype == np.dtype(dtype)
             assert arr.tobytes() == ref.tobytes(), name
-        for comp, zeta in att._zeta.items():
-            assert zeta.tobytes() == r_att._zeta[comp].tobytes(), comp
+        for comp, zeta in att.zeta.items():   # ghosts stay zero too
+            assert zeta.tobytes() == r_att.zeta[comp].tobytes(), comp
         for key, parts in pml.parts.items():
             for a, b in zip(parts, r_pml.parts[key]):
                 assert a.tobytes() == b.tobytes(), key
 
     def test_attenuation_hook_matches_allocating_form(self):
+        """The memory statements relax each stress rate as the expression
+        form ``zeta' = a*zeta + b*(delta*rate)``, ``rate - 0.5*(zeta +
+        zeta')`` does, with ``a``/``b`` the trapezoidal coefficients of
+        the relaxation times at ``dt``, formed in the field dtype."""
+        for dtype in (np.float32, np.float64):
+            self._memory_statements_match(dtype)
+
+    @staticmethod
+    def _memory_statements_match(dtype):
         g = Grid3D(10, 10, 10, h=100.0)
-        med = Medium.homogeneous(g, qs=40.0, qp=80.0)
-        att_new = CoarseGrainedAttenuation(g, med, 0.2, 2.0)
-        att_ref = CoarseGrainedAttenuation(g, med, 0.2, 2.0)
+        med = Medium.homogeneous(g, qs=40.0, qp=80.0, dtype=dtype)
         dt = 1e-3
-        hook = att_new.rate_hook(dt)
-        a, b = att_ref._coeffs(dt)
+        att, r_att = (CoarseGrainedAttenuation(g, med, 0.2, 2.0, dt,
+                                               dtype=dtype)
+                      for _ in range(2))
+        r = att.tau.astype(dtype) / dt
+        want = {((r - 0.5) / (r + 0.5))[m].item(): (1.0 / (r + 0.5))[m].item()
+                for m in range(r.size)}
+        a, b = (interior(att.coefficients[n]) for n in ("zeta_a", "zeta_b"))
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert dict(zip(a.ravel().tolist(), b.ravel().tolist())) == want
+        wf = WaveField(g, dtype=dtype)
         rng = np.random.default_rng(5)
-        for comp in ("sxx", "sxy"):
-            for _ in range(3):
-                rate = rng.standard_normal(g.shape)
-                got = hook(comp, rate.copy()).copy()
-                # the allocating formulation the hook replaced
-                zeta = att_ref._zeta[comp]
-                delta = att_ref._delta[
-                    "p" if comp in att_ref._P_COMPONENTS else "s"]
-                zeta_new = a * zeta + b * (delta * rate)
-                want = rate - 0.5 * (zeta + zeta_new)
-                att_ref._zeta[comp] = zeta_new
-                assert np.array_equal(got, want), comp
-                assert np.array_equal(att_new._zeta[comp],
-                                      att_ref._zeta[comp]), comp
+        for arr in wf.fields().values():
+            arr[...] = rng.standard_normal(arr.shape) * 1e-3
+        r_wf = wf.copy()
+        k = VelocityStressKernel(wf, med, dt, attenuation=att)
+        for _ in range(3):
+            k.step_velocity()
+            k.step_stress()
+            _reference_step(r_wf, med, dt, att=r_att)
+        for comp, zeta in att.zeta.items():
+            assert zeta.tobytes() == r_att.zeta[comp].tobytes(), comp
+            assert (getattr(wf, comp).tobytes()
+                    == getattr(r_wf, comp).tobytes()), comp
 
 
 def _reference_step(wf, med, dt, order=4, att=None, pml=None):
@@ -271,8 +283,9 @@ def _reference_step(wf, med, dt, order=4, att=None, pml=None):
 
     Stencils come from the strided reference operators ``fd.diff4_*`` /
     ``fd.diff2_*``; ``att`` (a :class:`CoarseGrainedAttenuation`) relaxes
-    each stress rate with the expression form of the rate hook, and ``pml``
-    advances its split parts with the expression form of ``PML.update``.
+    each stress rate with the expression form of the memory statements,
+    and ``pml`` advances its split parts with the expression form of
+    ``PML.update``.
     Each call mirrors the schedule's component order: a velocity component,
     then its PML frame; a stress component, then its PML frame.
     """
@@ -307,7 +320,7 @@ def _reference_step(wf, med, dt, order=4, att=None, pml=None):
         rate += parts[1]
         rate += parts[2]
         if att is not None:
-            rate = _reference_relax(att, comp, rate, dt)
+            rate = _reference_relax(att, comp, rate)
         interior(getattr(wf, comp))[...] += rate * dt
         if pml is not None:
             _reference_pml(pml, wf, comp, dict(enumerate(parts)), dt)
@@ -320,21 +333,22 @@ def _reference_step(wf, med, dt, order=4, att=None, pml=None):
         rate = parts[0].copy()
         rate += parts[1]
         if att is not None:
-            rate = _reference_relax(att, comp, rate, dt)
+            rate = _reference_relax(att, comp, rate)
         interior(getattr(wf, comp))[...] += rate * dt
         if pml is not None:
             _reference_pml(pml, wf, comp,
                            dict(zip(SHEAR_TERM_AXES[comp], parts)), dt)
 
 
-def _reference_relax(att, comp, rate, dt):
-    """Expression form of ``CoarseGrainedAttenuation.rate_hook``."""
-    a, b = att._coeffs(dt)
-    zeta = att._zeta[comp]
-    delta = att._delta["p" if comp in att._P_COMPONENTS else "s"]
+def _reference_relax(att, comp, rate):
+    """Expression form of the memory-variable statements."""
+    a, b = (interior(att.coefficients[n]) for n in ("zeta_a", "zeta_b"))
+    zeta = interior(att.zeta[comp])
+    delta = interior(att.coefficients[
+        "delta_p" if comp in ("sxx", "syy", "szz") else "delta_s"])
     zeta_new = a * zeta + b * (delta * rate)
     out = rate - 0.5 * (zeta + zeta_new)
-    att._zeta[comp] = zeta_new
+    zeta[...] = zeta_new
     return out
 
 

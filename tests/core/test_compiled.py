@@ -181,17 +181,6 @@ class TestSolverCompiledVariant:
         assert p.sponge.kernels is None and p.free_surface.kernels is None
         assert p.lts.plans is None
 
-    def test_compiled_with_attenuation_degrades_to_pooled_stress(self):
-        """Attenuation needs the pooled per-rate hook: the stress half must
-        degrade while the velocity half stays fused, matching the pooled
-        solver bitwise (the hook path itself is shared code)."""
-        a = self._solver("pooled", attenuation_band=(0.2, 2.0))
-        b = self._solver("compiled", attenuation_band=(0.2, 2.0))
-        assert b.fused is not None
-        a.run(3)
-        b.run(3)
-        _assert_fields_equal(a.wf, b.wf)
-
     def test_distributed_compiled_zero_state_matches_serial(self):
         """From a shared (zero + source) initial state the distributed
         compiled run must equal the serial compiled run bitwise."""
@@ -421,7 +410,7 @@ class TestFoldedCoefficients:
 
 
 def test_per_cell_code_divides_nothing():
-    """The per-cell C — both sweep bodies, the row visits with the stress
+    """The per-cell C — the sweep bodies, the row visits with the stress
     half's folded fill / imaging / damping, the row bodies they share with
     the damp / free-surface operators, and those operators — multiplies
     only: every ``1/h`` and ``lam/lam2mu`` is formed ahead of the loops
@@ -433,11 +422,14 @@ def test_per_cell_code_divides_nothing():
         for family, fields in (("velocity", compiled.VELOCITY_FIELDS),
                                ("stress", compiled.STRESS_FIELDS)))
     sweeps = compiled._c_sweeps("double", "f64")
-    # the row loops of both sweeps: each entry point after its prologue
+    # the row loops of the sweeps (velocity, elastic and anelastic
+    # stress): each entry point after its prologue
     visits = [fn.split("#pragma omp parallel for")[1]
               for fn in sweeps.split("void fused_")[1:]]
-    assert len(visits) == 2 and "fs_image_row_f64" in visits[1]
-    bodies = [compiled._c_body(blocks) for blocks in update.halves().values()]
+    assert len(visits) == 3
+    assert all("fs_image_row_f64" in v for v in visits[1:])
+    bodies = [compiled._c_body(blocks) for q in (False, True)
+              for blocks in update.halves(4, q).values()]
     for code in (*bodies, ops, rows, *visits):
         assert "/" not in re.sub(r"/\*.*?\*/", "", code, flags=re.S)
 

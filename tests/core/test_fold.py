@@ -16,6 +16,7 @@ from repro.core import compiled
 from repro.core.fd import NGHOST
 from repro.core.grid import Grid3D
 from repro.core.medium import Medium
+from repro.core.pml import PMLConfig
 from repro.core.solver import SolverConfig, WaveSolver
 from repro.core.source import (BodyForceSource, ManufacturedForcing,
                                MomentTensorSource, gaussian_pulse)
@@ -170,9 +171,10 @@ def test_held_rows_are_the_injected_ones():
 
 
 def test_pooled_stress_half_holds_every_row():
-    """Attenuation keeps the stress half pooled: the compiled operators
-    then cover every row, as before the fold."""
-    s = _solver("compiled", np.float64, attenuation_band=(0.2, 2.0))
+    """PML keeps the stress half pooled: the compiled operators then cover
+    every row, as before the fold."""
+    s = _solver("compiled", np.float64, absorbing="pml",
+                pml=PMLConfig(width=3))
     assert s.schedule.plan.stress == "pooled" and s.held_rows.all()
     s.run(2)
     assert s.held_rows.all()

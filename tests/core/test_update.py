@@ -34,21 +34,37 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_every_statement_is_one_binary_op(self, order):
-        kinds = {"tap", "field", "coef", "scalar", "temp"}
-        for half, blocks in update.halves(order).items():
+        kinds = {"tap", "field", "coef", "scalar", "temp", "memory"}
+        for anelastic, (half, blocks) in (
+                (q, hb) for q in (False, True)
+                for hb in update.halves(order, q).items()):
             for b in blocks:
-                hooks = [s for s in b.body if s.op == "hook"]
-                # one rate-hook slot per stress component, none elsewhere
-                assert len(hooks) == (half == "stress" and bool(b.terms))
+                mem = [s for s in b.body if s.out.kind == "memory"]
+                # one memory write per anelastic stress component
+                assert len(mem) == (anelastic and half == "stress"
+                                    and bool(b.terms))
                 for s in b.body:
-                    assert s.op in ("sub", "mul", "add", "hook")
-                    assert s.out.kind in ("temp", "field")
-                    if s.op == "hook":
-                        assert s.a == s.out and s.b is None
-                        continue
+                    assert s.op in ("sub", "mul", "add")
+                    assert s.out.kind in ("temp", "field", "memory")
                     assert {s.a.kind, s.b.kind} <= kinds
                     if s.out.kind == "field":  # f = f + increment
                         assert (s.op, s.a) == ("add", s.out)
+                    if s.out.kind == "memory":  # zeta = zeta' * 1.0
+                        assert (s.op, s.b.name) == ("mul", "one")
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_anelastic_list_only_adds_the_relaxation(self, order):
+        """The elastic lists are the anelastic ones without the memory
+        statements, which sit between the summed rate and ``incr``."""
+        el, q = update.halves(order), update.halves(order, True)
+        assert el["velocity"] == q["velocity"]
+        for b, bq in zip(el["stress"], q["stress"]):
+            extra = [s for s in bq.body if s not in b.body]
+            assert [s for s in bq.body if s not in extra] == list(b.body)
+            if b.terms:
+                at = bq.body.index(extra[0])
+                assert bq.body[at + len(extra)].out == update.INCR
+                assert len(extra) == 8
 
     def test_no_division_to_render(self):
         assert set(compiled._C_OPS) == {"sub", "mul", "add"}
@@ -116,35 +132,65 @@ def test_any_box_cover_is_the_span_binding(order, dtype, data):
             assert getattr(wf, name).tobytes() == want[name].tobytes(), name
 
 
-def test_rate_hook_runs_at_the_marker():
-    """An in-place hook sees the summed rate and its result is integrated:
-    doubling the rate there equals doubling dt."""
-    _, med, wf = _state((6, 5, 4), np.float64, 3)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_anelastic_box_cover_is_the_span_binding(data):
+    """Under attenuation a box cover, in any order, updates every interior
+    cell and memory variable as the span binding does; a box at another
+    dt is refused (the coefficients are built for one)."""
+    from repro.core.attenuation import CoarseGrainedAttenuation
+    shape = tuple(data.draw(st.integers(1, 6), label=f"n{a}")
+                  for a in range(3))
+    g, med, wf = _state(shape, np.float32, data.draw(st.integers(0, 99)))
     ref = wf.copy()
-    seen = []
+    atts = [CoarseGrainedAttenuation(g, med, 0.2, 2.0, 1e-3,
+                                     dtype=np.float32) for _ in range(2)]
+    k = VelocityStressKernel(wf, med, 1e-3, attenuation=atts[0])
+    boxes = _covers(data.draw, shape)
+    with pytest.raises(ValueError, match="built for dt"):
+        k.region(boxes[0], dt=2e-3)
+    execs = [k.region(b) for b in boxes]
+    span = VelocityStressKernel(ref, med, 1e-3, attenuation=atts[1])
+    for _ in range(2):
+        for i in data.draw(st.permutations(range(len(boxes)))):
+            execs[i].step_stress()
+        span.step_stress()
+    for name in STRESS_FIELDS:
+        assert getattr(wf, name).tobytes() == getattr(ref, name).tobytes()
+        assert (atts[0].zeta[name].tobytes()
+                == atts[1].zeta[name].tobytes()), name
 
-    def double(comp, rate):
-        seen.append(comp)
-        rate *= 2.0
-        return rate
 
-    VelocityStressKernel(wf, med, 1e-3).step_stress(rate_hook=double)
+def test_memory_statements_relax_the_summed_rate():
+    """The memory statements see the summed rate and their result is
+    integrated: with ``zeta = 0``, ``a = 0``, ``delta = 1`` and ``b = -2``
+    the relaxed rate is ``rate - (0 + -2*rate)*0.5 = 2*rate`` exactly,
+    which equals doubling dt."""
+    from repro.core.attenuation import CoarseGrainedAttenuation
+    g, med, wf = _state((6, 5, 4), np.float64, 3)
+    ref = wf.copy()
+    att = CoarseGrainedAttenuation(g, med, 0.2, 2.0, 1e-3)
+    for name, value in (("zeta_a", 0.0), ("zeta_b", -2.0), ("delta_p", 1.0),
+                        ("delta_s", 1.0)):
+        att.coefficients[name][...] = value
+    VelocityStressKernel(wf, med, 1e-3, attenuation=att).step_stress()
     VelocityStressKernel(ref, med, 2e-3).step_stress()
-    assert seen == list(STRESS_FIELDS)
     for name in STRESS_FIELDS:
         assert getattr(wf, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @pytest.mark.parametrize("half", ["velocity", "stress"])
 def test_rendered_body_is_one_assignment_per_statement(half):
-    blocks = update.halves()[half]
+    for anelastic in (False, True) if half == "stress" else (False,):
+        _assert_rendered(half, anelastic)
+
+
+def _assert_rendered(half, anelastic):
+    blocks = update.halves(4, anelastic)[half]
     stmts = [s for b in blocks for s in b.body]
     lines = [ln.strip() for ln in compiled._c_body(blocks).split("\n")]
     assert len(lines) == len(stmts)
     for line, s in zip(lines, stmts):
-        if s.op == "hook":
-            assert line.startswith("/*") and "=" not in line
-            continue
         assert line.count(" = ") == 1 and line.endswith(";"), line
         lhs, rhs = line[:-1].split(" = ")
         assert lhs == compiled._c_operand(s.out)
@@ -153,7 +199,8 @@ def test_rendered_body_is_one_assignment_per_statement(half):
     # the sweep renders that body and declares every temporary once
     src = compiled._c_sweeps("double", "f64")
     assert compiled._c_body(blocks) in src
-    decl = re.search(rf"{half}_row_f64\(.*?double ([\w, ]+);", src, re.S)
+    row = half + "_q" * anelastic
+    decl = re.search(rf"{row}_row_f64\(.*?double ([\w, ]+);", src, re.S)
     assert decl.group(1).split(", ") == update.temporaries(blocks)
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.core import (Grid3D, Medium, MomentTensorSource, PMLConfig,
                         Receiver, SolverConfig, WaveSolver)
 from repro.core.source import gaussian_pulse
-from repro.parallel import procpool, simmpi
+from repro.parallel import procpool
 from repro.parallel.decomp import Decomposition3D
 from repro.parallel.distributed import DistributedWaveSolver
 
@@ -147,9 +147,9 @@ class TestBitwiseEquivalence:
         dict(SPONGE_CFG, attenuation_band=(0.3, 3.0))], ids=["pml", "atten"])
     def test_compiled_composes_with_pml_and_attenuation(self, backend,
                                                         cfg_kw):
-        """Distributed inherits serial's per-half degrade (compiled velocity
-        half + pooled stress half under attenuation; both pooled under PML)
-        instead of refusing the composition."""
+        """Distributed inherits serial's per-half choice (both halves
+        compiled under attenuation, with the core/shell overlap; both
+        pooled under PML, unsplit) instead of refusing the composition."""
         from repro.core import compiled
         if not compiled.compiled_available():
             pytest.skip("no compiled provider (no C compiler)")
@@ -157,7 +157,12 @@ class TestBitwiseEquivalence:
         ser, r_ser = _serial(cfg_kw, nsteps=6)
         d, r = _distributed((2, 2, 1), cfg_kw, nsteps=6, backend=backend)
         _assert_bitwise(d, r, ser, r_ser)
-        assert not d.overlap_eligible
+        anelastic = "attenuation_band" in cfg_kw
+        assert d.overlap_eligible == anelastic
+        assert d.solvers[0].plan.stress == ("compiled" if anelastic
+                                            else "pooled")
+        if backend == "procpool":
+            assert d.last_procpool["overlap"] == anelastic
 
     def test_multi_run_continuity(self, serial_sponge):
         """Two run() calls equal one long run (state merges back exactly)."""
@@ -236,42 +241,7 @@ class TestProcpoolMetrics:
 
 @needs_fork
 class TestGenericRunSpmd:
-    """procpool.run_spmd is a drop-in for simmpi.run_spmd."""
-
-    @staticmethod
-    def _ring(comm):
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        comm.isend(right, 7, comm.rank)
-        val = yield comm.recv(source=left, tag=7)
-        yield comm.barrier()
-        if comm.rank % 2 == 0:
-            yield comm.ssend(right, 8, val * 2)
-            val2 = yield comm.recv(source=left, tag=8)
-        else:
-            val2 = yield comm.recv(source=left, tag=8)
-            yield comm.ssend(right, 8, val * 2)
-        return (val, val2)
-
-    def test_matches_simmpi(self):
-        r_sim = simmpi.run_spmd(4, self._ring)
-        r_pp = procpool.run_spmd(4, self._ring)
-        assert r_pp.results == r_sim.results
-        assert all(c > 0 for c in r_pp.clocks)
-        for st in r_pp.stats:
-            assert st.messages_sent == 2
-            assert st.messages_received == 2
-
-    def test_collectives(self):
-        def prog(comm):
-            total = yield from simmpi.allreduce(comm, comm.rank + 1,
-                                                lambda a, b: a + b)
-            vals = yield from simmpi.gather(comm, comm.rank ** 2, root=0)
-            return total, vals
-
-        r = procpool.run_spmd(3, prog)
-        assert [t for t, _ in r.results] == [6, 6, 6]
-        assert r.results[0][1] == [0, 1, 4]
+    """procpool.run_workers hands a worker's exception to the parent."""
 
     def test_worker_exception_propagates(self):
         def boom(rank):

@@ -121,7 +121,8 @@ def test_state_without_fault_refused():
     ({"lts": "auto"}, "global dt"),
     ({"absorbing": "pml"}, "absorbing='sponge' or 'none'"),
     ({"attenuation_band": (0.1, 1.0)}, "attenuation"),
-], ids=["lts", "pml", "attenuation"])
+    ({"dtype": np.float32}, "runs in float64"),
+], ids=["lts", "pml", "attenuation", "float32"])
 def test_refused_compositions(cfg, reason):
     with pytest.raises(ValueError, match=reason):
         _solver(**cfg)

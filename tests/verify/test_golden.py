@@ -77,6 +77,22 @@ class TestComparator:
                                      {"a": np.ones(3)}, rtol=1e-7, atol=0.0)
         assert mism and mism[0].array == "a"
 
+    def test_non_finite_reference_matches_nothing(self):
+        """``rtol * max|ref|`` is inf for a reference holding inf, which
+        would pass any finite candidate: such an entry is a mismatch."""
+        mism = golden.compare_arrays({"a": np.array([7.0, 3.0])},
+                                     {"a": np.array([1.0, np.inf])},
+                                     rtol=1e-7, atol=0.0)
+        assert [m.array for m in mism] == ["a"]
+        assert "not finite" in mism[0].note
+
+    def test_save_refuses_non_finite_array(self, tmp_path):
+        with pytest.raises(ValueError, match="'t' is not finite"):
+            golden.save_golden("kinematic_mini_pgv",
+                               {"x": np.ones(2), "t": np.array([1.0, np.inf])},
+                               directory=tmp_path)
+        assert not golden.golden_path("kinematic_mini_pgv", tmp_path).exists()
+
     def test_shape_mismatch_detected(self):
         mism = golden.compare_arrays({"a": np.zeros((2, 3))},
                                      {"a": np.zeros((3, 2))},

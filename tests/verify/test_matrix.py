@@ -138,3 +138,21 @@ class TestLTSCells:
         result = run_matrix(cells=cells, precision_gate=False)
         assert result.passed, result.summary()
         assert [c.cell.lts for c in result.cells] == ["off", "forced"]
+
+
+class TestAttenuationCells:
+    def test_attenuation_cells_bitwise_on_both_variants(self):
+        """Memory variables on: pooled and compiled distributed runs equal
+        the serial anelastic reference, which differs from the elastic."""
+        cells = build_cells(backends=("sim",), dtypes=("float64",),
+                            decomps=((2, 1, 1),), attenuation=True)
+        result = run_matrix(cells=cells, precision_gate=False)
+        assert result.passed, result.summary()
+        for c in result.cells:
+            assert c.status in ("pass", "skip"), c.cell.label
+            assert c.cell.label.endswith("/attenuation")
+            assert c.to_dict()["attenuation"] is True
+        p = MatrixProblem()
+        el, _ = p.run_serial("float64")
+        q, _ = p.run_serial("float64", attenuation=True)
+        assert not np.array_equal(el["sxx"], q["sxx"])
