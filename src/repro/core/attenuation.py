@@ -119,8 +119,8 @@ class CoarseGrainedAttenuation:
             indexing="ij")
         mech = (ii + 2 * jj + 4 * kk) % n_mech
         w_x = self.weights[mech] * float(min(n_mech, 8))
-        # float(dt) keeps the division a weak-scalar op so the coefficients
-        # inherit the storage dtype (f32 stays f32)
+        # a python-float dt keeps the division a weak-scalar op, so the
+        # coefficients inherit the storage dtype (f32 stays f32)
         r = self.tau[mech].astype(dtype) / self.dt
         coeffs = {"delta_p": (w_x / interior(medium.qp)).astype(dtype),
                   "delta_s": (w_x / interior(medium.qs)).astype(dtype),
