@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.grid import ALL_FIELDS, Grid3D, WaveField
-from repro.core.kernels import (VelocityStressKernel, baseline_stress_update,
-                                baseline_velocity_update)
+from repro.core.kernels import VelocityStressKernel
 from repro.core.medium import Medium
+from tests.core.baseline_kernels import (baseline_stress_update,
+                                         baseline_velocity_update)
 
 from _bench_utils import paper_row, print_table
 

@@ -336,22 +336,25 @@ class WaveSolver:
     # ------------------------------------------------------------------
     # State (checkpointing support)
     # ------------------------------------------------------------------
-    def state(self) -> dict:
+    def state(self, copy: bool = True) -> dict:
         """Complete restartable state (Section III.F).
 
         Fields are saved with their ghost rims: the free-surface images live
         in the top ghost planes and must survive a restart for the resumed
         run to be bitwise identical.  A fault's split-node state goes under
         ``"fault"``.  The dict is stamped with :data:`STATE_SCHEMA`.
+        ``copy=False`` returns the contiguous arrays themselves rather than
+        copies, for a caller that serialises the dict before the next step.
         """
+        keep = np.ndarray.copy if copy else np.ascontiguousarray
         st = {"schema": STATE_SCHEMA, "t": self.t, "nstep": self.nstep,
-              "fields": {name: arr.copy()
+              "fields": {name: keep(arr)
                          for name, arr in self.wf.fields().items()}}
         if self.attenuation is not None:
-            st["attenuation"] = {k: v.copy() for k, v in
+            st["attenuation"] = {k: keep(v) for k, v in
                                  self.attenuation.state_arrays().items()}
         if self.pml is not None:
-            st["pml"] = {key: [p.copy() for p in parts]
+            st["pml"] = {key: [keep(p) for p in parts]
                          for key, parts in self.pml.parts.items()}
         if self.lts is not None:
             st["lts"] = self.lts.state_arrays()

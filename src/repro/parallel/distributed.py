@@ -44,6 +44,7 @@ from ..core.source import BodyForceSource, FiniteFaultSource, MomentTensorSource
 from ..obs.health import HealthConfig, HealthMonitor
 from ..obs.metrics import default_registry
 from ..obs.tracer import get_tracer
+from . import procpool
 from .decomp import Decomposition3D
 from .halo import HaloExchange, exchange_halos_sync
 from .procpool import ProcPoolUnavailable
@@ -53,6 +54,25 @@ __all__ = ["DistributedWaveSolver"]
 
 _AXIS_LO = ("x_lo", "y_lo", "z_lo")
 _AXIS_HI = ("x_hi", "y_hi", "z_hi")
+
+
+def _result_nbytes(sol: WaveSolver, nsteps: int) -> int:
+    """Result-arena bytes for one procpool rank: room for its state arrays
+    (fields, memory variables, PML parts, LTS history) and the surface
+    frames ``nsteps`` steps record, each padded to the arena alignment.
+    Arena pages are only touched when written, so an overshoot is free."""
+    arrays = [*sol.wf.fields().values()]
+    for part in (sol.attenuation, sol.lts):
+        if part is not None:
+            arrays += part.state_arrays().values()
+    if sol.pml is not None:
+        arrays += [p for parts in sol.pml.parts.values() for p in parts]
+    nbytes = sum(a.nbytes + procpool.ARENA_ALIGN for a in arrays)
+    srec = sol.surface_recorder
+    if srec is not None:
+        plane = sol.wf.vx[:, :, 0].nbytes + procpool.ARENA_ALIGN
+        nbytes += 3 * plane * (nsteps // srec.dec_time + 1)
+    return nbytes
 
 
 class DistributedWaveSolver:
@@ -470,7 +490,7 @@ class DistributedWaveSolver:
                           comm_time=(acc["wait_s"] + acc["pack_s"]
                                      + acc["unpack_s"]))
         return {
-            "state": sol.state(),
+            "state": sol.state(copy=False),
             "receivers": [(i, comp, loc.data[comp])
                           for i, comp, loc in locals_],
             "surface": (None if srec is None
@@ -481,8 +501,24 @@ class DistributedWaveSolver:
             "spans": spans,
         }
 
+    def _merge_rank(self, rank: int, pl: dict) -> dict:
+        """Copy one worker's state, receiver samples and surface frames into
+        this process's rank solver (the arrays are result-arena views, see
+        :func:`~repro.parallel.procpool.run_workers`); return the timings."""
+        sol = self.solvers[rank]
+        sol.load_state(pl.pop("state"))
+        for idx, comp, data in pl.pop("receivers"):
+            _, _, _, local = self._receiver_map[idx]
+            local.data[comp].extend(data)
+        surface = pl.pop("surface")
+        if surface is not None:
+            srec = sol.surface_recorder
+            srec.frames.extend((t, *(a.copy() for a in planes))
+                               for t, *planes in surface["frames"])
+            srec._step = surface["step"]
+        return pl
+
     def _run_procpool(self, nsteps: int, tracer) -> SPMDResult:
-        from . import procpool
         procpool.ensure_available()
         if self._split is None:
             # split once, in the parent: region scratch buffers persist
@@ -509,7 +545,11 @@ class DistributedWaveSolver:
             with tracer.span("distributed.run", category="other",
                              backend="procpool", nranks=self.decomp.nranks,
                              nsteps=nsteps, **self._span_attrs()):
-                payloads = procpool.run_workers(self.decomp.nranks, target)
+                payloads = procpool.run_workers(
+                    self.decomp.nranks, target,
+                    arena_nbytes=[_result_nbytes(sol, nsteps)
+                                  for sol in self.solvers],
+                    merge=self._merge_rank)
         finally:
             pool.close()
 
@@ -518,14 +558,6 @@ class DistributedWaveSolver:
                                 "compute_s", "wall_s")}
         clocks, stats = [], []
         for rank, pl in enumerate(payloads):
-            self.solvers[rank].load_state(pl["state"])
-            for idx, comp, data in pl["receivers"]:
-                _, _, _, local = self._receiver_map[idx]
-                local.data[comp].extend(data)
-            if pl["surface"] is not None:
-                srec = self.solvers[rank].surface_recorder
-                srec.frames.extend(pl["surface"]["frames"])
-                srec._step = pl["surface"]["step"]
             clocks.append(pl["wall"])
             stats.append(pl["stats"])
             for key, hist in (("pack_s", "procpool.pack_s"),

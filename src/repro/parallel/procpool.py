@@ -21,23 +21,34 @@ sender can never be two full rounds ahead of a consumer.
 Workers are **forked**, not spawned: rank programs close over solver state
 (source time functions are arbitrary callables) that cannot be pickled, and
 fork inherits the parent's heap copy-on-write for free.  Results come back
-through a queue; the parent merges them into its own solver state so
-``gather_field``/``state()`` keep working after a run.
+through a per-rank **result arena**: an anonymous shared mapping
+(``mmap.mmap(-1, n)``, no ``/dev/shm`` name) made before the fork.  A
+worker pickles its payload with protocol 5 and writes each out-of-band
+buffer (its state arrays, its surface frames) into its arena; only the
+small pickle stream and the buffers' ``(offset, nbytes)`` go through the
+queue.  The parent unpickles against views of the arena and hands each
+payload to a ``merge`` callback, which copies what it keeps into the
+parent's solver state, so ``gather_field``/``state()`` keep working after
+a run.  A buffer that does not fit its arena travels in-band: the arena
+size sets the speed, never the result.
 
-Lifecycle/cleanup contract: the parent creates the arena, forks, collects,
-then ``close(unlink=True)``-s in a ``finally`` — no segment outlives the
-run even on error paths (workers are terminated and the segment unlinked).
+Lifecycle/cleanup contract: the parent creates the ring arena and the result
+arenas, forks, collects, then closes them in a ``finally`` — no segment
+outlives the run even on error paths (workers are terminated, the ring
+segment unlinked and every result arena unmapped).
 :exc:`ProcPoolUnavailable` signals environments without fork or POSIX shared
 memory; callers degrade to the SimMPI backend.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
+import pickle
 import queue as _queue
 import time
 import traceback
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +68,9 @@ __all__ = [
 
 #: ring depth per directed channel (see module docstring for sufficiency)
 RING_DEPTH = 2
+
+#: byte alignment of each out-of-band buffer in a result arena
+ARENA_ALIGN = 64
 
 #: face iteration order defining the channel layout; must be identical on
 #: both ends, so it is fixed here rather than derived from a dict.
@@ -327,28 +341,87 @@ def _start_process(p) -> None:
     p.start()
 
 
-def _worker_shim(target: Callable[[int], Any], rank: int, resq) -> None:
+def _pack(payload: Any, arena: mmap.mmap | None
+          ) -> tuple[bytes, list[tuple[int, int]]]:
+    """Pickle ``payload`` (protocol 5), writing each out-of-band buffer that
+    fits into ``arena``; returns the stream and the ``(offset, nbytes)`` of
+    every buffer placed there, in stream order."""
+    placed: list[tuple[int, int]] = []
+    size = 0 if arena is None else len(arena)
+    end = 0
+
+    def place(buf: pickle.PickleBuffer) -> bool:
+        nonlocal end
+        raw = buf.raw()
+        start = -(-end // ARENA_ALIGN) * ARENA_ALIGN
+        if start + raw.nbytes > size:
+            return True                 # in-band
+        arena[start:start + raw.nbytes] = raw
+        placed.append((start, raw.nbytes))
+        end = start + raw.nbytes
+        return False
+
+    return pickle.dumps(payload, protocol=5, buffer_callback=place), placed
+
+
+def _unpack(stream: bytes, placed: list[tuple[int, int]],
+            arena: mmap.mmap | None) -> Any:
+    """Inverse of :func:`_pack`: arrays placed in ``arena`` come back as
+    views of it."""
+    view = memoryview(arena) if placed else None
+    return pickle.loads(stream, buffers=[view[o:o + n] for o, n in placed])
+
+
+def _new_arena(nbytes: int) -> mmap.mmap | None:
+    """An anonymous shared mapping (forked children write into the parent's
+    pages), or None when there is nothing to place or no mapping to be had:
+    the payload then travels in-band."""
+    if nbytes <= 0:
+        return None
     try:
-        resq.put((rank, "ok", target(rank)))
+        return mmap.mmap(-1, nbytes)
+    except OSError:
+        return None
+
+
+def _worker_shim(target: Callable[[int], Any], rank: int, resq,
+                 arena: mmap.mmap | None) -> None:
+    try:
+        msg = (rank, "ok", *_pack(target(rank), arena))
     except BaseException:  # noqa: BLE001 - full traceback to the parent
-        resq.put((rank, "error", traceback.format_exc()))
+        msg = (rank, "error", traceback.format_exc(), [])
+    resq.put(msg)
 
 
 def run_workers(nranks: int, target: Callable[[int], Any],
-                timeout: float = 600.0) -> list[Any]:
+                timeout: float = 600.0, arena_nbytes: Sequence[int] = (),
+                merge: Callable[[int, Any], Any] | None = None) -> list[Any]:
     """Fork ``nranks`` workers running ``target(rank)``; gather payloads.
+
+    ``arena_nbytes[rank]`` sizes that rank's result arena (missing or 0:
+    the whole payload goes through the queue).  Once every rank has posted,
+    ``merge(rank, payload)`` runs for each rank in order and its return
+    values are the result (default: the payloads).  Arrays placed in an
+    arena are views of it, valid only inside ``merge``: it must copy what
+    it keeps, and return nothing that aliases them (closing an arena a
+    result still views raises :class:`BufferError`), so a call without
+    ``merge`` gives no arena.
 
     Raises :exc:`ProcPoolUnavailable` if a worker fails to *start* (callers
     fall back to SimMPI with the parent state untouched) and
-    :class:`RuntimeError` if a started worker dies or reports an exception.
+    :class:`RuntimeError` if a started worker reports an exception or exits
+    without posting a result, whatever its exit code.
     """
     ensure_available()
     ctx = mp.get_context("fork")
     resq = ctx.Queue()
+    arenas = [_new_arena(arena_nbytes[r] if r < len(arena_nbytes) else 0)
+              for r in range(nranks)]
     procs = []
     try:
         for rank in range(nranks):
-            p = ctx.Process(target=_worker_shim, args=(target, rank, resq),
+            p = ctx.Process(target=_worker_shim,
+                            args=(target, rank, resq, arenas[rank]),
                             daemon=True)
             try:
                 _start_process(p)
@@ -356,31 +429,46 @@ def run_workers(nranks: int, target: Callable[[int], Any],
                 raise ProcPoolUnavailable(
                     f"worker spawn failed: {exc}") from exc
             procs.append(p)
-        payloads: list[Any] = [None] * nranks
-        got = 0
+        posted: dict[int, tuple[bytes, list]] = {}
         deadline = time.monotonic() + timeout
-        while got < nranks:
+        while len(posted) < nranks:
             try:
-                rank, status, payload = resq.get(timeout=1.0)
+                rank, status, body, placed = resq.get(timeout=1.0)
             except _queue.Empty:
-                dead = [p.exitcode for p in procs
-                        if not p.is_alive() and p.exitcode not in (0, None)]
-                if dead:
-                    raise RuntimeError(
-                        f"procpool worker(s) died with exit codes {dead}")
+                # a worker's post is in the pipe before the worker exits,
+                # so one that exited with nothing queued never posted
+                gone = [f"rank {r} (exit code {p.exitcode})"
+                        for r, p in enumerate(procs)
+                        if r not in posted and p.exitcode is not None]
+                if gone and resq.empty():
+                    raise RuntimeError("procpool worker(s) exited without "
+                                       "a result: " + ", ".join(gone))
                 if time.monotonic() > deadline:
                     raise RuntimeError("procpool run timed out")
                 continue
             if status == "error":
-                raise RuntimeError(f"procpool rank {rank} failed:\n{payload}")
-            payloads[rank] = payload
-            got += 1
+                raise RuntimeError(f"procpool rank {rank} failed:\n{body}")
+            posted[rank] = (body, placed)
+        results = []
+        for r in range(nranks):
+            payload = _unpack(*posted[r], arenas[r])
+            results.append(payload if merge is None else merge(r, payload))
+            del payload
+            if arenas[r] is not None:
+                arenas[r].close()      # BufferError: merge kept a view
         for p in procs:
             p.join(timeout=30)
-        return payloads
+        return results
     finally:
         for p in procs:
             if p.is_alive():
                 p.terminate()
         for p in procs:
             p.join(timeout=10)
+        for arena in arenas:
+            try:
+                if arena is not None:
+                    arena.close()
+            except BufferError:
+                pass    # held by a frame of the propagating traceback:
+                #         unmapped when that goes

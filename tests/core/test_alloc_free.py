@@ -25,10 +25,11 @@ from repro.core.attenuation import CoarseGrainedAttenuation
 from repro.core import fd
 from repro.core.fd import C1, C2, interior
 from repro.core.grid import Grid3D, WaveField
-from repro.core.kernels import (VelocityStressKernel, baseline_stress_update,
-                                baseline_velocity_update)
+from repro.core.kernels import VelocityStressKernel
 from repro.core.medium import Medium
 from repro.core.pml import PML, SHEAR_TERM_AXES, PMLConfig
+
+from .baseline_kernels import baseline_stress_update, baseline_velocity_update
 
 
 def _fixture(n, seed=7):

@@ -13,17 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.dtypeaudit import (audit_distributed_solver, audit_solver,
-                                   iter_solver_arrays)
 from repro.core.fd import interior
 from repro.core.grid import Grid3D, WaveField
-from repro.core.kernels import (baseline_stress_update,
-                                baseline_velocity_update)
 from repro.core.medium import Medium
 from repro.core.pml import PMLConfig
 from repro.core.solver import SolverConfig, WaveSolver
 from repro.core.source import MomentTensorSource, gaussian_pulse
 from repro.parallel.distributed import DistributedWaveSolver
+
+from .baseline_kernels import baseline_stress_update, baseline_velocity_update
+from .dtypeaudit import (audit_distributed_solver, audit_solver,
+                         iter_solver_arrays)
 
 
 def _source():

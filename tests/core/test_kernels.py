@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.grid import ALL_FIELDS, Grid3D, WaveField
-from repro.core.kernels import (VelocityStressKernel, baseline_stress_update,
-                                baseline_velocity_update)
+from repro.core.kernels import VelocityStressKernel
 from repro.core.medium import Medium
+
+from .baseline_kernels import baseline_stress_update, baseline_velocity_update
 
 
 def _random_state(seed=0, shape=(10, 12, 11)):
