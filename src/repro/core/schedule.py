@@ -28,6 +28,7 @@ they are and cover the rest (:meth:`StepSchedule.hold`).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -146,13 +147,16 @@ class StepSchedule:
     """One solver's step, as blocks A/B/C over its rate groups."""
 
     def __init__(self, solver):
-        self.solver = solver
+        # a proxy, not a reference: the solver owns its schedule, and a
+        # cycle would keep a dropped solver's arrays alive until the
+        # cyclic collector runs
+        self.solver = weakref.proxy(solver)
         self.plan = solver.plan
         # global dt is the one-group case: every plane, every step
         self.groups = [SimpleNamespace(rate=1, forcing_region=None)]
-        #: half -> (core operator or None, [operators finishing the half])
-        self._ops = {"velocity": (None, [self._velocity]),
-                     "stress": (None, [self._stress])}
+        #: half -> (core operator, [shell operators]) once :meth:`split`;
+        #: (None, None) runs the whole-interior operator
+        self._ops = dict.fromkeys(("velocity", "stress"), (None, None))
         #: halves whose core already ran ahead of their block
         self._ahead: set[str] = set()
         #: the forcings and moment sources ``solver.held_rows`` was set for
@@ -175,11 +179,14 @@ class StepSchedule:
 
     def update(self, half: str, act) -> None:
         """Run the ``half`` ('velocity' | 'stress') update of ``act``."""
-        core, rest = self._ops[half]
-        if core is not None and half not in self._ahead:
+        core, shells = self._ops[half]
+        if shells is None:
+            (self._velocity if half == "velocity" else self._stress)()
+            return
+        if half not in self._ahead:
             core()
         self._ahead.discard(half)
-        for op in rest:
+        for op in shells:
             op()
 
     def damp(self, act) -> None:
@@ -220,17 +227,6 @@ class StepSchedule:
         if s.fault is not None:
             held[:, s.fault.rows] = 1
         self._held_key = key
-
-    def close(self) -> None:
-        """Cut the reference cycles between a finished solver and its
-        schedule (``solver.schedule`` <-> ``self.solver``, and this
-        object's own bound-method table), so the wavefield is freed by
-        reference count the moment the driver drops the solver instead of
-        at some later generation-2 collection.  The solver cannot step
-        afterwards."""
-        self._ops.clear()
-        self.solver.schedule = self.solver.lts = None
-        self.solver = None
 
     # ------------------------------------------------------------------
     # Whole-interior operators (global dt, unsplit)

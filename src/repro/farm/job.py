@@ -138,12 +138,7 @@ def _gmpe_residual(job: FarmJob, pgv_gm: np.ndarray, grid_h: float,
 def job_products(job: FarmJob) -> dict[str, np.ndarray]:
     """Run the job's simulation; return its product arrays by name."""
     solver, rupture, recs, recorder, trace = _build_problem(job)
-    try:
-        solver.run(job.nsteps)
-    finally:
-        # a long-lived service worker must not carry each job's wavefield
-        # (~10 MB) until the garbage collector happens to run
-        solver.schedule.close()
+    solver.run(job.nsteps)
     pgvh = recorder.peak_horizontal()
     pgv_gm = geometric_mean_pgv(recorder.frames)
     peak_vz = None

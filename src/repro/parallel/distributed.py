@@ -11,7 +11,8 @@ the property the whole performance-optimization story (asynchronous
 messaging, reduced communication, overlap) relies on: optimizations may
 move *when* work happens, never *what* is computed.
 
-Two drivers execute the same blocks:
+One rank loop (:meth:`DistributedWaveSolver.rank_steps`) runs the blocks
+on two backends, which supply only its halo and timing callbacks:
 
 * ``backend="sim"`` — SimMPI's cooperative generator scheduler with virtual
   ``alpha + k*beta`` clocks (the performance-*model* substrate);
@@ -29,9 +30,8 @@ from __future__ import annotations
 import copy
 import time
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -46,14 +46,11 @@ from ..obs.metrics import default_registry
 from ..obs.tracer import get_tracer
 from . import procpool
 from .decomp import Decomposition3D
-from .halo import HaloExchange, exchange_halos_sync
+from .halo import HaloExchange, exchange_halos_sync, face_plan
 from .procpool import ProcPoolUnavailable
 from .simmpi import CommStats, SPMDResult, run_spmd
 
 __all__ = ["DistributedWaveSolver"]
-
-_AXIS_LO = ("x_lo", "y_lo", "z_lo")
-_AXIS_HI = ("x_hi", "y_hi", "z_hi")
 
 
 def _result_nbytes(sol: WaveSolver, nsteps: int) -> int:
@@ -87,6 +84,9 @@ class DistributedWaveSolver:
         automatically.
     config:
         Shared solver configuration (dt is derived from the global CFL).
+        If ``config.kernel_variant`` is 'compiled' and no compiled
+        provider is available, the solver warns once (``RuntimeWarning``)
+        and every rank runs 'pooled'; ``kernel_variant`` reads the result.
     halo_mode:
         'reduced' (Section IV.A directional exchange, default) or 'full'.
     sync_comm:
@@ -101,12 +101,6 @@ class DistributedWaveSolver:
         OS processes with shared-memory halo rings.  If procpool cannot run
         (no fork / no POSIX shared memory / spawn failure) the solver warns
         once and falls back to 'sim'.
-    kernel_variant:
-        None (default) — inherit ``config.kernel_variant``; or 'pooled' —
-        plain interior updates; 'compiled' — the fused JIT sweeps
-        (:mod:`repro.core.compiled`).  Bitwise identical.  If the
-        compiled provider is unavailable the solver warns once
-        (``RuntimeWarning``) and every rank runs 'pooled'.
     overlap:
         Overlap interior computation with halo transfers on the procpool
         backend (Section IV.C) wherever the schedule can split a step into
@@ -132,7 +126,6 @@ class DistributedWaveSolver:
                  sync_comm: bool = False,
                  machine=None,
                  backend: str = "sim",
-                 kernel_variant: str | None = None,
                  overlap: bool = True,
                  health: HealthConfig | None = None,
                  stall_timeout: float | None = None):
@@ -146,8 +139,6 @@ class DistributedWaveSolver:
         self.grid = grid
         self.decomp = decomp
         cfg = config or SolverConfig()
-        if kernel_variant is not None:
-            cfg = replace(cfg, kernel_variant=kernel_variant)
         resolve(cfg, dims=decomp.dims, backend=backend, sync_comm=sync_comm)
         # Convert the *global* medium once, then cut subgrids from it: the
         # serial WaveSolver coerces the same global arrays, and elementwise
@@ -356,42 +347,81 @@ class DistributedWaveSolver:
             rec.frames.clear()
 
     # ------------------------------------------------------------------
-    # Execution: SimMPI backend
+    # The rank loop (every driver)
     # ------------------------------------------------------------------
-    def rank_steps(self, rank: int, nsteps: int, halo, tracer):
-        """One rank's time loop as a generator: A; halo v; B; halo sigma; C.
+    def rank_steps(self, rank: int, nsteps: int, halo, timed,
+                   split: bool = False):
+        """One rank's time loop as a generator::
 
-        ``halo(group)`` returns the SimMPI requests to yield for that
-        exchange — or nothing when the halo arrives some other way (the
-        resilience replay applies a logged rim instead).
+            A; post v; [B-core]; complete v; B; post σ; C; [next A-core];
+            complete σ
+
+        ``halo(phase, group)`` runs one half ('post' | 'complete') of a
+        field group's exchange and returns the SimMPI ops to yield — or
+        nothing when the halo moves some other way (procpool's rings, the
+        resilience replay's logged rim).  ``timed(name, category, hidden)``
+        returns the context manager a block runs in (a span, a stopwatch).
+        A ``split`` rank runs the bracketed cores while the other family's
+        faces fly: the stress core during the velocity exchange, the next
+        step's velocity core during the stress one (this step is already
+        recorded).  An unsplit rank runs each half whole, so its post and
+        complete are back to back but for C, which reads no ghost.
         """
         sched = self.solvers[rank].schedule
-
-        def span(name, category="compute"):
-            # compute spans are wall-clock (wall=True): SimMPI virtual
-            # clocks only advance on communication, so measured numpy time
-            # is the honest compute cost — the paper's Eq. 7 hybrid of
-            # measured kernel time plus modelled alpha + k*beta
-            # communication.
-            return tracer.span(name, category=category, wall=True)
-
-        for _ in range(nsteps):
-            with span("step.velocity"):
+        ahead = False    # did the velocity core already run, hidden?
+        for istep in range(nsteps):
+            with timed("step.velocity.shell" if ahead else "step.velocity"):
                 sched.block_a()
-            yield from halo("velocity")
-            with span("step.stress"):
+            yield from halo("post", "velocity")
+            if split:
+                with timed("step.stress.core", hidden=True):
+                    sched.core_ahead("stress")
+            yield from halo("complete", "velocity")
+            with timed("step.stress.shell" if split else "step.stress"):
                 sched.block_b()
-            yield from halo("stress")
-            sched.block_c(lambda: span("step.record", "io"))
+            yield from halo("post", "stress")
+            sched.block_c(lambda: timed("step.record", "io"))
+            ahead = split and istep < nsteps - 1
+            if ahead:
+                with timed("step.velocity.core", hidden=True):
+                    sched.core_ahead("velocity")
+            yield from halo("complete", "stress")
 
-    def _rank_program(self, comm, nsteps: int):
+    @staticmethod
+    def traced(tracer):
+        """``timed`` for the SimMPI and resilience loops: wall-clock spans.
+
+        SimMPI virtual clocks only advance on communication, so measured
+        numpy time is the honest compute cost — the paper's Eq. 7 hybrid
+        of measured kernel time plus modelled alpha + k*beta communication.
+        """
+        def timed(name, category="compute", hidden=False):
+            return tracer.span(name, category=category, wall=True)
+        return timed
+
+    def sim_halo(self, comm):
+        """``halo`` for a SimMPI rank: the persistent tagged exchange
+        opened into post/complete; under ``sync_comm`` the whole rendezvous
+        exchange runs at complete."""
         rank = comm.rank
-        if self.sync_comm:
-            exchange = partial(exchange_halos_sync, comm, self.decomp, rank,
-                               self.solvers[rank].wf, mode=self.halo_mode)
-        else:
-            exchange = partial(self._halo_exchanges[rank].exchange, comm)
-        yield from self.rank_steps(rank, nsteps, exchange, comm.tracer)
+        hx = self._halo_exchanges[rank]
+        wf = self.solvers[rank].wf
+
+        def halo(phase, group):
+            if not self.sync_comm:
+                return getattr(hx, phase)(comm, group)
+            if phase == "complete":
+                return exchange_halos_sync(comm, self.decomp, rank, wf,
+                                           group, self.halo_mode)
+            return ()
+        return halo
+
+    # ------------------------------------------------------------------
+    # Execution: SimMPI backend
+    # ------------------------------------------------------------------
+    def _rank_program(self, comm, nsteps: int):
+        yield from self.rank_steps(comm.rank, nsteps, self.sim_halo(comm),
+                                   self.traced(comm.tracer))
 
     def _span_attrs(self) -> dict:
         # every rank holds the same schedule-level attributes (an LTS rate
@@ -411,19 +441,10 @@ class DistributedWaveSolver:
     # ------------------------------------------------------------------
     def _procpool_worker(self, rank: int, endpoint, nsteps: int,
                          collect_spans: bool) -> dict:
-        """One rank's run loop (executes inside a forked worker process).
-
-        The SimMPI sequence with each halo opened into post/complete, and
-        the schedule's core regions run inside the open windows: the stress
-        core while the velocity faces fly, the *next* step's velocity core
-        while the stress faces fly (this step's outputs are already
-        recorded).  An unsplit rank has no cores and degenerates to the
-        blocking schedule.
-        """
+        """One rank's run (executes inside a forked worker process): the
+        rank loop over the shared-memory rings, stopwatched."""
         sol = self.solvers[rank]
         wf = sol.wf
-        sched = sol.schedule
-        split = self._split[rank]
         locals_ = [(i, comp, loc) for i, (_, comp, r, loc)
                    in enumerate(self._receiver_map) if r == rank]
         spans: list | None = [] if collect_spans else None
@@ -431,9 +452,13 @@ class DistributedWaveSolver:
                              "compute_s"), 0.0)
         t_start = time.perf_counter()
 
-        def compute(name, op, *args, hidden=False):
+        @contextmanager
+        def timed(name, category="compute", hidden=False):
+            if category != "compute":   # recording is not stopwatched
+                yield
+                return
             t0 = time.perf_counter()
-            op(*args)
+            yield
             t1 = time.perf_counter()
             acc["compute_s"] += t1 - t0
             if hidden:
@@ -454,26 +479,11 @@ class DistributedWaveSolver:
             if spans is not None:
                 spans.append((f"halo.{phase}.{group}", t0,
                               time.perf_counter(), "halo", {"wait_s": w}))
+            return ()
 
-        ahead = False    # did the velocity core already run, hidden?
-        for istep in range(nsteps):
-            compute("step.velocity.shell" if ahead else "step.velocity",
-                    sched.block_a)
-            halo("post", "velocity")
-            if split:
-                compute("step.stress.core", sched.core_ahead, "stress",
-                        hidden=True)
-            halo("complete", "velocity")
-            compute("step.stress.shell" if split else "step.stress",
-                    sched.block_b)
-            halo("post", "stress")
-            sched.block_c(nullcontext)
-            ahead = split and istep < nsteps - 1
-            if ahead:
-                compute("step.velocity.core", sched.core_ahead, "velocity",
-                        hidden=True)
-            halo("complete", "stress")
-
+        for _ in self.rank_steps(rank, nsteps, halo, timed,
+                                 split=self._split[rank]):
+            pass
         wall = time.perf_counter() - t_start
         srec = sol.surface_recorder
         pool = endpoint.pool
@@ -525,11 +535,12 @@ class DistributedWaveSolver:
             # across run() calls and reach the workers through fork
             self._split = []
             for rank, sol in enumerate(self.solvers):
-                nb = self.decomp.neighbors(rank)
+                faces = {(f.axis, f.side) for f in
+                         face_plan(self.decomp, rank, self.halo_mode)}
                 self._split.append(
                     self.overlap and sol.schedule.split(
-                        [(nb[lo] is not None, nb[hi] is not None)
-                         for lo, hi in zip(_AXIS_LO, _AXIS_HI)]))
+                        [((a, -1) in faces, (a, +1) in faces)
+                         for a in range(3)]))
         collect_spans = bool(tracer.enabled)
         pool = procpool.FaceRingPool(self.decomp, mode=self.halo_mode,
                                      dtype=self.config.dtype,

@@ -17,15 +17,19 @@ Three exchange strategies from the paper are implemented:
 All strategies are *pure copies* (no arithmetic), so the distributed solver
 remains bitwise identical to the serial one regardless of strategy.
 
+:func:`face_plan` is the one answer to "which planes of which field cross
+which face": every exchange here, the byte accounting and the procpool
+rings (:class:`~repro.parallel.procpool.FaceRingPool`) read it.
 :class:`HaloExchange` is the persistent form of the asynchronous exchange:
-it precomputes the send/receive plan for a (decomposition, rank, wavefield)
-binding once and packs outgoing slabs into a pooled, double-buffered set of
-send buffers, so the steady-state exchange allocates nothing per step.  The
-module-level :func:`exchange_halos` remains as the one-shot convenience
-wrapper over a transient instance.
+it binds the plan to a wavefield once and packs outgoing slabs into a
+pooled, double-buffered set of send buffers, so the steady-state exchange
+allocates nothing per step.  The module-level :func:`exchange_halos`
+remains as the one-shot convenience wrapper over a transient instance.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +39,8 @@ from ..obs.tracer import NULL_TRACER
 from .decomp import Decomposition3D
 from .simmpi import RankContext
 
-__all__ = ["GHOST_NEEDS", "HaloExchange", "exchange_halos",
-           "exchange_halos_sync", "halo_bytes_per_step"]
+__all__ = ["GHOST_NEEDS", "Face", "HaloExchange", "exchange_halos",
+           "exchange_halos_sync", "face_plan", "halo_bytes_per_step"]
 
 #: (field, axis) -> (planes needed in the low ghost, planes in the high ghost)
 #: derived from the staggered stencil sense of each field's consumers:
@@ -60,6 +64,9 @@ _FULL_NEEDS: dict[str, dict[int, tuple[int, int]]] = {
 _GROUPS = {"velocity": VELOCITY_FIELDS, "stress": STRESS_FIELDS,
            "all": ALL_FIELDS}
 
+_AXIS_LO = ("x_lo", "y_lo", "z_lo")
+_AXIS_HI = ("x_hi", "y_hi", "z_hi")
+
 
 def _needs(mode: str) -> dict[str, dict[int, tuple[int, int]]]:
     if mode == "full":
@@ -74,44 +81,88 @@ def _tag(field: str, axis: int, direction: int) -> int:
     return (ALL_FIELDS.index(field) * 3 + axis) * 2 + (1 if direction > 0 else 0)
 
 
-def _slab(arr: np.ndarray, axis: int, start: int, count: int) -> tuple:
-    sl = [slice(None)] * 3
-    sl[axis] = slice(start, start + count)
-    return tuple(sl)
+@dataclass(frozen=True)
+class Face:
+    """One field's planes across one face of a rank's subdomain.
+
+    ``send`` is the slab of this rank's interior that ``peer`` copies into
+    its ghost rim; ``ghost`` is the slab of this rank's ghost rim that
+    ``peer`` fills.  Both span the full padded extent off ``axis``, so the
+    peer's face on the opposite ``side`` has the same shapes crosswise.
+    """
+
+    field: str
+    axis: int
+    side: int                            #: -1 low face, +1 high face
+    peer: int
+    send: tuple[slice, slice, slice]
+    ghost: tuple[slice, slice, slice]
+
+    @property
+    def send_tag(self) -> int:
+        return _tag(self.field, self.axis, -self.side)
+
+    @property
+    def recv_tag(self) -> int:
+        return _tag(self.field, self.axis, self.side)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Shape of the ``send`` slab (planes along ``axis``)."""
+        return tuple(s.stop - s.start for s in self.send)
+
+
+def face_plan(decomp: Decomposition3D, rank: int, mode: str,
+              group: str = "all") -> list[Face]:
+    """Every face ``rank`` exchanges for ``group`` ('velocity', 'stress',
+    'all') under ``mode`` ('full' | 'reduced').
+
+    Faces are listed field-major, then by axis, low side first: the
+    message order of every exchange.  Across its low face a rank sends the
+    first ``n_high`` interior planes (the peer's high ghost) and receives
+    ``n_low`` ghost planes; across its high face the converse.
+    """
+    needs = _needs(mode)
+    nb = decomp.neighbors(rank)
+    grid = decomp.subdomain(rank).grid
+    n, padded = grid.shape, grid.padded_shape
+
+    def slab(axis: int, start: int, count: int) -> tuple:
+        return tuple(slice(start, start + count) if a == axis
+                     else slice(0, padded[a]) for a in range(3))
+
+    faces = []
+    for field in _GROUPS[group]:
+        for axis, (n_low, n_high) in needs.get(field, {}).items():
+            lo, hi = nb[_AXIS_LO[axis]], nb[_AXIS_HI[axis]]
+            if lo is not None:
+                faces.append(Face(field, axis, -1, lo,
+                                  slab(axis, NGHOST, n_high),
+                                  slab(axis, NGHOST - n_low, n_low)))
+            if hi is not None:
+                faces.append(Face(field, axis, +1, hi,
+                                  slab(axis, NGHOST + n[axis] - n_low, n_low),
+                                  slab(axis, NGHOST + n[axis], n_high)))
+    return faces
 
 
 def halo_bytes_per_step(decomp: Decomposition3D, rank: int, mode: str,
                         itemsize: int = 8) -> int:
     """Bytes this rank sends per full (velocity + stress) exchange round."""
-    needs = _needs(mode)
-    sub = decomp.subdomain(rank)
-    nb = decomp.neighbors(rank)
-    padded = sub.grid.padded_shape
-    total = 0
-    for field, axes in needs.items():
-        for axis, (n_low, n_high) in axes.items():
-            face_cells = 1
-            for a in range(3):
-                if a != axis:
-                    face_cells *= padded[a]
-            lo = nb[("x_lo", "y_lo", "z_lo")[axis]]
-            hi = nb[("x_hi", "y_hi", "z_hi")[axis]]
-            if lo is not None:
-                total += n_high * face_cells * itemsize
-            if hi is not None:
-                total += n_low * face_cells * itemsize
-    return total
+    return itemsize * sum(int(np.prod(f.shape))
+                          for f in face_plan(decomp, rank, mode))
 
 
 class HaloExchange:
     """Persistent asynchronous halo-exchange plan with pooled pack buffers.
 
-    Binds a (decomposition, rank, wavefield) triple once and precomputes,
-    per field group, the exact send/receive slab plan (neighbour, tag, slab
-    slices, plane counts).  Outgoing slabs are packed with ``np.copyto``
-    into preallocated send buffers, so the steady-state exchange performs
-    zero array allocations — the packing analogue of the kernel scratch
-    pool.
+    Binds a (decomposition, rank, wavefield) triple to the
+    :func:`face_plan` of each field group once.  Outgoing slabs are packed
+    with ``np.copyto`` into preallocated send buffers, so the steady-state
+    exchange performs zero array allocations — the packing analogue of the
+    kernel scratch pool.  An exchange round is :meth:`post` (pack and send
+    eagerly) then :meth:`complete` (receive every ghost slab); a driver may
+    compute in between.
 
     Send buffers are **double-buffered** (two per plan entry, alternating
     per exchange round).  SimMPI's eager ``isend`` stores the payload by
@@ -119,19 +170,12 @@ class HaloExchange:
     rewritten once its previous message has been consumed.  Completing round
     ``r`` requires every neighbour to have *posted* its round-``r`` sends,
     which in turn requires the neighbour to have *completed* round ``r-1``
-    (each exchange generator receives everything before returning) — so by
-    the time this rank starts round ``r+1``, messages from round ``r-1`` are
-    guaranteed drained, and a two-deep pool is provably sufficient.  A
-    single-buffer pool would not be: a neighbour can post its round-``r``
-    sends and be descheduled before draining its inbox.
-
-    Results are bitwise identical to the one-shot :func:`exchange_halos`
-    (same slabs, same tags, same ordering); only the buffer lifetimes
-    differ.
+    (a rank posts a group's next round only after completing its last) —
+    so by the time this rank starts round ``r+1``, messages from round
+    ``r-1`` are guaranteed drained, and a two-deep pool is provably
+    sufficient.  A single-buffer pool would not be: a neighbour can post
+    its round-``r`` sends and be descheduled before draining its inbox.
     """
-
-    _AXIS_LO = ("x_lo", "y_lo", "z_lo")
-    _AXIS_HI = ("x_hi", "y_hi", "z_hi")
 
     def __init__(self, decomp: Decomposition3D, rank: int, wf: WaveField,
                  mode: str = "full"):
@@ -139,43 +183,20 @@ class HaloExchange:
         self.rank = rank
         self.wf = wf
         self.mode = mode
-        needs = _needs(mode)
-        nb = decomp.neighbors(rank)
-        n_int = wf.grid.shape
-        #: group -> list of (field, tag, slab, buffer_pair)
+        #: group -> list of (field, tag, dest, send slab, buffer pair)
         self._sends: dict[str, list] = {}
-        #: group -> list of (field, tag, src, ghost_slab)
+        #: group -> list of (field, tag, src, ghost slab)
         self._recvs: dict[str, list] = {}
         self._rounds: dict[str, int] = {}
-        for group, fields in _GROUPS.items():
-            sends, recvs = [], []
-            for field in fields:
-                arr = getattr(wf, field)
-                for axis, (n_low, n_high) in needs.get(field, {}).items():
-                    lo = nb[self._AXIS_LO[axis]]
-                    hi = nb[self._AXIS_HI[axis]]
-                    if lo is not None:
-                        # low neighbour's high ghost wants my first n_high
-                        # interior planes
-                        slab = _slab(arr, axis, NGHOST, n_high)
-                        sends.append((field, _tag(field, axis, +1), lo, slab,
-                                      self._buffer_pair(arr, slab)))
-                        ghost = _slab(arr, axis, NGHOST - n_low, n_low)
-                        recvs.append((field, _tag(field, axis, -1), lo, ghost))
-                    if hi is not None:
-                        slab = _slab(arr, axis,
-                                     NGHOST + n_int[axis] - n_low, n_low)
-                        sends.append((field, _tag(field, axis, -1), hi, slab,
-                                      self._buffer_pair(arr, slab)))
-                        ghost = _slab(arr, axis, NGHOST + n_int[axis], n_high)
-                        recvs.append((field, _tag(field, axis, +1), hi, ghost))
-            self._sends[group] = sends
-            self._recvs[group] = recvs
+        for group in _GROUPS:
+            plan = face_plan(decomp, rank, mode, group)
+            self._sends[group] = [
+                (f.field, f.send_tag, f.peer, f.send,
+                 [np.empty(f.shape, dtype=wf.dtype) for _ in range(2)])
+                for f in plan]
+            self._recvs[group] = [(f.field, f.recv_tag, f.peer, f.ghost)
+                                  for f in plan]
             self._rounds[group] = 0
-
-    def _buffer_pair(self, arr: np.ndarray, slab: tuple) -> list[np.ndarray]:
-        shape = arr[slab].shape
-        return [np.empty(shape, dtype=arr.dtype) for _ in range(2)]
 
     def pool_nbytes(self) -> int:
         """Total bytes held by the pooled send buffers (all groups).
@@ -186,25 +207,35 @@ class HaloExchange:
         return sum(b.nbytes for sends in self._sends.values()
                    for (_, _, _, _, pair) in sends for b in pair)
 
-    def exchange(self, comm: RankContext, group: str = "all"):
-        """One tagged asynchronous exchange round (generator; yield from).
+    def post(self, comm: RankContext, group: str = "all") -> tuple:
+        """Pack ``group``'s faces and send them eagerly (unique tags allow
+        out-of-order arrival, exactly the paper's asynchronous model).
 
-        Posts all sends eagerly from pooled buffers (unique tags allow
-        out-of-order arrival, exactly the paper's asynchronous model), then
-        receives each ghost slab directly into the wavefield.
+        Returns no SimMPI ops (an eager send never blocks), so a driver
+        may ``yield from`` it like :meth:`complete`.
         """
+        parity = self._rounds[group] & 1
+        self._rounds[group] += 1
+        for field, tag, dest, slab, pair in self._sends[group]:
+            buf = pair[parity]
+            np.copyto(buf, getattr(self.wf, field)[slab])
+            comm.isend(dest, tag, buf)
+        return ()
+
+    def complete(self, comm: RankContext, group: str = "all"):
+        """Receive ``group``'s ghost slabs into the wavefield (generator;
+        ``yield from`` it)."""
         tracer = getattr(comm, "tracer", NULL_TRACER)
         with tracer.span(f"halo.exchange.{group}", category="halo",
                          mode=self.mode):
-            parity = self._rounds[group] & 1
-            self._rounds[group] += 1
-            for field, tag, dest, slab, pair in self._sends[group]:
-                buf = pair[parity]
-                np.copyto(buf, getattr(self.wf, field)[slab])
-                comm.isend(dest, tag, buf)
             for field, tag, src, ghost in self._recvs[group]:
                 data = yield comm.recv(src, tag)
                 getattr(self.wf, field)[ghost] = data
+
+    def exchange(self, comm: RankContext, group: str = "all"):
+        """One whole round: :meth:`post` then :meth:`complete`."""
+        self.post(comm, group)
+        yield from self.complete(comm, group)
 
 
 def exchange_halos(comm: RankContext, decomp: Decomposition3D, rank: int,
@@ -224,66 +255,32 @@ def exchange_halos_sync(comm: RankContext, decomp: Decomposition3D, rank: int,
                         wf: WaveField, group: str = "all", mode: str = "full"):
     """Synchronous (rendezvous) halo exchange — the pre-IV.A model.
 
-    Per axis and direction, ranks at even positions along the axis send
-    first then receive; odd positions receive first then send.  Every
-    transfer is a blocking rendezvous, so latency cascades across the
-    processor grid — the pathology the asynchronous model removed.
+    Per axis and field, ranks at even positions along the axis send
+    (low face, then high) and then receive (low, high); odd positions
+    receive (high, low) and then send.  Every transfer is a blocking
+    rendezvous, so latency cascades across the processor grid — the
+    pathology the asynchronous model removed.
     """
     tracer = getattr(comm, "tracer", NULL_TRACER)
+    plan = face_plan(decomp, rank, mode, group)
+    coords = decomp.coords(rank)
     with tracer.span(f"halo.exchange.{group}", category="halo", mode=mode,
                      sync=True):
-        yield from _exchange_halos_sync_body(comm, decomp, rank, wf, group,
-                                             mode)
+        for axis in range(3):
+            even = coords[axis] % 2 == 0
+            for field in _GROUPS[group]:
+                faces = [f for f in plan if (f.field, f.axis) == (field, axis)]
+                if even:
+                    for f in faces:
+                        yield _ssend(comm, wf, f)
+                for f in faces if even else faces[::-1]:
+                    data = yield comm.recv(f.peer, f.recv_tag)
+                    getattr(wf, f.field)[f.ghost] = data
+                if not even:
+                    for f in faces:
+                        yield _ssend(comm, wf, f)
 
 
-def _exchange_halos_sync_body(comm: RankContext, decomp: Decomposition3D,
-                              rank: int, wf: WaveField, group: str,
-                              mode: str):
-    needs = _needs(mode)
-    nb = decomp.neighbors(rank)
-    coords = decomp.coords(rank)
-    fields = _GROUPS[group]
-    n_int = wf.grid.shape
-    for axis in range(3):
-        lo_name = ("x_lo", "y_lo", "z_lo")[axis]
-        hi_name = ("x_hi", "y_hi", "z_hi")[axis]
-        even = coords[axis] % 2 == 0
-        for field in fields:
-            axes = needs.get(field, {})
-            if axis not in axes:
-                continue
-            n_low, n_high = axes[axis]
-            arr = getattr(wf, field)
-            lo, hi = nb[lo_name], nb[hi_name]
-
-            def send_lo():
-                data = arr[_slab(arr, axis, NGHOST, n_high)].copy()
-                return comm.ssend(lo, _tag(field, axis, +1), data)
-
-            def send_hi():
-                data = arr[_slab(arr, axis, NGHOST + n_int[axis] - n_low,
-                                 n_low)].copy()
-                return comm.ssend(hi, _tag(field, axis, -1), data)
-
-            if even:
-                if lo is not None:
-                    yield send_lo()
-                if hi is not None:
-                    yield send_hi()
-                if lo is not None:
-                    data = yield comm.recv(lo, _tag(field, axis, -1))
-                    arr[_slab(arr, axis, NGHOST - n_low, n_low)] = data
-                if hi is not None:
-                    data = yield comm.recv(hi, _tag(field, axis, +1))
-                    arr[_slab(arr, axis, NGHOST + n_int[axis], n_high)] = data
-            else:
-                if hi is not None:
-                    data = yield comm.recv(hi, _tag(field, axis, +1))
-                    arr[_slab(arr, axis, NGHOST + n_int[axis], n_high)] = data
-                if lo is not None:
-                    data = yield comm.recv(lo, _tag(field, axis, -1))
-                    arr[_slab(arr, axis, NGHOST - n_low, n_low)] = data
-                if lo is not None:
-                    yield send_lo()
-                if hi is not None:
-                    yield send_hi()
+def _ssend(comm: RankContext, wf: WaveField, face: Face):
+    data = getattr(wf, face.field)[face.send].copy()
+    return comm.ssend(face.peer, face.send_tag, data)

@@ -10,9 +10,10 @@ pickled queues, so the steady-state exchange is two ``memcpy``-equivalent
 
 :class:`FaceRingPool` + :func:`run_workers` are what ``DistributedWaveSolver``
 runs on: a single shared-memory arena holding one double-buffered ring per
-directed neighbour channel per field group, synchronised by semaphore pairs
-(classic bounded buffer: ``free`` starts at the ring depth, ``ready`` at
-zero).  Depth 2 is sufficient by the same argument as
+directed neighbour channel per field group, each carrying the faces of
+:func:`~repro.parallel.halo.face_plan` (the plan SimMPI's exchange reads),
+synchronised by semaphore pairs (classic bounded buffer: ``free`` starts
+at the ring depth, ``ready`` at zero).  Depth 2 is sufficient by the same argument as
 :class:`~repro.parallel.halo.HaloExchange`'s double-buffered pack pool:
 completing round ``r`` requires every neighbour to have posted its
 round-``r`` faces, which requires it to have consumed round ``r-1`` — so a
@@ -52,9 +53,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.fd import NGHOST
 from .decomp import Decomposition3D
-from .halo import _GROUPS, _needs
+from .halo import face_plan
 
 __all__ = [
     "ProcPoolUnavailable",
@@ -71,12 +71,6 @@ RING_DEPTH = 2
 
 #: byte alignment of each out-of-band buffer in a result arena
 ARENA_ALIGN = 64
-
-#: face iteration order defining the channel layout; must be identical on
-#: both ends, so it is fixed here rather than derived from a dict.
-_FACE_ORDER: tuple[tuple[int, int], ...] = (
-    (0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1))
-
 
 class ProcPoolUnavailable(RuntimeError):
     """The process-pool backend cannot run in this environment."""
@@ -112,24 +106,18 @@ def procpool_available() -> bool:
     return True
 
 
-def _slab3(axis: int, start: int, count: int) -> tuple[slice, ...]:
-    sl: list[slice] = [slice(None)] * 3
-    sl[axis] = slice(start, start + count)
-    return tuple(sl)
-
-
 class _Channel:
     """One directed (src -> dst, group) face stream through the arena."""
 
     __slots__ = ("src", "dst", "group", "entries", "block_nbytes", "offset",
                  "sem_free", "sem_ready", "slot_views", "seq")
 
-    def __init__(self, src: int, dst: int, group: str, entries: list):
+    def __init__(self, src: int, dst: int, group: str):
         self.src = src
         self.dst = dst
         self.group = group
         #: list of (field, send_slab, recv_slab, entry_offset, shape)
-        self.entries = entries
+        self.entries: list = []
         self.block_nbytes = 0
         self.offset = 0
         self.sem_free = None
@@ -142,11 +130,12 @@ class _Channel:
 class FaceRingPool:
     """Shared-memory halo rings for one decomposition (all ranks, all faces).
 
-    The plan (which planes of which fields cross which face) is the exact
-    plan :class:`~repro.parallel.halo.HaloExchange` builds — same
-    ``GHOST_NEEDS`` plane counts, same send/ghost slab geometry — laid out
-    in a single ``SharedMemory`` arena.  Built in the parent *before*
-    forking so every worker inherits the mapping and the semaphores.
+    The plan (which planes of which fields cross which face) is each
+    rank's :func:`~repro.parallel.halo.face_plan`, the plan
+    :class:`~repro.parallel.halo.HaloExchange` reads, its faces grouped
+    into one channel per (neighbour, field group) and laid out in a single
+    ``SharedMemory`` arena.  Built in the parent *before* forking so every
+    worker inherits the mapping and the semaphores.
     """
 
     def __init__(self, decomp: Decomposition3D, mode: str = "reduced",
@@ -159,61 +148,36 @@ class FaceRingPool:
         #: seconds a ring semaphore wait may block before HaloStallError
         #: (None = wait forever, the pre-watchdog behaviour)
         self.stall_timeout = stall_timeout
-        needs = _needs(mode)
         ctx = mp.get_context("fork")
-        self._channels: list[_Channel] = []
+        plans = {(r, g): face_plan(decomp, r, mode, g)
+                 for r in range(decomp.nranks) for g in ("velocity", "stress")}
+        ghosts = {(r, f.field, f.axis, f.side): f.ghost
+                  for (r, _), faces in plans.items() for f in faces}
+        #: (src, dst, group) -> channel; a face's entry lands in the slab
+        #: the peer's opposite face names as its ghost
+        chans: dict[tuple[int, int, str], _Channel] = {}
+        for (src, group), faces in plans.items():
+            for f in faces:
+                ch = chans.get((src, f.peer, group))
+                if ch is None:
+                    ch = chans[src, f.peer, group] = _Channel(src, f.peer,
+                                                              group)
+                ch.entries.append(
+                    (f.field, f.send, ghosts[f.peer, f.field, f.axis, -f.side],
+                     ch.block_nbytes, f.shape))
+                ch.block_nbytes += int(np.prod(f.shape)) * self.dtype.itemsize
+        self._channels: list[_Channel] = list(chans.values())
         #: (rank, group) -> ordered channel lists
         self._send: dict[tuple[int, str], list[_Channel]] = {}
         self._recv: dict[tuple[int, str], list[_Channel]] = {}
-        grids = [decomp.subdomain(r).grid for r in range(decomp.nranks)]
         offset = 0
-        itemsize = self.dtype.itemsize
-        for src in range(decomp.nranks):
-            nb = decomp.neighbors(src)
-            n_int_src = grids[src].shape
-            padded_src = grids[src].padded_shape
-            for axis, dirn in _FACE_ORDER:
-                face = (("x_lo", "y_lo", "z_lo") if dirn < 0
-                        else ("x_hi", "y_hi", "z_hi"))[axis]
-                dst = nb[face]
-                if dst is None:
-                    continue
-                n_int_dst = grids[dst].shape
-                for group in ("velocity", "stress"):
-                    entries = []
-                    block = 0
-                    for field in _GROUPS[group]:
-                        axes = needs.get(field, {})
-                        if axis not in axes:
-                            continue
-                        n_low, n_high = axes[axis]
-                        if dirn < 0:
-                            # dst is my low neighbour: its high ghost wants
-                            # my first n_high interior planes
-                            count = n_high
-                            send = _slab3(axis, NGHOST, count)
-                            recv = _slab3(axis, NGHOST + n_int_dst[axis],
-                                          count)
-                        else:
-                            count = n_low
-                            send = _slab3(
-                                axis, NGHOST + n_int_src[axis] - count, count)
-                            recv = _slab3(axis, NGHOST - count, count)
-                        shape = tuple(count if a == axis else padded_src[a]
-                                      for a in range(3))
-                        entries.append((field, send, recv, block, shape))
-                        block += int(np.prod(shape)) * itemsize
-                    if not entries:
-                        continue
-                    ch = _Channel(src, dst, group, entries)
-                    ch.block_nbytes = block
-                    ch.offset = offset
-                    ch.sem_free = ctx.Semaphore(RING_DEPTH)
-                    ch.sem_ready = ctx.Semaphore(0)
-                    offset += RING_DEPTH * block
-                    self._channels.append(ch)
-                    self._send.setdefault((src, group), []).append(ch)
-                    self._recv.setdefault((dst, group), []).append(ch)
+        for ch in self._channels:
+            ch.offset = offset
+            ch.sem_free = ctx.Semaphore(RING_DEPTH)
+            ch.sem_ready = ctx.Semaphore(0)
+            offset += RING_DEPTH * ch.block_nbytes
+            self._send.setdefault((ch.src, ch.group), []).append(ch)
+            self._recv.setdefault((ch.dst, ch.group), []).append(ch)
         self.arena_nbytes = max(offset, 1)
         try:
             self._shm = shared_memory.SharedMemory(create=True,

@@ -21,8 +21,9 @@ the classic *message-logging + local rollback* recipe:
   failure-free run (asserted by tests).
 
 Live steps and replay both run :meth:`DistributedWaveSolver.rank_steps` —
-the one step sequence of DESIGN.md §3 ("Step schedule") — and differ only
-in what "halo" means: exchange-then-log, or apply the logged rim.
+the one rank loop of DESIGN.md §3 ("Step schedule") — and differ only in
+what completing a halo means: the solver's own SimMPI exchange then a
+logged rim, or applying the logged rim.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from ..core.fd import NGHOST
 from ..core.grid import ALL_FIELDS, WaveField
 from ..obs.tracer import get_tracer
 from .distributed import DistributedWaveSolver
-from .halo import exchange_halos
 from .simmpi import run_spmd
 
 __all__ = ["GhostRim", "extract_ghost_rim", "apply_ghost_rim",
@@ -129,14 +129,16 @@ class ResilientDistributedSolver:
         def program(comm, _nsteps):
             rank = comm.rank
             wf = sol.solvers[rank].wf
+            halo = sol.sim_halo(comm)
             rims = []
 
-            def halo(group):
-                yield from exchange_halos(comm, sol.decomp, rank, wf, group,
-                                          mode=sol.halo_mode)
-                rims.append(extract_ghost_rim(wf))
+            def logged(phase, group):
+                yield from halo(phase, group)
+                if phase == "complete":
+                    rims.append(extract_ghost_rim(wf))
 
-            yield from sol.rank_steps(rank, 1, halo, comm.tracer)
+            yield from sol.rank_steps(rank, 1, logged,
+                                      sol.traced(comm.tracer))
             self.logs[rank].rims.append(tuple(rims))
 
         run_spmd(sol.decomp.nranks, program, args=(1,))
@@ -151,12 +153,13 @@ class ResilientDistributedSolver:
         s.load_state(log.checkpoint)
         rims = (rim for step in log.rims for rim in step)
 
-        def halo(_group):
-            apply_ghost_rim(s.wf, next(rims))
+        def halo(phase, _group):
+            if phase == "complete":
+                apply_ghost_rim(s.wf, next(rims))
             return ()
 
         for _ in self.solver.rank_steps(rank, len(log.rims), halo,
-                                        get_tracer()):
+                                        self.solver.traced(get_tracer())):
             pass
         return len(log.rims)
 

@@ -30,7 +30,7 @@ configurations most likely to expose halo/dtype/kernel bugs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -234,10 +234,10 @@ class MatrixProblem:
             warnings.simplefilter("error")
             solver = DistributedWaveSolver(
                 g, self.medium(g), decomp=Decomposition3D(g, *cell.decomp),
-                config=self.config(cell.dtype, lts=cell.lts,
-                                   attenuation=cell.attenuation),
-                backend=cell.backend,
-                kernel_variant=cell.kernel_variant)
+                config=replace(self.config(cell.dtype, lts=cell.lts,
+                                           attenuation=cell.attenuation),
+                               kernel_variant=cell.kernel_variant),
+                backend=cell.backend)
             solver.add_source(self.source())
             rec = solver.add_receiver(self.receiver())
             solver.run(self.nsteps)

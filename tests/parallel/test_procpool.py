@@ -309,12 +309,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             DistributedWaveSolver(g, _medium(g), nranks=2, backend="mpi")
 
-    def test_unknown_kernel_variant_rejected(self):
-        g = _grid()
-        with pytest.raises(ValueError, match="variant"):
-            DistributedWaveSolver(g, _medium(g), nranks=2,
-                                  kernel_variant="simd")
-
     def test_procpool_rejects_sync_comm(self):
         g = _grid()
         with pytest.raises(ValueError, match="sync_comm"):

@@ -65,6 +65,24 @@ class TestFailureFreeEquivalence:
         assert res.recoveries == []
 
 
+class TestLiveStep:
+    def test_live_steps_reuse_the_solvers_halo_exchanges(self, monkeypatch):
+        """A live step exchanges through the distributed solver's
+        persistent per-rank plans: no HaloExchange is built per step."""
+        from repro.parallel import halo
+        _, _, _, res = _setup(failures={4: 1})
+        built = []
+        init = halo.HaloExchange.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(halo.HaloExchange, "__init__", counted)
+        res.run(10)
+        assert built == []
+        assert res.recoveries == [(4, 1, 4)]
+
+
 class TestRecovery:
     @pytest.mark.parametrize("fail_step,rank", [(7, 1), (5, 0), (11, 3)])
     def test_exact_recovery_after_single_failure(self, fail_step, rank):
