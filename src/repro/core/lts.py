@@ -354,7 +354,6 @@ class LTSScheduler(StepSchedule):
         self._tapers: dict[tuple[int, ...], list] = {}
         self._build_bands(solver)
         self._build_updaters(solver)
-        self._src_group: dict[int, RateGroup] = {}
         #: plane -> group lookup for source assignment
         self._plane_group = np.empty(grid.nz, dtype=np.int64)
         for g in self.groups:
@@ -471,27 +470,16 @@ class LTSScheduler(StepSchedule):
         return [g for g in self.groups if i % g.rate == 0]
 
     def group_of(self, source) -> RateGroup:
-        key = id(source)
-        g = self._src_group.get(key)
-        if g is None:
-            kp = getattr(source, "_lts_kplane", None)
-            if kp is not None:
-                # Pre-pinned interior k-plane: the distributed solver splits
-                # an extended source cloud across ranks, and the local plan's
-                # first cell can land in a different group than the global
-                # representative — the pin keeps the cadence rank-invariant.
-                k = int(kp)
-            elif hasattr(source, "_cell") and source._cell is not None:
-                k = source._cell[2] - NGHOST
-            else:
-                cells = getattr(source, "_cells", None) or {}
-                if not cells:
-                    raise RuntimeError(f"source {source!r} is not bound")
-                k = next(iter(cells.values()))[2] - NGHOST
-            k = min(max(int(k), 0), self.solver.grid.nz - 1)
-            g = self.groups[int(self._plane_group[k])]
-            self._src_group[key] = g
-        return g
+        return self.groups[int(self._plane_group[source._cell[2] - NGHOST])]
+
+    def group_sources(self, sources) -> list:
+        """One list of ``sources`` per group: a moment source injects at
+        the cadence of the group holding its ``sxx`` cell, bound on the
+        global grid, so every rank agrees with the serial run (pz = 1)."""
+        owner = [self._plane_group[src._cells["sxx"][2] - NGHOST]
+                 for src in sources]
+        return [[src for src, o in zip(sources, owner) if o == g.index]
+                for g in self.groups]
 
     # ------------------------------------------------------------------
     # Per-group pieces of the schedule (one fine substep i = solver.nstep)

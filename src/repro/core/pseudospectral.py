@@ -117,15 +117,15 @@ class PseudospectralSolver:
                                      + self._d(v["vy"], 2, True))
         # Moment injection (reuse the FD source's bound cells, minus ghosts).
         from .fd import NGHOST
-        from .source import _STRESS_OF_INDEX
+        from .source import _COMPONENTS
         vol = self.grid.h ** 3
         for src in self.moment_sources:
             rate = src.rate_at(self.t)
             if rate == 0.0:
                 continue
             scale = dt * rate / vol
-            for (a, b), name in _STRESS_OF_INDEX.items():
-                if a > b or src.moment[a, b] == 0.0:
+            for (a, b), name in _COMPONENTS.items():
+                if src.moment[a, b] == 0.0:
                     continue
                 idx, w = src._plan[name]
                 s[name][idx[:, 0] - NGHOST, idx[:, 1] - NGHOST,

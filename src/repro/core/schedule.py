@@ -23,7 +23,7 @@ Operators are looked up on the live solver at call time (``solver.fused``,
 that shadows a bound method on those objects sees every call.  A compiled
 stress sweep does block B's free-surface and stress-damping work for the
 rows it visits (:mod:`repro.core.compiled`); the calls below stay where
-they are and cover the rest (:meth:`StepSchedule.hold`).
+they are and cover the rest (:meth:`StepSchedule.tables`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .fd import NGHOST
 from .pml import SHEAR_TERM_AXES
+from .source import SourceTable
 
 __all__ = ["SimulationDiverged", "StepPlan", "StepSchedule", "resolve"]
 
@@ -153,14 +154,16 @@ class StepSchedule:
         self.solver = weakref.proxy(solver)
         self.plan = solver.plan
         # global dt is the one-group case: every plane, every step
-        self.groups = [SimpleNamespace(rate=1, forcing_region=None)]
+        self.groups = [SimpleNamespace(index=0, rate=1, forcing_region=None)]
         #: half -> (core operator, [shell operators]) once :meth:`split`;
         #: (None, None) runs the whole-interior operator
         self._ops = dict.fromkeys(("velocity", "stress"), (None, None))
         #: halves whose core already ran ahead of their block
         self._ahead: set[str] = set()
-        #: the forcings and moment sources ``solver.held_rows`` was set for
-        self._held_key = None
+        #: the forcings and moment sources the tables (and
+        #: ``solver.held_rows``) were built for
+        self._key = None
+        self._tables: list = []
 
     # ------------------------------------------------------------------
     # Per-group implementation (what LTSScheduler overrides)
@@ -174,7 +177,7 @@ class StepSchedule:
         return self.solver.t
 
     def group_of(self, source):
-        """The group whose cadence ``source`` injects at."""
+        """The group whose cadence a force source injects at."""
         return self.groups[0]
 
     def update(self, half: str, act) -> None:
@@ -197,36 +200,41 @@ class StepSchedule:
         """Attributes a driver puts on its run span."""
         return {}
 
-    def hold(self) -> None:
-        """Keep ``solver.held_rows`` current before a compiled stress half.
+    def group_sources(self, sources) -> list:
+        """``sources`` cut into one list per group."""
+        return [sources]
+
+    def tables(self) -> list:
+        """The moment sources each group injects, one
+        :class:`~repro.core.source.SourceTable` per group, with
+        ``solver.held_rows`` kept current for a compiled stress half.
 
         A row the stress sweep visits gets its FS2 imaging and stress
-        damping inside the visit, right after its update; a moment source
-        injects after the whole half, a fault rewrites its rows' shear
+        damping inside the visit, right after its update; moment sources
+        inject after the whole half, a fault rewrites its rows' shear
         stresses after the whole half and a forcing applies after the
         imaging, so the rows they write (every row, for a forcing) are held
         out of the fold and done by the operators in their own slots.
-        Recomputed only when the sources or forcings change.
+        Rebuilt only when the sources or forcings change.
         """
         s = self.solver
-        if s.held_rows is None or self.plan.stress != "compiled":
-            return
         key = (len(s.forcings), *map(id, s.moment_sources))
-        if key == self._held_key:
-            return
+        if key == self._key:
+            return self._tables
+        self._tables = [
+            SourceTable(sources, s.grid, s.wf.dtype, s.index_origin)
+            for sources in self.group_sources(s.moment_sources)]
         held = s.held_rows
-        held[...] = bool(s.forcings)
-        cells = []
-        for src in () if s.forcings else s.moment_sources:
-            if not src._cells:
-                src.bind(s.grid)
-            cells += [idx for idx, _ in src._plan.values()]
-        if cells:
-            ij = np.concatenate(cells)[:, :2] - NGHOST
-            held[ij[:, 0], ij[:, 1]] = 1
-        if s.fault is not None:
-            held[:, s.fault.rows] = 1
-        self._held_key = key
+        if held is not None and self.plan.stress == "compiled":
+            held[...] = bool(s.forcings)
+            for table in self._tables:
+                for _, flat, *_ in table.components:
+                    i, j, _ = np.unravel_index(flat, s.grid.padded_shape)
+                    held[i - NGHOST, j - NGHOST] = 1
+            if s.fault is not None:
+                held[:, s.fault.rows] = 1
+        self._key = key
+        return self._tables
 
     # ------------------------------------------------------------------
     # Whole-interior operators (global dt, unsplit)
@@ -299,7 +307,7 @@ class StepSchedule:
         the other family's halo is in flight.
         """
         if half == "stress":
-            self.hold()
+            self.tables()
         self._ops[half][0]()
         self._ahead.add(half)
 
@@ -328,14 +336,14 @@ class StepSchedule:
         corrections, moment sources, imaging, stress forcings, sponge.
 
         A compiled stress update fills, images and damps the stresses of
-        every row not held (:meth:`hold`) inside its row visit — the same
+        every row not held (:meth:`tables`) inside its row visit — the same
         per-row order as the sequence here — so the free-surface and sponge
         calls then cover the ghost rim, the held rows and the velocities.
         """
         s = self.solver
         wf, t = s.wf, self.now()
         act = self.active(s.nstep)
-        self.hold()
+        tables = self.tables()
         # the free surface follows the top group's cadence
         fs = s.free_surface if self.groups[-1] in act else None
         if fs is not None:
@@ -347,9 +355,7 @@ class StepSchedule:
         if s.fault is not None:
             s.fault.update_stress()
         for g in act:
-            for src in s.moment_sources:
-                if self.group_of(src) is g:
-                    src.inject(wf, t, g.rate * s.dt)
+            tables[g.index].inject(wf, t, g.rate * s.dt)
         # image from undamped values, damp the interior, and only then let
         # the driver publish stresses to neighbours
         if fs is not None:

@@ -175,6 +175,9 @@ class WaveSolver:
         object with its ``bind``/``rows``/step-hook/state methods) that the
         step schedule runs next to the bulk update."""
         self.grid = grid
+        #: global index of the first interior cell: moment sources are
+        #: bound on the global grid and injected inside this box
+        self.index_origin = tuple(index_origin)
         self.config = cfg = config or SolverConfig()
         # Coerce the material model to the configured precision so every
         # kernel operand (fields, moduli, buoyancies) shares one dtype and no

@@ -7,6 +7,8 @@ This module provides:
 * standard source-time functions (Ricker, Gaussian, triangle, Brune, cosine);
 * :class:`MomentTensorSource` — a point moment-rate source injected into the
   stress tensor at its staggered positions;
+* :class:`SourceTable` — every moment source of a solver as one injection
+  operator (PetaSrcP's per-rank source table);
 * :class:`BodyForceSource` — a point force injected into a velocity
   component (used by verification problems);
 * :class:`SubFault` / :class:`FiniteFaultSource` — a collection of point
@@ -22,7 +24,9 @@ used in the scenario catalog.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +43,7 @@ __all__ = [
     "magnitude_to_moment",
     "double_couple_strike_slip",
     "MomentTensorSource",
+    "SourceTable",
     "BodyForceSource",
     "ManufacturedForcing",
     "SubFault",
@@ -122,10 +127,10 @@ def double_couple_strike_slip(m0: float = 1.0) -> np.ndarray:
 # Injectable sources
 # ----------------------------------------------------------------------
 
-_STRESS_OF_INDEX = {(0, 0): "sxx", (1, 1): "syy", (2, 2): "szz",
-                    (0, 1): "sxy", (1, 0): "sxy",
-                    (0, 2): "sxz", (2, 0): "sxz",
-                    (1, 2): "syz", (2, 1): "syz"}
+#: moment-tensor index -> stress component (the six independent ones, in
+#: injection order)
+_COMPONENTS = {(0, 0): "sxx", (1, 1): "syy", (2, 2): "szz",
+               (0, 1): "sxy", (0, 2): "sxz", (1, 2): "syz"}
 
 
 @dataclass
@@ -168,9 +173,7 @@ class MomentTensorSource:
         sigma_cells = self.spatial_width / grid.h
         if self.spatial_width > 0.0:
             radius = max(1, int(np.ceil(3.0 * sigma_cells)))
-        for (a, b), name in _STRESS_OF_INDEX.items():
-            if a > b:
-                continue
+        for name in _COMPONENTS.values():
             offs = FIELD_OFFSETS[name]
             centre = []
             for axis in range(3):
@@ -198,40 +201,153 @@ class MomentTensorSource:
 
     def rate_at(self, t: float) -> float:
         if self.dt_stf is not None:
-            samples = np.asarray(self.stf)
-            i = t / self.dt_stf
-            i0 = int(np.floor(i))
-            if i0 < 0 or i0 >= samples.size - 1:
-                return 0.0
-            frac = i - i0
-            return float((1 - frac) * samples[i0] + frac * samples[i0 + 1])
+            samples = np.asarray(self.stf, dtype=np.float64).ravel()
+            return float(_sampled_rates(t, _pairs([samples]), 1,
+                                        samples.size - 1, self.dt_stf))
         return float(self.stf(t))
 
     def inject(self, wf: WaveField, t: float, dt: float) -> None:
-        """Add the moment-rate increment for the step ending at ``t + dt``."""
+        """Add the moment-rate increment for the step ending at ``t + dt``
+        (a one-source :class:`SourceTable`; solvers inject every source
+        through their own table)."""
         if not self._cells:
             self.bind(wf.grid)
-        rate = self.rate_at(t)
-        if rate == 0.0:
-            return
-        vol = wf.grid.h ** 3
-        m = self.moment
-        scale = float(dt) * rate / vol
-        for (a, b), name in _STRESS_OF_INDEX.items():
-            # a rank of a distributed run holds only the components whose
-            # staggered cells fall inside its subdomain
-            if a > b or m[a, b] == 0.0 or name not in self._plan:
+        SourceTable([self], wf.grid, wf.dtype).inject(wf, t, dt)
+
+
+def _pairs(histories) -> np.ndarray:
+    """Each sampled history's rows ``(s[k], s[k + 1])`` for ``k = 0 …
+    n - 2``, between two rows of zeros (``max(n, 1) + 1`` rows), stacked."""
+    zero = np.zeros(1)
+    left, right = [np.zeros(0)], [np.zeros(0)]
+    for s in histories:
+        left += [zero, s[:-1], zero]
+        right += [zero, s[1:], zero]
+    return np.stack([np.concatenate(left), np.concatenate(right)], axis=1)
+
+
+def _sampled_rates(t: float, pairs, base, last, dt):
+    """Sampled moment-rate histories at ``t``, interpolated as
+    ``(1 - frac) * s[i0] + frac * s[i0 + 1]`` in float64.
+
+    ``pairs`` is :func:`_pairs` of the histories; each one's rows for
+    ``k = 0 … n - 2`` start at ``base``, ``last`` is ``n - 1`` and ``dt``
+    its sampling interval.  A step before the first sample or at or
+    after the last reads a row of zeros, so its rate is 0.
+    """
+    i = t / dt
+    i0 = np.floor(i)
+    frac = i - i0
+    s = pairs[base + np.minimum(np.maximum(i0, -1), last).astype(np.intp)]
+    return (1 - frac) * s[..., 0] + frac * s[..., 1]
+
+
+class SourceTable:
+    """Every moment source of a solver, injected as one operator.
+
+    The in-memory form of PetaSrcP's per-rank source table (Section III.B).
+    Per stress component it holds, in source order, the flat padded index
+    and the smearing weight (field dtype) of every entry inside the
+    solver's box, the source of each entry, and ``M_ab`` per source.  The
+    sources are bound on the global grid; ``origin`` is the global index of
+    this solver's first interior cell (a rank's subdomain origin; zero for
+    a serial solver), and entries outside its box are left to the rank
+    that owns them.
+
+    :meth:`inject` subtracts each cell's contributions in source order, the
+    order of one ``MomentTensorSource.inject`` after another, so the bits
+    are those of the per-source loop.
+    """
+
+    def __init__(self, sources, grid: Grid3D, dtype, origin=(0, 0, 0)):
+        self.dtype = np.dtype(dtype)
+        self.h3 = grid.h ** 3
+        sources = list(sources)
+        moments = np.array([np.asarray(s.moment, dtype=np.float64)
+                            for s in sources]).reshape(-1, 3, 3)
+        lo = np.array(origin) + NGHOST
+        parts = []
+        for (a, b), name in _COMPONENTS.items():
+            use = np.flatnonzero(moments[:, a, b])
+            plans = [sources[n]._plan[name] for n in use]
+            if not plans:
                 continue
-            arr = getattr(wf, name)
-            idx, w = self._plan[name]
-            if w.dtype != arr.dtype:
-                # Cache the smearing weights at the field dtype: a float64
-                # weight array (or the np.float64 scalar m[a, b], which is
-                # "strong" under NEP 50) would silently promote an f32 update.
-                w = w.astype(arr.dtype)
-                self._plan[name] = (idx, w)
-            coeff = float(m[a, b]) * scale
-            arr[idx[:, 0], idx[:, 1], idx[:, 2]] -= coeff * w
+            # interior coordinates in the box
+            loc = np.concatenate([idx for idx, _ in plans]) - lo
+            inside = ((loc >= 0) & (loc < grid.shape)).all(axis=1)
+            of = np.repeat(use, [w.size for _, w in plans])[inside]
+            if of.size:
+                flat = np.ravel_multi_index((loc[inside] + NGHOST).T,
+                                            grid.padded_shape)
+                w = np.concatenate([w for _, w in plans])[inside]
+                parts.append((name, flat, w.astype(self.dtype), of, (a, b)))
+        has = np.zeros(len(sources), dtype=bool)
+        for _, _, _, of, _ in parts:
+            has[of] = True
+        kept = np.flatnonzero(has)
+        number = np.zeros(len(sources), dtype=np.intp)
+        number[kept] = np.arange(kept.size)
+        #: the sources with at least one entry in the box, in order
+        self.sources = [sources[n] for n in kept]
+        #: ``(name, flat padded index, weight, source of entry, M_ab per
+        #: source)`` per stress component that has entries
+        self.components = [(name, flat, w, number[of], moments[kept, a, b])
+                           for name, flat, w, of, (a, b) in parts]
+        # sampled histories stacked end to end, each with its own dt
+        self._sampled = np.array([n for n, s in enumerate(self.sources)
+                                  if s.dt_stf is not None], dtype=np.intp)
+        samples = [np.asarray(self.sources[n].stf, dtype=np.float64).ravel()
+                   for n in self._sampled]
+        rows = np.array([max(a.size, 1) + 1 for a in samples], dtype=np.intp)
+        self._pairs = _pairs(samples)
+        self._base = np.cumsum(rows) - rows + 1
+        self._last = rows - 2
+        self._dt = np.array([self.sources[n].dt_stf for n in self._sampled],
+                            dtype=np.float64)
+        self._called = [n for n, s in enumerate(self.sources)
+                        if s.dt_stf is None]
+        # each sampled history reads 0 outside its window: its nonzero
+        # samples, widened by a sample each side against rounding; sorted
+        # by start, _reach[k] is the latest end among the first k + 1
+        windows = sorted((float((nz[0] - 2) * dt), float((nz[-1] + 2) * dt))
+                         for a, dt in zip(samples, self._dt)
+                         if (nz := np.flatnonzero(a)).size)
+        self._starts = [start for start, _ in windows]
+        self._reach = list(accumulate((end for _, end in windows), max))
+
+    def rates(self, t: float) -> np.ndarray:
+        """Every source's moment rate at ``t`` (float64): the sampled
+        histories in one pass, the callable ones one at a time."""
+        rate = np.empty(len(self.sources))
+        if self._sampled.size:
+            rate[self._sampled] = _sampled_rates(
+                t, self._pairs, self._base, self._last, self._dt)
+        for n in self._called:
+            rate[n] = self.sources[n].rate_at(t)
+        return rate
+
+    def inject(self, wf: WaveField, t: float, dt: float) -> None:
+        """Add every source's moment-rate increment for the step ending at
+        ``t + dt``; a source whose rate is 0 adds nothing."""
+        if not self._called:
+            k = bisect_right(self._starts, t)   # windows started by t
+            if not k or self._reach[k - 1] < t:
+                return
+        rate = self.rates(t)
+        live = rate != 0.0
+        if not live.any():
+            return
+        scale = float(dt) * rate / self.h3
+        for name, flat, w, of, m in self.components:
+            # the coefficient is formed in float64 and rounded once to the
+            # field dtype, as a python-float coefficient times an f32
+            # weight array is under NEP 50; a source at rate 0 subtracts
+            # +0.0 times its (non-negative) weights, which leaves every
+            # value as it is (-0.0 would turn a -0.0 cell into +0.0)
+            coeff = np.where(live, m * scale, 0.0).astype(self.dtype,
+                                                          copy=False)
+            np.subtract.at(getattr(wf, name).reshape(-1), flat,
+                           coeff[of] * w)
 
 
 @dataclass

@@ -205,11 +205,13 @@ class DistributedWaveSolver:
         self.dt = self.solvers[0].dt
         self._receiver_map: list[tuple[Receiver, str, int, Receiver]] = []
         self.receivers: list[Receiver] = []
-        # Persistent per-rank halo-exchange plans: pack buffers are pooled
-        # across steps *and* across run() calls (allocation-free hot path).
-        self._halo_exchanges: list[HaloExchange] = [
-            HaloExchange(decomp, rank, sol.wf, mode=halo_mode)
-            for rank, sol in enumerate(self.solvers)]
+        #: rank -> persistent SimMPI halo exchange, built on first use
+        #: (:meth:`sim_halo`): pack buffers are pooled across steps *and*
+        #: across run() calls (allocation-free hot path)
+        self._halo_exchanges: dict[int, HaloExchange] = {}
+        #: rank-local records a :meth:`merge_records` kept, by receiver
+        #: map index ("surface": frames): how many are already merged
+        self._merged: dict = {}
         self.last_result: SPMDResult | None = None
         #: aggregate timing of the last procpool run (bench/obs consumers);
         #: keys: workers, overlap, pack_s, wait_s, unpack_s, hidden_s,
@@ -247,32 +249,11 @@ class DistributedWaveSolver:
                 self.add_source(ps)
             return
         if isinstance(source, MomentTensorSource):
+            # bound once, on the global grid: each rank's source table
+            # keeps the entries inside its own box
             source.bind(self.grid)
-            # LTS group assignment keys off one representative cell; pin the
-            # *global* one so every rank's fragment of the source cloud lands
-            # in the same rate group as the serial run (k is global == local
-            # because LTS enforces pz=1).
-            rep_k = next(iter(source._cells.values()))[2] - NGHOST
-            for rank, sub in enumerate(self.decomp.subdomains()):
-                local_plan = {}
-                local_cells = {}
-                for name, (idx, w) in source._plan.items():
-                    gidx = idx - NGHOST  # global interior coordinates
-                    mask = np.ones(len(gidx), dtype=bool)
-                    for axis in range(3):
-                        a, b = sub.ranges[axis]
-                        mask &= (gidx[:, axis] >= a) & (gidx[:, axis] < b)
-                    if not mask.any():
-                        continue
-                    lidx = gidx[mask] - np.array(sub.origin_index) + NGHOST
-                    local_plan[name] = (lidx, w[mask])
-                    local_cells[name] = tuple(lidx[0])
-                if local_plan:
-                    local = copy.copy(source)
-                    local._plan = local_plan
-                    local._cells = local_cells
-                    local._lts_kplane = rep_k
-                    self.solvers[rank].moment_sources.append(local)
+            for sol in self.solvers:
+                sol.moment_sources.append(source)
         elif isinstance(source, BodyForceSource):
             rank = self.decomp.owner_of_cell(
                 *self.grid.index_of(*source.position))
@@ -322,29 +303,48 @@ class DistributedWaveSolver:
         self.surface_recorder = SurfaceRecorder(dec_space, dec_time)
         return self.surface_recorder
 
-    def _merge_surface(self) -> None:
+    def merge_records(self, keep: bool = False) -> None:
+        """Move what the rank-local receivers and surface recorders hold
+        into the user's receivers and surface recorder (every driver calls
+        this after its steps).
+
+        ``keep=True`` copies only what is new since the last merge and
+        leaves the rank-local records in place, for a driver that may still
+        replay steps behind them (:mod:`repro.parallel.resilience`).
+        """
+        merged = self._merged
+        for i, (recv, comp, _rank, local) in enumerate(self._receiver_map):
+            data = local.data[comp]
+            recv.data[comp].extend(data[merged.get(i, 0):])
+            merged[i] = len(data)
+            if not keep:
+                data.clear()
         local = {rank: sol.surface_recorder
                  for rank, sol in enumerate(self.solvers)
                  if sol.surface_recorder is not None}
-        if not local:
-            return
-        nframes = min(len(r.frames) for r in local.values())
-        d = self.surface_recorder.dec_space
-        shape = tuple(len(range(0, n, d)) for n in self.grid.shape[:2])
-        dtype = self.solvers[0].wf.dtype
-        for fi in range(nframes):
-            t = 0.0
-            planes = [np.zeros(shape, dtype=dtype) for _ in range(3)]
-            for rank, rec in local.items():
-                (a, _), (c, _), _ = self.decomp.subdomain(rank).ranges
-                # lattice index of this rank's first sample: ceil(origin / d)
-                ia, ic = -(-a // d), -(-c // d)
-                t, *lplanes = rec.frames[fi]
-                for dst, src in zip(planes, lplanes):
-                    dst[ia:ia + src.shape[0], ic:ic + src.shape[1]] = src
-            self.surface_recorder.frames.append((t, *planes))
-        for rec in local.values():
-            rec.frames.clear()
+        if local:
+            nframes = min(len(r.frames) for r in local.values())
+            d = self.surface_recorder.dec_space
+            shape = tuple(len(range(0, n, d)) for n in self.grid.shape[:2])
+            dtype = self.solvers[0].wf.dtype
+            for fi in range(merged.get("surface", 0), nframes):
+                t = 0.0
+                planes = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+                for rank, rec in local.items():
+                    (a, _), (c, _), _ = self.decomp.subdomain(rank).ranges
+                    # lattice index of this rank's first sample:
+                    # ceil(origin / d)
+                    ia, ic = -(-a // d), -(-c // d)
+                    t, *lplanes = rec.frames[fi]
+                    for dst, src in zip(planes, lplanes):
+                        dst[ia:ia + src.shape[0], ic:ic + src.shape[1]] = src
+                self.surface_recorder.frames.append((t, *planes))
+            merged["surface"] = nframes
+            if not keep:
+                for rec in local.values():
+                    rec.frames.clear()
+        if not keep:
+            merged.clear()
 
     # ------------------------------------------------------------------
     # The rank loop (every driver)
@@ -404,8 +404,11 @@ class DistributedWaveSolver:
         opened into post/complete; under ``sync_comm`` the whole rendezvous
         exchange runs at complete."""
         rank = comm.rank
-        hx = self._halo_exchanges[rank]
         wf = self.solvers[rank].wf
+        hx = self._halo_exchanges.get(rank)
+        if hx is None:
+            hx = self._halo_exchanges[rank] = HaloExchange(
+                self.decomp, rank, wf, mode=self.halo_mode)
 
         def halo(phase, group):
             if not self.sync_comm:
@@ -616,10 +619,7 @@ class DistributedWaveSolver:
         else:
             result = self._run_sim(nsteps, tracer)
         self.last_result = result
-        for recv, comp, _rank, local in self._receiver_map:
-            recv.data[comp].extend(local.data[comp])
-            local.data[comp] = []
-        self._merge_surface()
+        self.merge_records()
         return result
 
     # ------------------------------------------------------------------

@@ -17,8 +17,10 @@ the classic *message-logging + local rollback* recipe:
   replacement restores the last checkpoint and **replays** its lost steps
   locally, consuming the logged ghost data instead of live exchanges —
   no global rollback, no aborted survivors;
-* recovery is exact: the run's final state is bitwise identical to a
-  failure-free run (asserted by tests).
+* recovery is exact: the run's final state, receiver series and surface
+  frames are bitwise identical to a failure-free run (asserted by tests);
+  the replay cuts the rank's recorders back to their checkpoint lengths
+  first, so the replayed steps are recorded once.
 
 Live steps and replay both run :meth:`DistributedWaveSolver.rank_steps` —
 the one rank loop of DESIGN.md §3 ("Step schedule") — and differ only in
@@ -29,6 +31,7 @@ logged rim, or applying the logged rim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -75,12 +78,35 @@ def apply_ghost_rim(wf: WaveField, rim: GhostRim) -> None:
             arr[sl] = data
 
 
+def _record_lengths(sol) -> tuple:
+    """How far a rank's recorders got: the samples of each receiver
+    component, and the surface recorder's frames and decimation counter."""
+    srec = sol.surface_recorder
+    return ([len(data) for rec in sol.receivers for data in rec.data.values()],
+            (0, 0) if srec is None else (len(srec.frames), srec._step))
+
+
+def _truncate_records(sol, lengths: tuple) -> None:
+    """Cut a rank's recorders back to :func:`_record_lengths`, so a replay
+    records its steps once (a recorder attached since then started at 0)."""
+    samples, (nframes, step) = lengths
+    for data, n in zip_longest((data for rec in sol.receivers
+                                for data in rec.data.values()), samples,
+                               fillvalue=0):
+        del data[n:]
+    if sol.surface_recorder is not None:
+        del sol.surface_recorder.frames[nframes:]
+        sol.surface_recorder._step = step
+
+
 @dataclass
 class _RankLog:
     """Per-rank recovery data since the last checkpoint."""
 
     checkpoint: dict | None = None
     checkpoint_step: int = 0
+    #: the rank's recorder lengths at the checkpoint (_record_lengths)
+    records: tuple = ((), (0, 0))
     #: per replayed step: (velocity-phase rim, stress-phase rim)
     rims: list[tuple[GhostRim, GhostRim]] = field(default_factory=list)
 
@@ -91,7 +117,8 @@ class ResilientDistributedSolver:
     Parameters
     ----------
     solver:
-        The distributed solver to protect (construct and add sources first).
+        The distributed solver to protect (construct it and add sources,
+        receivers and surface recording before the first step).
     checkpoint_interval:
         Steps between in-memory checkpoints (bounds replay length).
     failures:
@@ -114,12 +141,15 @@ class ResilientDistributedSolver:
 
     # ------------------------------------------------------------------
     def _checkpoint_all(self) -> None:
+        # no replay goes behind a checkpoint: what is recorded is final
+        self.solver.merge_records()
         for rank, sol in enumerate(self.solver.solvers):
             log = self.logs[rank]
             # solver.state() saves the *padded* arrays, so the exchanged
             # ghost rims at checkpoint time are already included
             log.checkpoint = sol.state()
             log.checkpoint_step = self.step_count
+            log.records = _record_lengths(sol)
             log.rims.clear()
 
     def _step_once(self) -> None:
@@ -151,6 +181,7 @@ class ResilientDistributedSolver:
             raise RuntimeError("no checkpoint available for recovery")
         s = self.solver.solvers[rank]
         s.load_state(log.checkpoint)
+        _truncate_records(s, log.records)
         rims = (rim for step in log.rims for rim in step)
 
         def halo(phase, _group):
@@ -183,6 +214,9 @@ class ResilientDistributedSolver:
                 self.recoveries.append((self.step_count, failed, replayed))
             if self.step_count % self.interval == 0:
                 self._checkpoint_all()
+        # steps since the last checkpoint may still be replayed: merge a
+        # copy and keep the rank-local records
+        self.solver.merge_records(keep=True)
 
     def gather_field(self, name: str) -> np.ndarray:
         return self.solver.gather_field(name)

@@ -20,6 +20,7 @@ nothing cannot be hiding f64 temporaries).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -71,11 +72,14 @@ def iter_solver_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:
 
 def iter_distributed_arrays(solver) -> Iterator[tuple[str, np.ndarray]]:
     """Yield ``(name, array)`` for a DistributedWaveSolver: every subdomain
-    solver's arrays plus the persistent halo pack buffers."""
+    solver's arrays plus the persistent SimMPI halo pack buffers (forced,
+    like the PML coefficients: they are built on a rank's first exchange)."""
     for rank, sub in enumerate(solver.solvers):
         for name, arr in iter_solver_arrays(sub):
             yield f"rank{rank}.{name}", arr
-    for rank, hx in enumerate(solver._halo_exchanges):
+        solver.sim_halo(SimpleNamespace(rank=rank))
+    assert len(solver._halo_exchanges) == solver.decomp.nranks
+    for rank, hx in sorted(solver._halo_exchanges.items()):
         for group, sends in hx._sends.items():
             for field, tag, _, _, pair in sends:
                 for i, buf in enumerate(pair):

@@ -90,6 +90,18 @@ class TestBitwiseEquality:
         self._compare(dims, nsteps=8)
 
 
+def _table_entries(sol):
+    """``(component, global i, j, k, weight)`` of every entry of a solver's
+    moment-source table."""
+    out = set()
+    for name, flat, w, _, _ in sol.schedule.tables()[0].components:
+        ijk = np.unravel_index(flat, sol.grid.padded_shape)
+        for e, cell in enumerate(zip(*ijk)):
+            glob = (int(c) + o for c, o in zip(cell, sol.index_origin))
+            out.add((name, *glob, float(w[e])))
+    return out
+
+
 class TestSourcesAcrossBoundaries:
     def test_smeared_source_straddles_ranks(self):
         """A smeared source centred on a subdomain boundary is injected by
@@ -137,8 +149,13 @@ class TestSourcesAcrossBoundaries:
                                      decomp=Decomposition3D(g, 2, 1, 1),
                                      config=cfg, backend=backend)
         dist.add_source(source())
-        plans = [set(sol.moment_sources[0]._plan) for sol in dist.solvers]
+        plans = [{c[0] for c in sol.schedule.tables()[0].components}
+                 for sol in dist.solvers]
         assert plans[0] and plans[1] and plans[0].isdisjoint(plans[1])
+        # the rank tables' entries are disjoint and add up to the serial one
+        entries = [_table_entries(sol) for sol in dist.solvers]
+        assert entries[0].isdisjoint(entries[1])
+        assert entries[0] | entries[1] == _table_entries(ser)
         dist.run(5)
         for name in ("vx", "sxx", "syy", "szz", "sxy", "sxz", "syz"):
             assert np.array_equal(ser.wf.interior(name),

@@ -22,7 +22,7 @@ import pytest
 from repro.core import Receiver, WaveSolver, compiled
 from repro.core.compiled import FusedRegionStepper
 from repro.core.kernels import UpdateExecutor
-from repro.core.source import BodyForceSource
+from repro.core.source import BodyForceSource, SourceTable
 from repro.parallel import procpool
 from repro.parallel.decomp import Decomposition3D
 from repro.parallel.distributed import DistributedWaveSolver
@@ -106,17 +106,22 @@ def _tap(solver, path):
     shadow(solver.sponge, "apply_slab", "sponge")
     for src in solver.force_sources:
         shadow(src, "inject", "force")
-    for src in solver.moment_sources:
-        shadow(src, "inject", "moment")
     for rec in solver.receivers:
         shadow(rec, "record", "record")
     return log
 
 
 def _tap_regions(taps, monkeypatch):
-    """Region operators (overlap shells/cores, LTS slabs) are created after
-    the solver: tap them on the class, routed by the kernel (or fused
-    stepper) they bind."""
+    """Region operators (overlap shells/cores, LTS slabs) and the moment
+    source tables are created after the solver: tap them on the class,
+    routed by the kernel (or fused stepper) they bind, or the wavefield a
+    table injects into."""
+    inject = SourceTable.inject
+
+    def moment(self, wf, *args):
+        taps[id(wf)][1]("moment")
+        return inject(self, wf, *args)
+    monkeypatch.setattr(SourceTable, "inject", moment)
     for cls, owner in ((UpdateExecutor, "kernel"),
                        (FusedRegionStepper, "stepper")):
         for half in ("velocity", "stress"):
@@ -182,7 +187,7 @@ def test_executor_runs_the_canonical_sequence(name, references, tmp_path,
     taps = {}
     for sol, path in zip(ranks, paths):
         assert sol.kernel_variant == variant
-        taps[id(sol.kernel)] = (sol, _tap(sol, path))
+        taps[id(sol.kernel)] = taps[id(sol.wf)] = (sol, _tap(sol, path))
         if sol.fused is not None:
             taps[id(sol.fused)] = taps[id(sol.kernel)]
     _tap_regions(taps, monkeypatch)

@@ -216,6 +216,23 @@ class TestProcpoolMetrics:
         assert st.messages_sent > 0 and st.bytes_sent > 0
         assert st.messages_sent == st.messages_received
 
+    def test_run_builds_no_halo_exchange(self, monkeypatch, tmp_path):
+        """The SimMPI exchanges are built on first use, and a procpool run
+        (parent or forked worker) uses the rings only."""
+        from repro.parallel import halo
+        log = tmp_path / "built"
+        init = halo.HaloExchange.__init__
+
+        def counted(self, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write("built\n")
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(halo.HaloExchange, "__init__", counted)
+        d, _ = _distributed((2, 1, 1), SPONGE_CFG, backend="procpool")
+        assert d.backend == "procpool"
+        assert d._halo_exchanges == {}
+        assert not log.exists()
+
     def test_ring_pool_message_accounting(self):
         g = _grid()
         decomp = Decomposition3D(g, 2, 1, 1)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (Grid3D, Medium, MomentTensorSource, SolverConfig,
-                        WaveSolver)
+from repro.core import (Grid3D, Medium, MomentTensorSource, Receiver,
+                        SolverConfig, WaveSolver)
 from repro.core.source import gaussian_pulse
 from repro.parallel.decomp import Decomposition3D
 from repro.parallel.distributed import DistributedWaveSolver
@@ -68,9 +68,11 @@ class TestFailureFreeEquivalence:
 class TestLiveStep:
     def test_live_steps_reuse_the_solvers_halo_exchanges(self, monkeypatch):
         """A live step exchanges through the distributed solver's
-        persistent per-rank plans: no HaloExchange is built per step."""
+        persistent per-rank plans: once the first step has built them, no
+        HaloExchange is built per step."""
         from repro.parallel import halo
         _, _, _, res = _setup(failures={4: 1})
+        res.run(1)
         built = []
         init = halo.HaloExchange.__init__
 
@@ -78,7 +80,7 @@ class TestLiveStep:
             built.append(args)
             init(self, *args, **kwargs)
         monkeypatch.setattr(halo.HaloExchange, "__init__", counted)
-        res.run(10)
+        res.run(9)
         assert built == []
         assert res.recoveries == [(4, 1, 4)]
 
@@ -134,3 +136,62 @@ class TestRecovery:
                                      config=cfg)
         with pytest.raises(ValueError, match="interval"):
             ResilientDistributedSolver(dist, checkpoint_interval=0)
+
+
+class TestRecords:
+    """The user's receiver and surface recorder read the same series after
+    a recovery as after a failure-free run and a serial run."""
+
+    POS = (1200.0, 1100.0, 600.0)     # owned by rank 3
+
+    def _records(self, failures, nsteps=8, runs=1):
+        g, med, cfg, res = _setup(failures=failures, interval=5)
+        rec = res.solver.add_receiver(Receiver(position=self.POS))
+        srec = res.solver.record_surface(dec_time=3)
+        for _ in range(runs):
+            res.run(nsteps // runs)
+        return rec, srec
+
+    def _serial(self, nsteps=8):
+        g, med, cfg, _ = _setup()
+        ser = WaveSolver(g, med, cfg)
+        ser.add_source(MomentTensorSource(
+            position=(800.0, 700.0, 600.0), moment=np.eye(3) * 1e13,
+            stf=lambda t: gaussian_pulse(np.array([t]), f0=3.0)[0],
+            spatial_width=150.0))
+        rec = ser.add_receiver(Receiver(position=self.POS))
+        srec = ser.record_surface(dec_time=3)
+        ser.run(nsteps)
+        return rec, srec
+
+    @staticmethod
+    def _assert_equal(a, b):
+        rec_a, srec_a = a
+        rec_b, srec_b = b
+        for comp in ("vx", "vy", "vz"):
+            assert np.array_equal(rec_a.series(comp), rec_b.series(comp)), \
+                comp
+        assert len(srec_a.frames) == len(srec_b.frames)
+        for fa, fb in zip(srec_a.frames, srec_b.frames):
+            assert fa[0] == fb[0]
+            for pa, pb in zip(fa[1:], fb[1:]):
+                assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("failures,runs",
+                             [({4: 3}, 1), ({7: 3}, 1), ({7: 3}, 2),
+                              ({3: 0, 7: 3}, 2)])
+    def test_recovered_records_are_bitwise(self, failures, runs):
+        ser = self._serial()
+        assert len(ser[0].series("vx")) == 8 and len(ser[1].frames) == 3
+        clean = self._records({}, runs=runs)
+        self._assert_equal(clean, ser)
+        self._assert_equal(self._records(failures, runs=runs), ser)
+
+    def test_replay_without_truncation_records_twice(self, monkeypatch):
+        """Tooth: a replay that does not cut the recorders back first
+        records its steps a second time."""
+        from repro.parallel import resilience
+        monkeypatch.setattr(resilience, "_truncate_records",
+                            lambda sol, lengths: None)
+        rec, srec = self._records({4: 3})
+        assert len(rec.series("vx")) == 12
