@@ -270,18 +270,17 @@ class StepSchedule:
         whole, when the plan forbids it or the grid is too thin.
 
         The region operators bind the same update statement list as the
-        whole-interior ones, so a split step stays bitwise identical.
+        whole-interior ones, so a split step stays bitwise identical.  Only
+        exchanged faces are cut: a free-surface core reaches the surface.
         """
         if not self.plan.split:
             return False
         s = self.solver
         excl = [[NGHOST * bool(lo), NGHOST * bool(hi)] for lo, hi in faces]
         sexcl = [list(e) for e in excl]
-        if s.free_surface is not None:
-            # the top two stress planes read the free-surface velocity
-            # ghosts, written only after the velocity halo completes; the
-            # third is read by the imaging, which a compiled core would
-            # otherwise find already damped
+        if s.free_surface is not None and faces[2][1]:
+            # an exchanged top face's shell also keeps the plane the
+            # imaging reads, which a compiled core would find damped
             sexcl[2][1] = NGHOST + 1
         cuts = {"velocity": _split_core_shells(s.grid, excl),
                 "stress": _split_core_shells(s.grid, sexcl)}
@@ -301,13 +300,16 @@ class StepSchedule:
     def core_ahead(self, half: str) -> None:
         """Run ``half``'s core now; its block then only finishes the shells.
 
-        The stress core (>= 2 planes from any exchanged face and below the
-        free-surface-coupled planes) reads no velocity ghosts, and the next
-        step's velocity core reads no stress ghosts, so each may run while
-        the other family's halo is in flight.
+        The stress core (>= 2 planes from any exchanged face) reads no
+        velocity halo, and the next step's velocity core reads no stress
+        halo, so each may run while the other family's halo is in flight.
+        The core rows' free-surface ghosts need only interior velocities,
+        so they are filled first; block B's fill redoes the rim from halo.
         """
         if half == "stress":
             self.tables()
+            if self.solver.free_surface is not None:
+                self.solver.free_surface.apply_velocity(self.solver.wf)
         self._ops[half][0]()
         self._ahead.add(half)
 

@@ -117,8 +117,9 @@ class ResilientDistributedSolver:
     Parameters
     ----------
     solver:
-        The distributed solver to protect (construct it and add sources,
-        receivers and surface recording before the first step).
+        The distributed solver to protect (construct it and add sources
+        before the first step; receivers and surface recording attached
+        between runs are checkpointed in at the next :meth:`run`).
     checkpoint_interval:
         Steps between in-memory checkpoints (bounds replay length).
     failures:
@@ -151,6 +152,10 @@ class ResilientDistributedSolver:
             log.checkpoint_step = self.step_count
             log.records = _record_lengths(sol)
             log.rims.clear()
+        self._recorders = self._recorder_set()
+
+    def _recorder_set(self) -> tuple:
+        return len(self.solver.receivers), id(self.solver.surface_recorder)
 
     def _step_once(self) -> None:
         """Advance every rank one step, logging received ghost rims."""
@@ -204,6 +209,9 @@ class ResilientDistributedSolver:
 
     # ------------------------------------------------------------------
     def run(self, nsteps: int) -> None:
+        if self._recorder_set() != self._recorders:
+            # a replay must not record steps a new recorder never saw
+            self._checkpoint_all()
         for _ in range(nsteps):
             self._step_once()
             self.step_count += 1

@@ -164,6 +164,42 @@ class TestBitwiseEquivalence:
         if backend == "procpool":
             assert d.last_procpool["overlap"] == anelastic
 
+    @pytest.mark.parametrize("dims", [(2, 1, 1), (2, 2, 1)])
+    def test_production_composition_with_overlap(self, dims):
+        """Compiled + sponge + free surface + attenuation, overlap on:
+        each top rank's stress core reaches the surface plane, where a
+        point source and a smeared cloud hold rows out of the sweep's own
+        ghost fill; the early fill must give them the serial values."""
+        from repro.core import compiled
+        if not compiled.compiled_available():
+            pytest.skip("no compiled provider (no C compiler)")
+        cfg = SolverConfig(**SPONGE_CFG, attenuation_band=(0.3, 3.0),
+                           kernel_variant="compiled")
+        stf = lambda t: gaussian_pulse(np.array([t]), f0=3.0)[0]
+        sources = lambda: [
+            _source(),
+            MomentTensorSource(position=(450.0, 450.0, 1700.0),
+                               moment=np.eye(3) * 1e13, stf=stf),
+            MomentTensorSource(position=(700.0, 600.0, 1200.0),
+                               moment=np.eye(3) * 1e13, stf=stf,
+                               spatial_width=150.0)]
+        g = _grid()
+        ser = WaveSolver(g, _medium(g), cfg)
+        d = DistributedWaveSolver(g, _medium(g),
+                                  decomp=Decomposition3D(g, *dims),
+                                  config=cfg, backend="procpool",
+                                  overlap=True)
+        for src in sources():
+            ser.add_source(src)
+        for src in sources():
+            d.add_source(src)
+        ser.run(NSTEPS)
+        d.run(NSTEPS)
+        assert d.last_procpool["overlap"] is True
+        for name in FIELDS:
+            assert np.array_equal(d.gather_field(name),
+                                  ser.wf.interior(name)), name
+
     def test_multi_run_continuity(self, serial_sponge):
         """Two run() calls equal one long run (state merges back exactly)."""
         ser, _ = serial_sponge

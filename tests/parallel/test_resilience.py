@@ -195,3 +195,30 @@ class TestRecords:
                             lambda sol, lengths: None)
         rec, srec = self._records({4: 3})
         assert len(rec.series("vx")) == 12
+
+    @staticmethod
+    def _late_records(failures):
+        """Six steps, then a receiver and a surface recorder, then three."""
+        _, _, _, res = _setup(failures=failures, interval=5)
+        res.run(6)
+        rec = res.solver.add_receiver(
+            Receiver(position=(1200.0, 1100.0, 600.0)))
+        srec = res.solver.record_surface(dec_time=1)
+        res.run(3)
+        return rec, srec
+
+    def test_recorder_attached_mid_run_records_no_replayed_step(self):
+        """A replay from a checkpoint older than a recorder must not record
+        the steps before the recorder was attached."""
+        clean = self._late_records({})
+        assert len(clean[0].series("vx")) == 3 and len(clean[1].frames) == 3
+        self._assert_equal(self._late_records({8: 3}), clean)
+
+    def test_late_recorder_without_entry_checkpoint_records_replay(
+            self, monkeypatch):
+        """Tooth: without the checkpoint a changed recorder set takes at
+        the next run, the replay from step 5 records step 6 too."""
+        monkeypatch.setattr(ResilientDistributedSolver, "_recorder_set",
+                            lambda self: ())
+        rec, _ = self._late_records({8: 3})
+        assert len(rec.series("vx")) == 4
