@@ -70,7 +70,9 @@ def fit_q_weights(f_min: float, f_max: float, n_mech: int = 8
                                            n_mech)[::-1])
     om = 2.0 * np.pi * np.logspace(np.log10(f_min), np.log10(f_max), 16 * n_mech)
     phi = (om[:, None] * tau) / (1.0 + (om[:, None] * tau) ** 2)
-    from scipy.optimize import nnls   # deferred: ~0.3 s of import
+    # deferred: 0.38-0.65 s of import after `import repro`, 0.71-0.80 s
+    # in a bare interpreter (scipy 1.17, 2 vCPU)
+    from scipy.optimize import nnls
     weights, _ = nnls(phi, np.ones_like(om))
     return tau, weights
 

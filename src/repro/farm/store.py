@@ -26,10 +26,13 @@ resumable.  Store layout and meta fields are documented in
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +45,29 @@ __all__ = ["PRODUCT_SCHEMA", "ProductStore", "ProductError"]
 #: Schema identifier carried in every product's ``__meta__``.
 PRODUCT_SCHEMA = "repro-product/1"
 
+#: What one store's read memo may hold: verified file bytes plus the
+#: answers decoded from them.  A product larger than this is not kept.
+_MEMO_BYTES = 64 << 20
+#: What one note (names read once) is charged: about a key and a tuple.
+_NOTE_BYTES = 256
+#: numpy parses every .npy header with ``ast.literal_eval``, and CPython
+#: 3.11's AST builder keeps its recursion count per interpreter: two
+#: threads parsing at once can fail with "SystemError: AST constructor
+#: recursion depth mismatch".  One parse at a time, in every store.
+_PARSE_LOCK = threading.Lock()
+
 
 class ProductError(ValueError):
     """A product file is missing, torn, or carries the wrong schema."""
+
+
+def _held(raw: bytes | None, answers: dict) -> int:
+    """Bytes one memo entry holds: the file bytes, each kept answer's
+    arrays and meta text, and ``_NOTE_BYTES`` for each note."""
+    return (len(raw) if raw is not None else 0) + sum(
+        _NOTE_BYTES if answer is None else
+        sum(a.nbytes for a in answer[0].values()) + len(answer[1])
+        for answer in answers.values())
 
 
 class ProductStore:
@@ -52,6 +75,11 @@ class ProductStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        #: key -> (bytes last verified or None, {names: (arrays, meta
+        #: text), or None for names read only once so far})
+        self._memo: OrderedDict[str, tuple] = OrderedDict()
+        self._memo_bytes = 0
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -125,15 +153,44 @@ class ProductStore:
         :class:`ProductError`.  Each member read is CRC-checked, so a
         call verifies every byte it returns; damage inside a member it
         did not read is found by the call that reads it.
+
+        The file is read once, whole.  When its bytes equal those an
+        earlier call with the same ``names`` verified, that call's
+        answer is returned from the memo (fresh copies; nothing is
+        decoded); otherwise the bytes are checked as above.  An answer is
+        kept from the second verified read with the same ``names`` on, so
+        one asked for once costs the memo a note, not a copy.
         """
         path = self.path_for(key)
-        if not path.exists():
-            raise ProductError(f"no product {key} under {self.root}")
         try:
-            with np.load(path, allow_pickle=False) as z:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raise ProductError(f"no product {key} under {self.root}") \
+                from None
+        names = None if names is None else tuple(names)
+        with self._memo_lock:
+            kept, answers = self._memo.get(key, (None, {}))
+            answer = answers.get(names) if kept == raw else None
+            if answer is not None:
+                self._memo.move_to_end(key)
+                arrays, meta_text = answer
+                return ({k: a.copy(order="K") for k, a in arrays.items()},
+                        json.loads(meta_text))
+        arrays, meta, meta_text = self._load(path, key, raw, names)
+        with self._memo_lock:
+            self._remember(key, raw, names, arrays, meta_text)
+        return arrays, meta
+
+    def _load(self, path: Path, key: str, raw: bytes, names) \
+            -> tuple[dict[str, np.ndarray], dict, str]:
+        """The full check of one file's bytes: (arrays, meta, meta text)."""
+        try:
+            with _PARSE_LOCK, np.load(io.BytesIO(raw),
+                                      allow_pickle=False) as z:
                 if "__meta__" not in z:
                     raise ProductError(f"product {path} lacks __meta__")
-                meta = json.loads(str(z["__meta__"]))
+                meta_text = str(z["__meta__"])
+                meta = json.loads(meta_text)
                 wanted = z.files if names is None else \
                     [k for k in names if k in z.files]
                 arrays = {k: z[k] for k in wanted if k != "__meta__"}
@@ -152,7 +209,33 @@ class ProductStore:
             raise ProductError(
                 f"product {path}: job config hashes to {stated}, "
                 f"not its address {key} — store corrupted?")
-        return arrays, meta
+        return arrays, meta, meta_text
+
+    def _remember(self, key: str, raw: bytes, names, arrays,
+                  meta_text: str) -> None:
+        """Memo one verified answer (caller holds ``_memo_lock``).
+
+        The first read of a product with given ``names`` leaves a note; a
+        later one keeps the bytes and a private copy of the answer.
+        Least recently used products go first once the memo passes its
+        bound.
+        """
+        kept, answers = self._memo.pop(key, (None, {}))
+        self._memo_bytes -= _held(kept, answers)
+        if kept != raw:                 # answers from other bytes go
+            kept, answers = None, dict.fromkeys(answers)
+        if names in answers:
+            kept = raw
+            answers[names] = (
+                {k: a.copy(order="K") for k, a in arrays.items()}, meta_text)
+        else:
+            answers[names] = None
+        held = _held(kept, answers)
+        if held <= _MEMO_BYTES:
+            self._memo[key] = (kept, answers)
+            self._memo_bytes += held
+        while self._memo_bytes > _MEMO_BYTES:
+            self._memo_bytes -= _held(*self._memo.popitem(last=False)[1])
 
     def get_job(self, job: FarmJob) -> tuple[dict[str, np.ndarray], dict]:
         return self.get(job.key())

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from array import array
 from typing import Any
 
 from ..core.profiling import FlopCounter, stencil_flops_per_point
@@ -78,7 +79,8 @@ class Histogram:
 
     def __init__(self, name: str):
         self.name = name
-        self._values: list[float] = []
+        # doubles, 8 bytes a sample (a list holds a 32-byte float object)
+        self._values = array("d")
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:

@@ -117,9 +117,9 @@ class ResilientDistributedSolver:
     Parameters
     ----------
     solver:
-        The distributed solver to protect (construct it and add sources
-        before the first step; receivers and surface recording attached
-        between runs are checkpointed in at the next :meth:`run`).
+        The distributed solver to protect (sources, forcings, receivers
+        and surface recording attached between runs are checkpointed in
+        at the next :meth:`run`).
     checkpoint_interval:
         Steps between in-memory checkpoints (bounds replay length).
     failures:
@@ -155,7 +155,12 @@ class ResilientDistributedSolver:
         self._recorders = self._recorder_set()
 
     def _recorder_set(self) -> tuple:
-        return len(self.solver.receivers), id(self.solver.surface_recorder)
+        """The recorders plus every rank's sources and forcings: what a
+        replay must find as its checkpoint found them."""
+        return (len(self.solver.receivers), id(self.solver.surface_recorder),
+                [(list(map(id, s.moment_sources)),
+                  list(map(id, s.force_sources)), list(map(id, s.forcings)))
+                 for s in self.solver.solvers])
 
     def _step_once(self) -> None:
         """Advance every rank one step, logging received ghost rims."""
@@ -210,7 +215,8 @@ class ResilientDistributedSolver:
     # ------------------------------------------------------------------
     def run(self, nsteps: int) -> None:
         if self._recorder_set() != self._recorders:
-            # a replay must not record steps a new recorder never saw
+            # a replay must not record steps a new recorder never saw, nor
+            # inject a source into steps from before it was added
             self._checkpoint_all()
         for _ in range(nsteps):
             self._step_once()

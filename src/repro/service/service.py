@@ -27,10 +27,11 @@ solve and ``put`` the product themselves; retries, backoff and the
 ``service.job.retry`` / ``service.job.failed`` / ``service.worker.died``
 events are the executor's, identical to the farm's.  A stored product
 that cannot be loaded is quarantined and recomputed once
-(``service.store.corrupt``).  A fetch reads the one bundle member it
-answers from (plus ``__meta__``), so it verifies every byte it returns
-and the bundle's schema and address; damage to a member it does not read
-is found by the query that reads it.  Query latency (submit → answer in
+(``service.store.corrupt``).  A fetch asks the store for the one bundle
+member it answers from (plus ``__meta__``), so it verifies every byte it
+returns and the bundle's schema and address, or finds the file's bytes
+equal to ones verified before; damage to a member it does not read is
+found by the query that reads it.  Query latency (submit → answer in
 hand, the value in ``QueryResult.latency_s``) lands in the
 ``service.query.latency_s`` histogram at fetch; the counters are mirrored
 to ``service.*`` gauges after every transition.

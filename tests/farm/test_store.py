@@ -1,6 +1,7 @@
 """ProductStore: round-trip, schema checks, and address integrity."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -258,3 +259,166 @@ class TestDiskFull:
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         assert not store.has(job.key())
         assert store.keys() == []
+
+
+class TestReadMemo:
+    """A repeated ``get`` over unchanged bytes answers from the store's
+    memo; any change to the bytes sends it back to the full check."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        store = ProductStore(tmp_path)
+        job = one_job()
+        rng = np.random.default_rng(1)
+        path = store.put(job, {"pgvh": rng.random((32, 32)),
+                               "pgv_gm": rng.random((8, 8))})
+        return store, job.key(), path
+
+    def test_repeated_get_decodes_no_member(self, stored, monkeypatch):
+        store, key, path = stored
+        first = store.get(key, names=("pgvh",))
+        store.get(key, names=("pgvh",))
+        read = record_member_reads(monkeypatch, path)
+        arrays, meta = store.get(key, names=("pgvh",))
+        assert read == []
+        assert list(arrays) == ["pgvh"]
+        assert np.array_equal(arrays["pgvh"], first[0]["pgvh"])
+        assert meta == first[1]
+
+    def test_in_place_bit_flip_with_stat_restored_is_refused(self, stored,
+                                                              monkeypatch):
+        """Same size, same mtime, same inode: only the bytes differ."""
+        store, key, path = stored
+        for _ in range(2):
+            store.get(key, names=("pgvh",))
+        read = record_member_reads(monkeypatch, path)
+        store.get(key, names=("pgvh",))
+        assert read == []                   # the next get is a memo hit
+        before = os.stat(path)
+        damage(path, "bitflip", member="pgvh")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == \
+            (before.st_size, before.st_mtime_ns, before.st_ino)
+        with pytest.raises(ProductError, match="cannot read product"):
+            store.get(key, names=("pgvh",))
+
+    def test_mutating_an_answer_leaves_the_next_one_alone(self, stored):
+        store, key, _ = stored
+        want_arrays, want_meta = store.get(key)
+        want_meta = json.loads(json.dumps(want_meta))
+        want_arrays = {k: a.copy() for k, a in want_arrays.items()}
+        for _ in range(3):                  # note, keep, memo hit
+            arrays, meta = store.get(key)
+            assert set(arrays) == set(want_arrays)
+            for k, a in arrays.items():
+                assert np.array_equal(a, want_arrays[k])
+            assert meta == want_meta
+            for a in arrays.values():
+                a[...] = -1.0
+            arrays["extra"] = np.zeros(1)
+            meta["key"] = "tampered"
+            meta["arrays"]["pgvh"]["shape"].append(99)
+
+    def test_memo_stays_within_its_bound(self, tmp_path, monkeypatch):
+        import repro.farm.store as store_module
+
+        store = ProductStore(tmp_path)
+        jobs = FarmSpec(scenario="ShakeOut-K", nx=16, nsteps=8,
+                        axes={"rupture_seed": list(range(1, 9))}).expand()
+        rng = np.random.default_rng(2)
+        for job in jobs:
+            store.put(job, {"pgvh": rng.random((32, 32))})
+        one = (store.path_for(jobs[0].key()).stat().st_size
+               + 32 * 32 * 8)
+        bound = 3 * one
+        monkeypatch.setattr(store_module, "_MEMO_BYTES", bound)
+
+        def held():
+            total = 0
+            for raw, answers in store._memo.values():
+                total += len(raw) if raw is not None else 0
+                for answer in answers.values():
+                    if answer is not None:
+                        arrays, meta_text = answer
+                        total += sum(a.nbytes for a in arrays.values())
+                        total += len(meta_text)
+            return total
+
+        for job in jobs:
+            for _ in range(2):
+                store.get(job.key(), names=("pgvh",))
+                assert held() <= store._memo_bytes <= bound
+        kept = [k for k, (raw, _) in store._memo.items() if raw is not None]
+        assert 0 < len(kept) < len(jobs)
+        assert kept[-1] == jobs[-1].key()
+
+        monkeypatch.setattr(store_module, "_MEMO_BYTES", one // 2)
+        small = ProductStore(tmp_path)
+        for _ in range(3):                  # larger than the bound: not kept
+            small.get(jobs[0].key(), names=("pgvh",))
+        assert all(raw is None for raw, _ in small._memo.values())
+        assert small._memo_bytes <= one // 2
+
+    def test_threads_share_the_memo_without_losing_an_update(
+            self, tmp_path, monkeypatch):
+        """More threads than cores read and evict concurrently: every answer
+        stays right and the byte count equals what the entries hold.  Each
+        reader leaves cyclic garbage whose finalizer gives up the GIL, so a
+        collection inside a C routine (numpy's header parse) can switch
+        threads there too."""
+        import gc
+        import sys
+        import threading
+        import time
+
+        class Yielder:
+            def __init__(self):
+                self.cycle = self
+
+            def __del__(self):
+                time.sleep(0)
+
+        import repro.farm.store as store_module
+
+        store = ProductStore(tmp_path)
+        jobs = FarmSpec(scenario="ShakeOut-K", nx=16, nsteps=8,
+                        axes={"rupture_seed": list(range(1, 7))}).expand()
+        want = {}
+        for i, job in enumerate(jobs):
+            want[job.key()] = np.full((16, 16), float(i))
+            store.put(job, {"pgvh": want[job.key()]})
+        monkeypatch.setattr(store_module, "_MEMO_BYTES",
+                            3 * store.path_for(jobs[0].key()).stat().st_size)
+        errors = []
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    Yielder()
+                    key = jobs[int(rng.integers(len(jobs)))].key()
+                    got = store.get(key, names=("pgvh",))[0]["pgvh"]
+                    if not np.array_equal(got, want[key]):
+                        errors.append(key)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(s,))
+                   for s in range(8)]
+        old, thresholds = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(20, 5, 5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+            gc.set_threshold(*thresholds)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store._memo_bytes == sum(
+            store_module._held(*entry) for entry in store._memo.values())
+        assert store._memo_bytes <= store_module._MEMO_BYTES

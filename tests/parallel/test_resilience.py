@@ -222,3 +222,41 @@ class TestRecords:
                             lambda self: ())
         rec, _ = self._late_records({8: 3})
         assert len(rec.series("vx")) == 4
+
+
+class TestLateSource:
+    """A moment source added between two runs reaches no replayed step
+    from before it was added."""
+
+    @staticmethod
+    def _late_source(failures):
+        """Six steps, then a point source, then three."""
+        g, _, _, res = _setup(failures=failures, interval=5)
+        res.run(6)
+        res.solver.add_source(MomentTensorSource(
+            position=(1000.0, 900.0, 500.0), moment=np.eye(3) * 1e13,
+            stf=lambda t: gaussian_pulse(np.array([t]), f0=3.0)[0]))
+        res.run(3)
+        return res
+
+    def test_recovered_fields_equal_failure_free(self):
+        clean = self._late_source({})
+        res = self._late_source({8: 3})
+        for name in ("vx", "vy", "vz", "sxx", "syy", "szz",
+                     "sxy", "sxz", "syz"):
+            assert np.array_equal(res.gather_field(name),
+                                  clean.gather_field(name)), name
+        assert res.recoveries == [(8, 3, 2)]    # from the step-6 checkpoint
+
+    def test_late_source_without_entry_checkpoint_replays_it(
+            self, monkeypatch):
+        """Tooth: keyed on the recorders alone, the replay from step 5
+        injects the new source into step 6 as well."""
+        monkeypatch.setattr(
+            ResilientDistributedSolver, "_recorder_set",
+            lambda self: (len(self.solver.receivers),
+                          id(self.solver.surface_recorder)))
+        clean = self._late_source({})
+        res = self._late_source({8: 3})
+        assert not np.array_equal(res.gather_field("vx"),
+                                  clean.gather_field("vx"))
